@@ -36,6 +36,8 @@ def _load_request(path, hilbert_box=None, fast=False) -> AnalysisRequest:
     with open(path, "r", encoding="utf-8") as fh:
         req = parse_input(fh.read())
     if hilbert_box is not None:
+        if hilbert_box < 1:
+            raise SchemaError("--hilbert-box: must be a positive integer")
         req.options.hilbert_box = hilbert_box
     if fast:
         req.options.verify_level = "fast"
@@ -110,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--svg", help="also render the base diagram (3d cones only)")
-    p.add_argument("--hilbert-box", type=int, default=None, help="bound for the generation check")
-    p.add_argument("--fast", action="store_true", help="skip the box-bounded generation check")
+    p.add_argument("--hilbert-box", type=int, default=None, help="accepted for compatibility; no effect")
+    p.add_argument("--fast", action="store_true", help="skip the semigroup-generation check")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("hilbert", help="print the Hilbert basis of the lifted dual cone")

@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: duality, Hilbert bases, semigroup membership.
+"""Rational polyhedral cones: duality and Hilbert bases.
 
 The workhorse is :func:`halfspace_description`, a double description pass
 that turns a list of inequality normals into the extreme rays (plus a
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .exactlin import (
@@ -42,10 +42,6 @@ class NotPointed(ValueError):
 
 class NotFullDim(ValueError):
     """Cone does not span its ambient space."""
-
-
-class BoundTooSmall(RuntimeError):
-    """Search depth exhausted before membership could be decided."""
 
 
 def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
@@ -263,17 +259,35 @@ class HilbertBasisResult:
 def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
     """Minimal generating set of the semigroup ``c intersect Z^d``.
 
-    Gordan-style construction: every irreducible element lies in the zonotope
-    of the primitive extreme rays, which in turn lies inside the order
-    interval ``c intersect (sum_of_rays - c)``.  The lattice points of that
-    interval generate the semigroup, so discarding the reducible ones leaves
-    exactly the Hilbert basis.
+    A cone whose facet normals all read ``(p, e_i)`` (a unit vector in the
+    last k coordinates, every slot used) is a lifted cone
+    ``{(v, s) : s_i >= phi_i(v)}``; both sigma-tilde dual and sigma dual
+    have that form.  Its basis is read off the normal fan of the sum of the
+    slot polytopes (:func:`_lifted_candidates`), which needs Hilbert bases
+    in dimension d - k only.  Every other cone goes through the box scan of
+    :func:`_box_hilbert_basis`.
     """
-    d = c.ambient_dim
     if not is_strongly_convex(c):
         raise NotPointed("Hilbert basis needs a pointed cone")
     if not is_full_dimensional(c):
         raise NotFullDim("Hilbert basis needs a full-dimensional cone")
+    slots = _slot_polytopes(c)
+    if slots is None:
+        return HilbertBasisResult(_box_hilbert_basis(c), c)
+    return HilbertBasisResult(_irreducible(c, _lifted_candidates(slots)), c)
+
+
+def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
+    """Hilbert basis of a pointed full-dimensional cone by a box scan.
+
+    Gordan-style construction: every irreducible element lies in the zonotope
+    of the primitive extreme rays, which in turn lies inside the order
+    interval ``c intersect (sum_of_rays - c)``.  The lattice points of that
+    interval generate the semigroup, so discarding the reducible ones leaves
+    exactly the Hilbert basis.  The cost grows with the volume of that
+    interval; it is the general path and the test oracle for the lifted one.
+    """
+    d = c.ambient_dim
     rays = c.generators
     total = tuple(sum(col) for col in zip(*rays))
     rows = [a + (0,) for a in c.inequalities]
@@ -284,105 +298,71 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
         return c.contains(pt) and c.contains(vec_sub(total, pt))
 
     candidates = [p for p in _box_lattice_scan(verts, inside) if not is_zero_vec(p)]
-    candidates = sorted(set(candidates) | set(rays))
+    return _irreducible(c, set(candidates) | set(rays))
+
+
+def _irreducible(c: PolyhedralCone, candidates) -> IntMat:
+    """The candidates that are not a candidate plus a nonzero point of ``c``.
+
+    Exact for any finite set of nonzero lattice points of ``c`` that
+    generates its semigroup: every reducible element then dominates some
+    generator.
+    """
     # reducibility via precomputed facet values: h - g lies in the cone iff
     # the value vector of g is componentwise below that of h; their sum (the
     # positive functional) strictly increases, so only earlier entries in
     # functional order can witness a split
     vals = {p: tuple(dot(a, p) for a in c.inequalities) for p in candidates}
-    ordered = sorted(candidates, key=lambda p: (sum(vals[p]), p))
+    ordered = sorted(vals, key=lambda p: (sum(vals[p]), p))
     basis = []
     for idx, h in enumerate(ordered):
         vh = vals[h]
-        reducible = False
-        for g in ordered[:idx]:
-            vg = vals[g]
-            if all(x <= y for x, y in zip(vg, vh)):
-                reducible = True
-                break
-        if not reducible:
+        if not any(all(x <= y for x, y in zip(vals[g], vh)) for g in ordered[:idx]):
             basis.append(h)
-    return HilbertBasisResult(tuple(sorted(basis)), c)
+    return tuple(sorted(basis))
 
 
-def lattice_points_in_box(c: PolyhedralCone, box: int) -> list[IntVec]:
-    """All lattice points of ``c`` with every coordinate in ``[-box, box]``."""
-    d = c.ambient_dim
-    out = []
-    for pt in product(range(-box, box + 1), repeat=d):
-        if c.contains(pt):
-            out.append(pt)
+def _slot_polytopes(c: PolyhedralCone) -> list[list[IntVec]] | None:
+    """The point sets ``N_i = {p : (p, e_i) is a facet normal}`` when every
+    facet normal of ``c`` has that form and every slot i occurs, else None.
+    """
+    dim = c.ambient_dim
+    for k in range(1, dim):
+        n = dim - k
+        slots: list[list[IntVec]] = [[] for _ in range(k)]
+        for a in c.inequalities:
+            tail = a[n:]
+            if sum(tail) != 1 or any(x not in (0, 1) for x in tail):
+                break
+            slots[tail.index(1)].append(a[:n])
+        else:
+            if all(slots):
+                return slots
+    return None
+
+
+def _lifted_candidates(slots) -> set[IntVec]:
+    """A finite generating set of the lifted cone cut out by the normals
+    ``(p, e_i)``, p in ``slots[i]``.
+
+    That cone is ``{(v, s) : s_i >= psi_i(v)}`` with
+    ``psi_i(v) = max over p in slots[i] of <-p, v>``, so every lattice point
+    is ``(v, psi(v)) + sum_i (s_i - psi_i(v)) t_i`` for the unit tags t_i.
+    Each psi_i is linear on the normal cone
+    ``C_u = {v : <v, w - u> >= 0 for all w in Q}`` of every vertex u of
+    ``Q = sum_i conv(slots[i])``, so v splits along the Hilbert basis of
+    the C_u containing it (Altmann's tagged-summand construction).  Q is
+    full-dimensional because the normals span, so each C_u is pointed.
+    """
+    from .polytope import convex_hull, minkowski_sum
+
+    k = len(slots)
+    n = len(slots[0][0])
+    verts = reduce(minkowski_sum, map(convex_hull, slots)).vertices
+    out = {(0,) * n + tuple(1 if j == i else 0 for j in range(k)) for i in range(k)}
+    for u in verts:
+        fan_cone = cone_from_inequalities([vec_sub(w, u) for w in verts if w != u], n)
+        for h in hilbert_basis(fan_cone).elements:
+            out.add(h + tuple(max(-dot(p, h) for p in pts) for pts in slots))
     return out
 
-
-def positive_functional(c: PolyhedralCone) -> IntVec:
-    """Integer functional strictly positive on ``c`` minus the origin."""
-    if not is_strongly_convex(c):
-        raise NotPointed("no strictly positive functional on a non-pointed cone")
-    return tuple(sum(col) for col in zip(*c.inequalities))
-
-
-def semigroup_contains(gens, v, bound, _cache=None) -> bool:
-    """Decide whether ``v`` is a nonnegative integer combination of ``gens``.
-
-    Depth-first search over the cone spanned by the generators, pruned by a
-    strictly positive functional ``w`` (the sum of the facet normals).  Every
-    representation of ``v`` has coefficient sum at most ``<w, v>``, so when
-    ``<w, v> <= bound`` a failed search is a definite negative.  Otherwise a
-    failure under the budget raises :class:`BoundTooSmall`.
-    """
-    gens = as_mat(gens)
-    if not gens:
-        return is_zero_vec(v)
-    dim = len(gens[0])
-    v = as_vec(v)
-    cone = cone_from_generators(gens, dim)
-    if not is_strongly_convex(cone):
-        raise NotPointed("generators must span a pointed cone")
-    w = positive_functional(cone)
-    if any(dot(w, g) <= 0 for g in gens):
-        raise AssertionError("positive functional failed on a generator")
-    if is_zero_vec(v):
-        return True
-    if not cone.contains(v):
-        return False
-    certified = dot(w, v) <= bound
-    cache = {} if _cache is None else _cache
-
-    def reach(x):
-        if x in cache:
-            return cache[x]
-        cache[x] = False  # cycle guard; w strictly decreases so cycles cannot occur
-        ok = False
-        for g in gens:
-            rem = vec_sub(x, g)
-            if is_zero_vec(rem):
-                ok = True
-                break
-            if cone.contains(rem) and reach(rem):
-                ok = True
-                break
-        cache[x] = ok
-        return ok
-
-    if certified:
-        if reach(v):
-            return True
-        return False
-    # budget-limited search, no memo sharing across budgets
-    def reach_budget(x, budget):
-        if budget <= 0:
-            return False
-        for g in gens:
-            rem = vec_sub(x, g)
-            if is_zero_vec(rem):
-                return True
-            if cone.contains(rem) and reach_budget(rem, budget - 1):
-                return True
-        return False
-
-    if reach_budget(v, bound):
-        return True
-    raise BoundTooSmall(
-        f"no combination with coefficient sum <= {bound}; functional value {dot(w, v)} exceeds the bound"
-    )

@@ -45,8 +45,8 @@ class CrossCheckError(RuntimeError):
 
 @dataclass
 class AnalysisOptions:
-    hilbert_box: int = 3
-    verify_level: str = "full"  # "fast" skips the box-bounded generation check
+    hilbert_box: int = 3  # validated but unused: the generation check is exact
+    verify_level: str = "full"  # "fast" skips the generation check
     root_circle_tol: float = 1e-12
     emit_svg: str | None = None
 

@@ -397,28 +397,34 @@ def _heuristic_search(d, starts=40, iters=80, tol=1e-10, seed=7):
     hessian = [[g.derivative(b) for b in range(n1 - 1)] for g in grads]
     rng = np.random.default_rng(seed)
     found = []
-    for _ in range(starts):
-        z = np.exp(2j * np.pi * rng.random(n1 - 1))
-        for _ in range(iters):
+    # a diverging start overflows to inf/nan; it is abandoned, not reported
+    with np.errstate(all="ignore"):
+        for _ in range(starts):
+            z = np.exp(2j * np.pi * rng.random(n1 - 1))
+            for _ in range(iters):
+                point = list(z) + [1.0 + 0j]
+                vals = np.array([g.evaluate(point) for g in grads])
+                if not np.all(np.isfinite(vals)):
+                    break
+                if np.linalg.norm(vals) < tol:
+                    break
+                jac = np.zeros((n1, n1 - 1), dtype=complex)
+                for a in range(n1):
+                    for b in range(n1 - 1):
+                        jac[a, b] = hessian[a][b].evaluate(point)
+                if not np.all(np.isfinite(jac)):
+                    break
+                step, *_ = np.linalg.lstsq(jac, -vals, rcond=None)
+                if not np.all(np.isfinite(step)):
+                    break
+                z = z + 0.5 * step
+                if np.any(np.abs(z) < 1e-13):
+                    break
             point = list(z) + [1.0 + 0j]
-            vals = np.array([g.evaluate(point) for g in grads])
-            if np.linalg.norm(vals) < tol:
-                break
-            jac = np.zeros((n1, n1 - 1), dtype=complex)
-            for a in range(n1):
-                for b in range(n1 - 1):
-                    jac[a, b] = hessian[a][b].evaluate(point)
-            step, *_ = np.linalg.lstsq(jac, -vals, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            z = z + 0.5 * step
-            if np.any(np.abs(z) < 1e-13):
-                break
-        point = list(z) + [1.0 + 0j]
-        residual = max(abs(g.evaluate(point)) for g in grads)
-        if residual < tol and all(abs(w) > 1e-9 for w in z):
-            if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
-                found.append(tuple(complex(w) for w in z))
+            residual = max(abs(g.evaluate(point)) for g in grads)
+            if residual < tol and all(abs(w) > 1e-9 for w in z):
+                if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
+                    found.append(tuple(complex(w) for w in z))
     return CriticalReport(
         verdict="heuristic",
         count=None,

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cone import (
-    PolyhedralCone,
-    lattice_points_in_box,
-    cone_from_generators,
-    positive_functional,
-)
+from .cone import PolyhedralCone, dual, hilbert_basis, sigma_tilde
 from .exactlin import (
     IntVec,
     as_vec,
@@ -102,8 +97,6 @@ def _tagged(d, v) -> IntVec:
 def generator_set(d: MinkowskiDecomposition) -> GeneratorSet:
     """The labeled character set: deformation slots, per-summand chart
     vectors, and whatever else of the Hilbert basis is left over."""
-    from .cone import dual, hilbert_basis, sigma_tilde
-
     mats = require_admissible(d)
     n, k = d.n, d.k
     entries = []
@@ -135,36 +128,15 @@ def generator_set(d: MinkowskiDecomposition) -> GeneratorSet:
 
 
 def verify_generates(g: GeneratorSet, c: PolyhedralCone, box: int) -> bool:
-    """Every lattice point of ``c`` with coordinates in ``[-box, box]`` must be
-    a nonnegative integer combination of the generator vectors, and every
-    generator vector must lie in ``c``."""
-    gens = g.vectors()
-    if any(not c.contains(v) for v in gens):
-        return False
-    span = cone_from_generators(gens, c.ambient_dim)
-    w = positive_functional(span)
-    targets = sorted(lattice_points_in_box(c, box), key=lambda p: dot(w, p))
-    cache: dict[IntVec, bool] = {}
+    """Whether the generator vectors generate the semigroup of lattice points
+    of the pointed full-dimensional cone ``c``.
 
-    def reach(x):
-        if is_zero_vec(x):
-            return True
-        if x in cache:
-            return cache[x]
-        cache[x] = False
-        ok = False
-        for gv in gens:
-            rem = vec_sub(x, gv)
-            if is_zero_vec(rem):
-                ok = True
-                break
-            if span.contains(rem) and reach(rem):
-                ok = True
-                break
-        cache[x] = ok
-        return ok
-
-    return all(reach(t) for t in targets)
+    Exact: they do iff each lies in ``c`` and together they contain its
+    Hilbert basis, since every generating set of that semigroup contains
+    the basis.  ``box`` is accepted for compatibility and ignored.
+    """
+    gens = set(g.vectors())
+    return all(c.contains(v) for v in gens) and set(hilbert_basis(c).elements) <= gens
 
 
 def relation_xy(d: MinkowskiDecomposition, p: int) -> IntVec:

@@ -1,0 +1,100 @@
+"""Box-bounded semigroup oracles, independent of the library's Hilbert bases.
+
+:func:`lattice_points_in_box` enumerates a cone's lattice points in a cube
+and :func:`semigroup_contains` decides membership in a finitely generated
+semigroup by depth-first search.  The library decides generation exactly
+through the Hilbert basis; these brute-force routines check it from the
+outside.
+"""
+
+from itertools import product
+
+from minksmooth.cone import NotPointed, PolyhedralCone, cone_from_generators, is_strongly_convex
+from minksmooth.exactlin import IntVec, as_mat, as_vec, dot, is_zero_vec, vec_sub
+
+
+class BoundTooSmall(RuntimeError):
+    """Search depth exhausted before membership could be decided."""
+
+
+def lattice_points_in_box(c: PolyhedralCone, box: int) -> list[IntVec]:
+    """All lattice points of ``c`` with every coordinate in ``[-box, box]``."""
+    d = c.ambient_dim
+    out = []
+    for pt in product(range(-box, box + 1), repeat=d):
+        if c.contains(pt):
+            out.append(pt)
+    return out
+
+
+def positive_functional(c: PolyhedralCone) -> IntVec:
+    """Integer functional strictly positive on ``c`` minus the origin."""
+    if not is_strongly_convex(c):
+        raise NotPointed("no strictly positive functional on a non-pointed cone")
+    return tuple(sum(col) for col in zip(*c.inequalities))
+
+
+def semigroup_contains(gens, v, bound, _cache=None) -> bool:
+    """Decide whether ``v`` is a nonnegative integer combination of ``gens``.
+
+    Depth-first search over the cone spanned by the generators, pruned by a
+    strictly positive functional ``w`` (the sum of the facet normals).  Every
+    representation of ``v`` has coefficient sum at most ``<w, v>``, so when
+    ``<w, v> <= bound`` a failed search is a definite negative.  Otherwise a
+    failure under the budget raises :class:`BoundTooSmall`.
+    """
+    gens = as_mat(gens)
+    if not gens:
+        return is_zero_vec(v)
+    dim = len(gens[0])
+    v = as_vec(v)
+    cone = cone_from_generators(gens, dim)
+    if not is_strongly_convex(cone):
+        raise NotPointed("generators must span a pointed cone")
+    w = positive_functional(cone)
+    if any(dot(w, g) <= 0 for g in gens):
+        raise AssertionError("positive functional failed on a generator")
+    if is_zero_vec(v):
+        return True
+    if not cone.contains(v):
+        return False
+    certified = dot(w, v) <= bound
+    cache = {} if _cache is None else _cache
+
+    def reach(x):
+        if x in cache:
+            return cache[x]
+        cache[x] = False  # cycle guard; w strictly decreases so cycles cannot occur
+        ok = False
+        for g in gens:
+            rem = vec_sub(x, g)
+            if is_zero_vec(rem):
+                ok = True
+                break
+            if cone.contains(rem) and reach(rem):
+                ok = True
+                break
+        cache[x] = ok
+        return ok
+
+    if certified:
+        if reach(v):
+            return True
+        return False
+    # budget-limited search, no memo sharing across budgets
+    def reach_budget(x, budget):
+        if budget <= 0:
+            return False
+        for g in gens:
+            rem = vec_sub(x, g)
+            if is_zero_vec(rem):
+                return True
+            if cone.contains(rem) and reach_budget(rem, budget - 1):
+                return True
+        return False
+
+    if reach_budget(v, bound):
+        return True
+    raise BoundTooSmall(
+        f"no combination with coefficient sum <= {bound}; functional value {dot(w, v)} exceeds the bound"
+    )

@@ -12,8 +12,6 @@ from minksmooth.cone import (
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
-    lattice_points_in_box,
-    semigroup_contains,
     sigma_tilde,
 )
 from minksmooth.exactlin import mat_mul, unimodular_inverse, vec_sub
@@ -51,6 +49,7 @@ from minksmooth.smoothing import (
     verify_generates,
 )
 
+from box_oracle import lattice_points_in_box, semigroup_contains
 from test_potential import random_admissible_decomposition, z3_times
 
 

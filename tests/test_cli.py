@@ -184,6 +184,10 @@ def test_cli_exit_codes(tmp_path):
     )
     assert main(["analyze", inadmissible]) == 3
 
+    q5 = write_input(tmp_path, Q5_INPUT, "q5.json")
+    assert main(["analyze", q5, "--hilbert-box", "0"]) == 2
+    assert main(["analyze", q5, "--hilbert-box", "1", "--out", str(tmp_path / "r.json")]) == 0
+
     mismatch = json.loads(json.dumps(Q5_INPUT))
     mismatch["target"] = [[0, 0], [1, 0], [0, 1]]
     assert main(["analyze", write_input(tmp_path, mismatch, "mismatch.json")]) == 3
@@ -280,3 +284,31 @@ def test_cli_diagram(tmp_path):
     svg = tmp_path / "q3.svg"
     assert main(["diagram", path, "--svg", str(svg)]) == 0
     assert "cut 3" in svg.read_text()
+
+
+PLANAR_SEGMENTS_K5 = {
+    "name": "segments-k5",
+    "dimension": 2,
+    "summands": [{"vertices": [[0, 0], v]} for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 2])],
+}
+
+SPATIAL_SEGMENTS_K4 = {
+    "name": "segments-n3-k4",
+    "dimension": 3,
+    "summands": [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, basis_size",
+    [(PLANAR_SEGMENTS_K5, 15), (SPATIAL_SEGMENTS_K4, 16)],
+    ids=["planar-k5", "spatial-k4"],
+)
+def test_cli_analyze_past_the_box_scan_walls(tmp_path, payload, basis_size):
+    # lifted cones of dimension 7; a box scan of them did not finish in minutes
+    out = tmp_path / "report.json"
+    assert main(["analyze", write_input(tmp_path, payload), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["check_failures"] == []
+    assert data["checks"]["generators_generate_semigroup"] is True
+    assert len(data["cone"]["sigma_tilde_dual_hilbert_basis"]) == basis_size

@@ -1,9 +1,11 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from minksmooth.cone import (
-    BoundTooSmall,
     NotFullDim,
     NotPointed,
     cone_from_generators,
@@ -13,13 +15,14 @@ from minksmooth.cone import (
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
-    lattice_points_in_box,
-    semigroup_contains,
     sigma_tilde,
+    _box_hilbert_basis,
+    _slot_polytopes,
 )
-from minksmooth.exactlin import dot, vec_sub
-from minksmooth.polytope import convex_hull, decomposition
+from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
+from minksmooth.polytope import convex_hull, decomposition, is_full_dimensional_polytope
 
+from box_oracle import BoundTooSmall, lattice_points_in_box, semigroup_contains
 from conftest import triangle
 
 Q5_SIGMA = {(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1)}
@@ -275,3 +278,82 @@ def test_semigroup_definitive_negative_with_certificate():
     # (1, 1) is not reachable from (2, 0), (0, 2) parity-wise; the functional
     # value is small so the search is exhaustive and returns a clean False
     assert not semigroup_contains([(2, 0), (0, 2)], (1, 1), 50)
+
+
+def test_unstructured_cone_keeps_box_scan_answer():
+    # one facet normal (1, 0) has no unit tail, so the cone is not a lifted
+    # cone and goes through the box scan as before
+    c = cone_from_generators([(1, 0), (1, 2)], 2)
+    assert _slot_polytopes(c) is None
+    assert hilbert_basis(c).elements == ((1, 0), (1, 1), (1, 2))
+    mixed = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
+    assert _slot_polytopes(mixed) is None
+    assert hilbert_basis(mixed).elements == _box_hilbert_basis(mixed)
+
+
+def test_lifted_cone_of_absolute_value():
+    # {(v, s) : s >= |v|} has normals (1, 1) and (-1, 1): one slot, and its
+    # normal fan cones are the two half-lines of Z
+    c = cone_from_generators([(1, 1), (-1, 1)], 2)
+    assert _slot_polytopes(c) == [[(-1,), (1,)]]
+    assert hilbert_basis(c).elements == ((-1, 1), (0, 1), (1, 1))
+
+
+def test_lifted_path_drops_reducible_tag(d_no_critical):
+    # on the trapezoid t_1 = (0, -1, 1, 0) + (0, 1, 0, 0) is reducible
+    c = dual(sigma_tilde(d_no_critical))
+    assert _slot_polytopes(c) is not None
+    hb = hilbert_basis(c).elements
+    assert (0, 0, 1, 0) not in hb and {(0, -1, 1, 0), (0, 1, 0, 0)} <= set(hb)
+    assert hb == _box_hilbert_basis(c)
+
+
+def test_lifted_basis_sizes_match_box_scan():
+    # the largest lifted cones whose box-scan oracle stays within seconds
+    cases = {
+        ((1, 0), (0, 1), (1, 1), (1, -1)): 12,
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): 6,
+        ((1, 1), (1, 1), (1, -1)): 11,
+    }
+    for vecs, size in cases.items():
+        d = decomposition([convex_hull([(0,) * len(v), v]) for v in vecs])
+        c = dual(sigma_tilde(d))
+        assert len(hilbert_basis(c).elements) == size
+        assert hilbert_basis(c).elements == _box_hilbert_basis(c)
+
+
+def _zonotope_box_size(c):
+    """Lattice points in the bounding box of the zonotope of the extreme
+    rays; it tracks the work of the box-scan oracle on ``c``."""
+    return prod(
+        sum(max(x, 0) for x in col) - sum(min(x, 0) for x in col) + 1 for col in zip(*c.generators)
+    )
+
+
+def _admissible_summand(n):
+    vecs = st.tuples(*[st.integers(-2, 2)] * n)
+    return (
+        st.integers(1, n)
+        .flatmap(lambda m: st.lists(vecs, min_size=m, max_size=m, unique=True))
+        # nonzero vertices that extend to a lattice basis
+        .filter(lambda vs: all(f == 1 for f in snf_invariant_factors(tuple(vs))))
+        .map(lambda vs: convex_hull([(0,) * n] + vs))
+    )
+
+
+admissible_decompositions = st.sampled_from([2, 3]).flatmap(
+    lambda n: st.lists(_admissible_summand(n), min_size=1, max_size=3)
+).map(decomposition)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(admissible_decompositions)
+def test_lifted_hilbert_basis_matches_box_scan(d):
+    assume(is_full_dimensional_polytope(d.target))
+    cones = (dual(sigma_tilde(d)), dual(cone_over(d.target)))
+    # the oracle's cost grows with the volume of its box in dimension n + k,
+    # up to minutes on the largest draws; they are skipped for time alone
+    assume(all(_zonotope_box_size(c) <= 2_000 for c in cones))
+    for c in cones:
+        assert _slot_polytopes(c) is not None
+        assert hilbert_basis(c).elements == _box_hilbert_basis(c)

@@ -261,6 +261,19 @@ def test_heuristic_for_other_dimensions():
     assert any(abs(p[0] + 1) < 1e-6 for p in rep.heuristic_points)
 
 
+@pytest.mark.parametrize("extra", [(), ((-1, -1, -1),)])
+def test_heuristic_survives_diverging_starts(extra, recwarn):
+    # some Newton starts overflow to inf/nan on these inputs; they are
+    # abandoned instead of reaching the least-squares solver
+    d = decomposition([convex_hull([(0, 0, 0), v]) for v in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)) + extra])
+    rep = critical_exists(d)
+    assert rep.verdict == "heuristic" and rep.heuristic_points
+    po = build_potential(d)
+    for p in rep.heuristic_points:
+        assert max(abs(partial(po, i).evaluate(list(p) + [1.0])) for i in range(4)) < 1e-8
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_numeric_gradient_q6_witness(d_q6_first):
     po = build_potential(d_q6_first)
     w = np.exp(2j * np.pi / 3)

@@ -82,6 +82,24 @@ def test_verify_generates_fails_without_y1(d_q5):
     assert not verify_generates(pruned, c, 3)
 
 
+def test_verify_generates_rejects_generator_outside_cone(d_q5):
+    g = generator_set(d_q5)
+    c = dual(sigma_tilde(d_q5))
+    outside = (0, 0, -1, 0)
+    assert not c.contains(outside)
+    grown = GeneratorSet(g.n, g.k, g.entries + ((Extra(99), outside),))
+    assert not verify_generates(grown, c, 3)
+
+
+def test_verify_generates_ignores_box(d_q6_second):
+    # the check is exact: no box is too small to see a missing basis element
+    g = generator_set(d_q6_second)
+    c = dual(sigma_tilde(d_q6_second))
+    assert verify_generates(g, c, 1)
+    pruned = GeneratorSet(g.n, g.k, g.entries[:-1])
+    assert not verify_generates(pruned, c, 1)
+
+
 def test_relation_xy_values(d_q5, d_q6_second):
     assert relation_xy(d_q5, 1) == (1, 2)
     assert relation_xy(d_q5, 2) == (1, 1)
