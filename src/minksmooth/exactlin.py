@@ -1,8 +1,18 @@
 """Exact integer and rational linear algebra kernels.
 
 Everything operates on immutable tuples of Python ints (arbitrary
-precision) or ``fractions.Fraction`` values; no floating point anywhere.
-Vectors are ``tuple[int, ...]``, matrices are tuples of row vectors.
+precision); rational answers come back as ``fractions.Fraction`` values,
+and there is no floating point anywhere.  Vectors are ``tuple[int, ...]``,
+matrices are tuples of row vectors.
+
+``rank``, ``det``, ``rational_nullspace``, ``rational_solve`` and
+``unimodular_inverse`` all read their answers off one kernel,
+:func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
+integers (Bareiss's single-step division by the previous pivot, in the
+Gauss-Jordan form of Nakos, Turner and Williams), which returns ``d``
+times the reduced row echelon form with ``d`` a minor of the input.  The
+lattice normal forms ``hnf`` and ``snf_invariant_factors`` use their own
+unimodular row and column operations.
 """
 
 from __future__ import annotations
@@ -97,55 +107,61 @@ def mat_mul(a, b) -> IntMat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def det(m) -> int:
-    """Determinant of a square integer matrix, by fraction-free Bareiss."""
+def _gauss_jordan(m, ncols=None):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns ``(a, pivots, d, sign)``.  Row ``i < len(pivots)`` of ``a`` is
+    ``d`` times row ``i`` of the reduced row echelon form of ``m``, with
+    its pivot in column ``pivots[i]``; ``d`` is the last pivot, a minor of
+    ``m`` (1 when there is none), and ``sign`` the sign of the row swaps,
+    so ``sign * d`` is the determinant of a nonsingular square ``m``.
+    Pivots are sought only in the first ``ncols`` columns (all by default),
+    so augmented columns ride along; the rows below the pivot rows then
+    hold ``d`` times what is left of them.  Each step divides exactly by
+    the previous pivot (Bareiss), so every entry stays a minor of ``m``.
+    """
+    a = [list(r) for r in m]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots = []
+    d, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, prow = a[r][c], a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        d = p
+        pivots.append(c)
+    return a, pivots, d, sign
+
+
+def _square(m) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return n
+
+
+def det(m) -> int:
+    """Determinant of a square integer matrix."""
+    n = _square(m)
+    _, pivots, d, sign = _gauss_jordan(m)
+    return sign * d if len(pivots) == n else 0
 
 
 def rank(m) -> int:
-    """Rank over the rationals of an integer (or Fraction) matrix."""
-    if not m:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over the rationals of an integer matrix (a sequence of int rows)."""
+    return len(_gauss_jordan(m)[1])
 
 
 def hnf(m) -> tuple[IntMat, IntMat]:
@@ -275,61 +291,29 @@ def complete_to_basis(v) -> IntMat:
 def unimodular_inverse(x) -> IntMat:
     """Exact integer inverse of a matrix with determinant +-1."""
     x = as_mat(x)
-    n = len(x)
-    d = det(x)
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant is {d}, not +-1")
-    sol = _rational_inverse(x)
-    return tuple(tuple(int(c) for c in row) for row in sol)
-
-
-def _rational_inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    n = _square(x)
+    a, pivots, d, sign = _gauss_jordan([row + e for row, e in zip(x, identity(n))], n)
+    dt = sign * d if len(pivots) == n else 0
+    if dt not in (1, -1):
+        raise NotUnimodular(f"determinant is {dt}, not +-1")
+    # a == d * [I | x^{-1}] and 1/d == d
+    return tuple(tuple(v * d for v in row[n:]) for row in a)
 
 
 def rational_nullspace(m) -> list[RatVec]:
     """Basis of the rational kernel {x : m x = 0} of an integer matrix."""
     if not m:
         return []
+    a, pivots, d, _ = _gauss_jordan(m)
     ncols = len(m[0])
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
+            vec[pc] = -Fraction(a[i][fc], d)
         basis.append(tuple(vec))
     return basis
 
@@ -342,31 +326,12 @@ def rational_solve(m, b) -> RatVec | None:
     if not m:
         return ()
     ncols = len(m[0])
-    a = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(m, b)]
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if a[i][ncols] != 0:
-            return None
+    a, pivots, d, _ = _gauss_jordan([tuple(row) + (bb,) for row, bb in zip(m, b)], ncols)
+    if any(row[ncols] != 0 for row in a[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
     for i, pc in enumerate(pivots):
-        sol[pc] = a[i][ncols]
+        sol[pc] = Fraction(a[i][ncols], d)
     return tuple(sol)
 
 

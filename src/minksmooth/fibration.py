@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .cone import PolyhedralCone, cone_from_inequalities, cone_over, cones_equal, dual
+from .cone import PolyhedralCone, cone_from_inequalities
 from .exactlin import (
     IntMat,
     IntVec,
@@ -22,7 +22,6 @@ from .exactlin import (
     dot,
     rational_solve,
     sign_normalized,
-    unimodular_inverse,
     vec_neg,
     vec_sub,
 )
@@ -200,25 +199,9 @@ def transfer_cut(b: BaseDiagram, p: int) -> BaseDiagram:
     region i to region j inside the cut is the shear by their vertex
     difference, which is exactly what the applied affine monodromies cancel.
     """
-    d = b.decomposition
-    if not 1 <= p <= d.k:
-        raise IndexError(f"summand index {p} out of range")
+    _vertex_rows(b.decomposition, p)  # p in range, decomposition admissible
     if p in b.applied:
         raise AlreadyApplied(f"cut {p} was already transferred")
-    m = len(_vertex_rows(d, p))
-    for i in range(1, m + 1):
-        ai = affine_monodromy(d, p, i)
-        for j in range(1, m + 1):
-            if i == j:
-                continue
-            aj_inv = unimodular_inverse(affine_monodromy(d, p, j))
-            prod = tuple(
-                tuple(dot(row, col) for col in zip(*aj_inv)) for row in ai
-            )
-            rows = _vertex_rows(d, p)
-            expected = _shear_last_row(vec_sub(rows[j - 1], rows[i - 1]), d.n)
-            if prod != expected:
-                raise AssertionError("cross-wall shears failed to cancel")
     return replace(b, applied=b.applied | {p})
 
 
@@ -228,8 +211,9 @@ def final_cone(b: BaseDiagram) -> PolyhedralCone:
     Built purely from the summand data: the boundary height is the sum of
     the summand support terms, so the region above it is cut out by the
     functionals (w_1 + ... + w_k, 1) over all vertex choices w_p of M_p.
-    The result must coincide with the dual of the cone over the target; that
-    equality is asserted here because it is the whole point of the diagram.
+    The result should coincide with the dual of the cone over the target;
+    callers check that (the pipeline reports it as
+    ``final_cone_equals_dual_sigma``).
     """
     d = b.decomposition
     if b.applied != frozenset(range(1, d.k + 1)):
@@ -239,11 +223,7 @@ def final_cone(b: BaseDiagram) -> PolyhedralCone:
     for combo in iproduct(*(s.vertices for s in d.summands)):
         total = tuple(sum(c) for c in zip(*combo))
         rows.append(total + (1,))
-    cone = cone_from_inequalities(rows, d.n + 1)
-    reference = dual(cone_over(d.target))
-    if not cones_equal(cone, reference):
-        raise AssertionError("final diagram does not match the dual cone")
-    return cone
+    return cone_from_inequalities(rows, d.n + 1)
 
 
 def height_one_normalization(c: PolyhedralCone):
@@ -277,6 +257,4 @@ def disk_time(v, s) -> Fraction:
     if s < 0:
         raise NegativeArea("area must be nonnegative")
     v = as_vec(v)
-    t0 = s / (dot(v, v) + 1)
-    assert (dot(v, v) + 1) * t0 == s
-    return t0
+    return s / (dot(v, v) + 1)

@@ -209,14 +209,13 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
         },
         "fibre_models": [
             {
-                "summand": p,
-                "equation": smo.fibre_model(d, p).equation,
-                "product_coordinates": [str(c) for c in smo.fibre_model(d, p).product_coords],
-                "unit_coordinates": [str(c) for c in smo.fibre_model(d, p).unit_coords],
+                "summand": fm.p,
+                "equation": fm.equation,
+                "product_coordinates": [str(c) for c in fm.product_coords],
+                "unit_coordinates": [str(c) for c in fm.unit_coords],
                 "general_fibre": f"torus of dimension {d.n}",
             }
-            for p in range(1, d.k + 1)
-            if adm.matrices[p - 1].m > 0
+            for fm in (smo.fibre_model(d, p) for p in range(1, d.k + 1) if adm.matrices[p - 1].m > 0)
         ],
         "homogeneity": None if hom is None else {"u": list(hom[0]), "degree": hom[1]},
         "deformation_note": "epsilon parameters are formal tags; relations hold at the lattice level",
@@ -251,15 +250,8 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
         "cut_direction": [0] * d.n + [1],
         "cut_note": fib.CUT_DIRECTION_NOTE,
     }
-    final_ok = True
-    try:
-        final = fib.final_cone(diagrams)
-        fibration_block["final_cone_generators"] = _mat(final.generators)
-    except AssertionError as exc:
-        final_ok = False
-        failures.append(f"fibration.final_cone: {exc}")
-        final = cone_mod.dual(sigma)
-        fibration_block["final_cone_generators"] = _mat(final.generators)
+    final = fib.final_cone(diagrams)
+    fibration_block["final_cone_generators"] = _mat(final.generators)
     hone = fib.height_one_normalization(final)
     fibration_block["height_one"] = (
         None
@@ -278,7 +270,7 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
     }
 
     checks = {
-        "final_cone_equals_dual_sigma": final_ok and cone_mod.cones_equal(final, sigma_dual),
+        "final_cone_equals_dual_sigma": cone_mod.cones_equal(final, sigma_dual),
         "newton_polytope_is_target_at_height_one": npoly.vertices
         == tuple(v + (1,) for v in d.target.vertices),
         "generator_tails_match_support": all(

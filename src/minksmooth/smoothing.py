@@ -149,7 +149,8 @@ def relation_xy(d: MinkowskiDecomposition, p: int) -> IntVec:
     beta = phi(d, sm.b)
     for j in range(sm.m):
         beta = vec_add(beta, phi(d, sm.a_column(j)))
-    assert beta[p - 1] == 1, "own deformation slot must carry exponent 1"
+    if beta[p - 1] != 1:
+        raise AssertionError("own deformation slot must carry exponent 1")
     return beta
 
 
@@ -161,7 +162,8 @@ def relation_w(d: MinkowskiDecomposition, p: int, j: int) -> IntVec:
         raise IndexError(f"kernel column index {j} out of range for summand {p}")
     col = sm.c_column(j - 1)
     eta = vec_add(phi(d, col), phi(d, vec_neg(col)))
-    assert eta[p - 1] == 0, "own deformation slot must carry exponent 0"
+    if eta[p - 1] != 0:
+        raise AssertionError("own deformation slot must carry exponent 0")
     return eta
 
 
@@ -222,14 +224,16 @@ def express_in_chart(d: MinkowskiDecomposition, zhat, p: int, singular: bool) ->
         return ChartExpression(p, False, None, None, xi_x, xi_w, t_exp)
     xi_plus = max([0] + [-v for v in xi_x])
     xi_shifted = tuple(v + xi_plus for v in xi_x)
-    assert tail[p - 1] == xi_plus, "singular chart exponent must match the phi tail"
+    if tail[p - 1] != xi_plus:
+        raise AssertionError("singular chart exponent must match the phi tail")
     acc = tuple(xi_plus * t for t in phi(d, sm.b))
     for l in range(m):
         acc = vec_add(acc, tuple(xi_shifted[l] * t for t in phi(d, sm.a_column(l))))
     for l in range(n - m):
         acc = vec_add(acc, tuple(xi_w[l] * t for t in phi(d, sm.c_column(l))))
     t_exp = vec_sub(tail, acc)
-    assert t_exp[p - 1] == 0, "t_p must not appear in a singular chart"
+    if t_exp[p - 1] != 0:
+        raise AssertionError("t_p must not appear in a singular chart")
     return ChartExpression(p, True, xi_plus, xi_shifted, None, xi_w, t_exp)
 
 

@@ -1,0 +1,89 @@
+"""Rational Gauss-Jordan oracles, independent of the library's kernel.
+
+:func:`rref` is textbook Gauss-Jordan elimination over ``Fraction``: each
+pivot row is divided by its pivot and the pivot column cleared above and
+below.  The library reads ``rank``, ``det``, ``rational_nullspace``,
+``rational_solve`` and ``unimodular_inverse`` off a fraction-free integer
+elimination instead; the functions here answer the same questions the
+slow, obvious way so tests can compare the two.
+"""
+
+from fractions import Fraction
+
+
+def rref(m, ncols=None):
+    """Reduced row echelon form of ``m`` over the rationals.
+
+    Returns ``(a, pivots, det)`` with pivots sought in the first ``ncols``
+    columns; ``det`` is the product of the pivots times the sign of the
+    row swaps, the determinant when ``m`` is square (0 when singular).
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        det *= a[r][c]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    if len(pivots) < ncols:
+        det = Fraction(0)
+    return a, pivots, det
+
+
+def rank(m):
+    return len(rref(m)[1])
+
+
+def det(m):
+    return int(rref(m)[2])
+
+
+def nullspace(m):
+    a, pivots, _ = rref(m)
+    ncols = len(m[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -a[i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve(m, b):
+    ncols = len(m[0])
+    a, pivots, _ = rref([list(row) + [bb] for row, bb in zip(m, b)], ncols)
+    if any(row[ncols] != 0 for row in a[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        sol[pc] = a[i][ncols]
+    return tuple(sol)
+
+
+def inverse(m):
+    """Rational inverse of a nonsingular square matrix, or None."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a, pivots, _ = rref(aug, n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in a)

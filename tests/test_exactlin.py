@@ -1,5 +1,6 @@
 import random
 
+import linalg_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,34 @@ from minksmooth.exactlin import (
     hnf,
     identity,
     mat_mul,
+    mat_vec,
     rank,
     rational_nullspace,
     rational_solve,
     snf_invariant_factors,
     unimodular_inverse,
+    vec_neg,
 )
+
+@st.composite
+def wide_matrices(draw):
+    """1-6 x 1-6 integer matrices with entries up to 10^6, many of them 0 or
+    +-1 so that pivots need row swaps, some rows drawn as small
+    combinations of earlier ones and some columns zeroed."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-10**6, 10**6) | st.sampled_from([0, 0, 1, -1])
+    entries = st.lists(entry, min_size=ncols, max_size=ncols)
+    m = [draw(entries) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            coeffs = [draw(st.integers(-3, 3)) for _ in range(i)]
+            m[i] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(ncols)]
+    for j in range(ncols):
+        if draw(st.integers(0, 4)) == 0:
+            for row in m:
+                row[j] = 0
+    return tuple(tuple(row) for row in m)
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -148,3 +171,32 @@ def test_rank_and_solvers():
     x = rational_solve(((1, 0), (0, 2)), (3, 4))
     assert x == (3, 2)
     assert rational_solve(((1, 0), (1, 0)), (1, 2)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_matrices(), st.data())
+def test_kernel_matches_rational_oracle(m, data):
+    ncols = len(m[0])
+    assert rank(m) == oracle.rank(m)
+    assert rational_nullspace(m) == oracle.nullspace(m)
+    b = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(m), max_size=len(m)))
+    assert rational_solve(m, b) == oracle.solve(m, b)
+    x = data.draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+    b = mat_vec(m, x)
+    assert rational_solve(m, b) == oracle.solve(m, b)
+    k = min(len(m), ncols)
+    sq = tuple(row[:k] for row in m[:k])
+    assert det(sq) == oracle.det(sq)
+    if det(sq) in (1, -1):
+        assert unimodular_inverse(sq) == oracle.inverse(sq)
+    else:
+        with pytest.raises(NotUnimodular):
+            unimodular_inverse(sq)
+    # L U with unit triangular factors cut from sq is unimodular; reversing
+    # its rows or negating one keeps it so, with other pivots and signs
+    lower = tuple(tuple(sq[i][j] if j < i else int(i == j) for j in range(k)) for i in range(k))
+    upper = tuple(tuple(sq[i][j] if j > i else int(i == j) for j in range(k)) for i in range(k))
+    u = mat_mul(lower, upper)
+    for v in (u, u[::-1], (vec_neg(u[0]),) + u[1:]):
+        assert det(v) == oracle.det(v)
+        assert unimodular_inverse(v) == oracle.inverse(v)
