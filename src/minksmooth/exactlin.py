@@ -322,7 +322,10 @@ def rational_solve(m, b) -> RatVec | None:
     """One exact solution of m x = b, or None when inconsistent.
 
     Free variables are set to zero, making the answer deterministic.
+    ``b`` needs one entry per row of ``m``.
     """
+    if len(b) != len(m):
+        raise ValueError(f"dimension mismatch: {len(m)} rows vs {len(b)} right-hand sides")
     if not m:
         return ()
     ncols = len(m[0])

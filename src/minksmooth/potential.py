@@ -7,6 +7,13 @@ exist exactly when two distinct factors vanish simultaneously on the torus.
 For planar decompositions that pairwise condition is decided exactly with
 resultants and number-field gcds; other dimensions fall back to a clearly
 labeled numeric search.
+
+That search is damped Newton from 40 seeded starts, run in lockstep: the
+gradient and Hessian are compiled once into a term table that is evaluated
+for all live starts per step, with the same IEEE operations in the same
+order as ``LaurentPoly.evaluate`` on each start alone.  Its points are
+therefore bit-identical to the one-start-at-a-time search, which the tests
+keep as an oracle; the report prints them to 12 digits.
 """
 
 from __future__ import annotations
@@ -388,43 +395,108 @@ def _distinct_point_count(families, tol=1e-8):
     return len(pts)
 
 
+class _TermTable:
+    """Laurent polynomials compiled for evaluation at many points at once,
+    bit-identical to ``LaurentPoly.evaluate``.
+
+    Variables past the first ``nfree`` are pinned to ``1 + 0j`` and skipped,
+    which is exact.  Each polynomial keeps its terms in dictionary order and
+    is padded to the longest with zero terms, which add nothing.  A term is
+    its coefficient times the powers of its free variables in variable order,
+    each power taken once per distinct exponent by ``np.power``, which
+    matches scalar ``**``.  Complex products are split into real ones so no
+    fused multiply-add can enter, and the terms are summed one at a time, not
+    by a pairwise reduction.
+    """
+
+    __slots__ = ("shape", "coeffs", "factors")
+
+    def __init__(self, polys, nfree):
+        width = max((len(p.terms) for p in polys), default=0)
+        self.shape = (len(polys), width)
+        coeffs = np.zeros(self.shape)
+        exps = np.zeros((nfree,) + self.shape, dtype=np.int64)
+        for a, p in enumerate(polys):
+            for t, (exp, c) in enumerate(p.terms.items()):
+                coeffs[a, t] = c
+                exps[:, a, t] = exp[:nfree]
+        self.coeffs = coeffs.ravel()
+        # per free variable: its distinct exponents, each term's index into
+        # them, and which terms carry the variable (the others skip it, as
+        # ``evaluate`` does)
+        self.factors = []
+        for var, e in enumerate(exps.reshape(nfree, self.coeffs.size)):
+            powers, index = np.unique(e, return_inverse=True)
+            mask = e != 0
+            if mask.any():
+                self.factors.append((var, powers, index, mask))
+
+    def evaluate(self, z):
+        """Values at the rows of ``z`` (shape ``(points, nfree)``), one column
+        per polynomial."""
+        re = np.broadcast_to(self.coeffs, (len(z), self.coeffs.size))
+        im = np.zeros(re.shape)
+        for var, powers, index, mask in self.factors:
+            pw = np.power(z[:, var, None], powers)
+            pr, pi = pw.real[:, index], pw.imag[:, index]
+            re, im = np.where(mask, re * pr - im * pi, re), np.where(mask, re * pi + im * pr, im)
+        re = re.reshape((len(z),) + self.shape)
+        im = im.reshape(re.shape)
+        out = np.zeros(re.shape[:2], dtype=complex)
+        for t in range(self.shape[1]):
+            out.real += re[:, :, t]
+            out.imag += im[:, :, t]
+        return out
+
+
 def _heuristic_search(d, starts=40, iters=80, tol=1e-10, seed=7):
     """Damped Newton on the full gradient with the last variable pinned to 1.
-    Non-authoritative by construction; the verdict is always "heuristic"."""
+    Non-authoritative by construction; the verdict is always "heuristic".
+
+    All starts step in lockstep: the gradient and the Hessian are one
+    :class:`_TermTable`, evaluated for every live start at once.  The norm
+    test, the least-squares step and the update stay per start and keep the
+    one-start expressions, since their batched forms go through BLAS and SIMD
+    kernels that round differently.  The points are bit for bit those of
+    evaluating each entry with ``LaurentPoly.evaluate`` one start at a time;
+    the report prints them to 12 digits.
+    """
     pot = build_potential(d)
     n1 = pot.nvars
     grads = [pot.derivative(i) for i in range(n1)]
-    hessian = [[g.derivative(b) for b in range(n1 - 1)] for g in grads]
+    table = _TermTable(grads + [g.derivative(b) for g in grads for b in range(n1 - 1)], n1 - 1)
     rng = np.random.default_rng(seed)
-    found = []
+    zs = [np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(starts)]
+    live = list(range(starts))
     # a diverging start overflows to inf/nan; it is abandoned, not reported
     with np.errstate(all="ignore"):
-        for _ in range(starts):
-            z = np.exp(2j * np.pi * rng.random(n1 - 1))
-            for _ in range(iters):
-                point = list(z) + [1.0 + 0j]
-                vals = np.array([g.evaluate(point) for g in grads])
-                if not np.all(np.isfinite(vals)):
-                    break
-                if np.linalg.norm(vals) < tol:
-                    break
-                jac = np.zeros((n1, n1 - 1), dtype=complex)
-                for a in range(n1):
-                    for b in range(n1 - 1):
-                        jac[a, b] = hessian[a][b].evaluate(point)
-                if not np.all(np.isfinite(jac)):
-                    break
+        for _ in range(iters):
+            if not live:
+                break
+            values = table.evaluate(np.array([zs[s] for s in live]))
+            finite = np.isfinite(values)
+            moved = []
+            for row, s in enumerate(live):
+                vals = values[row, :n1]
+                if not finite[row, :n1].all() or np.linalg.norm(vals) < tol:
+                    continue
+                if not finite[row, n1:].all():
+                    continue
+                jac = values[row, n1:].reshape(n1, n1 - 1)
                 step, *_ = np.linalg.lstsq(jac, -vals, rcond=None)
                 if not np.all(np.isfinite(step)):
-                    break
-                z = z + 0.5 * step
-                if np.any(np.abs(z) < 1e-13):
-                    break
-            point = list(z) + [1.0 + 0j]
-            residual = max(abs(g.evaluate(point)) for g in grads)
-            if residual < tol and all(abs(w) > 1e-9 for w in z):
-                if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
-                    found.append(tuple(complex(w) for w in z))
+                    continue
+                zs[s] = zs[s] + 0.5 * step
+                if not np.any(np.abs(zs[s]) < 1e-13):
+                    moved.append(s)
+            live = moved
+        residuals = table.evaluate(np.array(zs))[:, :n1]
+    found = []
+    for z, vals in zip(zs, residuals):
+        residual = max(abs(v) for v in vals)
+        if residual < tol and all(abs(w) > 1e-9 for w in z):
+            if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
+                found.append(tuple(complex(w) for w in z))
     return CriticalReport(
         verdict="heuristic",
         count=None,

@@ -173,6 +173,12 @@ def test_rank_and_solvers():
     assert rational_solve(((1, 0), (1, 0)), (1, 2)) is None
 
 
+@pytest.mark.parametrize("m,b", [(((1, 0), (0, 1)), (1,)), (((1, 0),), (1, 2)), ((), (1,))])
+def test_rational_solve_rejects_mismatched_rhs(m, b):
+    with pytest.raises(ValueError):
+        rational_solve(m, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(wide_matrices(), st.data())
 def test_kernel_matches_rational_oracle(m, data):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -18,9 +18,12 @@ from minksmooth.potential import (
     newton_polytope,
     numeric_gradient_check,
     partial,
+    _heuristic_search,
+    _TermTable,
 )
 
 from conftest import lens, segment, triangle
+from newton_oracle import heuristic_points
 
 
 def expand(*term_lists):
@@ -272,6 +275,67 @@ def test_heuristic_survives_diverging_starts(extra, recwarn):
     for p in rep.heuristic_points:
         assert max(abs(partial(po, i).evaluate(list(p) + [1.0])) for i in range(4)) < 1e-8
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _segments(*vs):
+    return decomposition([convex_hull([(0,) * len(vs[0]), v]) for v in vs])
+
+
+def _moved(vs, axes, signs):
+    return [tuple(s * v[a] for a, s in zip(axes, signs)) for v in vs]
+
+
+_BENCH_3D = {
+    "unit": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "diagonal": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+}
+_NEWTON_CASES = {
+    f"{name}-{axes}-{signs}": _moved(vs, axes, signs)
+    for name, vs in _BENCH_3D.items()
+    for axes, signs in [((0, 1, 2), signs) for signs in product((1, -1), repeat=3)] + [((1, 2, 0), (1, 1, 1))]
+}
+_NEWTON_CASES["n=1"] = [(1,), (1,)]
+_NEWTON_CASES["diverging"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+_NEWTON_CASES["diverging+(-1,-1,-1)"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)]
+
+
+@pytest.mark.parametrize("vs", list(_NEWTON_CASES.values()), ids=list(_NEWTON_CASES))
+def test_lockstep_newton_matches_scalar_oracle(vs):
+    d = _segments(*vs)
+    assert _heuristic_search(d).heuristic_points == heuristic_points(d)
+
+
+def _table_polys(nvars):
+    term = st.tuples(st.tuples(*[st.integers(-4, 4)] * nvars), st.integers(-10**6, 10**6))
+    constant = st.tuples(st.just((0,) * nvars), st.integers(-9, 9))
+    return st.lists(
+        st.lists(st.one_of(term, constant), max_size=7).map(lambda ts: LaurentPoly(nvars, dict(ts))),
+        min_size=1,
+        max_size=4,
+    )
+
+
+@st.composite
+def _tables(draw):
+    nfree = draw(st.integers(1, 3))
+    nvars = nfree + draw(st.integers(0, 1))
+    polys = draw(_table_polys(nvars))
+    value = st.complex_numbers(min_magnitude=0.2, max_magnitude=5, allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.lists(value, min_size=nfree, max_size=nfree), min_size=1, max_size=5))
+    return polys, nfree, np.array(points, dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_term_table_matches_evaluate_bit_for_bit(case):
+    # numpy's complex array multiply may fuse multiply-adds, scalar ** and
+    # LaurentPoly.evaluate do not; the split products must keep every bit
+    polys, nfree, points = case
+    got = _TermTable(polys, nfree).evaluate(points)
+    pinned = [1.0 + 0j] * (polys[0].nvars - nfree)
+    for row, z in zip(got, points):
+        want = np.array([p.evaluate(list(z) + pinned) for p in polys], dtype=complex)
+        assert row.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_numeric_gradient_q6_witness(d_q6_first):
