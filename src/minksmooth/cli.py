@@ -8,7 +8,7 @@ Subcommands:
     diagram <file> --svg out.svg
 
 Exit codes: 0 success, 2 schema error, 3 inadmissible input, 4 internal
-cross-check failure.
+cross-check failure (``CrossCheckError``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .exactlin import CrossCheckError
 from .pipeline import (
     AnalysisRequest,
     SchemaError,
@@ -53,9 +54,8 @@ def _cmd_analyze(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    svg_path = args.svg or req.options.emit_svg
-    if svg_path:
-        with open(svg_path, "w", encoding="utf-8") as fh:
+    if args.svg:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(emit_svg(report.data))
     if report.failures:
         print("cross-check failures: " + ", ".join(report.failures), file=sys.stderr)
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     except UnsupportedDimension as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except AssertionError as exc:
+    except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
 

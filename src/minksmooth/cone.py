@@ -168,14 +168,12 @@ def sigma_tilde(d) -> PolyhedralCone:
     """
     from .polytope import (
         NotAdmissible,
-        is_admissible,
         is_full_dimensional_polytope,
         lattice_points,
+        require_admissible,
     )
 
-    res = is_admissible(d)
-    if not res.ok:
-        raise NotAdmissible("; ".join(res.violations))
+    require_admissible(d)
     if not is_full_dimensional_polytope(d.target):
         raise NotAdmissible(
             "target polytope is not full-dimensional in its ambient space;"
@@ -353,12 +351,13 @@ def _lifted_candidates(slots) -> set[IntVec]:
     ``Q = sum_i conv(slots[i])``, so v splits along the Hilbert basis of
     the C_u containing it (Altmann's tagged-summand construction).  Q is
     full-dimensional because the normals span, so each C_u is pointed.
+    Each slot is already a vertex set: a non-vertex gives no extreme normal.
     """
-    from .polytope import convex_hull, minkowski_sum
+    from .polytope import LatticePolytope, minkowski_sum
 
     k = len(slots)
     n = len(slots[0][0])
-    verts = reduce(minkowski_sum, map(convex_hull, slots)).vertices
+    verts = reduce(minkowski_sum, (LatticePolytope(n, tuple(sorted(pts))) for pts in slots)).vertices
     out = {(0,) * n + tuple(1 if j == i else 0 for j in range(k)) for i in range(k)}
     for u in verts:
         fan_cone = cone_from_inequalities([vec_sub(w, u) for w in verts if w != u], n)

@@ -33,6 +33,10 @@ class NotUnimodular(ValueError):
     """Square integer matrix whose determinant is not +-1."""
 
 
+class CrossCheckError(RuntimeError):
+    """An internal cross-check failed: a result contradicts its own invariant."""
+
+
 def as_vec(seq) -> IntVec:
     return tuple(int(x) for x in seq)
 
@@ -284,7 +288,7 @@ def complete_to_basis(v) -> IntMat:
     uinv = unimodular_inverse(u)
     x = transpose(uinv)
     if x[:mrows] != v:
-        raise AssertionError("HNF completion failed to reproduce input rows")
+        raise CrossCheckError("HNF completion failed to reproduce input rows")
     return x[mrows:]
 
 

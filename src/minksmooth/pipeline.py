@@ -26,8 +26,8 @@ from .polytope import (
     NotAdmissible,
     convex_hull,
     decomposition,
-    is_admissible,
     phi,
+    require_admissible,
 )
 
 
@@ -39,16 +39,11 @@ class TargetMismatch(ValueError):
     pass
 
 
-class CrossCheckError(RuntimeError):
-    pass
-
-
 @dataclass
 class AnalysisOptions:
     hilbert_box: int = 3  # validated but unused: the generation check is exact
     verify_level: str = "full"  # "fast" skips the generation check
     root_circle_tol: float = 1e-12
-    emit_svg: str | None = None
 
     def __post_init__(self):
         if self.verify_level not in ("fast", "full"):
@@ -108,7 +103,7 @@ def parse_input(text: str) -> AnalysisRequest:
     if "options" in raw:
         o = raw["options"]
         _expect(isinstance(o, dict), "options", "expected an object")
-        unknown = set(o) - {"hilbert_box", "verify_level", "root_circle_tol", "emit_svg"}
+        unknown = set(o) - {"hilbert_box", "verify_level", "root_circle_tol"}
         _expect(not unknown, "options", f"unknown fields {sorted(unknown)}")
         box = o.get("hilbert_box", 3)
         _expect(isinstance(box, int) and not isinstance(box, bool), "options.hilbert_box", "expected an integer")
@@ -117,9 +112,7 @@ def parse_input(text: str) -> AnalysisRequest:
         tol = o.get("root_circle_tol", 1e-12)
         _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
                 "options.root_circle_tol", "expected a positive number")
-        svg_path = o.get("emit_svg")
-        _expect(svg_path is None or isinstance(svg_path, str), "options.emit_svg", "expected a path string")
-        opts = AnalysisOptions(hilbert_box=box, verify_level=level, root_circle_tol=float(tol), emit_svg=svg_path)
+        opts = AnalysisOptions(hilbert_box=box, verify_level=level, root_circle_tol=float(tol))
     try:
         d = decomposition(summands, target=None)
     except ValueError as exc:
@@ -141,7 +134,6 @@ def serialize_request(req: AnalysisRequest) -> str:
             "hilbert_box": req.options.hilbert_box,
             "verify_level": req.options.verify_level,
             "root_circle_tol": req.options.root_circle_tol,
-            "emit_svg": req.options.emit_svg,
         },
     }
     return json.dumps(obj, indent=2, sort_keys=True)
@@ -165,19 +157,17 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
     failures: list[str] = []
     report: dict = {"name": req.name, "dimension": d.n, "summand_count": d.k}
 
-    adm = is_admissible(d)
+    mats = require_admissible(d)
     report["polytope"] = {
         "target_vertices": _mat(d.target.vertices),
         "summands": [_mat(s.vertices) for s in d.summands],
-        "admissible": adm.ok,
-        "violations": list(adm.violations),
+        "admissible": True,
+        "violations": [],
+        "summand_matrices": [
+            {"v": _mat(sm.v), "e": _mat(sm.e), "a": _mat(sm.a), "c": _mat(sm.c), "b": list(sm.b)}
+            for sm in mats
+        ],
     }
-    if not adm.ok:
-        raise NotAdmissible("; ".join(adm.violations))
-    report["polytope"]["summand_matrices"] = [
-        {"v": _mat(sm.v), "e": _mat(sm.e), "a": _mat(sm.a), "c": _mat(sm.c), "b": list(sm.b)}
-        for sm in adm.matrices
-    ]
 
     sigma = cone_mod.cone_over(d.target)
     sigma_dual = cone_mod.dual(sigma)
@@ -200,12 +190,12 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
         "relations_xy": {
             str(p): list(smo.relation_xy(d, p))
             for p in range(1, d.k + 1)
-            if adm.matrices[p - 1].m > 0
+            if mats[p - 1].m > 0
         },
         "relations_w": {
             f"{p},{j}": list(smo.relation_w(d, p, j))
             for p in range(1, d.k + 1)
-            for j in range(1, d.n - adm.matrices[p - 1].m + 1)
+            for j in range(1, d.n - mats[p - 1].m + 1)
         },
         "fibre_models": [
             {
@@ -215,7 +205,7 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
                 "unit_coordinates": [str(c) for c in fm.unit_coords],
                 "general_fibre": f"torus of dimension {d.n}",
             }
-            for fm in (smo.fibre_model(d, p) for p in range(1, d.k + 1) if adm.matrices[p - 1].m > 0)
+            for fm in (smo.fibre_model(d, p) for p in range(1, d.k + 1) if mats[p - 1].m > 0)
         ],
         "homogeneity": None if hom is None else {"u": list(hom[0]), "degree": hom[1]},
         "deformation_note": "epsilon parameters are formal tags; relations hold at the lattice level",
@@ -245,7 +235,7 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
                 "affine": _mat(fib.affine_monodromy(d, p, j)),
             }
             for p in range(1, d.k + 1)
-            for j in range(1, adm.matrices[p - 1].m + 1)
+            for j in range(1, mats[p - 1].m + 1)
         },
         "cut_direction": [0] * d.n + [1],
         "cut_note": fib.CUT_DIRECTION_NOTE,

@@ -9,19 +9,21 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 
 from .cone import cone_from_generators
 from .exactlin import (
     IntMat,
     IntVec,
+    NotPrimitive,
     as_mat,
     as_vec,
     complete_to_basis,
     dot,
     is_zero_vec,
     mat_mul,
+    rank,
     snf_invariant_factors,
     unimodular_inverse,
     vec_neg,
@@ -114,6 +116,11 @@ class MinkowskiDecomposition:
     def k(self) -> int:
         return len(self.summands)
 
+    @cached_property
+    def admissibility(self) -> AdmissibilityResult:
+        """:func:`is_admissible` of this decomposition, computed on first use."""
+        return is_admissible(self)
+
 
 def decomposition(summands, target=None) -> MinkowskiDecomposition:
     """Build a decomposition, checking the Minkowski sum against the target."""
@@ -183,8 +190,6 @@ def summand_matrices(mi: LatticePolytope) -> SummandMatrices:
         a = tuple(() for _ in range(n))
         return SummandMatrices((), e, a, e, tuple([0] * n))
     if m > n or any(f != 1 for f in snf_invariant_factors(v)):
-        from .exactlin import NotPrimitive
-
         raise NotPrimitive("nonzero vertices do not extend to a lattice basis")
     e = complete_to_basis(v)
     x = v + e
@@ -230,7 +235,7 @@ def is_admissible(d: MinkowskiDecomposition) -> AdmissibilityResult:
 
 
 def require_admissible(d: MinkowskiDecomposition) -> tuple[SummandMatrices, ...]:
-    res = is_admissible(d)
+    res = d.admissibility
     if not res.ok:
         raise NotAdmissible("; ".join(res.violations))
     return res.matrices
@@ -239,8 +244,6 @@ def require_admissible(d: MinkowskiDecomposition) -> tuple[SummandMatrices, ...]
 def is_full_dimensional_polytope(p: LatticePolytope) -> bool:
     v0 = p.vertices[0]
     diffs = [tuple(a - b for a, b in zip(v, v0)) for v in p.vertices[1:]]
-    from .exactlin import rank
-
     return rank(diffs) == p.ambient_dim
 
 

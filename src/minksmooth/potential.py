@@ -24,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .exactlin import CrossCheckError
 from .polytope import (
     LatticePolytope,
     MinkowskiDecomposition,
@@ -378,7 +379,7 @@ def critical_exists(d: MinkowskiDecomposition, circle_tol: float = 1e-12) -> Cri
         ti, tj = rp.b_transpose(bi), rp.b_transpose(bj)
         kind2, fams2 = _pair_families(ti, tj, (i + 1, j + 1), circle_tol)
         if kind2 == "positive" or _distinct_point_count(fams) != _distinct_point_count(fams2):
-            raise AssertionError("elimination orders disagree on the solution count")
+            raise CrossCheckError("elimination orders disagree on the solution count")
         families.extend(fams)
     count = _distinct_point_count(families)
     if count == 0:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .cone import PolyhedralCone, dual, hilbert_basis, sigma_tilde
 from .exactlin import (
+    CrossCheckError,
     IntVec,
     as_vec,
     dot,
@@ -150,7 +151,7 @@ def relation_xy(d: MinkowskiDecomposition, p: int) -> IntVec:
     for j in range(sm.m):
         beta = vec_add(beta, phi(d, sm.a_column(j)))
     if beta[p - 1] != 1:
-        raise AssertionError("own deformation slot must carry exponent 1")
+        raise CrossCheckError("own deformation slot must carry exponent 1")
     return beta
 
 
@@ -163,7 +164,7 @@ def relation_w(d: MinkowskiDecomposition, p: int, j: int) -> IntVec:
     col = sm.c_column(j - 1)
     eta = vec_add(phi(d, col), phi(d, vec_neg(col)))
     if eta[p - 1] != 0:
-        raise AssertionError("own deformation slot must carry exponent 0")
+        raise CrossCheckError("own deformation slot must carry exponent 0")
     return eta
 
 
@@ -225,7 +226,7 @@ def express_in_chart(d: MinkowskiDecomposition, zhat, p: int, singular: bool) ->
     xi_plus = max([0] + [-v for v in xi_x])
     xi_shifted = tuple(v + xi_plus for v in xi_x)
     if tail[p - 1] != xi_plus:
-        raise AssertionError("singular chart exponent must match the phi tail")
+        raise CrossCheckError("singular chart exponent must match the phi tail")
     acc = tuple(xi_plus * t for t in phi(d, sm.b))
     for l in range(m):
         acc = vec_add(acc, tuple(xi_shifted[l] * t for t in phi(d, sm.a_column(l))))
@@ -233,7 +234,7 @@ def express_in_chart(d: MinkowskiDecomposition, zhat, p: int, singular: bool) ->
         acc = vec_add(acc, tuple(xi_w[l] * t for t in phi(d, sm.c_column(l))))
     t_exp = vec_sub(tail, acc)
     if t_exp[p - 1] != 0:
-        raise AssertionError("t_p must not appear in a singular chart")
+        raise CrossCheckError("t_p must not appear in a singular chart")
     return ChartExpression(p, True, xi_plus, xi_shifted, None, xi_w, t_exp)
 
 

@@ -1,7 +1,11 @@
+import itertools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from minksmooth import polytope
 from minksmooth.cli import main
 from minksmooth.pipeline import (
     SchemaError,
@@ -12,6 +16,8 @@ from minksmooth.pipeline import (
 )
 from minksmooth.polytope import NotAdmissible
 from minksmooth.svg import UnsupportedDimension, emit_svg
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 Q5_INPUT = {
     "name": "Q5",
@@ -79,6 +85,7 @@ def test_parse_rejects_bad_option_values():
         {"verify_level": "thorough"},
         {"root_circle_tol": -1e-9},
         {"emit_svg": 5},
+        {"emit_svg": "x.svg"},
         {"unknown_option": 1},
     ):
         bad = json.loads(json.dumps(Q5_INPUT))
@@ -217,6 +224,58 @@ def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
     path = write_input(tmp_path, Q5_INPUT)
     assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 4
     assert "cross-check" in capsys.readouterr().err
+
+
+def _swap_every_binding(monkeypatch, original, replacement):
+    for module in [m for name, m in sys.modules.items() if name.startswith("minksmooth")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("fixture", ["cubic", "q6_segments"])
+def test_pipeline_checks_admissibility_once(monkeypatch, fixture):
+    original = polytope.is_admissible
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    _swap_every_binding(monkeypatch, original, counted)
+    req = parse_input((FIXTURES / f"{fixture}.json").read_text())
+    assert run_pipeline(req).failures == []
+    assert calls == [req.decomposition]
+
+
+def _disagreeing_counts():
+    # the two elimination orders of a factor pair see different point counts
+    counter = itertools.count()
+    return lambda families: next(counter)
+
+
+def _identity_hnf():
+    # a wrong transform: the completed basis no longer starts with the input rows
+    return lambda m: (m, tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m))))
+
+
+@pytest.mark.parametrize(
+    "command, target, broken",
+    [
+        (["analyze", "--out", "r.json"], "potential._distinct_point_count", _disagreeing_counts),
+        (["potential", "--critical"], "potential._distinct_point_count", _disagreeing_counts),
+        (["analyze", "--out", "r.json"], "exactlin.hnf", _identity_hnf),
+    ],
+    ids=["analyze-elimination-orders", "potential-elimination-orders", "analyze-basis-completion"],
+)
+def test_cli_cross_check_error_exit(tmp_path, monkeypatch, capsys, command, target, broken):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(f"minksmooth.{target}", broken())
+    path = write_input(tmp_path, Q5_INPUT)
+    assert main([command[0], path, *command[1:]]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal cross-check failure: ")
+    assert "Traceback" not in err
 
 
 def test_pipeline_three_dimensional_input():

@@ -1,0 +1,71 @@
+"""Each fixture's ``analyze`` report against the committed golden copy in
+``tests/golden/``.
+
+Every field must match exactly, value and JSON type, except the float
+witnesses of the critical-point decision, which come from LAPACK and are
+compared to within 1e-9 so that a -0.0 or a last-digit difference on
+another host does not count.  Regenerate a golden file only when a report
+is meant to change:
+
+    PYTHONPATH=src python -m minksmooth.cli analyze fixtures/q5.json --out tests/golden/q5.json
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from minksmooth.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
+FLOAT_WITNESSES = re.compile(r"\.potential\.critical\.(families\[\d+\]\.points|heuristic_points)$")
+TOLERANCE = 1e-9
+
+
+def mismatches(got, want, path="", approx=False):
+    """Paths at which ``got`` differs from ``want``."""
+    approx = approx or bool(FLOAT_WITNESSES.search(path))
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [path]
+        return [m for k in sorted(want) for m in mismatches(got[k], want[k], f"{path}.{k}", approx)]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [path]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{path}[{i}]", approx)]
+    if approx and type(want) is float:
+        return [] if type(got) is float and abs(got - want) <= TOLERANCE else [path]
+    return [] if type(got) is type(want) and got == want else [path]
+
+
+def test_golden_files_match_fixtures():
+    assert FIXTURES
+    assert sorted(p.name for p in (ROOT / "tests" / "golden").glob("*.json")) == [p.name for p in FIXTURES]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_analyze_report_matches_golden(tmp_path, fixture):
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(fixture), "--out", str(out)]) == 0
+    want = json.loads((ROOT / "tests" / "golden" / fixture.name).read_text())
+    assert mismatches(json.loads(out.read_text()), want) == []
+
+
+def test_comparison_tolerates_only_float_witnesses():
+    critical = {"count": 1, "families": [{"points": [[[0.5, 0.0]]]}], "heuristic_points": [[[1.0, -0.0]]]}
+    report = {"potential": {"critical": critical}, "cone": {"sigma_generators": [[1, 0]]}}
+    nudged = json.loads(json.dumps(report))
+    got = nudged["potential"]["critical"]
+    got["families"][0]["points"][0][0][1] = -1e-12
+    got["heuristic_points"][0][0] = [1.0 + 1e-12, 0.0]
+    assert mismatches(nudged, report) == []
+    got["families"][0]["points"][0][0][0] = 0.5 + 1e-6
+    got["count"] = 1.0
+    nudged["cone"]["sigma_generators"] = [[1, 0, 0]]
+    assert mismatches(nudged, report) == [
+        ".cone.sigma_generators[0]",
+        ".potential.critical.count",
+        ".potential.critical.families[0].points[0][0][0]",
+    ]

@@ -1,6 +1,6 @@
 """The library behaves the same under ``python -O``: its internal
-cross-checks raise ``AssertionError`` explicitly instead of using ``assert``
-statements, which ``-O`` strips."""
+cross-checks raise ``exactlin.CrossCheckError`` explicitly instead of using
+``assert`` statements, which ``-O`` strips."""
 
 import ast
 from pathlib import Path

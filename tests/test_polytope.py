@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksmooth import fibration, potential, smoothing
+from minksmooth.cone import sigma_tilde
 from minksmooth.exactlin import NotPrimitive, dot, mat_mul
 from minksmooth.polytope import (
     DimensionMismatch,
+    NotAdmissible,
     OriginNotVertex,
     convex_hull,
     decomposition,
@@ -16,6 +19,7 @@ from minksmooth.polytope import (
     lattice_points,
     minkowski_sum,
     phi,
+    require_admissible,
     summand_matrices,
     verify_matrix_relations,
 )
@@ -186,3 +190,43 @@ def test_point_summand_needs_company():
     assert not res.ok
     res2 = is_admissible(decomposition([origin_only, triangle()]))
     assert res2.ok
+
+
+def test_admissibility_memo_keeps_equality_and_hash(d_q5):
+    memo = d_q5.admissibility
+    assert memo.ok and d_q5.admissibility is memo
+    assert memo == is_admissible(d_q5)
+    fresh = decomposition([triangle(), segment((1, 1))])
+    assert "admissibility" in vars(d_q5) and "admissibility" not in vars(fresh)
+    assert d_q5 == fresh and hash(d_q5) == hash(fresh)
+    # the lru_cache of sigma_tilde keys on the decomposition
+    assert sigma_tilde(fresh) is sigma_tilde(d_q5)
+
+
+# every function that gates on admissibility, called on summand 1 where it
+# takes one
+ADMISSIBILITY_GATES = {
+    "require_admissible": require_admissible,
+    "sigma_tilde": sigma_tilde,
+    "generator_set": smoothing.generator_set,
+    "relation_xy": lambda d: smoothing.relation_xy(d, 1),
+    "relation_w": lambda d: smoothing.relation_w(d, 1, 1),
+    "express_in_chart": lambda d: smoothing.express_in_chart(d, (1, 0), 1, False),
+    "fibre_model": lambda d: smoothing.fibre_model(d, 1),
+    "collapsing_cycles": lambda d: fibration.collapsing_cycles(d, 1),
+    "regions": lambda d: fibration.regions(d, 1),
+    "monodromy": lambda d: fibration.monodromy(d, 1, 1),
+    "affine_monodromy": lambda d: fibration.affine_monodromy(d, 1, 1),
+    "new_base_diagram": fibration.new_base_diagram,
+    "transfer_cut": lambda d: fibration.transfer_cut(fibration.BaseDiagram(d, frozenset()), 1),
+    "build_potential": potential.build_potential,
+    "critical_exists": potential.critical_exists,
+}
+
+
+@pytest.mark.parametrize("gate", sorted(ADMISSIBILITY_GATES))
+def test_inadmissible_rejected_at_every_gate(gate):
+    d = decomposition([segment((2, 0)), triangle()])
+    with pytest.raises(NotAdmissible, match="primitive"):
+        ADMISSIBILITY_GATES[gate](d)
+    assert not d.admissibility.ok
