@@ -122,10 +122,6 @@ class PolyhedralCone:
             raise ValueError("dimension mismatch")
         return all(dot(a, v) >= 0 for a in self.inequalities)
 
-    def contains_strictly(self, v) -> bool:
-        """Interior membership (every inequality strict)."""
-        return all(dot(a, v) > 0 for a in self.inequalities)
-
 
 def _canonical_vrep(lin, rays) -> IntMat:
     gens = set(rays)

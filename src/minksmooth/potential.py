@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from sympy import QQ, ZZ, Poly, symbols
 
 from .exactlin import CrossCheckError
 from .polytope import (
@@ -33,6 +34,9 @@ from .polytope import (
     require_admissible,
 )
 from . import ratpoly as rp
+
+
+_Z1, _Z2 = symbols("z1 z2")
 
 
 class ZeroPolynomial(ValueError):
@@ -243,30 +247,23 @@ class CriticalReport:
     note: str = ""
 
 
-def _clear_to_bpoly(p: LaurentPoly) -> rp.BPoly:
-    """Shift a two-variable Laurent polynomial into Q[x][y] by a monomial."""
-    if not p.terms:
-        return ()
+def _clear_to_bpoly(p: LaurentPoly) -> Poly:
+    """Shift a two-variable Laurent polynomial into Z[z2, z1] by a monomial;
+    z2 comes first, so it is the variable the resultant eliminates."""
     min1 = min(e[0] for e in p.terms)
     min2 = min(e[1] for e in p.terms)
-    dy = max(e[1] for e in p.terms) - min2
-    dx = max(e[0] for e in p.terms) - min1
-    rows = []
-    for j in range(dy + 1):
-        coeffs = [Fraction(0)] * (dx + 1)
-        for (e1, e2), c in p.terms.items():
-            if e2 - min2 == j:
-                coeffs[e1 - min1] += c
-        rows.append(rp.utrim(coeffs))
-    return rp.btrim(rows)
+    terms = {(e2 - min2, e1 - min1): c for (e1, e2), c in p.terms.items()}
+    return Poly.from_dict(terms, _Z2, _Z1, domain=ZZ)
 
 
-def _strip_x(u: rp.UPoly) -> rp.UPoly:
+def _strip_x(u: Poly) -> Poly:
     """Drop the monomial factor x^k; torus roots are unaffected."""
-    k = 0
-    while k < len(u) and u[k] == 0:
-        k += 1
-    return rp.utrim(u[k:])
+    return u.terms_gcd()[1]
+
+
+def _int_coeffs(u: Poly) -> tuple[int, ...]:
+    """Coefficients of a primitive integer Poly, lowest degree first."""
+    return tuple(int(c) for c in reversed(u.all_coeffs()))
 
 
 def _roots_on_unit_circle(int_coeffs, tol=1e-12) -> bool:
@@ -282,74 +279,63 @@ def _pair_families(bi, bj, pair, circle_tol):
     Returns ("positive", None) when the gcd carries a non-monomial factor,
     else ("finite", families).
     """
-    g = rp.bgcd(bi, bj)
-    if rp.b_num_terms(g) > 1:
+    if len(rp.bgcd(bi, bj).terms()) > 1:
         return "positive", None
-    res = rp.bresultant_y(bi, bj)
-    res = _strip_x(res)
-    if rp.udeg(res) <= 0:
+    res = _strip_x(rp.bresultant_y(bi, bj))
+    if res.degree() <= 0:
         return "finite", []
-    res = rp.usquarefree(res)
     families = []
-    for f, _mult in rp.factor_rational(res):
-        if rp.udeg(f) < 1 or f == rp.upoly(0, 1):  # constant or the root x = 0
-            continue
-        K = rp.NumberField(f)
-        ri = rp.btrim([K.reduce(u) for u in bi])
-        rj = rp.btrim([K.reduce(u) for u in bj])
+    for f, _mult in rp.factor_rational(res.sqf_part()):
         # one side may vanish identically above these roots; the gcd routine
         # then returns the survivor, whose zeros are the common zeros here
-        h = _kmonic_strip(K, rp.kgcd_y(K, ri, rj))
-        if h is None or rp.bdeg_y(h) < 1:
+        h = _kmonic_strip(rp.kgcd_y(f, bi, bj))
+        if len(h) < 2:
             continue
-        z2_ann = _partner_minpoly(f, h)
-        numeric = _numeric_points(f, h)
-        circle = _roots_on_unit_circle(rp.u_int_coeffs(f), circle_tol) and _roots_on_unit_circle(
-            rp.u_int_coeffs(z2_ann), circle_tol
-        )
+        z1 = _int_coeffs(f)
+        z2 = _int_coeffs(_partner_minpoly(f, h, bi.gens[0]))
         families.append(
             CriticalFamily(
-                z1_minpoly=rp.u_int_coeffs(f),
-                z2_minpoly=rp.u_int_coeffs(z2_ann),
+                z1_minpoly=z1,
+                z2_minpoly=z2,
                 pair=pair,
-                points=numeric,
-                on_unit_circle=circle,
+                points=_numeric_points(f, h),
+                on_unit_circle=_roots_on_unit_circle(z1, circle_tol) and _roots_on_unit_circle(z2, circle_tol),
             )
         )
     return "finite", families
 
 
-def _kmonic_strip(K, h):
+def _kmonic_strip(h):
     """Remove partner roots at zero (non-torus) from h in K[y]."""
-    h = rp.btrim([K.reduce(u) for u in h])
-    while h and not h[0]:
-        h = h[1:]
-    return rp.btrim(h) if h else None
+    while h and h[-1].is_zero:
+        h = h[:-1]
+    return h
 
 
-def _partner_minpoly(f, h) -> rp.UPoly:
+def _partner_minpoly(f, h, y) -> Poly:
     """Squarefree annihilator of the second coordinate over the family:
-    eliminate x between f(x) and the lifted h(x, y) by a resultant taken in
-    Q[y][x] (swap the nesting, then eliminate the new inner variable)."""
-    h_swapped = rp.b_transpose(rp.btrim(list(h)))
-    f_swapped = rp.b_transpose(rp.btrim([f]))
-    res = rp.bresultant_y(h_swapped, f_swapped)
-    return rp.usquarefree(_strip_x(res))
+    eliminate x between f(x) and the lifted h(x, y) by a resultant in x."""
+    x = f.gen
+    top = len(h) - 1
+    terms = {(ex, top - k): c for k, u in enumerate(h) for (ex,), c in u.terms()}
+    lifted = Poly.from_dict(terms, x, y, domain=QQ).clear_denoms(convert=True)[1]
+    res = rp.bresultant_y(lifted, Poly(f, x, y))
+    return _strip_x(res).sqf_part()
 
 
 def _numeric_points(f, h):
     """Numeric witnesses: roots of f paired with the roots of h above each."""
     pts = []
-    z1_roots = np.roots([float(c) for c in reversed(rp.u_int_coeffs(f))])
-    hcoeffs = list(h)
+    z1_roots = np.roots([float(c) for c in f.all_coeffs()])
+    # each exact coefficient rounded once, as float(Fraction) rounds it
+    hcoeffs = [[complex(Fraction(int(c.p), int(c.q))) for c in u.all_coeffs()] if u else [] for u in h]
     for alpha in z1_roots:
-        poly_y = []
+        arr = []
         for u in hcoeffs:
             val = 0j
-            for c in reversed(u):
-                val = val * alpha + complex(c)
-            poly_y.append(val)
-        arr = list(reversed(poly_y))
+            for c in u:
+                val = val * alpha + c
+            arr.append(val)
         z2_roots = np.roots(arr) if len(arr) > 1 else []
         for beta in z2_roots:
             pts.append((complex(alpha), complex(beta)))
@@ -376,7 +362,7 @@ def critical_exists(d: MinkowskiDecomposition, circle_tol: float = 1e-12) -> Cri
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
         # confirm with the other elimination order
-        ti, tj = rp.b_transpose(bi), rp.b_transpose(bj)
+        ti, tj = bi.reorder(_Z1, _Z2), bj.reorder(_Z1, _Z2)
         kind2, fams2 = _pair_families(ti, tj, (i + 1, j + 1), circle_tol)
         if kind2 == "positive" or _distinct_point_count(fams) != _distinct_point_count(fams2):
             raise CrossCheckError("elimination orders disagree on the solution count")

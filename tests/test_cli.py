@@ -338,6 +338,15 @@ def test_cli_potential(tmp_path, capsys):
     assert "[-1, 1, 1]" in out
 
 
+def test_cli_potential_critical_at_dilation_six(tmp_path, capsys):
+    # segments (1, a), (a, 1), (1, -a) at a = 6, where elimination on
+    # hand-written Fraction polynomials took about five seconds
+    data = {"dimension": 2, "summands": [{"vertices": [[0, 0], v]} for v in ([1, 6], [6, 1], [1, -6])]}
+    path = write_input(tmp_path, data)
+    assert main(["potential", path, "--critical"]) == 0
+    assert "verdict: finite (count 82)" in capsys.readouterr().out
+
+
 def test_cli_diagram(tmp_path):
     path = write_input(tmp_path, Q3_INPUT)
     svg = tmp_path / "q3.svg"

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations, product
 
@@ -24,6 +25,7 @@ from minksmooth.potential import (
 
 from conftest import lens, segment, triangle
 from newton_oracle import heuristic_points
+import ratpoly_oracle
 
 
 def expand(*term_lists):
@@ -253,6 +255,47 @@ def test_witness_gradients_vanish(all_fixtures):
                     abs(partial(po, i).evaluate([z1, z2, 1.0])) for i in range(3)
                 )
                 assert grad < 1e-9, (d.target.vertices, (z1, z2), grad)
+
+
+def _planar(summands):
+    """Summands given by their nonzero vertices; the origin is added."""
+    return decomposition([convex_hull([(0, 0)] + list(vs)) for vs in summands])
+
+
+_PLANAR_CASES = {
+    # bench inputs of the planar decision
+    "lens(61,17)": [[(1, 0)], [(17, 61)]],
+    "dilation(a=4)": [[(1, 4)], [(4, 1)], [(1, -4)]],
+    "8-segments": [[v] for v in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2))],
+    # partner coefficients with denominator 11: the witnesses depend on
+    # how they are rounded to floats
+    "two-triangles": [[(2, -1), (-1, 0)], [(-1, -2), (1, 1)]],
+}
+
+
+@pytest.mark.parametrize("signs", list(product((1, -1), repeat=2)))
+@pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("name", list(_PLANAR_CASES))
+def test_critical_matches_fraction_oracle(name, axes, signs):
+    # == on the report compares the complex witnesses bit for bit
+    d = _planar(_moved(vs, axes, signs) for vs in _PLANAR_CASES[name])
+    assert critical_exists(d) == ratpoly_oracle.critical_exists(d)
+
+
+_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# admissible planar summands: a segment to a primitive vector, or a
+# unimodular triangle at the origin
+_planar_summands = st.one_of(
+    _vectors.filter(lambda v: math.gcd(*v) == 1).map(lambda v: [v]),
+    st.tuples(_vectors, _vectors).filter(lambda vw: abs(vw[0][0] * vw[1][1] - vw[0][1] * vw[1][0]) == 1),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_planar_summands, min_size=1, max_size=3))
+def test_critical_matches_fraction_oracle_on_random_summands(summands):
+    d = _planar(summands)
+    assert critical_exists(d) == ratpoly_oracle.critical_exists(d)
 
 
 def test_heuristic_for_other_dimensions():
