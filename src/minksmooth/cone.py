@@ -3,9 +3,9 @@
 The workhorse is :func:`halfspace_description`, a double description pass
 that turns a list of inequality normals into the extreme rays (plus a
 lineality basis) of the cone they cut out, all in exact integer arithmetic.
-Both directions of cone duality reduce to that single routine, since the
-facet normals of ``Cone(G)`` are exactly the extreme rays of
-``{y : <g, y> >= 0 for g in G}``.
+Two passes construct a cone, since the facet normals of ``Cone(G)`` are the
+extreme rays of ``{y : <g, y> >= 0 for g in G}``.  Duality is then a swap of
+the two halves (Fukuda-Prodon, *Double description method revisited*, 1996).
 
 Insertion keeps the ray set minimal after every inequality: candidate rays
 are generated from all positive/negative pairs and then pruned by the rank
@@ -142,11 +142,7 @@ def cone_from_generators(gens, dim) -> PolyhedralCone:
 
 
 def cone_from_inequalities(ineqs, dim) -> PolyhedralCone:
-    ineqs = as_mat(ineqs)
-    lin_p, rays_p = halfspace_description(ineqs, dim)
-    gens = _canonical_vrep(lin_p, rays_p)
-    lin_d, rays_d = halfspace_description(gens, dim)
-    return PolyhedralCone(dim, gens, _canonical_vrep(lin_d, rays_d))
+    return dual(cone_from_generators(ineqs, dim))
 
 
 def cone_over(q) -> PolyhedralCone:
@@ -156,18 +152,14 @@ def cone_over(q) -> PolyhedralCone:
 
 @lru_cache(maxsize=256)
 def sigma_tilde(d) -> PolyhedralCone:
-    """Cone on the lattice points of each summand tagged by its basis slot.
+    """Cone on the lattice points of each summand tagged by its basis slot:
+    its vertices, as an admissible summand is a unimodular simplex.
 
     Needs the target to span its ambient space: otherwise the lifted cone is
     not full-dimensional, its dual is not pointed, and no Hilbert basis (or
     anything downstream of it) exists.
     """
-    from .polytope import (
-        NotAdmissible,
-        is_full_dimensional_polytope,
-        lattice_points,
-        require_admissible,
-    )
+    from .polytope import NotAdmissible, is_full_dimensional_polytope, require_admissible
 
     require_admissible(d)
     if not is_full_dimensional_polytope(d.target):
@@ -179,14 +171,17 @@ def sigma_tilde(d) -> PolyhedralCone:
     gens = []
     for i, s in enumerate(d.summands):
         tag = tuple(1 if j == i else 0 for j in range(k))
-        for pt in lattice_points(s):
-            gens.append(pt + tag)
+        gens += [v + tag for v in s.vertices]
     return cone_from_generators(gens, d.target.ambient_dim + k)
 
 
-@lru_cache(maxsize=512)
 def dual(c: PolyhedralCone) -> PolyhedralCone:
-    return cone_from_generators(c.inequalities, c.ambient_dim)
+    """``{y : <g, y> >= 0 for g in c.generators}``, generated by ``c.inequalities``.
+
+    Exactly a fresh double description of it when ``c`` is pointed and
+    full-dimensional (both halves are then unique), else the same cone.
+    """
+    return PolyhedralCone(c.ambient_dim, c.inequalities, c.generators)
 
 
 def is_strongly_convex(c: PolyhedralCone) -> bool:

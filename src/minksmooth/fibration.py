@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product as iproduct
 
-from .cone import PolyhedralCone, cone_from_inequalities
+from .cone import PolyhedralCone, cone_over, dual
 from .exactlin import (
     IntMat,
     IntVec,
@@ -206,24 +205,21 @@ def transfer_cut(b: BaseDiagram, p: int) -> BaseDiagram:
 
 
 def final_cone(b: BaseDiagram) -> PolyhedralCone:
-    """The cone swept out once every cut is transferred.
+    """The cone swept out once every cut is transferred: sigma dual.
 
-    Built purely from the summand data: the boundary height is the sum of
-    the summand support terms, so the region above it is cut out by the
-    functionals (w_1 + ... + w_k, 1) over all vertex choices w_p of M_p.
-    The result should coincide with the dual of the cone over the target;
-    callers check that (the pipeline reports it as
-    ``final_cone_equals_dual_sigma``).
+    The boundary height is the sum of the summand support terms, and
+    h_Q = h_{M_1} + ... + h_{M_k} for Q = M_1 + ... + M_k, so the region
+    above it is cut out by the rows (w_1 + ... + w_k, 1) over all vertex
+    choices w_p of M_p.  A sum that is not a vertex of Q gives a convex
+    combination of the rows (u, 1) over the vertices u of Q, so those rows
+    alone cut out the cone: the dual of the cone over the target.  The
+    pipeline still reports ``final_cone_equals_dual_sigma``.
     """
     d = b.decomposition
     if b.applied != frozenset(range(1, d.k + 1)):
         missing = sorted(set(range(1, d.k + 1)) - b.applied)
         raise CutsRemaining(f"cuts {missing} not yet transferred")
-    rows = []
-    for combo in iproduct(*(s.vertices for s in d.summands)):
-        total = tuple(sum(c) for c in zip(*combo))
-        rows.append(total + (1,))
-    return cone_from_inequalities(rows, d.n + 1)
+    return dual(cone_over(d.target))
 
 
 def height_one_normalization(c: PolyhedralCone):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 
-from .cone import cone_from_generators
+from .cone import cone_from_generators, cone_over
 from .exactlin import (
     IntMat,
     IntVec,
@@ -84,8 +84,7 @@ def minkowski_sum(a: LatticePolytope, b: LatticePolytope) -> LatticePolytope:
 
 def lattice_points(p: LatticePolytope) -> list[IntVec]:
     """All integer points of the hull: bounding-box scan with exact facet tests."""
-    cone = cone_from_generators([v + (1,) for v in p.vertices], p.ambient_dim + 1)
-    facets = cone.inequalities
+    facets = cone_over(p).inequalities
     lo = [min(v[j] for v in p.vertices) for j in range(p.ambient_dim)]
     hi = [max(v[j] for v in p.vertices) for j in range(p.ambient_dim)]
     out = []

@@ -314,11 +314,14 @@ def _kmonic_strip(h):
 
 def _partner_minpoly(f, h, y) -> Poly:
     """Squarefree annihilator of the second coordinate over the family:
-    eliminate x between f(x) and the lifted h(x, y) by a resultant in x."""
+    eliminate x between f(x) and the lifted h(x, y) by a resultant in x,
+    which is a power of h when h does not involve x."""
     x = f.gen
     top = len(h) - 1
     terms = {(ex, top - k): c for k, u in enumerate(h) for (ex,), c in u.terms()}
     lifted = Poly.from_dict(terms, x, y, domain=QQ).clear_denoms(convert=True)[1]
+    if lifted.degree(x) == 0:
+        return _strip_x(lifted.exclude()).sqf_part()
     res = rp.bresultant_y(lifted, Poly(f, x, y))
     return _strip_x(res).sqf_part()
 

@@ -50,6 +50,7 @@ from minksmooth.smoothing import (
 )
 
 from box_oracle import lattice_points_in_box, semigroup_contains
+from cone_oracle import dd_dual
 from test_potential import random_admissible_decomposition, z3_times
 
 
@@ -254,6 +255,7 @@ def test_criterion_09_property_suites(all_fixtures):
         if not (is_strongly_convex(c) and is_full_dimensional(c)):
             continue
         count += 1
+        assert dual(c) == dd_dual(c)
         assert cones_equal(dual(dual(c)), c)
 
     # Hilbert minimality and generation against the brute-force box oracle

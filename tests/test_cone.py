@@ -9,6 +9,7 @@ from minksmooth.cone import (
     NotFullDim,
     NotPointed,
     cone_from_generators,
+    cone_from_inequalities,
     cone_over,
     cones_equal,
     dual,
@@ -23,6 +24,7 @@ from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
 from minksmooth.polytope import convex_hull, decomposition, is_full_dimensional_polytope
 
 from box_oracle import BoundTooSmall, lattice_points_in_box, semigroup_contains
+from cone_oracle import cone_from_inequalities_two_pass, dd_dual, sigma_tilde_on_lattice_points
 from conftest import triangle
 
 Q5_SIGMA = {(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1)}
@@ -234,6 +236,7 @@ def test_bidual_on_random_pointed_cones():
         if not (is_strongly_convex(c) and is_full_dimensional(c)):
             continue
         count += 1
+        assert dual(c) == dd_dual(c)
         assert cones_equal(dual(dual(c)), c)
 
 
@@ -246,9 +249,30 @@ def test_bidual_holds_even_without_pointedness():
         if rng.random() < 0.4 and gens:
             gens.append(tuple(-x for x in gens[0]))  # force a lineality direction
         c = cone_from_generators(gens, dim)
+        if is_strongly_convex(c) and is_full_dimensional(c):
+            assert dual(c) == dd_dual(c)
+        else:
+            assert cones_equal(dual(c), dd_dual(c))
         assert cones_equal(dual(dual(c)), c)
         for g in c.generators:
             assert c.contains(g)
+
+
+@st.composite
+def inequality_systems(draw):
+    dim = draw(st.integers(1, 4))
+    # fewer than dim normals always leave a lineality space
+    ineqs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=6))
+    if ineqs and draw(st.booleans()):
+        # an opposite pair cuts a hyperplane: a lower-dimensional cone
+        ineqs.append(tuple(-x for x in ineqs[0]))
+    return ineqs, dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(inequality_systems())
+def test_cone_from_inequalities_matches_two_pass_oracle(system):
+    assert cone_from_inequalities(*system) == cone_from_inequalities_two_pass(*system)
 
 
 def test_cones_equal_permutation_and_difference():
@@ -357,3 +381,10 @@ def test_lifted_hilbert_basis_matches_box_scan(d):
     for c in cones:
         assert _slot_polytopes(c) is not None
         assert hilbert_basis(c).elements == _box_hilbert_basis(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(admissible_decompositions)
+def test_sigma_tilde_matches_lattice_point_oracle(d):
+    assume(is_full_dimensional_polytope(d.target))
+    assert sigma_tilde(d) == sigma_tilde_on_lattice_points(d)

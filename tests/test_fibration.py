@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minksmooth.cone import cone_over, cones_equal, dual
 from minksmooth.exactlin import det, mat_mul, transpose, unimodular_inverse
@@ -21,7 +23,9 @@ from minksmooth.fibration import (
 )
 from minksmooth.polytope import eta0, is_admissible, phi
 
+from cone_oracle import final_cone_all_vertex_sums
 from conftest import lens
+from test_potential import _planar, _planar_summands
 
 
 def test_collapsing_cycles_q5(d_q5):
@@ -213,6 +217,24 @@ def test_duality_on_all_fixtures(all_fixtures):
             b = transfer_cut(b, p)
         fc = final_cone(b)
         assert cones_equal(fc, dual(cone_over(d.target))), name
+        assert fc == final_cone_all_vertex_sums(d), name
+
+
+def _transferred(d):
+    b = new_base_diagram(d)
+    for p in range(1, d.k + 1):
+        b = transfer_cut(b, p)
+    return b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_planar_summands, min_size=1, max_size=4))
+@example([[v] for v in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3))])
+def test_final_cone_matches_all_vertex_sums(summands):
+    # the base-diagram theorem: the region above the summed support terms
+    # is the dual of the cone over the target
+    d = _planar(summands)
+    assert final_cone(_transferred(d)) == final_cone_all_vertex_sums(d)
 
 
 def test_final_cone_lens21(d_lens21):

@@ -265,6 +265,8 @@ def _planar(summands):
 _PLANAR_CASES = {
     # bench inputs of the planar decision
     "lens(61,17)": [[(1, 0)], [(17, 61)]],
+    # a partner polynomial constant in z1 over a degree-96 field
+    "lens(97,30)": [[(1, 0)], [(30, 97)]],
     "dilation(a=4)": [[(1, 4)], [(4, 1)], [(1, -4)]],
     "8-segments": [[v] for v in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2))],
     # partner coefficients with denominator 11: the witnesses depend on
