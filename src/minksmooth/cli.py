@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    analyze <file> [--out report.json] [--svg out.svg] [--hilbert-box N] [--fast]
+    analyze <file> [--out report.json] [--svg out.svg] [--fast]
     hilbert <file>
     potential <file> [--critical]
     diagram <file> --svg out.svg
@@ -33,30 +33,28 @@ EXIT_INADMISSIBLE = 3
 EXIT_CROSSCHECK = 4
 
 
-def _load_request(path, hilbert_box=None, fast=False) -> AnalysisRequest:
+def _load_request(path, fast=False) -> AnalysisRequest:
     with open(path, "r", encoding="utf-8") as fh:
         req = parse_input(fh.read())
-    if hilbert_box is not None:
-        if hilbert_box < 1:
-            raise SchemaError("--hilbert-box: must be a positive integer")
-        req.options.hilbert_box = hilbert_box
     if fast:
         req.options.verify_level = "fast"
     return req
 
 
 def _cmd_analyze(args) -> int:
-    req = _load_request(args.file, args.hilbert_box, args.fast)
+    req = _load_request(args.file, args.fast)
     report = run_pipeline(req)
     text = report.to_json()
+    # rendered before any file is opened: an unsupported dimension leaves none
+    svg = emit_svg(report.data) if args.svg else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.svg:
+    if svg is not None:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(emit_svg(report.data))
+            fh.write(svg)
     if report.failures:
         print("cross-check failures: " + ", ".join(report.failures), file=sys.stderr)
         return EXIT_CROSSCHECK
@@ -98,9 +96,9 @@ def _cmd_potential(args) -> int:
 def _cmd_diagram(args) -> int:
     req = _load_request(args.file)
     req.options.verify_level = "fast"
-    report = run_pipeline(req)
+    svg = emit_svg(run_pipeline(req).data)
     with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(emit_svg(report.data))
+        fh.write(svg)
     return EXIT_OK
 
 
@@ -112,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--svg", help="also render the base diagram (3d cones only)")
-    p.add_argument("--hilbert-box", type=int, default=None, help="accepted for compatibility; no effect")
     p.add_argument("--fast", action="store_true", help="skip the semigroup-generation check")
     p.set_defaults(func=_cmd_analyze)
 

@@ -12,13 +12,20 @@ are generated from all positive/negative pairs and then pruned by the rank
 test (a ray of a cone with lineality dimension l in R^d is extreme iff its
 tight inequality normals have rank d - l - 1).  With pruning in place the
 pair-combination step needs no adjacency bookkeeping to stay correct.
+
+Hilbert bases need no double description.  A lifted cone (sigma dual,
+sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
+normals are the heads of the cone's extreme rays; Q's vertices and each
+fan cone C_u (the normals tight at u, the edges of Q at u) follow from
+them (:func:`fan_cones`).  Every other cone, and each C_u, scans the
+bounding box of the zonotope of its extreme rays
+(:func:`_box_hilbert_basis`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 from .exactlin import (
@@ -31,6 +38,7 @@ from .exactlin import (
     primitive,
     rank,
     sign_normalized,
+    vec_add,
     vec_neg,
     vec_sub,
 )
@@ -141,10 +149,6 @@ def cone_from_generators(gens, dim) -> PolyhedralCone:
     return PolyhedralCone(dim, _canonical_vrep(lin_p, rays_p), ineqs)
 
 
-def cone_from_inequalities(ineqs, dim) -> PolyhedralCone:
-    return dual(cone_from_generators(ineqs, dim))
-
-
 def cone_over(q) -> PolyhedralCone:
     """Cone in one higher dimension on the generators ``(v, 1)``."""
     return cone_from_generators([v + (1,) for v in q.vertices], q.ambient_dim + 1)
@@ -200,44 +204,6 @@ def cones_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
     )
 
 
-def polytope_vertices_from_inequalities(rows, dim) -> list[tuple[Fraction, ...]]:
-    """Vertices of the bounded polyhedron ``{x : <a, x> + c >= 0}``.
-
-    ``rows`` are ``(a, c)`` packed as vectors of length ``dim + 1``.  The
-    polyhedron is homogenized to a cone in one higher dimension; rays with a
-    positive last coordinate dehomogenize to vertices.  A ray at height zero
-    means the input was unbounded, which callers here never produce.
-    """
-    hom = list(rows) + [tuple([0] * dim + [1])]
-    lin, rays = halfspace_description(hom, dim + 1)
-    if lin:
-        raise ValueError("input region has a lineality direction")
-    verts = []
-    for r in rays:
-        if r[-1] == 0:
-            raise ValueError("input region is unbounded")
-        verts.append(tuple(Fraction(x, r[-1]) for x in r[:-1]))
-    return verts
-
-
-def _box_lattice_scan(verts, keep):
-    """Integer points of the bounding box of ``verts`` that satisfy ``keep``."""
-    if not verts:
-        return []
-    dim = len(verts[0])
-    lo = []
-    hi = []
-    for j in range(dim):
-        coords = [v[j] for v in verts]
-        lo.append(int(min(coords).__floor__()))
-        hi.append(int(max(coords).__ceil__()))
-    out = []
-    for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if keep(pt):
-            out.append(pt)
-    return out
-
-
 @dataclass(frozen=True)
 class HilbertBasisResult:
     elements: IntMat
@@ -263,31 +229,30 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
     slots = _slot_polytopes(c)
     if slots is None:
         return HilbertBasisResult(_box_hilbert_basis(c), c)
-    return HilbertBasisResult(_irreducible(c, _lifted_candidates(slots)), c)
+    return HilbertBasisResult(_irreducible(c, _lifted_candidates(c, slots)), c)
 
 
 def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
     """Hilbert basis of a pointed full-dimensional cone by a box scan.
 
-    Gordan-style construction: every irreducible element lies in the zonotope
-    of the primitive extreme rays, which in turn lies inside the order
-    interval ``c intersect (sum_of_rays - c)``.  The lattice points of that
-    interval generate the semigroup, so discarding the reducible ones leaves
-    exactly the Hilbert basis.  The cost grows with the volume of that
-    interval; it is the general path and the test oracle for the lifted one.
+    Gordan's lemma: every irreducible element lies in the zonotope
+    ``sum_j [0, 1] r_j`` of the primitive extreme rays, so the lattice
+    points of that zonotope generate the semigroup and discarding the
+    reducible ones leaves exactly the Hilbert basis.  The scan runs over the
+    zonotope's bounding box ``[sum_j min(r_j, 0), sum_j max(r_j, 0)]`` and
+    keeps the points of the order interval ``c intersect (sum_j r_j - c)``,
+    which contains the zonotope.  The cost grows with the volume of that
+    box; it is the general path and the test oracle for the lifted one.
     """
-    d = c.ambient_dim
     rays = c.generators
     total = tuple(sum(col) for col in zip(*rays))
-    rows = [a + (0,) for a in c.inequalities]
-    rows += [vec_neg(a) + (dot(a, total),) for a in c.inequalities]
-    verts = polytope_vertices_from_inequalities(rows, d)
-
-    def inside(pt):
-        return c.contains(pt) and c.contains(vec_sub(total, pt))
-
-    candidates = [p for p in _box_lattice_scan(verts, inside) if not is_zero_vec(p)]
-    return _irreducible(c, set(candidates) | set(rays))
+    box = [range(sum(min(x, 0) for x in col), sum(max(x, 0) for x in col) + 1) for col in zip(*rays)]
+    candidates = {
+        pt
+        for pt in product(*box)
+        if not is_zero_vec(pt) and c.contains(pt) and c.contains(vec_sub(total, pt))
+    }
+    return _irreducible(c, candidates | set(rays))
 
 
 def _irreducible(c: PolyhedralCone, candidates) -> IntMat:
@@ -330,29 +295,56 @@ def _slot_polytopes(c: PolyhedralCone) -> list[list[IntVec]] | None:
     return None
 
 
-def _lifted_candidates(slots) -> set[IntVec]:
-    """A finite generating set of the lifted cone cut out by the normals
-    ``(p, e_i)``, p in ``slots[i]``.
+def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, PolyhedralCone]:
+    """The normal cone ``C_u = {v : <v, w - u> >= 0 for all w in Q}`` of each
+    vertex u of ``Q = sum_i conv(slots[i])``, for the lifted cone ``c`` cut
+    out by the normals ``(p, e_i)``, p in ``slots[i]`` (see
+    :func:`_lifted_candidates`).
+
+    The nonzero heads of the extreme rays of ``c`` are the primitive inner
+    facet normals of Q: the rays of its normal fan, which refines the fan of
+    every partial sum.  So a point of a partial sum is a vertex of it iff
+    the rays minimal there span, and the vertices of Q come from summing the
+    slots one at a time, keeping the vertices after each step.  C_u is
+    spanned by the rays tight at u, and its facets are the primitive edges
+    w - u of Q at u; w is a neighbour of u when the rays tight at both span
+    a hyperplane (Ziegler, *Lectures on Polytopes*, 7.1).  Both halves come
+    sorted, as a double description returns them, so C_u compares equal to
+    one.
+    """
+    n = c.ambient_dim - len(slots)
+    rays = [r[:n] for r in c.generators if not is_zero_vec(r[:n])]
+    verts = [(0,) * n]
+    for pts in slots:
+        sums = {vec_add(u, p) for u in verts for p in pts}
+        low = [min(dot(a, w) for w in sums) for a in rays]
+        tight = {w: {a for a, m in zip(rays, low) if dot(a, w) == m} for w in sums}
+        verts = sorted(w for w in sums if rank(list(tight[w])) == n)
+    cones = {}
+    for u in verts:
+        edges = [vec_sub(w, u) for w in verts if w != u and rank(list(tight[u] & tight[w])) == n - 1]
+        cones[u] = PolyhedralCone(n, tuple(sorted(tight[u])), tuple(sorted(map(primitive, edges))))
+    return cones
+
+
+def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
+    """A finite generating set of the lifted cone ``c`` cut out by the
+    normals ``(p, e_i)``, p in ``slots[i]``.
 
     That cone is ``{(v, s) : s_i >= psi_i(v)}`` with
     ``psi_i(v) = max over p in slots[i] of <-p, v>``, so every lattice point
     is ``(v, psi(v)) + sum_i (s_i - psi_i(v)) t_i`` for the unit tags t_i.
-    Each psi_i is linear on the normal cone
-    ``C_u = {v : <v, w - u> >= 0 for all w in Q}`` of every vertex u of
+    Each psi_i is linear on the normal cone C_u of every vertex u of
     ``Q = sum_i conv(slots[i])``, so v splits along the Hilbert basis of
-    the C_u containing it (Altmann's tagged-summand construction).  Q is
+    the C_u containing it (Altmann's tagged-summand construction).  The
+    C_u come from :func:`fan_cones`, with no double description.  Q is
     full-dimensional because the normals span, so each C_u is pointed.
     Each slot is already a vertex set: a non-vertex gives no extreme normal.
     """
-    from .polytope import LatticePolytope, minkowski_sum
-
     k = len(slots)
-    n = len(slots[0][0])
-    verts = reduce(minkowski_sum, (LatticePolytope(n, tuple(sorted(pts))) for pts in slots)).vertices
+    n = c.ambient_dim - k
     out = {(0,) * n + tuple(1 if j == i else 0 for j in range(k)) for i in range(k)}
-    for u in verts:
-        fan_cone = cone_from_inequalities([vec_sub(w, u) for w in verts if w != u], n)
+    for fan_cone in fan_cones(c, slots).values():
         for h in hilbert_basis(fan_cone).elements:
             out.add(h + tuple(max(-dot(p, h) for p in pts) for pts in slots))
     return out
-

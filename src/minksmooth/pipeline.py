@@ -41,15 +41,12 @@ class TargetMismatch(ValueError):
 
 @dataclass
 class AnalysisOptions:
-    hilbert_box: int = 3  # validated but unused: the generation check is exact
     verify_level: str = "full"  # "fast" skips the generation check
     root_circle_tol: float = 1e-12
 
     def __post_init__(self):
         if self.verify_level not in ("fast", "full"):
             raise SchemaError("options.verify_level: must be 'fast' or 'full'")
-        if self.hilbert_box < 1:
-            raise SchemaError("options.hilbert_box: must be a positive integer")
 
 
 @dataclass
@@ -103,16 +100,14 @@ def parse_input(text: str) -> AnalysisRequest:
     if "options" in raw:
         o = raw["options"]
         _expect(isinstance(o, dict), "options", "expected an object")
-        unknown = set(o) - {"hilbert_box", "verify_level", "root_circle_tol"}
+        unknown = set(o) - {"verify_level", "root_circle_tol"}
         _expect(not unknown, "options", f"unknown fields {sorted(unknown)}")
-        box = o.get("hilbert_box", 3)
-        _expect(isinstance(box, int) and not isinstance(box, bool), "options.hilbert_box", "expected an integer")
         level = o.get("verify_level", "full")
         _expect(isinstance(level, str), "options.verify_level", "expected a string")
         tol = o.get("root_circle_tol", 1e-12)
         _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
                 "options.root_circle_tol", "expected a positive number")
-        opts = AnalysisOptions(hilbert_box=box, verify_level=level, root_circle_tol=float(tol))
+        opts = AnalysisOptions(verify_level=level, root_circle_tol=float(tol))
     try:
         d = decomposition(summands, target=None)
     except ValueError as exc:
@@ -131,7 +126,6 @@ def serialize_request(req: AnalysisRequest) -> str:
         "summands": [{"vertices": [list(v) for v in s.vertices]} for s in req.decomposition.summands],
         "target": [list(v) for v in req.decomposition.target.vertices],
         "options": {
-            "hilbert_box": req.options.hilbert_box,
             "verify_level": req.options.verify_level,
             "root_circle_tol": req.options.root_circle_tol,
         },
@@ -270,7 +264,8 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
         ),
     }
     if req.options.verify_level == "full":
-        checks["generators_generate_semigroup"] = smo.verify_generates(g, st_dual, req.options.hilbert_box)
+        # the check is exact; verify_generates ignores its box argument
+        checks["generators_generate_semigroup"] = smo.verify_generates(g, st_dual, 3)
     for name, ok in checks.items():
         if not ok:
             failures.append(f"checks.{name}")

@@ -4,13 +4,21 @@
 and :func:`semigroup_contains` decides membership in a finitely generated
 semigroup by depth-first search.  The library decides generation exactly
 through the Hilbert basis; these brute-force routines check it from the
-outside.
+outside.  :func:`order_interval_hilbert_basis` is the library's earlier box
+scan, over a larger box found by a double description pass.
 """
 
 from itertools import product
 
-from minksmooth.cone import NotPointed, PolyhedralCone, cone_from_generators, is_strongly_convex
-from minksmooth.exactlin import IntVec, as_mat, as_vec, dot, is_zero_vec, vec_sub
+from minksmooth.cone import (
+    NotPointed,
+    PolyhedralCone,
+    _irreducible,
+    cone_from_generators,
+    halfspace_description,
+    is_strongly_convex,
+)
+from minksmooth.exactlin import IntMat, IntVec, as_mat, as_vec, dot, is_zero_vec, vec_neg, vec_sub
 
 
 class BoundTooSmall(RuntimeError):
@@ -25,6 +33,37 @@ def lattice_points_in_box(c: PolyhedralCone, box: int) -> list[IntVec]:
         if c.contains(pt):
             out.append(pt)
     return out
+
+
+def order_interval_box(c: PolyhedralCone) -> list[range]:
+    """Per coordinate, the integer range of the bounding box of the order
+    interval ``c intersect (r - c)``, r the sum of the extreme rays.
+
+    The interval is homogenized to a cone in one higher dimension, whose
+    rays dehomogenize to its vertices.
+    """
+    d = c.ambient_dim
+    total = tuple(sum(col) for col in zip(*c.generators))
+    rows = [a + (0,) for a in c.inequalities]
+    rows += [vec_neg(a) + (dot(a, total),) for a in c.inequalities]
+    lin, rays = halfspace_description(rows + [(0,) * d + (1,)], d + 1)
+    if lin or any(r[-1] <= 0 for r in rays):
+        raise ValueError("order interval is unbounded")
+    # exact floor and ceiling of each vertex coordinate r[j] / r[-1]
+    return [range(min(r[j] // r[-1] for r in rays), max(-(-r[j] // r[-1]) for r in rays) + 1) for j in range(d)]
+
+
+def order_interval_hilbert_basis(c: PolyhedralCone) -> IntMat:
+    """Hilbert basis of a pointed full-dimensional cone from the nonzero
+    lattice points of its order interval, which contains the zonotope of
+    the extreme rays and so every irreducible element."""
+    total = tuple(sum(col) for col in zip(*c.generators))
+    candidates = {
+        pt
+        for pt in product(*order_interval_box(c))
+        if not is_zero_vec(pt) and c.contains(pt) and c.contains(vec_sub(total, pt))
+    }
+    return _irreducible(c, candidates | set(c.generators))
 
 
 def positive_functional(c: PolyhedralCone) -> IntVec:

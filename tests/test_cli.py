@@ -48,6 +48,7 @@ def test_parse_round_trip():
     assert again.decomposition == req.decomposition
     assert again.name == req.name
     assert again.options == req.options
+    assert set(json.loads(serialize_request(req))["options"]) == {"verify_level", "root_circle_tol"}
 
 
 def test_parse_rejects_non_integer():
@@ -80,8 +81,7 @@ def test_parse_rejects_unknown_field():
 
 def test_parse_rejects_bad_option_values():
     for options in (
-        {"hilbert_box": "3"},
-        {"hilbert_box": 0},
+        {"hilbert_box": 3},  # a former option, now unknown
         {"verify_level": "thorough"},
         {"root_circle_tol": -1e-9},
         {"emit_svg": 5},
@@ -192,8 +192,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["analyze", inadmissible]) == 3
 
     q5 = write_input(tmp_path, Q5_INPUT, "q5.json")
-    assert main(["analyze", q5, "--hilbert-box", "0"]) == 2
-    assert main(["analyze", q5, "--hilbert-box", "1", "--out", str(tmp_path / "r.json")]) == 0
+    with pytest.raises(SystemExit) as exc:  # a former flag, now an argparse usage error
+        main(["analyze", q5, "--hilbert-box", "1"])
+    assert exc.value.code == 2
 
     mismatch = json.loads(json.dumps(Q5_INPUT))
     mismatch["target"] = [[0, 0], [1, 0], [0, 1]]
@@ -352,6 +353,23 @@ def test_cli_diagram(tmp_path):
     svg = tmp_path / "q3.svg"
     assert main(["diagram", path, "--svg", str(svg)]) == 0
     assert "cut 3" in svg.read_text()
+
+
+def test_cli_svg_of_a_spatial_input_leaves_no_files(tmp_path):
+    # the base diagram is drawn for n = 2 only; the refusal (exit 2) comes
+    # before any output file is opened, so neither a report nor an empty SVG
+    # is left behind
+    unit = {
+        "name": "unit-segments-n3",
+        "dimension": 3,
+        "summands": [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])],
+    }
+    path = write_input(tmp_path, unit)
+    out, svg = tmp_path / "r.json", tmp_path / "d.svg"
+    assert main(["analyze", path, "--out", str(out), "--svg", str(svg)]) == 2
+    assert not out.exists() and not svg.exists()
+    assert main(["diagram", path, "--svg", str(svg)]) == 2
+    assert not svg.exists()
 
 
 PLANAR_SEGMENTS_K5 = {

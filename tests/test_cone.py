@@ -2,17 +2,18 @@ import random
 from math import prod
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from minksmooth import cone as cone_module
 from minksmooth.cone import (
     NotFullDim,
     NotPointed,
     cone_from_generators,
-    cone_from_inequalities,
     cone_over,
     cones_equal,
     dual,
+    fan_cones,
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
@@ -23,7 +24,13 @@ from minksmooth.cone import (
 from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
 from minksmooth.polytope import convex_hull, decomposition, is_full_dimensional_polytope
 
-from box_oracle import BoundTooSmall, lattice_points_in_box, semigroup_contains
+from box_oracle import (
+    BoundTooSmall,
+    lattice_points_in_box,
+    order_interval_box,
+    order_interval_hilbert_basis,
+    semigroup_contains,
+)
 from cone_oracle import cone_from_inequalities_two_pass, dd_dual, sigma_tilde_on_lattice_points
 from conftest import triangle
 
@@ -272,7 +279,8 @@ def inequality_systems(draw):
 @settings(max_examples=60, deadline=None)
 @given(inequality_systems())
 def test_cone_from_inequalities_matches_two_pass_oracle(system):
-    assert cone_from_inequalities(*system) == cone_from_inequalities_two_pass(*system)
+    # the cone cut out by some normals is the dual of the cone they generate
+    assert dual(cone_from_generators(*system)) == cone_from_inequalities_two_pass(*system)
 
 
 def test_cones_equal_permutation_and_difference():
@@ -313,6 +321,24 @@ def test_unstructured_cone_keeps_box_scan_answer():
     mixed = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
     assert _slot_polytopes(mixed) is None
     assert hilbert_basis(mixed).elements == _box_hilbert_basis(mixed)
+
+
+def test_hilbert_bases_run_no_double_description(monkeypatch, d_q6_second):
+    # the fan cones come from the lifted cone's rays and the box from the
+    # zonotope, so neither path needs a double description
+    cones = [
+        dual(sigma_tilde(d_q6_second)),
+        dual(cone_over(d_q6_second.target)),
+        cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("double description on the Hilbert-basis path")
+
+    monkeypatch.setattr(cone_module, "halfspace_description", refuse)
+    monkeypatch.setattr(cone_module, "hilbert_basis", cone_module.hilbert_basis.__wrapped__)
+    for c in cones:
+        assert cone_module.hilbert_basis(c).elements
 
 
 def test_lifted_cone_of_absolute_value():
@@ -381,6 +407,48 @@ def test_lifted_hilbert_basis_matches_box_scan(d):
     for c in cones:
         assert _slot_polytopes(c) is not None
         assert hilbert_basis(c).elements == _box_hilbert_basis(c)
+
+
+def _segments(*vecs):
+    return decomposition([convex_hull([(0,) * len(v), v]) for v in vecs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_decompositions)
+@example(_segments((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3)))
+@example(_segments((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 1, 1)))
+def test_fan_cones_match_two_pass_oracle(d):
+    # both lifted cones have the target as Q; each fan cone C_u, read off
+    # the extreme rays and the edges at u, equals the double description of
+    # {v : <v, w - u> >= 0 for every vertex w}
+    assume(is_full_dimensional_polytope(d.target))
+    verts = d.target.vertices
+    for c in (dual(sigma_tilde(d)), dual(cone_over(d.target))):
+        cones = fan_cones(c, _slot_polytopes(c))
+        assert tuple(cones) == verts
+        for u, cu in cones.items():
+            assert cu == cone_from_inequalities_two_pass([vec_sub(w, u) for w in verts if w != u], d.n)
+
+
+@st.composite
+def pointed_cones(draw):
+    dim = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim, max_size=dim + 2))
+    c = cone_from_generators(gens, dim)
+    assume(is_strongly_convex(c) and is_full_dimensional(c))
+    return c
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pointed_cones())
+@example(cone_from_generators([(1, 0), (1, 2)], 2))
+@example(cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3))
+@example(dual(sigma_tilde(_segments((1, 0), (0, 1), (1, 1)))))
+def test_box_scan_matches_order_interval_oracle(c):
+    # the oracle's box holds the zonotope's; draws whose box is too large to
+    # scan within a second are skipped for time alone
+    assume(prod(map(len, order_interval_box(c))) <= 20_000)
+    assert _box_hilbert_basis(c) == order_interval_hilbert_basis(c)
 
 
 @settings(max_examples=30, deadline=None)
