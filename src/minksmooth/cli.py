@@ -25,7 +25,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .polytope import NotAdmissible
-from .svg import UnsupportedDimension, emit_svg
+from .svg import UnsupportedDimension, emit_svg, require_drawable
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -43,9 +43,11 @@ def _load_request(path, fast=False) -> AnalysisRequest:
 
 def _cmd_analyze(args) -> int:
     req = _load_request(args.file, args.fast)
+    if args.svg:
+        # refused before the pipeline runs and before any file is opened
+        require_drawable(req.decomposition.n)
     report = run_pipeline(req)
     text = report.to_json()
-    # rendered before any file is opened: an unsupported dimension leaves none
     svg = emit_svg(report.data) if args.svg else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -78,7 +80,7 @@ def _cmd_potential(args) -> int:
     po = build_potential(req.decomposition)
     print(po)
     if args.critical:
-        crit = critical_exists(req.decomposition, circle_tol=req.options.root_circle_tol)
+        crit = critical_exists(req.decomposition)
         print(f"verdict: {crit.verdict}" + (f" (count {crit.count})" if crit.count is not None else ""))
         for fam in crit.families:
             print(
@@ -94,8 +96,8 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    req = _load_request(args.file)
-    req.options.verify_level = "fast"
+    req = _load_request(args.file, fast=True)
+    require_drawable(req.decomposition.n)
     svg = emit_svg(run_pipeline(req).data)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -7,11 +7,13 @@ Two passes construct a cone, since the facet normals of ``Cone(G)`` are the
 extreme rays of ``{y : <g, y> >= 0 for g in G}``.  Duality is then a swap of
 the two halves (Fukuda-Prodon, *Double description method revisited*, 1996).
 
-Insertion keeps the ray set minimal after every inequality: candidate rays
-are generated from all positive/negative pairs and then pruned by the rank
-test (a ray of a cone with lineality dimension l in R^d is extreme iff its
-tight inequality normals have rank d - l - 1).  With pruning in place the
-pair-combination step needs no adjacency bookkeeping to stay correct.
+Each ray carries its zero set, the indices of the inequalities tight on it.
+Inserting an inequality keeps the rays on its nonnegative side and combines
+a positive ray p with a negative ray q only when they are adjacent, that
+is when no third ray's zero set contains Z(p) & Z(q) (the combinatorial
+test of the same paper).  The new ray's zero set is that intersection plus
+the new index, so the rays stay exactly one per extreme ray, modulo the
+lineality space, with no rank computation.
 
 Hilbert bases need no double description.  A lifted cone (sigma dual,
 sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
@@ -59,12 +61,14 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
     sign-normalized, rays keep their direction.
     """
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    rays: list[IntVec] = []
-    seen: list[IntVec] = []
-    for a in ineqs:
+    # each extreme ray with its zero set: bit j set iff <ineqs[j], ray> == 0
+    rays: list[tuple[IntVec, int]] = []
+    done = 0
+    for j, a in enumerate(ineqs):
         a = as_vec(a)
         if is_zero_vec(a):
             continue
+        bit = 1 << j
         vals = [dot(a, l) for l in lin]
         if any(v != 0 for v in vals):
             i0 = next(i for i, v in enumerate(vals) if v != 0)
@@ -76,38 +80,25 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
                 return vec_sub(tuple(v0 * t for t in x), tuple(dot(a, x) * t for t in l0))
 
             lin = [primitive(project(l)) for i, l in enumerate(lin) if i != i0]
-            rays = [primitive(p) for p in map(project, rays) if not is_zero_vec(p)]
-            rays.append(l0)
+            # a ray is never a lineality direction, so none projects to zero;
+            # l0 was one, so every earlier inequality is tight on it
+            rays = [(primitive(project(r)), z | bit) for r, z in rays]
+            rays.append((l0, done))
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            if neg:
-                combos = []
-                for p, q in product(pos, neg):
-                    w = vec_sub(tuple(dot(a, p) * x for x in q), tuple(dot(a, q) * x for x in p))
-                    if not is_zero_vec(w):
-                        combos.append(primitive(w))
-                rays = pos + zero + combos
-        seen.append(a)
-        rays = _prune_extreme(rays, seen, dim, len(lin))
-    rays = sorted(set(rays))
+            signed = [(r, z, dot(a, r)) for r, z in rays]
+            pos = [(r, z, v) for r, z, v in signed if v > 0]
+            neg = [(r, z, v) for r, z, v in signed if v < 0]
+            combos = []
+            for (p, zp, vp), (q, zq, vq) in product(pos, neg):
+                s = zp & zq
+                # adjacent iff no third ray is tight wherever both are
+                if sum(z & s == s for _, z in rays) == 2:
+                    w = vec_sub(tuple(vp * x for x in q), tuple(vq * x for x in p))
+                    combos.append((primitive(w), s | bit))
+            rays = [(r, z) for r, z, _ in pos] + [(r, z | bit) for r, z, v in signed if v == 0] + combos
+        done |= bit
     lin = sorted(set(sign_normalized(l) for l in lin))
-    return lin, rays
-
-
-def _prune_extreme(rays, ineqs, dim, lin_dim):
-    target = dim - lin_dim - 1
-    kept = []
-    seen = set()
-    for r in rays:
-        if r in seen:
-            continue
-        seen.add(r)
-        tight = [a for a in ineqs if dot(a, r) == 0]
-        if rank(tight) == target:
-            kept.append(r)
-    return kept
+    return lin, sorted(r for r, _ in rays)
 
 
 @dataclass(frozen=True)

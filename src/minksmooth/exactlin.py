@@ -63,10 +63,6 @@ def vec_neg(u) -> IntVec:
     return tuple(-a for a in u)
 
 
-def vec_scale(c, u) -> IntVec:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 

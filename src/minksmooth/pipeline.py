@@ -42,7 +42,6 @@ class TargetMismatch(ValueError):
 @dataclass
 class AnalysisOptions:
     verify_level: str = "full"  # "fast" skips the generation check
-    root_circle_tol: float = 1e-12
 
     def __post_init__(self):
         if self.verify_level not in ("fast", "full"):
@@ -100,14 +99,11 @@ def parse_input(text: str) -> AnalysisRequest:
     if "options" in raw:
         o = raw["options"]
         _expect(isinstance(o, dict), "options", "expected an object")
-        unknown = set(o) - {"verify_level", "root_circle_tol"}
+        unknown = set(o) - {"verify_level"}
         _expect(not unknown, "options", f"unknown fields {sorted(unknown)}")
         level = o.get("verify_level", "full")
         _expect(isinstance(level, str), "options.verify_level", "expected a string")
-        tol = o.get("root_circle_tol", 1e-12)
-        _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
-                "options.root_circle_tol", "expected a positive number")
-        opts = AnalysisOptions(verify_level=level, root_circle_tol=float(tol))
+        opts = AnalysisOptions(verify_level=level)
     try:
         d = decomposition(summands, target=None)
     except ValueError as exc:
@@ -125,10 +121,7 @@ def serialize_request(req: AnalysisRequest) -> str:
         "dimension": req.decomposition.n,
         "summands": [{"vertices": [list(v) for v in s.vertices]} for s in req.decomposition.summands],
         "target": [list(v) for v in req.decomposition.target.vertices],
-        "options": {
-            "verify_level": req.options.verify_level,
-            "root_circle_tol": req.options.root_circle_tol,
-        },
+        "options": {"verify_level": req.options.verify_level},
     }
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -246,7 +239,7 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
 
     po = pot.build_potential(d)
     npoly = pot.newton_polytope(po)
-    crit = pot.critical_exists(d, circle_tol=req.options.root_circle_tol)
+    crit = pot.critical_exists(d)
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
         "newton_polytope_vertices": _mat(npoly.vertices),

@@ -37,6 +37,8 @@ from . import ratpoly as rp
 
 
 _Z1, _Z2 = symbols("z1 z2")
+# a numeric root counts as on the unit circle when its modulus is this close to 1
+_CIRCLE_TOL = 1e-12
 
 
 class ZeroPolynomial(ValueError):
@@ -266,14 +268,14 @@ def _int_coeffs(u: Poly) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(u.all_coeffs()))
 
 
-def _roots_on_unit_circle(int_coeffs, tol=1e-12) -> bool:
+def _roots_on_unit_circle(int_coeffs) -> bool:
     if len(int_coeffs) <= 1:
         return True
     roots = np.roots(list(reversed(int_coeffs)))
-    return bool(np.all(np.abs(np.abs(roots) - 1.0) < tol))
+    return bool(np.all(np.abs(np.abs(roots) - 1.0) < _CIRCLE_TOL))
 
 
-def _pair_families(bi, bj, pair, circle_tol):
+def _pair_families(bi, bj, pair):
     """Common torus zeros of a pair of cleared integer polynomials.
 
     Returns ("positive", None) when the gcd carries a non-monomial factor,
@@ -299,7 +301,7 @@ def _pair_families(bi, bj, pair, circle_tol):
                 z2_minpoly=z2,
                 pair=pair,
                 points=_numeric_points(f, h),
-                on_unit_circle=_roots_on_unit_circle(z1, circle_tol) and _roots_on_unit_circle(z2, circle_tol),
+                on_unit_circle=_roots_on_unit_circle(z1) and _roots_on_unit_circle(z2),
             )
         )
     return "finite", families
@@ -345,7 +347,7 @@ def _numeric_points(f, h):
     return pts
 
 
-def critical_exists(d: MinkowskiDecomposition, circle_tol: float = 1e-12) -> CriticalReport:
+def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
     Planar case: exact, via pairwise elimination of the summand factors.
@@ -358,7 +360,7 @@ def critical_exists(d: MinkowskiDecomposition, circle_tol: float = 1e-12) -> Cri
     cleared = [_clear_to_bpoly(f) for f in factors]
     families = []
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        kind, fams = _pair_families(bi, bj, (i + 1, j + 1), circle_tol)
+        kind, fams = _pair_families(bi, bj, (i + 1, j + 1))
         if kind == "positive":
             return CriticalReport(
                 verdict="positive_dimensional",
@@ -366,7 +368,7 @@ def critical_exists(d: MinkowskiDecomposition, circle_tol: float = 1e-12) -> Cri
             )
         # confirm with the other elimination order
         ti, tj = bi.reorder(_Z1, _Z2), bj.reorder(_Z1, _Z2)
-        kind2, fams2 = _pair_families(ti, tj, (i + 1, j + 1), circle_tol)
+        kind2, fams2 = _pair_families(ti, tj, (i + 1, j + 1))
         if kind2 == "positive" or _distinct_point_count(fams) != _distinct_point_count(fams2):
             raise CrossCheckError("elimination orders disagree on the solution count")
         families.extend(fams)

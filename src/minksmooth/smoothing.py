@@ -87,9 +87,6 @@ class GeneratorSet:
     def vectors(self) -> list[IntVec]:
         return sorted({vec for _, vec in self.entries})
 
-    def labels(self) -> list[CharLabel]:
-        return [lab for lab, _ in self.entries]
-
 
 def _tagged(d, v) -> IntVec:
     return as_vec(v) + phi(d, v)

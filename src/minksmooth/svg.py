@@ -34,10 +34,15 @@ def _fmt(t: float) -> str:
     return f"{t:.2f}"
 
 
+def require_drawable(n: int) -> None:
+    """Refuse an input of dimension ``n`` unless its cone is three-dimensional."""
+    if n + 1 != 3:
+        raise UnsupportedDimension("diagram rendering is limited to three-dimensional cones")
+
+
 def emit_svg(report: dict) -> str:
     """Render an analysis report (n + 1 == 3 only) to an SVG document."""
-    if report["dimension"] + 1 != 3:
-        raise UnsupportedDimension("diagram rendering is limited to three-dimensional cones")
+    require_drawable(report["dimension"])
     rays = [tuple(r) for r in report["cone"]["sigma_dual_hilbert_basis"]]
     summands = [[tuple(v) for v in s] for s in report["polytope"]["summands"]]
     lines = [

@@ -449,7 +449,7 @@ def _strip_x(u: UPoly) -> UPoly:
     return utrim(u[k:])
 
 
-def _pair_families(bi, bj, pair, circle_tol):
+def _pair_families(bi, bj, pair):
     """Common torus zeros of a pair of cleared integer polynomials.
 
     Returns ("positive", None) when the gcd carries a non-monomial factor,
@@ -477,9 +477,7 @@ def _pair_families(bi, bj, pair, circle_tol):
             continue
         z2_ann = _partner_minpoly(f, h)
         numeric = _numeric_points(f, h)
-        circle = _roots_on_unit_circle(u_int_coeffs(f), circle_tol) and _roots_on_unit_circle(
-            u_int_coeffs(z2_ann), circle_tol
-        )
+        circle = _roots_on_unit_circle(u_int_coeffs(f)) and _roots_on_unit_circle(u_int_coeffs(z2_ann))
         families.append(
             CriticalFamily(
                 z1_minpoly=u_int_coeffs(f),
@@ -529,7 +527,7 @@ def _numeric_points(f, h):
     return pts
 
 
-def critical_exists(d, circle_tol: float = 1e-12) -> CriticalReport:
+def critical_exists(d) -> CriticalReport:
     """``potential.critical_exists`` for planar decompositions, on this
     module's arithmetic."""
     require_admissible(d)
@@ -538,14 +536,14 @@ def critical_exists(d, circle_tol: float = 1e-12) -> CriticalReport:
     cleared = [_clear_to_bpoly(factor(s)) for s in d.summands]
     families = []
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        kind, fams = _pair_families(bi, bj, (i + 1, j + 1), circle_tol)
+        kind, fams = _pair_families(bi, bj, (i + 1, j + 1))
         if kind == "positive":
             return CriticalReport(
                 verdict="positive_dimensional",
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
         # confirm with the other elimination order
-        kind2, fams2 = _pair_families(b_transpose(bi), b_transpose(bj), (i + 1, j + 1), circle_tol)
+        kind2, fams2 = _pair_families(b_transpose(bi), b_transpose(bj), (i + 1, j + 1))
         if kind2 == "positive" or _distinct_point_count(fams) != _distinct_point_count(fams2):
             raise CrossCheckError("elimination orders disagree on the solution count")
         families.extend(fams)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from minksmooth import polytope
+from minksmooth import cli, polytope
 from minksmooth.cli import main
 from minksmooth.pipeline import (
     SchemaError,
@@ -48,7 +48,7 @@ def test_parse_round_trip():
     assert again.decomposition == req.decomposition
     assert again.name == req.name
     assert again.options == req.options
-    assert set(json.loads(serialize_request(req))["options"]) == {"verify_level", "root_circle_tol"}
+    assert set(json.loads(serialize_request(req))["options"]) == {"verify_level"}
 
 
 def test_parse_rejects_non_integer():
@@ -81,7 +81,8 @@ def test_parse_rejects_unknown_field():
 
 def test_parse_rejects_bad_option_values():
     for options in (
-        {"hilbert_box": 3},  # a former option, now unknown
+        {"hilbert_box": 3},  # former options, now unknown
+        {"root_circle_tol": 1e-12},
         {"verify_level": "thorough"},
         {"root_circle_tol": -1e-9},
         {"emit_svg": 5},
@@ -370,6 +371,17 @@ def test_cli_svg_of_a_spatial_input_leaves_no_files(tmp_path):
     assert not out.exists() and not svg.exists()
     assert main(["diagram", path, "--svg", str(svg)]) == 2
     assert not svg.exists()
+
+
+def test_cli_svg_of_a_spatial_input_refused_before_the_pipeline(tmp_path, monkeypatch):
+    # the dimension is known once the input is parsed; no stage runs first
+    def refuse(req):
+        raise AssertionError("pipeline run for an input the diagram cannot draw")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    path = write_input(tmp_path, SPATIAL_SEGMENTS_K4)
+    assert main(["analyze", path, "--svg", str(tmp_path / "d.svg")]) == 2
+    assert main(["diagram", path, "--svg", str(tmp_path / "d.svg")]) == 2
 
 
 PLANAR_SEGMENTS_K5 = {

@@ -14,6 +14,7 @@ from minksmooth.cone import (
     cones_equal,
     dual,
     fan_cones,
+    halfspace_description,
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
@@ -31,7 +32,13 @@ from box_oracle import (
     order_interval_hilbert_basis,
     semigroup_contains,
 )
-from cone_oracle import cone_from_inequalities_two_pass, dd_dual, sigma_tilde_on_lattice_points
+from cone_oracle import (
+    cone_from_inequalities_two_pass,
+    dd_dual,
+    rank_pruned_halfspace_description,
+    sigma_tilde_on_lattice_points,
+    vertex_sum_rows,
+)
 from conftest import triangle
 
 Q5_SIGMA = {(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1)}
@@ -283,6 +290,58 @@ def test_cone_from_inequalities_matches_two_pass_oracle(system):
     assert dual(cone_from_generators(*system)) == cone_from_inequalities_two_pass(*system)
 
 
+def _segments(*vecs):
+    return decomposition([convex_hull([(0,) * len(v), v]) for v in vecs])
+
+
+def _tagged_vertices(d):
+    """The generators of sigma-tilde: each summand vertex tagged by its slot."""
+    k = len(d.summands)
+    rows = [v + tuple(int(j == i) for j in range(k)) for i, s in enumerate(d.summands) for v in s.vertices]
+    return rows, d.n + k
+
+
+@st.composite
+def dd_systems(draw):
+    dim = draw(st.integers(1, 5))
+    # fewer than dim rows always leave a lineality space
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=9))
+    if rows and draw(st.booleans()):
+        # an opposite pair cuts a hyperplane
+        rows.insert(draw(st.integers(0, len(rows))), tuple(-x for x in draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * dim)
+    return rows, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(dd_systems())
+@example((vertex_sum_rows(_segments((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3))), 3))
+@example(_tagged_vertices(_segments((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+@example(([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3))
+def test_adjacency_kernel_matches_rank_pruned_oracle(system):
+    # zero rows, repeated rows, lineality and hyperplane cuts included
+    assert halfspace_description(*system) == rank_pruned_halfspace_description(*system)
+
+
+def test_double_description_makes_no_rank_call(monkeypatch, d_q6_first):
+    systems = [
+        (vertex_sum_rows(d_q6_first), 3),
+        _tagged_vertices(d_q6_first),
+        ([(1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 0)], 3),  # one redundant row
+        ([(1, 0, 2), (0, 1, -1)], 3),  # a lineality line
+    ]
+    expected = [rank_pruned_halfspace_description(*system) for system in systems]
+
+    def refuse(*args):
+        raise AssertionError("rank computed inside the double description")
+
+    monkeypatch.setattr(cone_module, "rank", refuse)
+    assert [halfspace_description(*system) for system in systems] == expected
+
+
 def test_cones_equal_permutation_and_difference():
     a = cone_from_generators([(1, 0), (0, 1)], 2)
     b = cone_from_generators([(0, 1), (1, 0)], 2)
@@ -407,10 +466,6 @@ def test_lifted_hilbert_basis_matches_box_scan(d):
     for c in cones:
         assert _slot_polytopes(c) is not None
         assert hilbert_basis(c).elements == _box_hilbert_basis(c)
-
-
-def _segments(*vecs):
-    return decomposition([convex_hull([(0,) * len(v), v]) for v in vecs])
 
 
 @settings(max_examples=40, deadline=None)
