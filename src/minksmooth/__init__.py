@@ -1,48 +1,3 @@
 """Exact combinatorial toolkit for cone smoothings from Minkowski decompositions."""
 
-from .cone import (
-    PolyhedralCone,
-    cone_over,
-    cones_equal,
-    dual,
-    hilbert_basis,
-    sigma_tilde,
-)
-from .fibration import final_cone, new_base_diagram, transfer_cut
-from .polytope import (
-    LatticePolytope,
-    MinkowskiDecomposition,
-    convex_hull,
-    decomposition,
-    is_admissible,
-    minkowski_sum,
-)
-from .potential import LaurentPoly, build_potential, critical_exists, mutate, newton_polytope
-from .smoothing import GeneratorSet, generator_set
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PolyhedralCone",
-    "LatticePolytope",
-    "MinkowskiDecomposition",
-    "LaurentPoly",
-    "GeneratorSet",
-    "convex_hull",
-    "minkowski_sum",
-    "decomposition",
-    "is_admissible",
-    "cone_over",
-    "sigma_tilde",
-    "dual",
-    "hilbert_basis",
-    "cones_equal",
-    "generator_set",
-    "new_base_diagram",
-    "transfer_cut",
-    "final_cone",
-    "build_potential",
-    "mutate",
-    "newton_polytope",
-    "critical_exists",
-]

@@ -19,8 +19,8 @@ Hilbert bases need no double description.  A lifted cone (sigma dual,
 sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
 normals are the heads of the cone's extreme rays; Q's vertices and each
 fan cone C_u (the normals tight at u, the edges of Q at u) follow from
-them (:func:`fan_cones`).  Every other cone, and each C_u, scans the
-bounding box of the zonotope of its extreme rays
+their incidences (:func:`fan_cones`).  Every other cone, and each C_u,
+scans the bounding box of the zonotope of its extreme rays
 (:func:`_box_hilbert_basis`).
 """
 
@@ -36,10 +36,12 @@ from .exactlin import (
     as_mat,
     as_vec,
     dot,
+    identity,
     is_zero_vec,
     primitive,
     rank,
     sign_normalized,
+    support,
     vec_add,
     vec_neg,
     vec_sub,
@@ -60,7 +62,7 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
     Returns ``(lineality, rays)``, both primitive; the lineality vectors are
     sign-normalized, rays keep their direction.
     """
-    lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    lin = list(identity(dim))
     # each extreme ray with its zero set: bit j set iff <ineqs[j], ray> == 0
     rays: list[tuple[IntVec, int]] = []
     done = 0
@@ -163,10 +165,7 @@ def sigma_tilde(d) -> PolyhedralCone:
             " restate the input in the dimension it actually spans"
         )
     k = len(d.summands)
-    gens = []
-    for i, s in enumerate(d.summands):
-        tag = tuple(1 if j == i else 0 for j in range(k))
-        gens += [v + tag for v in s.vertices]
+    gens = [v + tag for s, tag in zip(d.summands, identity(k)) for v in s.vertices]
     return cone_from_generators(gens, d.target.ambient_dim + k)
 
 
@@ -294,12 +293,16 @@ def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, PolyhedralCone]:
 
     The nonzero heads of the extreme rays of ``c`` are the primitive inner
     facet normals of Q: the rays of its normal fan, which refines the fan of
-    every partial sum.  So a point of a partial sum is a vertex of it iff
-    the rays minimal there span, and the vertices of Q come from summing the
-    slots one at a time, keeping the vertices after each step.  C_u is
-    spanned by the rays tight at u, and its facets are the primitive edges
-    w - u of Q at u; w is a neighbour of u when the rays tight at both span
-    a hyperplane (Ziegler, *Lectures on Polytopes*, 7.1).  Both halves come
+    every partial sum P.  So each normal cone of P is spanned by the rays in
+    it, and the rays tight at a point w of P (those minimal there) grow
+    strictly as the face of P holding w in its relative interior shrinks:
+    w is a vertex of P iff no other point's tight set strictly contains
+    w's.  The vertices of Q come from summing the slots one at a time,
+    keeping the vertices after each step.  C_u is spanned by the rays tight
+    at u, and its facets are the primitive edges w - u of Q at u.  The
+    vertices tight on every ray tight at both u and w are those of the
+    smallest face holding both, so w is a neighbour of u iff no third
+    vertex is (Ziegler, *Lectures on Polytopes*, ch. 2).  Both halves come
     sorted, as a double description returns them, so C_u compares equal to
     one.
     """
@@ -309,11 +312,15 @@ def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, PolyhedralCone]:
     for pts in slots:
         sums = {vec_add(u, p) for u in verts for p in pts}
         low = [min(dot(a, w) for w in sums) for a in rays]
-        tight = {w: {a for a, m in zip(rays, low) if dot(a, w) == m} for w in sums}
-        verts = sorted(w for w in sums if rank(list(tight[w])) == n)
+        tight = {w: frozenset(a for a, m in zip(rays, low) if dot(a, w) == m) for w in sums}
+        verts = sorted(w for w in sums if not any(tight[w] < t for t in tight.values()))
     cones = {}
     for u in verts:
-        edges = [vec_sub(w, u) for w in verts if w != u and rank(list(tight[u] & tight[w])) == n - 1]
+        edges = [
+            vec_sub(w, u)
+            for w in verts
+            if w != u and sum(tight[u] & tight[w] <= tight[x] for x in verts) == 2
+        ]
         cones[u] = PolyhedralCone(n, tuple(sorted(tight[u])), tuple(sorted(map(primitive, edges))))
     return cones
 
@@ -334,8 +341,8 @@ def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
     """
     k = len(slots)
     n = c.ambient_dim - k
-    out = {(0,) * n + tuple(1 if j == i else 0 for j in range(k)) for i in range(k)}
+    out = {(0,) * n + tag for tag in identity(k)}
     for fan_cone in fan_cones(c, slots).values():
         for h in hilbert_basis(fan_cone).elements:
-            out.add(h + tuple(max(-dot(p, h) for p in pts) for pts in slots))
+            out.add(h + tuple(support(pts, h) for pts in slots))
     return out

@@ -91,7 +91,13 @@ def sign_normalized(u) -> IntVec:
 
 
 def identity(n) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
+def support(points, c) -> int:
+    """max over v in ``points`` of <c, -v>: the support function of their
+    hull at ``c``.  It adds up under Minkowski sums, h_{A+B} = h_A + h_B."""
+    return max(-dot(c, v) for v in points)
 
 
 def transpose(m) -> IntMat:

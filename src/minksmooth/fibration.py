@@ -19,12 +19,15 @@ from .exactlin import (
     IntVec,
     as_vec,
     dot,
+    identity,
     rational_solve,
     sign_normalized,
+    support,
+    transpose,
     vec_neg,
     vec_sub,
 )
-from .polytope import MinkowskiDecomposition, convex_hull, require_admissible
+from .polytope import LatticePolytope, MinkowskiDecomposition, require_admissible
 from .smoothing import CharLabel, X, Y
 
 
@@ -102,24 +105,12 @@ def regions(d: MinkowskiDecomposition, p: int) -> RegionFan:
     return RegionFan(p, tuple(out))
 
 
-def _shear_last_column(v, n) -> IntMat:
-    rows = []
-    for i in range(n + 1):
-        row = [1 if i == j else 0 for j in range(n + 1)]
-        if i < n:
-            row[n] = v[i]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _shear_last_row(v, n) -> IntMat:
-    rows = []
-    for i in range(n + 1):
-        if i < n:
-            rows.append(tuple(1 if i == j else 0 for j in range(n + 1)))
-        else:
-            rows.append(tuple(list(v) + [1]))
-    return tuple(rows)
+    return identity(n + 1)[:n] + (tuple(v) + (1,),)
+
+
+def _shear_last_column(v, n) -> IntMat:
+    return transpose(_shear_last_row(v, n))
 
 
 def monodromy(d: MinkowskiDecomposition, p: int, j: int) -> IntMat:
@@ -166,11 +157,7 @@ class BaseDiagram:
 
     def boundary_height(self, c) -> int:
         c = as_vec(c)
-        total = 0
-        for p in sorted(self.applied):
-            s = self.decomposition.summands[p - 1]
-            total += max(dot(c, vec_neg(v)) for v in s.vertices)
-        return total
+        return sum(support(self.decomposition.summands[p - 1].vertices, c) for p in self.applied)
 
     def strata(self, p) -> tuple[CollapsingCycle, ...]:
         """Codimension-two stratum tags of summand p's singular fibre."""
@@ -182,8 +169,7 @@ class BaseDiagram:
         if p not in self.applied:
             raise ValueError(f"cut {p} has not been transferred")
         if j == 0:
-            n = self.decomposition.n
-            return tuple(tuple(1 if a == b else 0 for b in range(n + 1)) for a in range(n + 1))
+            return identity(self.decomposition.n + 1)
         return affine_monodromy(self.decomposition, p, j)
 
 
@@ -228,6 +214,8 @@ def height_one_normalization(c: PolyhedralCone):
     Returns ``(matrix, polytope)`` when an integer w exists with
     <w, head> + tail = 1 on every extreme ray (c_r, d_r); the matrix is the
     identity with last row (w, 1) and the polytope collects the ray heads.
+    The shear leaves the heads alone and puts every extreme ray at height
+    one, so the heads are the vertices of its slice there: no hull needed.
     Returns None when the exact linear system has no integer solution.
     """
     dim = c.ambient_dim
@@ -242,7 +230,7 @@ def height_one_normalization(c: PolyhedralCone):
         return None
     w = tuple(int(x) for x in sol)
     mat = _shear_last_row(w, dim - 1)
-    heads = convex_hull([r[:-1] for r in rays])
+    heads = LatticePolytope(dim - 1, tuple(sorted(r[:-1] for r in rays)))
     return mat, heads
 
 

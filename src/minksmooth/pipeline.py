@@ -105,7 +105,7 @@ def parse_input(text: str) -> AnalysisRequest:
         _expect(isinstance(level, str), "options.verify_level", "expected a string")
         opts = AnalysisOptions(verify_level=level)
     try:
-        d = decomposition(summands, target=None)
+        d = decomposition(summands)
     except ValueError as exc:
         raise NotAdmissible(str(exc)) from exc
     if target is not None and d.target != target:

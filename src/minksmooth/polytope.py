@@ -21,12 +21,13 @@ from .exactlin import (
     as_vec,
     complete_to_basis,
     dot,
+    identity,
     is_zero_vec,
     mat_mul,
     rank,
     snf_invariant_factors,
+    support,
     unimodular_inverse,
-    vec_neg,
 )
 
 
@@ -67,10 +68,7 @@ def convex_hull(points) -> LatticePolytope:
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise DimensionMismatch("points of mixed dimension")
-    dedup = sorted(set(pts))
-    if len(dedup) == 1:
-        return LatticePolytope(dim, (dedup[0],))
-    cone = cone_from_generators([p + (1,) for p in dedup], dim + 1)
+    cone = cone_from_generators([p + (1,) for p in sorted(set(pts))], dim + 1)
     verts = tuple(sorted(r[:-1] for r in cone.generators))
     return LatticePolytope(dim, verts)
 
@@ -99,7 +97,7 @@ def eta0(q: LatticePolytope, c) -> int:
     c = as_vec(c)
     if len(c) != q.ambient_dim:
         raise DimensionMismatch("functional dimension mismatch")
-    return max(dot(c, vec_neg(v)) for v in q.vertices)
+    return support(q.vertices, c)
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,8 @@ class MinkowskiDecomposition:
         return is_admissible(self)
 
 
-def decomposition(summands, target=None) -> MinkowskiDecomposition:
-    """Build a decomposition, checking the Minkowski sum against the target."""
+def decomposition(summands) -> MinkowskiDecomposition:
+    """Build a decomposition whose target is the Minkowski sum of the summands."""
     summands = tuple(summands)
     if not summands:
         raise ValueError("need at least one summand")
@@ -132,10 +130,7 @@ def decomposition(summands, target=None) -> MinkowskiDecomposition:
     for i, s in enumerate(summands):
         if not s.origin_is_vertex:
             raise OriginNotVertex(f"summand {i + 1} does not have the origin as a vertex")
-    total = reduce(minkowski_sum, summands)
-    if target is not None and target != total:
-        raise ValueError("target polytope is not the Minkowski sum of the summands")
-    return MinkowskiDecomposition(summands, total)
+    return MinkowskiDecomposition(summands, reduce(minkowski_sum, summands))
 
 
 def phi(d: MinkowskiDecomposition, v) -> IntVec:
@@ -143,7 +138,7 @@ def phi(d: MinkowskiDecomposition, v) -> IntVec:
     v = as_vec(v)
     if len(v) != d.n:
         raise DimensionMismatch("vector dimension mismatch")
-    return tuple(max(dot(v, vec_neg(w)) for w in s.vertices) for s in d.summands)
+    return tuple(support(s.vertices, v) for s in d.summands)
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,7 @@ def summand_matrices(mi: LatticePolytope) -> SummandMatrices:
     m = len(v)
     if m == 0:
         # the point {0}: empty vertex system, everything degenerates cleanly
-        e = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        e = identity(n)
         a = tuple(() for _ in range(n))
         return SummandMatrices((), e, a, e, tuple([0] * n))
     if m > n or any(f != 1 for f in snf_invariant_factors(v)):
@@ -249,13 +244,12 @@ def is_full_dimensional_polytope(p: LatticePolytope) -> bool:
 def verify_matrix_relations(sm: SummandMatrices) -> bool:
     """The defining identities: v*a = Id, v*c = 0, e*a = 0, e*c = Id."""
     m, n = sm.m, sm.n
-    ident = lambda s: tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s))
     zero = lambda r, s: tuple(tuple(0 for _ in range(s)) for _ in range(r))
     checks = [
-        mat_mul(sm.v, sm.a) == ident(m) if m else True,
+        mat_mul(sm.v, sm.a) == identity(m) if m else True,
         mat_mul(sm.v, sm.c) == zero(m, n - m) if m and n > m else True,
         mat_mul(sm.e, sm.a) == zero(n - m, m) if m and n > m else True,
-        mat_mul(sm.e, sm.c) == ident(n - m) if n > m else True,
+        mat_mul(sm.e, sm.c) == identity(n - m) if n > m else True,
     ]
     if sm.a and sm.a[0]:
         checks.append(sm.b == tuple(-sum(row) for row in sm.a))

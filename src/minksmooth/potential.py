@@ -39,6 +39,14 @@ from . import ratpoly as rp
 _Z1, _Z2 = symbols("z1 z2")
 # a numeric root counts as on the unit circle when its modulus is this close to 1
 _CIRCLE_TOL = 1e-12
+# two numeric critical points are one when both coordinates are this close
+_POINT_TOL = 1e-8
+# the n != 2 search: seeded starts, Newton steps per start, and the gradient
+# size below which a start has converged
+_SEARCH_STARTS = 40
+_SEARCH_ITERS = 80
+_SEARCH_TOL = 1e-10
+_SEARCH_SEED = 7
 
 
 class ZeroPolynomial(ValueError):
@@ -378,11 +386,11 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     return CriticalReport(verdict="finite", count=count, families=families)
 
 
-def _distinct_point_count(families, tol=1e-8):
+def _distinct_point_count(families):
     pts = []
     for fam in families:
         for p in fam.points:
-            if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in pts):
+            if all(abs(p[0] - q[0]) > _POINT_TOL or abs(p[1] - q[1]) > _POINT_TOL for q in pts):
                 pts.append(p)
     return len(pts)
 
@@ -441,7 +449,7 @@ class _TermTable:
         return out
 
 
-def _heuristic_search(d, starts=40, iters=80, tol=1e-10, seed=7):
+def _heuristic_search(d):
     """Damped Newton on the full gradient with the last variable pinned to 1.
     Non-authoritative by construction; the verdict is always "heuristic".
 
@@ -457,12 +465,12 @@ def _heuristic_search(d, starts=40, iters=80, tol=1e-10, seed=7):
     n1 = pot.nvars
     grads = [pot.derivative(i) for i in range(n1)]
     table = _TermTable(grads + [g.derivative(b) for g in grads for b in range(n1 - 1)], n1 - 1)
-    rng = np.random.default_rng(seed)
-    zs = [np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(starts)]
-    live = list(range(starts))
+    rng = np.random.default_rng(_SEARCH_SEED)
+    zs = [np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(_SEARCH_STARTS)]
+    live = list(range(_SEARCH_STARTS))
     # a diverging start overflows to inf/nan; it is abandoned, not reported
     with np.errstate(all="ignore"):
-        for _ in range(iters):
+        for _ in range(_SEARCH_ITERS):
             if not live:
                 break
             values = table.evaluate(np.array([zs[s] for s in live]))
@@ -470,7 +478,7 @@ def _heuristic_search(d, starts=40, iters=80, tol=1e-10, seed=7):
             moved = []
             for row, s in enumerate(live):
                 vals = values[row, :n1]
-                if not finite[row, :n1].all() or np.linalg.norm(vals) < tol:
+                if not finite[row, :n1].all() or np.linalg.norm(vals) < _SEARCH_TOL:
                     continue
                 if not finite[row, n1:].all():
                     continue
@@ -486,7 +494,7 @@ def _heuristic_search(d, starts=40, iters=80, tol=1e-10, seed=7):
     found = []
     for z, vals in zip(zs, residuals):
         residual = max(abs(v) for v in vals)
-        if residual < tol and all(abs(w) > 1e-9 for w in z):
+        if residual < _SEARCH_TOL and all(abs(w) > 1e-9 for w in z):
             if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
                 found.append(tuple(complex(w) for w in z))
     return CriticalReport(

@@ -20,6 +20,7 @@ from .exactlin import (
     IntVec,
     as_vec,
     dot,
+    identity,
     is_zero_vec,
     rational_nullspace,
     scale_to_integer,
@@ -98,9 +99,8 @@ def generator_set(d: MinkowskiDecomposition) -> GeneratorSet:
     mats = require_admissible(d)
     n, k = d.n, d.k
     entries = []
-    for i in range(1, k + 1):
-        tag = (0,) * n + tuple(1 if j == i else 0 for j in range(1, k + 1))
-        entries.append((T(i), tag))
+    for i, tag in enumerate(identity(k), start=1):
+        entries.append((T(i), (0,) * n + tag))
     for i, sm in enumerate(mats, start=1):
         for j in range(1, sm.m + 1):
             entries.append((X(i, j), _tagged(d, sm.a_column(j - 1))))

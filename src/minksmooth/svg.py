@@ -9,7 +9,7 @@ axonometric map, hardcoded so two runs produce byte-identical output.
 
 from __future__ import annotations
 
-from .exactlin import dot, vec_neg
+from .exactlin import support
 
 
 class UnsupportedDimension(ValueError):
@@ -100,9 +100,6 @@ def _stratum_anchor(verts, summands, p):
     nz = [v for v in verts if any(v)]
     v = nz[0] if nz else (1, 0)
     lam = (-v[1], v[0])
-    height = 0
-    for q, other in enumerate(summands, start=1):
-        if q != p:
-            height += max(dot(lam, vec_neg(w)) for w in other)
+    height = sum(support(other, lam) for q, other in enumerate(summands, start=1) if q != p)
     scale = 1.6 / max(1, max(abs(t) for t in lam))
     return lam[0] * scale, lam[1] * scale, float(height) * scale

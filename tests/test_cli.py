@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -410,3 +412,16 @@ def test_cli_analyze_past_the_box_scan_walls(tmp_path, payload, basis_size):
     assert data["check_failures"] == []
     assert data["checks"]["generators_generate_semigroup"] is True
     assert len(data["cone"]["sigma_tilde_dual_hilbert_basis"]) == basis_size
+
+
+def test_exact_core_imports_without_sympy_or_numpy():
+    # only the potential needs sympy and numpy, and the package root
+    # re-exports nothing, so the exact modules load without either
+    code = (
+        "import sys\n"
+        "import minksmooth.cone, minksmooth.polytope, minksmooth.smoothing, minksmooth.fibration, minksmooth.svg\n"
+        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -342,6 +342,28 @@ def test_double_description_makes_no_rank_call(monkeypatch, d_q6_first):
     assert [halfspace_description(*system) for system in systems] == expected
 
 
+def test_fan_cones_make_no_rank_call(monkeypatch, all_fixtures):
+    # vertices and edges of Q come from ray incidences alone; in the 4-d
+    # input the repeated segment puts partial sums inside edges of Q whose
+    # normal cones have four rays, so counting tight rays is not enough
+    ds = list(all_fixtures.values()) + [
+        _segments((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 1, 1)),
+        _segments((-1, -1, 1, 0), (0, 0, -1, 1), (-1, 0, 1, 0), (0, -1, -1, -1), (-1, -1, 1, -1), (-1, -1, 1, 0)),
+    ]
+    cases = []
+    for d in ds:
+        verts = d.target.vertices
+        expected = {u: cone_from_inequalities_two_pass([vec_sub(w, u) for w in verts if w != u], d.n) for u in verts}
+        cases += [(c, expected) for c in (dual(sigma_tilde(d)), dual(cone_over(d.target)))]
+
+    def refuse(*args):
+        raise AssertionError("rank computed inside fan_cones")
+
+    monkeypatch.setattr(cone_module, "rank", refuse)
+    for c, expected in cases:
+        assert fan_cones(c, _slot_polytopes(c)) == expected
+
+
 def test_cones_equal_permutation_and_difference():
     a = cone_from_generators([(1, 0), (0, 1)], 2)
     b = cone_from_generators([(0, 1), (1, 0)], 2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from minksmooth import cone as cone_module
 from minksmooth.cone import cone_over, cones_equal, dual
 from minksmooth.exactlin import det, mat_mul, transpose, unimodular_inverse
 from minksmooth.fibration import (
@@ -21,7 +22,7 @@ from minksmooth.fibration import (
     regions,
     transfer_cut,
 )
-from minksmooth.polytope import eta0, is_admissible, phi
+from minksmooth.polytope import convex_hull, eta0, is_admissible, phi
 
 from cone_oracle import final_cone_all_vertex_sums
 from conftest import lens
@@ -268,6 +269,22 @@ def test_height_one_cubic(d_cubic):
     mat, qdual = res
     assert mat[-1] == (1, 1, 1)
     assert set(qdual.vertices) == {(-1, -1), (0, 1), (1, 0)}
+
+
+def test_height_one_normalization_runs_no_double_description(monkeypatch, all_fixtures):
+    # the shear puts every extreme ray at height one, so the heads are
+    # already the vertex set and no hull is taken
+    cones = [final_cone(_transferred(d)) for d in all_fixtures.values()]
+    hulls = [convex_hull([r[:-1] for r in c.generators]) for c in cones]
+
+    def refuse(*args):
+        raise AssertionError("double description in height_one_normalization")
+
+    monkeypatch.setattr(cone_module, "halfspace_description", refuse)
+    results = [height_one_normalization(c) for c in cones]
+    assert sum(res is not None for res in results) >= 2
+    for res, hull in zip(results, hulls):
+        assert res is None or res[1] == hull
 
 
 def test_height_one_generic_lens_has_none():

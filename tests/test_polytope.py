@@ -30,6 +30,9 @@ from conftest import segment, triangle
 def test_hull_duplicates_dropped():
     p = convex_hull([(0, 0), (1, 0), (0, 1), (0, 0)])
     assert p.vertices == ((0, 0), (0, 1), (1, 0))
+    # a single point, repeated or not, is its own hull
+    for pt in [(3,), (2, -1), (0, 4, -2), (0, 0, 0)]:
+        assert convex_hull([pt]).vertices == convex_hull([pt, pt]).vertices == (pt,)
 
 
 def test_hull_collinear_interior_dropped():
