@@ -33,20 +33,17 @@ EXIT_INADMISSIBLE = 3
 EXIT_CROSSCHECK = 4
 
 
-def _load_request(path, fast=False) -> AnalysisRequest:
+def _load_request(path) -> AnalysisRequest:
     with open(path, "r", encoding="utf-8") as fh:
-        req = parse_input(fh.read())
-    if fast:
-        req.options.verify_level = "fast"
-    return req
+        return parse_input(fh.read())
 
 
 def _cmd_analyze(args) -> int:
-    req = _load_request(args.file, args.fast)
+    req = _load_request(args.file)
     if args.svg:
         # refused before the pipeline runs and before any file is opened
         require_drawable(req.decomposition.n)
-    report = run_pipeline(req)
+    report = run_pipeline(req, fast=args.fast)
     text = report.to_json()
     svg = emit_svg(report.data) if args.svg else None
     if args.out:
@@ -96,9 +93,9 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    req = _load_request(args.file, fast=True)
+    req = _load_request(args.file)
     require_drawable(req.decomposition.n)
-    svg = emit_svg(run_pipeline(req).data)
+    svg = emit_svg(run_pipeline(req, fast=True).data)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK

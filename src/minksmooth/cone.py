@@ -142,8 +142,13 @@ def cone_from_generators(gens, dim) -> PolyhedralCone:
     return PolyhedralCone(dim, _canonical_vrep(lin_p, rays_p), ineqs)
 
 
+@lru_cache(maxsize=256)
 def cone_over(q) -> PolyhedralCone:
-    """Cone in one higher dimension on the generators ``(v, 1)``."""
+    """Cone in one higher dimension on the generators ``(v, 1)``.
+
+    Cached: sigma, the final base-diagram cone and the Newton check of a
+    run share one double description.
+    """
     return cone_from_generators([v + (1,) for v in q.vertices], q.ambient_dim + 1)
 
 

@@ -16,7 +16,7 @@ an exit status.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cone as cone_mod
 from . import fibration as fib
@@ -40,19 +40,9 @@ class TargetMismatch(ValueError):
 
 
 @dataclass
-class AnalysisOptions:
-    verify_level: str = "full"  # "fast" skips the generation check
-
-    def __post_init__(self):
-        if self.verify_level not in ("fast", "full"):
-            raise SchemaError("options.verify_level: must be 'fast' or 'full'")
-
-
-@dataclass
 class AnalysisRequest:
     name: str
     decomposition: MinkowskiDecomposition
-    options: AnalysisOptions = field(default_factory=AnalysisOptions)
 
 
 def _expect(cond, path, message):
@@ -79,7 +69,7 @@ def parse_input(text: str) -> AnalysisRequest:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(raw, dict), "$", "expected a JSON object")
-    unknown = set(raw) - {"name", "dimension", "summands", "target", "options"}
+    unknown = set(raw) - {"name", "dimension", "summands", "target"}
     _expect(not unknown, "$", f"unknown fields {sorted(unknown)}")
     name = raw.get("name", "unnamed")
     _expect(isinstance(name, str), "name", "expected a string")
@@ -95,15 +85,6 @@ def parse_input(text: str) -> AnalysisRequest:
     target = None
     if "target" in raw:
         target = convex_hull(_parse_vertices(raw["target"], "target", dim))
-    opts = AnalysisOptions()
-    if "options" in raw:
-        o = raw["options"]
-        _expect(isinstance(o, dict), "options", "expected an object")
-        unknown = set(o) - {"verify_level"}
-        _expect(not unknown, "options", f"unknown fields {sorted(unknown)}")
-        level = o.get("verify_level", "full")
-        _expect(isinstance(level, str), "options.verify_level", "expected a string")
-        opts = AnalysisOptions(verify_level=level)
     try:
         d = decomposition(summands)
     except ValueError as exc:
@@ -112,7 +93,7 @@ def parse_input(text: str) -> AnalysisRequest:
         raise TargetMismatch(
             f"declared target {list(target.vertices)} differs from the Minkowski sum {list(d.target.vertices)}"
         )
-    return AnalysisRequest(name=name, decomposition=d, options=opts)
+    return AnalysisRequest(name=name, decomposition=d)
 
 
 def serialize_request(req: AnalysisRequest) -> str:
@@ -121,7 +102,6 @@ def serialize_request(req: AnalysisRequest) -> str:
         "dimension": req.decomposition.n,
         "summands": [{"vertices": [list(v) for v in s.vertices]} for s in req.decomposition.summands],
         "target": [list(v) for v in req.decomposition.target.vertices],
-        "options": {"verify_level": req.options.verify_level},
     }
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -139,7 +119,8 @@ class AnalysisReport:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
 
-def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
+def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
+    """The full report; ``fast`` skips the semigroup-generation check."""
     d = req.decomposition
     failures: list[str] = []
     report: dict = {"name": req.name, "dimension": d.n, "summand_count": d.k}
@@ -238,25 +219,30 @@ def run_pipeline(req: AnalysisRequest) -> AnalysisReport:
     report["fibration"] = fibration_block
 
     po = pot.build_potential(d)
-    npoly = pot.newton_polytope(po)
+    # Newt(W) is Q at height one iff every monomial lies in sigma at height
+    # one and every vertex (v, 1) of it is a monomial; only a failure pays
+    # for the hull, so the report shows the potential's real one
+    newton_ok = all(e[-1] == 1 and sigma.contains(e) for e in po.terms) and all(
+        g in po.terms for g in sigma.generators
+    )
+    newton_vertices = sigma.generators if newton_ok else pot.newton_polytope(po).vertices
     crit = pot.critical_exists(d)
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
-        "newton_polytope_vertices": _mat(npoly.vertices),
+        "newton_polytope_vertices": _mat(newton_vertices),
         "critical": _critical_to_dict(crit),
     }
 
     checks = {
         "final_cone_equals_dual_sigma": cone_mod.cones_equal(final, sigma_dual),
-        "newton_polytope_is_target_at_height_one": npoly.vertices
-        == tuple(v + (1,) for v in d.target.vertices),
+        "newton_polytope_is_target_at_height_one": newton_ok,
         "generator_tails_match_support": all(
             vec[d.n :] == phi(d, vec[: d.n])
             for lab, vec in g.entries
             if lab.kind != "t"
         ),
     }
-    if req.options.verify_level == "full":
+    if not fast:
         # the check is exact; verify_generates ignores its box argument
         checks["generators_generate_semigroup"] = smo.verify_generates(g, st_dual, 3)
     for name, ok in checks.items():

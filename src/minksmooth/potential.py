@@ -205,10 +205,6 @@ def newton_polytope(p: LaurentPoly) -> LatticePolytope:
     return convex_hull(list(p.terms.keys()))
 
 
-def partial(p: LaurentPoly, var: int) -> LaurentPoly:
-    return p.derivative(var)
-
-
 def numeric_gradient_check(p: LaurentPoly, point, h: float) -> float:
     """Largest deviation between analytic partials and central differences."""
     point = [complex(z) for z in point]
@@ -283,36 +279,40 @@ def _roots_on_unit_circle(int_coeffs) -> bool:
     return bool(np.all(np.abs(np.abs(roots) - 1.0) < _CIRCLE_TOL))
 
 
-def _pair_families(bi, bj, pair):
-    """Common torus zeros of a pair of cleared integer polynomials.
+def _common_fibres(bi, bj):
+    """Common torus zeros of a pair of cleared integer polynomials, as fibres
+    (f, h): f is an irreducible factor of the resultant that eliminates the
+    first generator, and h, in K[first generator] with K = Q[x]/(f), is the
+    pair's gcd above the roots of f.
 
-    Returns ("positive", None) when the gcd carries a non-monomial factor,
-    else ("finite", families).
+    Returns None when the gcd carries a non-monomial factor (a shared curve).
     """
     if len(rp.bgcd(bi, bj).terms()) > 1:
-        return "positive", None
+        return None
     res = _strip_x(rp.bresultant_y(bi, bj))
     if res.degree() <= 0:
-        return "finite", []
-    families = []
+        return []
+    fibres = []
     for f, _mult in rp.factor_rational(res.sqf_part()):
         # one side may vanish identically above these roots; the gcd routine
         # then returns the survivor, whose zeros are the common zeros here
         h = _kmonic_strip(rp.kgcd_y(f, bi, bj))
-        if len(h) < 2:
-            continue
-        z1 = _int_coeffs(f)
-        z2 = _int_coeffs(_partner_minpoly(f, h, bi.gens[0]))
-        families.append(
-            CriticalFamily(
-                z1_minpoly=z1,
-                z2_minpoly=z2,
-                pair=pair,
-                points=_numeric_points(f, h),
-                on_unit_circle=_roots_on_unit_circle(z1) and _roots_on_unit_circle(z2),
-            )
-        )
-    return "finite", families
+        if len(h) >= 2:
+            fibres.append((f, h))
+    return fibres
+
+
+def _family(f, h, points, pair) -> CriticalFamily:
+    """A fibre of the reported order (z2 eliminated) with its annotations."""
+    z1 = _int_coeffs(f)
+    z2 = _int_coeffs(_partner_minpoly(f, h))
+    return CriticalFamily(
+        z1_minpoly=z1,
+        z2_minpoly=z2,
+        pair=pair,
+        points=points,
+        on_unit_circle=_roots_on_unit_circle(z1) and _roots_on_unit_circle(z2),
+    )
 
 
 def _kmonic_strip(h):
@@ -322,11 +322,11 @@ def _kmonic_strip(h):
     return h
 
 
-def _partner_minpoly(f, h, y) -> Poly:
+def _partner_minpoly(f, h) -> Poly:
     """Squarefree annihilator of the second coordinate over the family:
     eliminate x between f(x) and the lifted h(x, y) by a resultant in x,
     which is a power of h when h does not involve x."""
-    x = f.gen
+    x, y = f.gen, _Z2
     top = len(h) - 1
     terms = {(ex, top - k): c for k, u in enumerate(h) for (ex,), c in u.terms()}
     lifted = Poly.from_dict(terms, x, y, domain=QQ).clear_denoms(convert=True)[1]
@@ -368,28 +368,31 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     cleared = [_clear_to_bpoly(f) for f in factors]
     families = []
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        kind, fams = _pair_families(bi, bj, (i + 1, j + 1))
-        if kind == "positive":
+        fibres = _common_fibres(bi, bj)
+        if fibres is None:
             return CriticalReport(
                 verdict="positive_dimensional",
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
-        # confirm with the other elimination order
-        ti, tj = bi.reorder(_Z1, _Z2), bj.reorder(_Z1, _Z2)
-        kind2, fams2 = _pair_families(ti, tj, (i + 1, j + 1))
-        if kind2 == "positive" or _distinct_point_count(fams) != _distinct_point_count(fams2):
+        points = [_numeric_points(f, h) for f, h in fibres]
+        # confirm the count with the other elimination order; only the
+        # reported order gets partner polynomials and unit-circle tests
+        other = _common_fibres(bi.reorder(_Z1, _Z2), bj.reorder(_Z1, _Z2))
+        if other is None or _distinct_point_count(points) != _distinct_point_count(
+            [_numeric_points(f, h) for f, h in other]
+        ):
             raise CrossCheckError("elimination orders disagree on the solution count")
-        families.extend(fams)
-    count = _distinct_point_count(families)
+        families.extend(_family(f, h, pts, (i + 1, j + 1)) for (f, h), pts in zip(fibres, points))
+    count = _distinct_point_count([fam.points for fam in families])
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)
 
 
-def _distinct_point_count(families):
+def _distinct_point_count(point_lists):
     pts = []
-    for fam in families:
-        for p in fam.points:
+    for group in point_lists:
+        for p in group:
             if all(abs(p[0] - q[0]) > _POINT_TOL or abs(p[1] - q[1]) > _POINT_TOL for q in pts):
                 pts.append(p)
     return len(pts)

@@ -111,15 +111,9 @@ def generator_set(d: MinkowskiDecomposition) -> GeneratorSet:
             entries.append((WPlus(i, l), _tagged(d, col)))
             entries.append((WMinus(i, l), _tagged(d, vec_neg(col))))
     labeled_vectors = {vec for _, vec in entries}
-    hb = hilbert_basis(dual(sigma_tilde(d)))
-    extras = sorted(
-        {
-            as_vec(h[:n]) + phi(d, h[:n])
-            for h in hb.elements
-            if not is_zero_vec(h[:n])
-        }
-        - labeled_vectors
-    )
+    # a basis element with a nonzero head is (v, phi(v)), else a tag splits
+    # it; the zero-head elements are the tags, which are labeled already
+    extras = sorted(set(hilbert_basis(dual(sigma_tilde(d))).elements) - labeled_vectors)
     for idx, vec in enumerate(extras, start=1):
         entries.append((Extra(idx), vec))
     return GeneratorSet(n, k, tuple(entries))

@@ -544,10 +544,12 @@ def critical_exists(d) -> CriticalReport:
             )
         # confirm with the other elimination order
         kind2, fams2 = _pair_families(b_transpose(bi), b_transpose(bj), (i + 1, j + 1))
-        if kind2 == "positive" or _distinct_point_count(fams) != _distinct_point_count(fams2):
+        if kind2 == "positive" or _distinct_point_count(
+            [f.points for f in fams]
+        ) != _distinct_point_count([f.points for f in fams2]):
             raise CrossCheckError("elimination orders disagree on the solution count")
         families.extend(fams)
-    count = _distinct_point_count(families)
+    count = _distinct_point_count([f.points for f in families])
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)

@@ -30,7 +30,6 @@ from minksmooth.potential import (
     critical_exists,
     mutate,
     newton_polytope,
-    partial,
 )
 from minksmooth.smoothing import (
     BinomialRelation,
@@ -231,7 +230,7 @@ def test_criterion_07_critical_points(all_fixtures):
         po = build_potential(all_fixtures[name])
         for fam in rep.families:
             for z1, z2 in fam.points:
-                worst = max(abs(partial(po, i).evaluate([z1, z2, 1.0])) for i in range(3))
+                worst = max(abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3))
                 assert worst < 1e-9, (name, z1, z2, worst)
 
 

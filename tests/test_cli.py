@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from minksmooth import cli, polytope
+from minksmooth import cli, cone, polytope, potential
 from minksmooth.cli import main
 from minksmooth.pipeline import (
     SchemaError,
@@ -49,8 +49,7 @@ def test_parse_round_trip():
     again = parse_input(serialize_request(req))
     assert again.decomposition == req.decomposition
     assert again.name == req.name
-    assert again.options == req.options
-    assert set(json.loads(serialize_request(req))["options"]) == {"verify_level"}
+    assert set(json.loads(serialize_request(req))) == {"name", "dimension", "summands", "target"}
 
 
 def test_parse_rejects_non_integer():
@@ -75,15 +74,26 @@ def test_parse_rejects_target_mismatch():
 
 
 def test_parse_rejects_unknown_field():
-    bad = json.loads(json.dumps(Q5_INPUT))
-    bad["extra"] = 1
-    with pytest.raises(SchemaError):
-        parse_input(json.dumps(bad))
+    # former option fields are not accepted at the top level either
+    for field, value in (
+        ("extra", 1),
+        ("hilbert_box", 3),
+        ("verify_level", "fast"),
+    ):
+        bad = json.loads(json.dumps(Q5_INPUT))
+        bad[field] = value
+        with pytest.raises(SchemaError) as err:
+            parse_input(json.dumps(bad))
+        assert f"unknown fields ['{field}']" in str(err.value)
 
 
 def test_parse_rejects_bad_option_values():
+    # "options" and its former fields are gone; the verification level is
+    # the --fast flag alone, so any options object, valid or not, is refused
     for options in (
-        {"hilbert_box": 3},  # former options, now unknown
+        {},
+        {"verify_level": "fast"},
+        {"hilbert_box": 3},
         {"root_circle_tol": 1e-12},
         {"verify_level": "thorough"},
         {"root_circle_tol": -1e-9},
@@ -93,8 +103,9 @@ def test_parse_rejects_bad_option_values():
     ):
         bad = json.loads(json.dumps(Q5_INPUT))
         bad["options"] = options
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             parse_input(json.dumps(bad))
+        assert "unknown fields ['options']" in str(err.value)
 
 
 def test_pipeline_q5_golden_values():
@@ -198,6 +209,8 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:  # a former flag, now an argparse usage error
         main(["analyze", q5, "--hilbert-box", "1"])
     assert exc.value.code == 2
+    # a former input field, now unknown; the verification level is --fast alone
+    assert main(["analyze", write_input(tmp_path, {**Q5_INPUT, "options": {"verify_level": "fast"}})]) == 2
 
     mismatch = json.loads(json.dumps(Q5_INPUT))
     mismatch["target"] = [[0, 0], [1, 0], [0, 1]]
@@ -221,7 +234,7 @@ def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
     import minksmooth.cli as cli_mod
     from minksmooth.pipeline import AnalysisReport
 
-    def fake_pipeline(req):
+    def fake_pipeline(req, fast=False):
         return AnalysisReport({"doctored": True}, ["checks.final_cone_equals_dual_sigma"])
 
     monkeypatch.setattr(cli_mod, "run_pipeline", fake_pipeline)
@@ -250,6 +263,62 @@ def test_pipeline_checks_admissibility_once(monkeypatch, fixture):
     req = parse_input((FIXTURES / f"{fixture}.json").read_text())
     assert run_pipeline(req).failures == []
     assert calls == [req.decomposition]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_pipeline_derives_sigma_once_and_takes_no_hull(monkeypatch, fixture):
+    # sigma, the final base-diagram cone and the Newton check share one cone
+    # over Q; besides it only the lifted cone is built, and no hull is taken
+    req = parse_input((FIXTURES / f"{fixture}.json").read_text())
+    want = run_pipeline(req).to_json()
+    calls = []
+
+    def counted(gens, dim):
+        calls.append(dim)
+        return original(gens, dim)
+
+    def refuse(points):
+        raise AssertionError("the Newton check took a hull")
+
+    original = cone.cone_from_generators
+    _swap_every_binding(monkeypatch, original, counted)
+    monkeypatch.setattr(potential, "convex_hull", refuse)
+    for cached in (cone.cone_over, cone.sigma_tilde, cone.hilbert_basis):
+        cached.cache_clear()
+    assert run_pipeline(req).to_json() == want
+    d = req.decomposition
+    assert sorted(calls) == sorted([d.n + 1, d.n + d.k])
+
+
+def _drop_a_vertex(po, d):
+    terms = dict(po.terms)
+    del terms[max(d.target.vertices) + (1,)]
+    return potential.LaurentPoly(po.nvars, terms)
+
+
+def _add_outside_q(po, d):
+    far = tuple(max(v[i] for v in d.target.vertices) + 1 for i in range(d.n))
+    return po + potential.LaurentPoly.monomial(far + (1,))
+
+
+def _add_off_height_one(po, d):
+    return po + potential.LaurentPoly.monomial((0,) * d.n + (2,))
+
+
+@pytest.mark.parametrize("broken", [_drop_a_vertex, _add_outside_q, _add_off_height_one])
+def test_newton_check_fails_on_a_wrong_potential(tmp_path, monkeypatch, broken):
+    original = potential.build_potential
+    monkeypatch.setattr(potential, "build_potential", lambda d: broken(original(d), d))
+    path = write_input(tmp_path, Q5_INPUT)
+    out = tmp_path / "r.json"
+    assert main(["analyze", path, "--out", str(out)]) == 4
+    data = json.loads(out.read_text())
+    assert data["checks"]["newton_polytope_is_target_at_height_one"] is False
+    assert data["check_failures"] == ["checks.newton_polytope_is_target_at_height_one"]
+    # build_potential is still the broken one
+    po = potential.build_potential(parse_input(json.dumps(Q5_INPUT)).decomposition)
+    hull = potential.newton_polytope(po).vertices
+    assert data["potential"]["newton_polytope_vertices"] == [list(v) for v in hull]
 
 
 def _disagreeing_counts():
@@ -292,12 +361,12 @@ def test_pipeline_three_dimensional_input():
                     {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
                     {"vertices": [[0, 0, 0], [1, 1, 1]]},
                 ],
-                "options": {"verify_level": "fast"},
             }
         )
     )
-    rep = run_pipeline(req)
+    rep = run_pipeline(req, fast=True)
     assert rep.failures == []
+    assert "generators_generate_semigroup" not in rep.data["checks"]
     assert rep.data["potential"]["critical"]["verdict"] == "heuristic"
     assert rep.data["fibration"]["height_one"]["matrix"][-1] == [1, 1, 1, 1]
     with pytest.raises(UnsupportedDimension):
@@ -377,7 +446,7 @@ def test_cli_svg_of_a_spatial_input_leaves_no_files(tmp_path):
 
 def test_cli_svg_of_a_spatial_input_refused_before_the_pipeline(tmp_path, monkeypatch):
     # the dimension is known once the input is parsed; no stage runs first
-    def refuse(req):
+    def refuse(req, fast=False):
         raise AssertionError("pipeline run for an input the diagram cannot draw")
 
     monkeypatch.setattr(cli, "run_pipeline", refuse)

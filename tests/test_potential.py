@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksmooth import potential
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition
 from minksmooth.potential import (
     LaurentPoly,
@@ -18,7 +19,6 @@ from minksmooth.potential import (
     mutate,
     newton_polytope,
     numeric_gradient_check,
-    partial,
     _heuristic_search,
     _TermTable,
 )
@@ -162,16 +162,16 @@ def test_newton_polytope_single_monomial_and_zero():
 
 def test_partial_examples(d_q5):
     po = build_potential(d_q5)
-    dz3 = partial(po, 2)
+    dz3 = po.derivative(2)
     assert dz3 == expand([(1, 1, 0)], [(1, 0, 0), (0, 1, 0)])
-    assert not partial(LaurentPoly.one(3), 0)
+    assert not LaurentPoly.one(3).derivative(0)
     # Euler operator on a monomial multiplies by the total degree
     mono = LaurentPoly.monomial((2, 3, -1), 5)
     total = LaurentPoly.zero(3)
     for i in range(3):
         shift = [0, 0, 0]
         shift[i] = 1
-        total = total + LaurentPoly.monomial(tuple(shift)) * partial(mono, i)
+        total = total + LaurentPoly.monomial(tuple(shift)) * mono.derivative(i)
     assert total == mono * 4
 
 
@@ -252,7 +252,7 @@ def test_witness_gradients_vanish(all_fixtures):
         for fam in rep.families:
             for z1, z2 in fam.points:
                 grad = max(
-                    abs(partial(po, i).evaluate([z1, z2, 1.0])) for i in range(3)
+                    abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3)
                 )
                 assert grad < 1e-9, (d.target.vertices, (z1, z2), grad)
 
@@ -318,7 +318,7 @@ def test_heuristic_survives_diverging_starts(extra, recwarn):
     assert rep.verdict == "heuristic" and rep.heuristic_points
     po = build_potential(d)
     for p in rep.heuristic_points:
-        assert max(abs(partial(po, i).evaluate(list(p) + [1.0])) for i in range(4)) < 1e-8
+        assert max(abs(po.derivative(i).evaluate(list(p) + [1.0])) for i in range(4)) < 1e-8
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -386,7 +386,7 @@ def test_term_table_matches_evaluate_bit_for_bit(case):
 def test_numeric_gradient_q6_witness(d_q6_first):
     po = build_potential(d_q6_first)
     w = np.exp(2j * np.pi / 3)
-    grad_norm = max(abs(partial(po, i).evaluate([w, w, 1.0])) for i in range(3))
+    grad_norm = max(abs(po.derivative(i).evaluate([w, w, 1.0])) for i in range(3))
     assert grad_norm < 1e-9
     assert numeric_gradient_check(po, [w, w, 1.0], 1e-6) < 1e-6
 
@@ -402,3 +402,26 @@ def test_numeric_gradient_richardson():
     assert numeric_gradient_check(LaurentPoly.one(3), pt, 1e-3) == 0.0
     with pytest.raises(ZeroCoordinate):
         numeric_gradient_check(po, [0.0, 1.0, 1.0], 1e-3)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [lens(13, 5), decomposition([segment((1, 2)), segment((2, 1)), segment((1, -2))])],
+    ids=["lens-13-5", "dilation-2"],
+)
+def test_only_reported_families_are_annotated(monkeypatch, d):
+    # the second elimination order confirms the count and is then dropped:
+    # partner polynomials and unit-circle tests run for reported families only
+    calls = {"_partner_minpoly": 0, "_roots_on_unit_circle": 0}
+    for name in calls:
+        original = getattr(potential, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(potential, name, counted)
+    rep = critical_exists(d)
+    assert rep.verdict == "finite" and rep.families
+    assert calls["_partner_minpoly"] == len(rep.families)
+    assert len(rep.families) <= calls["_roots_on_unit_circle"] <= 2 * len(rep.families)
