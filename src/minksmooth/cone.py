@@ -227,6 +227,7 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
     return HilbertBasisResult(_irreducible(c, _lifted_candidates(c, slots)), c)
 
 
+@lru_cache(maxsize=256)
 def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
     """Hilbert basis of a pointed full-dimensional cone by a box scan.
 
@@ -238,6 +239,7 @@ def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
     keeps the points of the order interval ``c intersect (sum_j r_j - c)``,
     which contains the zonotope.  The cost grows with the volume of that
     box; it is the general path and the test oracle for the lifted one.
+    Cached, so sigma dual and sigma-tilde dual share their fan cones' bases.
     """
     rays = c.generators
     total = tuple(sum(col) for col in zip(*rays))
@@ -340,14 +342,15 @@ def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
     Each psi_i is linear on the normal cone C_u of every vertex u of
     ``Q = sum_i conv(slots[i])``, so v splits along the Hilbert basis of
     the C_u containing it (Altmann's tagged-summand construction).  The
-    C_u come from :func:`fan_cones`, with no double description.  Q is
-    full-dimensional because the normals span, so each C_u is pointed.
+    C_u come from :func:`fan_cones`, with no double description, and go
+    straight to the cached box scan: Q spans, so each C_u is pointed, and
+    it is full-dimensional at a vertex, so no rank check is needed.
     Each slot is already a vertex set: a non-vertex gives no extreme normal.
     """
     k = len(slots)
     n = c.ambient_dim - k
     out = {(0,) * n + tag for tag in identity(k)}
     for fan_cone in fan_cones(c, slots).values():
-        for h in hilbert_basis(fan_cone).elements:
+        for h in _box_hilbert_basis(fan_cone):
             out.add(h + tuple(support(pts, h) for pts in slots))
     return out

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from . import cone as cone_mod
 from . import fibration as fib
-from . import potential as pot
 from . import smoothing as smo
 from .polytope import (
+    MinkowskiDecomposition,
     NotAdmissible,
     convex_hull,
     decomposition,
@@ -121,6 +121,8 @@ class AnalysisReport:
 
 def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     """The full report; ``fast`` skips the semigroup-generation check."""
+    from . import potential as pot  # sympy and numpy: loaded only when run
+
     d = req.decomposition
     failures: list[str] = []
     report: dict = {"name": req.name, "dimension": d.n, "summand_count": d.k}
@@ -227,10 +229,11 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     )
     newton_vertices = sigma.generators if newton_ok else pot.newton_polytope(po).vertices
     crit = pot.critical_exists(d)
+    points = pot.heuristic_points(d) if crit.verdict == "heuristic" else []
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
         "newton_polytope_vertices": _mat(newton_vertices),
-        "critical": _critical_to_dict(crit),
+        "critical": _critical_to_dict(crit, points),
     }
 
     checks = {
@@ -253,7 +256,7 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     return AnalysisReport(report, failures)
 
 
-def _critical_to_dict(crit: pot.CriticalReport) -> dict:
+def _critical_to_dict(crit, points) -> dict:
     out = {"verdict": crit.verdict, "count": crit.count, "note": crit.note}
     out["families"] = [
         {
@@ -265,7 +268,7 @@ def _critical_to_dict(crit: pot.CriticalReport) -> dict:
         }
         for f in crit.families
     ]
-    out["heuristic_points"] = [[_c(z) for z in p] for p in crit.heuristic_points]
+    out["heuristic_points"] = [[_c(z) for z in p] for p in points]
     return out
 
 

@@ -5,8 +5,8 @@ The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
 For planar decompositions that pairwise condition is decided exactly with
-resultants and number-field gcds; other dimensions fall back to a clearly
-labeled numeric search.
+resultants and number-field gcds; other dimensions get the verdict
+"heuristic", with witnesses from the numeric :func:`heuristic_points`.
 
 That search is damped Newton from 40 seeded starts, run in lockstep: the
 gradient and Hessian are compiled once into a term table that is evaluated
@@ -249,7 +249,6 @@ class CriticalReport:
     verdict: str  # "none" | "finite" | "positive_dimensional" | "heuristic"
     count: int | None = None
     families: list[CriticalFamily] = field(default_factory=list)
-    heuristic_points: list[tuple[complex, ...]] = field(default_factory=list)
     note: str = ""
 
 
@@ -283,12 +282,8 @@ def _common_fibres(bi, bj):
     """Common torus zeros of a pair of cleared integer polynomials, as fibres
     (f, h): f is an irreducible factor of the resultant that eliminates the
     first generator, and h, in K[first generator] with K = Q[x]/(f), is the
-    pair's gcd above the roots of f.
-
-    Returns None when the gcd carries a non-monomial factor (a shared curve).
+    pair's gcd above the roots of f.  The pair must share no curve.
     """
-    if len(rp.bgcd(bi, bj).terms()) > 1:
-        return None
     res = _strip_x(rp.bresultant_y(bi, bj))
     if res.degree() <= 0:
         return []
@@ -359,28 +354,28 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
     Planar case: exact, via pairwise elimination of the summand factors.
-    Anything else: numeric multi-start search, flagged as heuristic.
+    Anything else: the verdict "heuristic", with no search behind it; the
+    points come from :func:`heuristic_points`.
     """
     require_admissible(d)
     if d.n != 2:
-        return _heuristic_search(d)
+        return CriticalReport(verdict="heuristic", note="dimension is not 2: numeric multi-start search, not a proof")
     factors = [factor(s) for s in d.summands]
     cleared = [_clear_to_bpoly(f) for f in factors]
     families = []
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        fibres = _common_fibres(bi, bj)
-        if fibres is None:
+        # a non-monomial gcd is a shared curve in either elimination order
+        if len(rp.bgcd(bi, bj).terms()) > 1:
             return CriticalReport(
                 verdict="positive_dimensional",
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
+        fibres = _common_fibres(bi, bj)
         points = [_numeric_points(f, h) for f, h in fibres]
         # confirm the count with the other elimination order; only the
         # reported order gets partner polynomials and unit-circle tests
         other = _common_fibres(bi.reorder(_Z1, _Z2), bj.reorder(_Z1, _Z2))
-        if other is None or _distinct_point_count(points) != _distinct_point_count(
-            [_numeric_points(f, h) for f, h in other]
-        ):
+        if _distinct_point_count(points) != _distinct_point_count([_numeric_points(f, h) for f, h in other]):
             raise CrossCheckError("elimination orders disagree on the solution count")
         families.extend(_family(f, h, pts, (i + 1, j + 1)) for (f, h), pts in zip(fibres, points))
     count = _distinct_point_count([fam.points for fam in families])
@@ -452,9 +447,10 @@ class _TermTable:
         return out
 
 
-def _heuristic_search(d):
-    """Damped Newton on the full gradient with the last variable pinned to 1.
-    Non-authoritative by construction; the verdict is always "heuristic".
+def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
+    """Torus critical points found by damped Newton on the full gradient with
+    the last variable pinned to 1, sorted by the first coordinate.
+    Non-authoritative by construction: witnesses of the verdict "heuristic".
 
     All starts step in lockstep: the gradient and the Hessian are one
     :class:`_TermTable`, evaluated for every live start at once.  The norm
@@ -500,9 +496,4 @@ def _heuristic_search(d):
         if residual < _SEARCH_TOL and all(abs(w) > 1e-9 for w in z):
             if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
                 found.append(tuple(complex(w) for w in z))
-    return CriticalReport(
-        verdict="heuristic",
-        count=None,
-        heuristic_points=sorted(found, key=lambda t: (t[0].real, t[0].imag)),
-        note="dimension is not 2: numeric multi-start search, not a proof",
-    )
+    return sorted(found, key=lambda t: (t[0].real, t[0].imag))

@@ -1,7 +1,7 @@
 """Scalar damped-Newton oracle, independent of the library's term table.
 
 :func:`heuristic_points` is the multi-start search of
-``potential._heuristic_search`` written one start at a time: every gradient
+``potential.heuristic_points`` written one start at a time: every gradient
 and Hessian entry is a ``LaurentPoly.evaluate`` call at each step.  The
 library runs all starts in lockstep on a compiled term table instead and
 promises the same bits, so tests compare the two with ``==``.

@@ -1,23 +1,31 @@
+import dataclasses
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import minksmooth
 from minksmooth import cli, cone, polytope, potential
 from minksmooth.cli import main
 from minksmooth.pipeline import (
     SchemaError,
     TargetMismatch,
+    _c,
     parse_input,
     run_pipeline,
     serialize_request,
 )
 from minksmooth.polytope import NotAdmissible
 from minksmooth.svg import UnsupportedDimension, emit_svg
+
+import newton_oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -290,6 +298,27 @@ def test_pipeline_derives_sigma_once_and_takes_no_hull(monkeypatch, fixture):
     assert sorted(calls) == sorted([d.n + 1, d.n + d.k])
 
 
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_pipeline_takes_hilbert_bases_of_the_lifted_cones_only(monkeypatch, fixture):
+    # sigma dual and sigma-tilde dual go through the checked entry point;
+    # each fan cone C_u, pointed and full-dimensional by construction, goes
+    # straight to the box scan
+    req = parse_input((FIXTURES / f"{fixture}.json").read_text())
+    original = cone.hilbert_basis
+    dims = []
+
+    def counted(c):
+        dims.append(c.ambient_dim)
+        return original(c)
+
+    _swap_every_binding(monkeypatch, original, counted)
+    for cached in [v for v in vars(cone).values() if hasattr(v, "cache_clear")]:
+        cached.cache_clear()
+    assert run_pipeline(req).failures == []
+    d = req.decomposition
+    assert set(dims) == {d.n + 1, d.n + d.k}
+
+
 def _drop_a_vertex(po, d):
     terms = dict(po.terms)
     del terms[max(d.target.vertices) + (1,)]
@@ -420,6 +449,34 @@ def test_cli_potential_critical_at_dilation_six(tmp_path, capsys):
     assert "verdict: finite (count 82)" in capsys.readouterr().out
 
 
+HEURISTIC_LINES = "verdict: heuristic\n  note: dimension is not 2: numeric multi-start search, not a proof\n"
+
+
+@pytest.mark.parametrize(
+    "payload, terms",
+    [
+        (
+            {"dimension": 3, "summands": [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]},
+            "1*z4^1 + 1*z3^1*z4^1 + 1*z2^1*z4^1 + 1*z2^1*z3^1*z4^1 + 1*z1^1*z4^1"
+            " + 1*z1^1*z3^1*z4^1 + 1*z1^1*z2^1*z4^1 + 1*z1^1*z2^1*z3^1*z4^1",
+        ),
+        ({"dimension": 1, "summands": [{"vertices": [[0], [1]]}] * 2}, "1*z2^1 + 2*z1^1*z2^1 + 1*z1^2*z2^1"),
+    ],
+    ids=["unit-segments-n3", "two-segments-n1"],
+)
+def test_cli_potential_critical_prints_the_heuristic_verdict_without_searching(
+    tmp_path, monkeypatch, capsys, payload, terms
+):
+    # outside the plane the verdict is "heuristic" whatever a search finds,
+    # and the command prints no points, so it runs no search
+    def refuse(d):
+        raise AssertionError("potential --critical ran the Newton search")
+
+    monkeypatch.setattr(potential, "heuristic_points", refuse)
+    assert main(["potential", write_input(tmp_path, payload), "--critical"]) == 0
+    assert capsys.readouterr().out == terms + "\n" + HEURISTIC_LINES
+
+
 def test_cli_diagram(tmp_path):
     path = write_input(tmp_path, Q3_INPUT)
     svg = tmp_path / "q3.svg"
@@ -483,14 +540,46 @@ def test_cli_analyze_past_the_box_scan_walls(tmp_path, payload, basis_size):
     assert len(data["cone"]["sigma_tilde_dual_hilbert_basis"]) == basis_size
 
 
-def test_exact_core_imports_without_sympy_or_numpy():
-    # only the potential needs sympy and numpy, and the package root
-    # re-exports nothing, so the exact modules load without either
+def test_report_prints_the_newton_witnesses():
+    # the analyze report is where the search's points are printed
+    req = parse_input(json.dumps(SPATIAL_SEGMENTS_K4))
+    critical = run_pipeline(req, fast=True).data["potential"]["critical"]
+    want = newton_oracle.heuristic_points(req.decomposition)
+    assert critical["verdict"] == "heuristic" and want
+    assert critical["heuristic_points"] == [[_c(z) for z in p] for p in want]
+
+
+def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
+    # only the potential needs sympy and numpy; the package root re-exports
+    # nothing and `run_pipeline` imports the potential where it runs, so the
+    # exact modules, the command line and commands that never reach it load
+    # neither
+    spatial = write_input(tmp_path, SPATIAL_SEGMENTS_K4)
+    svg = str(tmp_path / "d.svg")
+    runs = [
+        ["hilbert", str(FIXTURES / "q5.json")],
+        ["analyze", spatial, "--svg", svg],
+        ["diagram", spatial, "--svg", svg],
+    ]
     code = (
         "import sys\n"
         "import minksmooth.cone, minksmooth.polytope, minksmooth.smoothing, minksmooth.fibration, minksmooth.svg\n"
-        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))\n"
+        "import minksmooth.cli\n"
+        f"codes = [minksmooth.cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in ('sympy', 'numpy') if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 2, 2] []"
+
+
+def test_every_dataclass_annotation_resolves():
+    # a name used only in an annotation must still be bound in its module
+    checked = 0
+    for info in pkgutil.iter_modules(minksmooth.__path__):
+        module = importlib.import_module(f"minksmooth.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__:
+                typing.get_type_hints(value)
+                checked += 1
+    assert checked

@@ -16,15 +16,15 @@ from minksmooth.potential import (
     build_potential,
     critical_exists,
     factor,
+    heuristic_points,
     mutate,
     newton_polytope,
     numeric_gradient_check,
-    _heuristic_search,
     _TermTable,
 )
 
 from conftest import lens, segment, triangle
-from newton_oracle import heuristic_points
+import newton_oracle
 import ratpoly_oracle
 
 
@@ -304,9 +304,8 @@ def test_heuristic_for_other_dimensions():
     d = decomposition(
         [convex_hull([(0,), (1,)]), convex_hull([(0,), (1,)])]
     )
-    rep = critical_exists(d)
-    assert rep.verdict == "heuristic"
-    assert any(abs(p[0] + 1) < 1e-6 for p in rep.heuristic_points)
+    assert critical_exists(d).verdict == "heuristic"
+    assert any(abs(p[0] + 1) < 1e-6 for p in heuristic_points(d))
 
 
 @pytest.mark.parametrize("extra", [(), ((-1, -1, -1),)])
@@ -314,10 +313,10 @@ def test_heuristic_survives_diverging_starts(extra, recwarn):
     # some Newton starts overflow to inf/nan on these inputs; they are
     # abandoned instead of reaching the least-squares solver
     d = decomposition([convex_hull([(0, 0, 0), v]) for v in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)) + extra])
-    rep = critical_exists(d)
-    assert rep.verdict == "heuristic" and rep.heuristic_points
+    points = heuristic_points(d)
+    assert critical_exists(d).verdict == "heuristic" and points
     po = build_potential(d)
-    for p in rep.heuristic_points:
+    for p in points:
         assert max(abs(po.derivative(i).evaluate(list(p) + [1.0])) for i in range(4)) < 1e-8
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -347,7 +346,7 @@ _NEWTON_CASES["diverging+(-1,-1,-1)"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1
 @pytest.mark.parametrize("vs", list(_NEWTON_CASES.values()), ids=list(_NEWTON_CASES))
 def test_lockstep_newton_matches_scalar_oracle(vs):
     d = _segments(*vs)
-    assert _heuristic_search(d).heuristic_points == heuristic_points(d)
+    assert heuristic_points(d) == newton_oracle.heuristic_points(d)
 
 
 def _table_polys(nvars):
@@ -425,3 +424,24 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
     assert rep.verdict == "finite" and rep.families
     assert calls["_partner_minpoly"] == len(rep.families)
     assert len(rep.families) <= calls["_roots_on_unit_circle"] <= 2 * len(rep.families)
+
+
+@pytest.mark.parametrize(
+    "vs",
+    [((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2))],
+    ids=["Q6-segments", "8-segments"],
+)
+def test_one_shared_curve_test_per_factor_pair(monkeypatch, vs):
+    # the gcd of a pair does not depend on the elimination order, so both
+    # orders share one test for a common curve
+    calls = []
+    original = potential.rp.bgcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(potential.rp, "bgcd", counted)
+    d = _segments(*vs)
+    assert critical_exists(d).verdict == "finite"
+    assert len(calls) == math.comb(len(vs), 2)
