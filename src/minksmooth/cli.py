@@ -7,7 +7,8 @@ Subcommands:
     potential <file> [--critical]
     diagram <file> --svg out.svg
 
-Exit codes: 0 success, 2 schema error, 3 inadmissible input, 4 internal
+Exit codes: 0 success, 2 schema error or an input that cannot be read or
+an output that cannot be written, 3 inadmissible input, 4 internal
 cross-check failure (``CrossCheckError``).
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .cone import dual, hilbert_basis, sigma_tilde, spanning_sigma
 from .exactlin import CrossCheckError
 from .pipeline import (
     AnalysisRequest,
@@ -33,9 +35,28 @@ EXIT_INADMISSIBLE = 3
 EXIT_CROSSCHECK = 4
 
 
+class WriteFailed(Exception):
+    """An output file could not be written."""
+
+
 def _load_request(path) -> AnalysisRequest:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_input(fh.read())
+
+
+def _write(path, text) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteFailed(exc) from exc
+
+
+def _draw(req) -> str:
+    """The base diagram: sigma dual's Hilbert basis and the summands."""
+    d = req.decomposition
+    rays = hilbert_basis(dual(spanning_sigma(d))).elements
+    return emit_svg(req.name, rays, [s.vertices for s in d.summands])
 
 
 def _cmd_analyze(args) -> int:
@@ -45,15 +66,13 @@ def _cmd_analyze(args) -> int:
         require_drawable(req.decomposition.n)
     report = run_pipeline(req, fast=args.fast)
     text = report.to_json()
-    svg = emit_svg(report.data) if args.svg else None
+    svg = _draw(req) if args.svg else None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
     if svg is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write(args.svg, svg)
     if report.failures:
         print("cross-check failures: " + ", ".join(report.failures), file=sys.stderr)
         return EXIT_CROSSCHECK
@@ -61,8 +80,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    from .cone import dual, hilbert_basis, sigma_tilde
-
     req = _load_request(args.file)
     hb = hilbert_basis(dual(sigma_tilde(req.decomposition)))
     for v in hb.elements:
@@ -95,9 +112,7 @@ def _cmd_potential(args) -> int:
 def _cmd_diagram(args) -> int:
     req = _load_request(args.file)
     require_drawable(req.decomposition.n)
-    svg = emit_svg(run_pipeline(req, fast=True).data)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.svg, _draw(req))
     return EXIT_OK
 
 
@@ -134,6 +149,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except WriteFailed as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 The workhorse is :func:`halfspace_description`, a double description pass
 that turns a list of inequality normals into the extreme rays (plus a
 lineality basis) of the cone they cut out, all in exact integer arithmetic.
-Two passes construct a cone, since the facet normals of ``Cone(G)`` are the
-extreme rays of ``{y : <g, y> >= 0 for g in G}``.  Duality is then a swap of
+The facet normals of ``Cone(G)`` are the extreme rays of ``{y : <g, y> >= 0
+for g in G}``.  The cone over Q knows its extreme rays, so one pass gives
+it; sigma-tilde needs none (:func:`sigma_tilde`).  Duality is then a swap of
 the two halves (Fukuda-Prodon, *Double description method revisited*, 1996).
 
 Each ray carries its zero set, the indices of the inequalities tight on it.
@@ -133,6 +134,8 @@ def _canonical_vrep(lin, rays) -> IntMat:
 
 
 def cone_from_generators(gens, dim) -> PolyhedralCone:
+    """Two passes: the facets, then the extreme rays among ``gens``.  The
+    oracle of :func:`cone_over` and :func:`sigma_tilde`."""
     gens = as_mat(gens)
     if any(len(g) != dim for g in gens):
         raise ValueError("generator dimension mismatch")
@@ -146,32 +149,51 @@ def cone_from_generators(gens, dim) -> PolyhedralCone:
 def cone_over(q) -> PolyhedralCone:
     """Cone in one higher dimension on the generators ``(v, 1)``.
 
-    Cached: sigma, the final base-diagram cone and the Newton check of a
-    run share one double description.
+    ``q`` stores its minimal vertex set, sorted, so these generators are
+    its extreme rays in canonical order, and one pass finds the facets.
+    Cached: sigma, sigma-tilde, the final base-diagram cone and the Newton
+    check of a run share it.
     """
-    return cone_from_generators([v + (1,) for v in q.vertices], q.ambient_dim + 1)
+    dim, gens = q.ambient_dim + 1, tuple(v + (1,) for v in q.vertices)
+    return PolyhedralCone(dim, gens, _canonical_vrep(*halfspace_description(gens, dim)))
 
 
-@lru_cache(maxsize=256)
-def sigma_tilde(d) -> PolyhedralCone:
-    """Cone on the lattice points of each summand tagged by its basis slot:
-    its vertices, as an admissible summand is a unimodular simplex.
-
-    Needs the target to span its ambient space: otherwise the lifted cone is
-    not full-dimensional, its dual is not pointed, and no Hilbert basis (or
-    anything downstream of it) exists.
-    """
-    from .polytope import NotAdmissible, is_full_dimensional_polytope, require_admissible
+def spanning_sigma(d) -> PolyhedralCone:
+    """sigma of an admissible decomposition whose target spans its ambient
+    space; else NotAdmissible, as sigma dual (and sigma-tilde dual) is then
+    not pointed and has no Hilbert basis."""
+    from .polytope import NotAdmissible, require_admissible
 
     require_admissible(d)
-    if not is_full_dimensional_polytope(d.target):
+    sigma = cone_over(d.target)
+    if not is_full_dimensional(sigma):
         raise NotAdmissible(
             "target polytope is not full-dimensional in its ambient space;"
             " restate the input in the dimension it actually spans"
         )
-    k = len(d.summands)
-    gens = [v + tag for s, tag in zip(d.summands, identity(k)) for v in s.vertices]
-    return cone_from_generators(gens, d.target.ambient_dim + k)
+    return sigma
+
+
+@lru_cache(maxsize=256)
+def sigma_tilde(d) -> PolyhedralCone:
+    """Cone on the tagged vertices ``(v, e_i)`` of the summands (their
+    lattice points: an admissible summand is a unimodular simplex), read
+    off sigma with no double description.  Each is a vertex of the Cayley
+    polytope, so an extreme ray.  The dual ``{(v, s) : s_i >= phi_i(v)}``
+    has a ray ``(a, phi(a))`` over each facet ``(a, h_Q(a))`` of sigma (the
+    phi_i are sublinear), and ``(0, e_i)`` unless the other summands lie in
+    a hyperplane ``<u, .> = 0``, which splits it as
+    ``(u, s) + (-u, e_i - s)`` (Altmann, 1997).
+    """
+    from .polytope import phi
+
+    n, tags, sigma = d.n, identity(d.k), spanning_sigma(d)
+    gens = sorted(v + tag for s, tag in zip(d.summands, tags) for v in s.vertices)
+    facets = {a[:n] + phi(d, a[:n]) for a in sigma.inequalities}
+    for i, tag in enumerate(tags):
+        if rank([v for j, s in enumerate(d.summands) if j != i for v in s.vertices]) == n:
+            facets.add((0,) * n + tag)
+    return PolyhedralCone(n + d.k, tuple(gens), tuple(sorted(facets)))
 
 
 def dual(c: PolyhedralCone) -> PolyhedralCone:

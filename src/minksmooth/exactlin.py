@@ -18,7 +18,7 @@ unimodular row and column operations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -68,10 +68,7 @@ def is_zero_vec(u) -> bool:
 
 
 def vec_gcd(u) -> int:
-    g = 0
-    for a in u:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*u)
 
 
 def primitive(u) -> IntVec:
@@ -227,13 +224,10 @@ def snf_invariant_factors(m) -> list[int]:
     for s in range(k):
         while True:
             # move a nonzero entry of minimal absolute value to (s, s)
-            best = None
-            for i in range(s, nrows):
-                for j in range(s, ncols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
+            nonzero = [(i, j) for i in range(s, nrows) for j in range(s, ncols) if a[i][j] != 0]
+            if not nonzero:
                 break
+            best = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
             bi, bj = best
             if bi != s:
                 a[s], a[bi] = a[bi], a[s]
@@ -258,14 +252,7 @@ def snf_invariant_factors(m) -> list[int]:
             if not clean:
                 continue
             # pivot must divide the remaining block
-            offender = None
-            for i in range(s + 1, nrows):
-                for j in range(s + 1, ncols):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(s + 1, nrows) if any(x % p for x in a[i][s + 1 :])), None)
             if offender is None:
                 break
             a[s] = [x + y for x, y in zip(a[s], a[offender])]
@@ -346,10 +333,7 @@ def rational_solve(m, b) -> RatVec | None:
 
 def scale_to_integer(v) -> IntVec:
     """Clear denominators of a rational vector and strip the content."""
-    lcm = 1
-    for x in v:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = tuple(int(Fraction(x) * lcm) for x in v)
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = tuple(int(Fraction(x) * den) for x in v)
     g = vec_gcd(ints)
     return ints if g == 0 else tuple(a // g for a in ints)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .cone import PolyhedralCone, cone_over, dual
 from .exactlin import (
@@ -61,16 +62,9 @@ class CollapsingCycle:
 
 def collapsing_cycles(d: MinkowskiDecomposition, p: int) -> tuple[CollapsingCycle, ...]:
     rows = _vertex_rows(d, p)
-    m = len(rows)
-    cycles = [CollapsingCycle(rows[i], (Y(p), X(p, i + 1))) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            cycles.append(
-                CollapsingCycle(
-                    sign_normalized(vec_sub(rows[i], rows[j])),
-                    (X(p, i + 1), X(p, j + 1)),
-                )
-            )
+    cycles = [CollapsingCycle(v, (Y(p), X(p, i + 1))) for i, v in enumerate(rows)]
+    for (i, u), (j, v) in combinations(enumerate(rows, start=1), 2):
+        cycles.append(CollapsingCycle(sign_normalized(vec_sub(u, v)), (X(p, i), X(p, j))))
     return tuple(cycles)
 
 

@@ -74,7 +74,7 @@ def parse_input(text: str) -> AnalysisRequest:
     name = raw.get("name", "unnamed")
     _expect(isinstance(name, str), "name", "expected a string")
     dim = raw.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 1, "dimension", "expected a positive integer")
+    _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1, "dimension", "expected a positive integer")
     _expect(isinstance(raw.get("summands"), list) and raw["summands"], "summands", "expected a nonempty list")
     summands = []
     for i, s in enumerate(raw["summands"]):

@@ -24,7 +24,6 @@ from .exactlin import (
     identity,
     is_zero_vec,
     mat_mul,
-    rank,
     snf_invariant_factors,
     support,
     unimodular_inverse,
@@ -233,12 +232,6 @@ def require_admissible(d: MinkowskiDecomposition) -> tuple[SummandMatrices, ...]
     if not res.ok:
         raise NotAdmissible("; ".join(res.violations))
     return res.matrices
-
-
-def is_full_dimensional_polytope(p: LatticePolytope) -> bool:
-    v0 = p.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, v0)) for v in p.vertices[1:]]
-    return rank(diffs) == p.ambient_dim
 
 
 def verify_matrix_relations(sm: SummandMatrices) -> bool:

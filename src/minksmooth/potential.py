@@ -98,10 +98,7 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, 0) - c
-        return LaurentPoly(self.nvars, out)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):

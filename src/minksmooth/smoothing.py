@@ -24,6 +24,7 @@ from .exactlin import (
     is_zero_vec,
     rational_nullspace,
     scale_to_integer,
+    transpose,
     vec_add,
     vec_neg,
     vec_sub,
@@ -166,14 +167,10 @@ class BinomialRelation:
 
 
 def verify_binomial(g: GeneratorSet, r: BinomialRelation) -> bool:
-    dim = g.n + g.k
-    total_l = tuple([0] * dim)
-    for lab in r.lhs:
-        total_l = vec_add(total_l, g.vector(lab))
-    total_r = tuple([0] * dim)
-    for lab in r.rhs:
-        total_r = vec_add(total_r, g.vector(lab))
-    return total_l == total_r
+    def total(labels):
+        return tuple(map(sum, zip((0,) * (g.n + g.k), *[g.vector(lab) for lab in labels])))
+
+    return total(r.lhs) == total(r.rhs)
 
 
 @dataclass(frozen=True)
@@ -201,29 +198,21 @@ def express_in_chart(d: MinkowskiDecomposition, zhat, p: int, singular: bool) ->
         raise ValueError("zero vector has no chart expression")
     mats = require_admissible(d)
     sm = mats[p - 1]
-    m, n = sm.m, sm.n
-    x_rows = sm.v + sm.e
-    xi = tuple(dot(row, zhat) for row in x_rows)
+    m = sm.m
+    xi = tuple(dot(row, zhat) for row in sm.v + sm.e)
     xi_x, xi_w = xi[:m], xi[m:]
     tail = phi(d, zhat)
-    if not singular:
-        acc = [0] * d.k
-        for l in range(m):
-            acc = vec_add(acc, tuple(xi_x[l] * t for t in phi(d, sm.a_column(l))))
-        for l in range(n - m):
-            acc = vec_add(acc, tuple(xi_w[l] * t for t in phi(d, sm.c_column(l))))
-        t_exp = vec_sub(tail, acc)
-        return ChartExpression(p, False, None, None, xi_x, xi_w, t_exp)
-    xi_plus = max([0] + [-v for v in xi_x])
+    # the singular chart trades xi_plus copies of y_p for nonnegative x's
+    xi_plus = max([0] + [-v for v in xi_x]) if singular else 0
     xi_shifted = tuple(v + xi_plus for v in xi_x)
-    if tail[p - 1] != xi_plus:
+    if singular and tail[p - 1] != xi_plus:
         raise CrossCheckError("singular chart exponent must match the phi tail")
     acc = tuple(xi_plus * t for t in phi(d, sm.b))
-    for l in range(m):
-        acc = vec_add(acc, tuple(xi_shifted[l] * t for t in phi(d, sm.a_column(l))))
-    for l in range(n - m):
-        acc = vec_add(acc, tuple(xi_w[l] * t for t in phi(d, sm.c_column(l))))
+    for coord, col in zip(xi_shifted + xi_w, transpose(sm.a) + transpose(sm.c)):
+        acc = vec_add(acc, tuple(coord * t for t in phi(d, col)))
     t_exp = vec_sub(tail, acc)
+    if not singular:
+        return ChartExpression(p, False, None, None, xi_x, xi_w, t_exp)
     if t_exp[p - 1] != 0:
         raise CrossCheckError("t_p must not appear in a singular chart")
     return ChartExpression(p, True, xi_plus, xi_shifted, None, xi_w, t_exp)

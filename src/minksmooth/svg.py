@@ -40,17 +40,17 @@ def require_drawable(n: int) -> None:
         raise UnsupportedDimension("diagram rendering is limited to three-dimensional cones")
 
 
-def emit_svg(report: dict) -> str:
-    """Render an analysis report (n + 1 == 3 only) to an SVG document."""
-    require_drawable(report["dimension"])
-    rays = [tuple(r) for r in report["cone"]["sigma_dual_hilbert_basis"]]
-    summands = [[tuple(v) for v in s] for s in report["polytope"]["summands"]]
+def emit_svg(name: str, rays, summands) -> str:
+    """Render the base diagram of the input ``name`` (n == 2 only) to an SVG
+    document: ``rays`` is the Hilbert basis of sigma dual, ``summands`` holds
+    the vertices of each summand."""
+    require_drawable(len(summands[0][0]))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">',
         "<!-- axonometric projection: screen_x = 0.8660254037844387*(x - y),",
         "     screen_y = -z + 0.5*(x + y); origin at (320, 360), scale 52 -->",
-        f'<title>{report["name"]}: convex base diagram</title>',
+        f"<title>{name}: convex base diagram</title>",
         '<rect width="640" height="640" fill="white"/>',
     ]
     ox, oy = _project(0.0, 0.0, 0.0)

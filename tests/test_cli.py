@@ -46,6 +46,12 @@ Q3_INPUT = {
 }
 
 
+def _svg(rep):
+    # the report holds everything the diagram draws
+    data = rep.data
+    return emit_svg(data["name"], data["cone"]["sigma_dual_hilbert_basis"], data["polytope"]["summands"])
+
+
 def write_input(tmp_path, payload, name="in.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -66,6 +72,15 @@ def test_parse_rejects_non_integer():
     with pytest.raises(SchemaError) as err:
         parse_input(json.dumps(bad))
     assert "summands[0].vertices[0][0]" in str(err.value)
+
+
+def test_parse_rejects_boolean_dimension(tmp_path):
+    # JSON true is a Python int; like a vertex entry, it is not a dimension
+    payload = {"dimension": True, "summands": [{"vertices": [[0], [1]]}, {"vertices": [[0], [1]]}]}
+    with pytest.raises(SchemaError) as err:
+        parse_input(json.dumps(payload))
+    assert str(err.value).startswith("dimension:")
+    assert main(["analyze", write_input(tmp_path, payload)]) == 2
 
 
 def test_parse_rejects_bad_json_with_line_info():
@@ -169,25 +184,25 @@ def test_report_deterministic():
 def test_svg_q5_labels():
     req = parse_input(json.dumps(Q5_INPUT))
     rep = run_pipeline(req)
-    doc = emit_svg(rep.data)
+    doc = _svg(rep)
     assert doc.startswith("<?xml")
     for label in ["(-1,-1,3)", "(1,0,0)", "(0,1,0)", "(1,-1,1)", "(-1,1,1)"]:
         assert label in doc
     assert doc.count('stroke="#1f4e8c"') == 8  # one ray per Hilbert-basis element
     assert "stroke-dasharray" in doc
-    assert emit_svg(rep.data) == doc  # deterministic
+    assert _svg(rep) == doc  # deterministic
 
 
 def test_svg_q3_ray_count():
     req = parse_input(json.dumps(Q3_INPUT))
     rep = run_pipeline(req)
-    doc = emit_svg(rep.data)
+    doc = _svg(rep)
     assert doc.count('stroke="#1f4e8c"') == 4
 
 
 def test_svg_rejects_other_dimensions():
     with pytest.raises(UnsupportedDimension):
-        emit_svg({"dimension": 3, "cone": {}, "polytope": {}, "name": "x"})
+        emit_svg("x", [(1, 0, 0, 0)], [[(0, 0, 0)]])
 
 
 def test_cli_analyze_success(tmp_path, capsys):
@@ -238,6 +253,19 @@ def test_cli_missing_file_and_flat_target(tmp_path):
     assert main(["hilbert", flat]) == 3
 
 
+def test_cli_write_failures_name_the_write(tmp_path, capsys):
+    # an output that cannot be written exits 2 like an unreadable input, but
+    # says which of the two failed
+    q5, missing = str(FIXTURES / "q5.json"), str(tmp_path / "absent" / "out")
+    runs = [["analyze", q5, "--out", missing], ["analyze", q5, "--fast", "--svg", missing], ["diagram", q5, "--svg", missing]]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: [Errno 2]")
+    assert main(["analyze", missing]) == 2
+    assert capsys.readouterr().err.startswith("cannot read input: [Errno 2]")
+
+
 def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
     import minksmooth.cli as cli_mod
     from minksmooth.pipeline import AnalysisReport
@@ -275,27 +303,32 @@ def test_pipeline_checks_admissibility_once(monkeypatch, fixture):
 
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
 def test_pipeline_derives_sigma_once_and_takes_no_hull(monkeypatch, fixture):
-    # sigma, the final base-diagram cone and the Newton check share one cone
-    # over Q; besides it only the lifted cone is built, and no hull is taken
+    # sigma, sigma-tilde, the final base-diagram cone and the Newton check
+    # share one cone over Q: after parsing, a run makes one double
+    # description pass, for sigma's facets, and takes no hull
     req = parse_input((FIXTURES / f"{fixture}.json").read_text())
     want = run_pipeline(req).to_json()
     calls = []
 
-    def counted(gens, dim):
+    def counted(ineqs, dim):
         calls.append(dim)
-        return original(gens, dim)
+        return original(ineqs, dim)
 
     def refuse(points):
         raise AssertionError("the Newton check took a hull")
 
-    original = cone.cone_from_generators
+    original = cone.halfspace_description
     _swap_every_binding(monkeypatch, original, counted)
     monkeypatch.setattr(potential, "convex_hull", refuse)
-    for cached in (cone.cone_over, cone.sigma_tilde, cone.hilbert_basis):
+    for cached in [v for v in vars(cone).values() if hasattr(v, "cache_clear")]:
         cached.cache_clear()
     assert run_pipeline(req).to_json() == want
     d = req.decomposition
-    assert sorted(calls) == sorted([d.n + 1, d.n + d.k])
+    assert calls == [d.n + 1]
+    # with sigma cached, sigma-tilde is read off it with no pass at all
+    cone.sigma_tilde.cache_clear()
+    cone.sigma_tilde(d)
+    assert calls == [d.n + 1]
 
 
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
@@ -399,7 +432,7 @@ def test_pipeline_three_dimensional_input():
     assert rep.data["potential"]["critical"]["verdict"] == "heuristic"
     assert rep.data["fibration"]["height_one"]["matrix"][-1] == [1, 1, 1, 1]
     with pytest.raises(UnsupportedDimension):
-        emit_svg(rep.data)
+        _svg(rep)
 
 
 def test_pipeline_q6_second_known_values():
@@ -484,6 +517,33 @@ def test_cli_diagram(tmp_path):
     assert "cut 3" in svg.read_text()
 
 
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_cli_diagram_draws_without_the_pipeline(tmp_path, monkeypatch, fixture):
+    # the diagram needs sigma dual's Hilbert basis and the summands, not the
+    # report: it runs neither the pipeline nor the critical-point decision,
+    # and draws what the report's own layout draws, as analyze --svg does
+    path, analyzed, drawn = FIXTURES / f"{fixture}.json", tmp_path / "a.svg", tmp_path / "d.svg"
+    want = _svg(run_pipeline(parse_input(path.read_text()), fast=True))
+    assert main(["analyze", str(path), "--fast", "--out", str(tmp_path / "r.json"), "--svg", str(analyzed)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagram ran more than it draws")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    monkeypatch.setattr(potential, "critical_exists", refuse)
+    assert main(["diagram", str(path), "--svg", str(drawn)]) == 0
+    assert drawn.read_text(encoding="utf-8") == analyzed.read_text(encoding="utf-8") == want
+
+
+def test_cli_diagram_refuses_what_analyze_refuses(tmp_path):
+    # the inadmissible and the flat input exit 3, as under analyze
+    for summands in ([[[0, 0], [2, 0]], [[0, 0], [0, 1]]], [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]):
+        path = write_input(tmp_path, {"dimension": 2, "summands": [{"vertices": s} for s in summands]})
+        assert main(["diagram", path, "--svg", str(tmp_path / "d.svg")]) == 3
+        assert main(["analyze", path]) == 3
+    assert not (tmp_path / "d.svg").exists()
+
+
 def test_cli_svg_of_a_spatial_input_leaves_no_files(tmp_path):
     # the base diagram is drawn for n = 2 only; the refusal (exit 2) comes
     # before any output file is opened, so neither a report nor an empty SVG
@@ -553,13 +613,14 @@ def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
     # only the potential needs sympy and numpy; the package root re-exports
     # nothing and `run_pipeline` imports the potential where it runs, so the
     # exact modules, the command line and commands that never reach it load
-    # neither
+    # neither, the diagram included
     spatial = write_input(tmp_path, SPATIAL_SEGMENTS_K4)
     svg = str(tmp_path / "d.svg")
     runs = [
         ["hilbert", str(FIXTURES / "q5.json")],
         ["analyze", spatial, "--svg", svg],
         ["diagram", spatial, "--svg", svg],
+        ["diagram", str(FIXTURES / "q5.json"), "--svg", svg],
     ]
     code = (
         "import sys\n"
@@ -570,7 +631,7 @@ def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 2, 2] []"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 2, 2, 0] []"
 
 
 def test_every_dataclass_annotation_resolves():

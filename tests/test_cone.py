@@ -1,5 +1,6 @@
 import random
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -23,7 +24,7 @@ from minksmooth.cone import (
     _slot_polytopes,
 )
 from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
-from minksmooth.polytope import convex_hull, decomposition, is_full_dimensional_polytope
+from minksmooth.polytope import convex_hull, decomposition
 
 from box_oracle import (
     BoundTooSmall,
@@ -480,7 +481,7 @@ admissible_decompositions = st.sampled_from([2, 3]).flatmap(
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(admissible_decompositions)
 def test_lifted_hilbert_basis_matches_box_scan(d):
-    assume(is_full_dimensional_polytope(d.target))
+    assume(is_full_dimensional(cone_over(d.target)))
     cones = (dual(sigma_tilde(d)), dual(cone_over(d.target)))
     # the oracle's cost grows with the volume of its box in dimension n + k,
     # up to minutes on the largest draws; they are skipped for time alone
@@ -498,7 +499,7 @@ def test_fan_cones_match_two_pass_oracle(d):
     # both lifted cones have the target as Q; each fan cone C_u, read off
     # the extreme rays and the edges at u, equals the double description of
     # {v : <v, w - u> >= 0 for every vertex w}
-    assume(is_full_dimensional_polytope(d.target))
+    assume(is_full_dimensional(cone_over(d.target)))
     verts = d.target.vertices
     for c in (dual(sigma_tilde(d)), dual(cone_over(d.target))):
         cones = fan_cones(c, _slot_polytopes(c))
@@ -531,5 +532,32 @@ def test_box_scan_matches_order_interval_oracle(c):
 @settings(max_examples=30, deadline=None)
 @given(admissible_decompositions)
 def test_sigma_tilde_matches_lattice_point_oracle(d):
-    assume(is_full_dimensional_polytope(d.target))
+    assume(is_full_dimensional(cone_over(d.target)))
     assert sigma_tilde(d) == sigma_tilde_on_lattice_points(d)
+
+
+# n = 1..3, k = 1..4, point summands included; a lone point is refused
+lifted_decompositions = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.just(convex_hull([(0,) * n])) | _admissible_summand(n), min_size=1, max_size=4)
+).map(decomposition)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(lifted_decompositions)
+@example(_segments((1,), (1,)))
+@example(decomposition([convex_hull([(0, 0)]), triangle()]))
+@example(_segments((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+def test_cone_over_and_sigma_tilde_match_two_pass_oracle(d):
+    # both cones know their extreme rays: the cone over Q takes one double
+    # description pass, for its facets, and sigma-tilde reads its facets off
+    # sigma's and the summand supports with none
+    want_sigma = cone_from_generators([v + (1,) for v in d.target.vertices], d.n + 1)
+    assume(d.admissibility.ok and is_full_dimensional(want_sigma))
+    want_tilde = cone_from_generators(*_tagged_vertices(d))
+    cone_over.cache_clear()
+    sigma_tilde.cache_clear()
+    with mock.patch.object(cone_module, "halfspace_description", wraps=halfspace_description) as dd:
+        assert cone_over(d.target) == want_sigma
+        assert dd.call_count == 1
+        assert sigma_tilde(d) == want_tilde
+        assert dd.call_count == 1
