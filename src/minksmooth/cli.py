@@ -9,12 +9,17 @@ Subcommands:
 
 Exit codes: 0 success, 2 schema error or an input that cannot be read or
 an output that cannot be written, 3 inadmissible input, 4 internal
-cross-check failure (``CrossCheckError``).
+cross-check failure (``CrossCheckError``), 5 any other ``ValueError`` the
+library raises (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, numpy's
+``LinAlgError``).  Only exits 0 and 4 (whose report lists the failed
+checks) can leave output files; every other exit leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .cone import dual, hilbert_basis, sigma_tilde, spanning_sigma
@@ -33,6 +38,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INADMISSIBLE = 3
 EXIT_CROSSCHECK = 4
+EXIT_LIBRARY = 5
 
 
 class WriteFailed(Exception):
@@ -44,11 +50,19 @@ def _load_request(path) -> AnalysisRequest:
         return parse_input(fh.read())
 
 
-def _write(path, text) -> None:
+def _write(*outputs) -> None:
+    """Write each ``(path, text)``; if one fails, remove every file opened
+    here, so a failed command leaves none behind."""
+    opened = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
     except OSError as exc:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise WriteFailed(exc) from exc
 
 
@@ -66,13 +80,12 @@ def _cmd_analyze(args) -> int:
         require_drawable(req.decomposition.n)
     report = run_pipeline(req, fast=args.fast)
     text = report.to_json()
-    svg = _draw(req) if args.svg else None
-    if args.out:
-        _write(args.out, text + "\n")
-    else:
+    outputs = [(args.out, text + "\n")] if args.out else []
+    if args.svg:
+        outputs.append((args.svg, _draw(req)))
+    _write(*outputs)
+    if not args.out:
         print(text)
-    if svg is not None:
-        _write(args.svg, svg)
     if report.failures:
         print("cross-check failures: " + ", ".join(report.failures), file=sys.stderr)
         return EXIT_CROSSCHECK
@@ -112,7 +125,7 @@ def _cmd_potential(args) -> int:
 def _cmd_diagram(args) -> int:
     req = _load_request(args.file)
     require_drawable(req.decomposition.n)
-    _write(args.svg, _draw(req))
+    _write((args.svg, _draw(req)))
     return EXIT_OK
 
 
@@ -165,6 +178,10 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
+    except ValueError as exc:
+        # after every ValueError subclass handled above
+        print(f"library error: {type(exc).__name__}: " + " ".join(str(exc).split()), file=sys.stderr)
+        return EXIT_LIBRARY
 
 
 if __name__ == "__main__":

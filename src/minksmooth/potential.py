@@ -11,9 +11,11 @@ resultants and number-field gcds; other dimensions get the verdict
 That search is damped Newton from 40 seeded starts, run in lockstep: the
 gradient and Hessian are compiled once into a term table that is evaluated
 for all live starts per step, with the same IEEE operations in the same
-order as ``LaurentPoly.evaluate`` on each start alone.  Its points are
-therefore bit-identical to the one-start-at-a-time search, which the tests
-keep as an oracle; the report prints them to 12 digits.
+order as ``LaurentPoly.evaluate`` on each start alone, and the steps of all
+live starts are one stacked call of the LAPACK solver behind
+``np.linalg.lstsq``.  Its points are therefore bit-identical to the
+one-start-at-a-time search, which the tests keep as an oracle; the report
+prints them to 12 digits.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from sympy import QQ, ZZ, Poly, symbols
 
 from .exactlin import CrossCheckError
@@ -444,49 +447,73 @@ class _TermTable:
         return out
 
 
+def _lstsq_raise(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(a, b):
+    """Least-squares solutions of the complex systems ``a[i] @ x = b[i]``,
+    bit for bit ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``: one call of the
+    LAPACK ``gelsd`` gufunc that ``lstsq`` wraps, over the whole stack, with
+    its cutoff ``eps * max(m, n)``.  A singular value decomposition that does
+    not converge raises ``LinAlgError``, as in ``lstsq``.
+    """
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_raise, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(a, b[..., None], np.finfo(float).eps * max(m, n), signature="DDd->Ddid")[0]
+    return x[..., 0]
+
+
+def _norm_below(vals, tol):
+    """Which rows of ``vals`` have ``np.linalg.norm(row) < tol``, decided as
+    ``norm`` decides it.  A row's sum of squares settles it unless it lies
+    within a relative 1e-12 of ``tol**2``, far beyond the few ulps by which
+    sums in another order can differ; only those rows go through ``norm``.
+    """
+    sq = (vals.real**2 + vals.imag**2).sum(axis=1)
+    below = sq < tol * tol * (1 - 1e-12)
+    for row in np.flatnonzero(~below & (sq <= tol * tol * (1 + 1e-12))):
+        below[row] = np.linalg.norm(vals[row]) < tol
+    return below
+
+
 def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
     """Torus critical points found by damped Newton on the full gradient with
     the last variable pinned to 1, sorted by the first coordinate.
     Non-authoritative by construction: witnesses of the verdict "heuristic".
 
-    All starts step in lockstep: the gradient and the Hessian are one
-    :class:`_TermTable`, evaluated for every live start at once.  The norm
-    test, the least-squares step and the update stay per start and keep the
-    one-start expressions, since their batched forms go through BLAS and SIMD
-    kernels that round differently.  The points are bit for bit those of
-    evaluating each entry with ``LaurentPoly.evaluate`` one start at a time;
-    the report prints them to 12 digits.
+    All starts step in lockstep, each step a handful of array operations over
+    the live starts: the gradient and the Hessian are one
+    :class:`_TermTable`, the least-squares steps one stacked ``gelsd`` call
+    (:func:`_lstsq_stack`), and the finiteness tests, the norm test
+    (:func:`_norm_below`), the damped update and the drop of starts that
+    reach a coordinate hyperplane act on all rows at once.  Each of these
+    rounds exactly as its one-start form does, so the points are bit for bit
+    those of the one-start-at-a-time search with ``LaurentPoly.evaluate`` and
+    ``np.linalg.lstsq``; the report prints them to 12 digits.
     """
     pot = build_potential(d)
     n1 = pot.nvars
     grads = [pot.derivative(i) for i in range(n1)]
     table = _TermTable(grads + [g.derivative(b) for g in grads for b in range(n1 - 1)], n1 - 1)
     rng = np.random.default_rng(_SEARCH_SEED)
-    zs = [np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(_SEARCH_STARTS)]
-    live = list(range(_SEARCH_STARTS))
+    zs = np.array([np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(_SEARCH_STARTS)])
+    live = np.arange(_SEARCH_STARTS)
     # a diverging start overflows to inf/nan; it is abandoned, not reported
     with np.errstate(all="ignore"):
         for _ in range(_SEARCH_ITERS):
-            if not live:
+            if not live.size:
                 break
-            values = table.evaluate(np.array([zs[s] for s in live]))
-            finite = np.isfinite(values)
-            moved = []
-            for row, s in enumerate(live):
-                vals = values[row, :n1]
-                if not finite[row, :n1].all() or np.linalg.norm(vals) < _SEARCH_TOL:
-                    continue
-                if not finite[row, n1:].all():
-                    continue
-                jac = values[row, n1:].reshape(n1, n1 - 1)
-                step, *_ = np.linalg.lstsq(jac, -vals, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    continue
-                zs[s] = zs[s] + 0.5 * step
-                if not np.any(np.abs(zs[s]) < 1e-13):
-                    moved.append(s)
-            live = moved
-        residuals = table.evaluate(np.array(zs))[:, :n1]
+            values = table.evaluate(zs[live])
+            keep = np.isfinite(values).all(axis=1)
+            keep[keep] = ~_norm_below(values[keep, :n1], _SEARCH_TOL)
+            live, values = live[keep], values[keep]
+            step = _lstsq_stack(values[:, n1:].reshape(-1, n1, n1 - 1), -values[:, :n1])
+            keep = np.isfinite(step).all(axis=1)
+            live = live[keep]
+            zs[live] = zs[live] + 0.5 * step[keep]
+            live = live[~(np.abs(zs[live]) < 1e-13).any(axis=1)]
+        residuals = table.evaluate(zs)[:, :n1]
     found = []
     for z, vals in zip(zs, residuals):
         residual = max(abs(v) for v in vals)

@@ -1,10 +1,13 @@
-"""Scalar damped-Newton oracle, independent of the library's term table.
+"""Scalar damped-Newton oracle, independent of the library's batched search.
 
 :func:`heuristic_points` is the multi-start search of
 ``potential.heuristic_points`` written one start at a time: every gradient
-and Hessian entry is a ``LaurentPoly.evaluate`` call at each step.  The
-library runs all starts in lockstep on a compiled term table instead and
-promises the same bits, so tests compare the two with ``==``.
+and Hessian entry is a ``LaurentPoly.evaluate`` call, every step one
+``np.linalg.lstsq`` call, and the norm, finiteness and hyperplane tests are
+made on that start alone.  The library steps all starts at once instead: one
+compiled term table evaluation, one stacked ``gelsd`` call and array tests
+over the live starts per iteration.  It promises the same bits, so tests
+compare the two with ``==``.
 """
 
 import numpy as np

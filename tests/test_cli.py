@@ -9,11 +9,13 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minksmooth
 from minksmooth import cli, cone, polytope, potential
 from minksmooth.cli import main
+from minksmooth.exactlin import NotUnimodular
 from minksmooth.pipeline import (
     SchemaError,
     TargetMismatch,
@@ -264,6 +266,52 @@ def test_cli_write_failures_name_the_write(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("cannot write output: [Errno 2]")
     assert main(["analyze", missing]) == 2
     assert capsys.readouterr().err.startswith("cannot read input: [Errno 2]")
+
+
+def test_cli_failed_svg_write_leaves_no_report(tmp_path, capsys):
+    # the report is written with the SVG or not at all: a failed command
+    # leaves no file, and prints no report to stdout either
+    q5, out, missing = str(FIXTURES / "q5.json"), tmp_path / "r.json", str(tmp_path / "absent" / "d.svg")
+    assert main(["analyze", q5, "--out", str(out), "--svg", missing]) == 2
+    assert not out.exists()
+    out.write_text("older report\n")
+    assert main(["analyze", q5, "--fast", "--out", str(out), "--svg", missing]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(["analyze", q5, "--fast", "--svg", missing]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "owner, target, exc",
+    [
+        (cli, "run_pipeline", cone.NotPointed("cone contains a line")),
+        (cli, "run_pipeline", cone.NotFullDim("cone is not full-dimensional")),
+        (cli, "run_pipeline", NotUnimodular("not unimodular")),
+        (cli, "run_pipeline", ValueError("stray\nvalue")),
+        (cli, "hilbert_basis", cone.NotPointed("cone contains a line")),
+        (potential, "_lstsq_stack", np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")),
+    ],
+    ids=["NotPointed", "NotFullDim", "NotUnimodular", "ValueError", "hilbert-NotPointed", "LinAlgError"],
+)
+def test_cli_library_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, owner, target, exc):
+    # a ValueError no other handler claims exits 5 with a one-line message;
+    # a LinAlgError of the Newton search is one, raised from the real pipeline
+    monkeypatch.setattr(owner, target, _raise(exc))
+    path = write_input(tmp_path, SPATIAL_SEGMENTS_K4)
+    out = tmp_path / "r.json"
+    argv = ["hilbert", path] if target == "hilbert_basis" else ["analyze", path, "--fast", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == cli.EXIT_LIBRARY == 5
+    assert capsys.readouterr().err == f"library error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+    assert not out.exists()
 
 
 def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):

@@ -20,6 +20,8 @@ from minksmooth.potential import (
     mutate,
     newton_polytope,
     numeric_gradient_check,
+    _lstsq_stack,
+    _norm_below,
     _TermTable,
 )
 
@@ -339,6 +341,8 @@ _NEWTON_CASES = {
     for axes, signs in [((0, 1, 2), signs) for signs in product((1, -1), repeat=3)] + [((1, 2, 0), (1, 1, 1))]
 }
 _NEWTON_CASES["n=1"] = [(1,), (1,)]
+_NEWTON_CASES["n=2"] = [(1, 0), (0, 1), (1, 1)]
+_NEWTON_CASES["n=4-five"] = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
 _NEWTON_CASES["diverging"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
 _NEWTON_CASES["diverging+(-1,-1,-1)"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)]
 
@@ -380,6 +384,63 @@ def test_term_table_matches_evaluate_bit_for_bit(case):
     for row, z in zip(got, points):
         want = np.array([p.evaluate(list(z) + pinned) for p in polys], dtype=complex)
         assert row.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@st.composite
+def _systems(draw):
+    m = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 6))
+    value = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    entries = st.lists(value, min_size=count * m * m, max_size=count * m * m)
+    flat = np.array(draw(entries), dtype=complex)
+    a = flat[: count * m * (m - 1)].reshape(count, m, m - 1)
+    b = flat[count * m * (m - 1) :].reshape(count, m)
+    # rank-deficient systems too (a zero column, or a column repeating
+    # another) and nearly deficient ones, whose smallest singular value sits
+    # just above the cutoff eps * m
+    cut = draw(st.sampled_from(["full", "zero", "repeat", "near"]))
+    if cut == "zero":
+        a[:, :, -1] = 0
+    elif cut in ("repeat", "near"):
+        a[:, :, -1] = draw(value) * a[:, :, 0]
+        if cut == "near":
+            a[:, -1, -1] += 1e-12 * (1 + np.abs(a).max())
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_stacked_lstsq_matches_lstsq_bit_for_bit(case):
+    # one gelsd call over the stack must round as lstsq does on each system
+    a, b = case
+    want = np.array([np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)])
+    assert _lstsq_stack(a, b).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_stacked_lstsq_raises_as_lstsq_does():
+    # a failed SVD is an error, not a NaN step, as in np.linalg.lstsq
+    a, b = np.full((2, 4, 3), np.nan + 0j), np.ones((2, 4), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(a[0], b[0], rcond=None)
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError) as got:
+        _lstsq_stack(a, b)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=2, max_size=5),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+)
+def test_norm_below_decides_as_norm(row, ulps):
+    # rows scaled to within a few ulps of the tolerance, where a sum in
+    # another order could round across it, and one far on each side
+    tol = 1e-10
+    v = np.array(row, dtype=complex)
+    v = v * (tol / np.linalg.norm(v))
+    rows = [v * (1 + k * np.finfo(float).eps) for k in ulps] + [v * 0.5, v * 2.0]
+    vals = np.array(rows)
+    assert _norm_below(vals, tol).tolist() == [bool(np.linalg.norm(r) < tol) for r in vals]
 
 
 def test_numeric_gradient_q6_witness(d_q6_first):
