@@ -7,8 +7,10 @@ Subcommands:
     potential <file> [--critical]
     diagram <file> --svg out.svg
 
-Exit codes: 0 success, 2 schema error or an input that cannot be read or
-an output that cannot be written, 3 inadmissible input, 4 internal
+Exit codes: 0 success, 2 schema error (JSON nested too deep or holding an
+integer too long to load is one) or an input that cannot be read or
+decoded as UTF-8 or an output that cannot be written, 3 inadmissible
+input, 4 internal
 cross-check failure (``CrossCheckError``), 5 any other ``ValueError`` the
 library raises (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, numpy's
 ``LinAlgError``).  Only exits 0 and 4 (whose report lists the failed
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except WriteFailed as exc:

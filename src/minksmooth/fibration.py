@@ -28,7 +28,7 @@ from .exactlin import (
     vec_neg,
     vec_sub,
 )
-from .polytope import LatticePolytope, MinkowskiDecomposition, require_admissible
+from .polytope import LatticePolytope, MinkowskiDecomposition, require_admissible, summand_at
 from .smoothing import CharLabel, X, Y
 
 
@@ -44,13 +44,6 @@ class NegativeArea(ValueError):
     pass
 
 
-def _vertex_rows(d: MinkowskiDecomposition, p: int) -> IntMat:
-    mats = require_admissible(d)
-    if not 1 <= p <= d.k:
-        raise IndexError(f"summand index {p} out of range")
-    return mats[p - 1].v
-
-
 @dataclass(frozen=True)
 class CollapsingCycle:
     """A 1-cycle of the torus fibre that dies on a codimension-2 stratum,
@@ -61,7 +54,7 @@ class CollapsingCycle:
 
 
 def collapsing_cycles(d: MinkowskiDecomposition, p: int) -> tuple[CollapsingCycle, ...]:
-    rows = _vertex_rows(d, p)
+    rows = summand_at(d, p).v
     cycles = [CollapsingCycle(v, (Y(p), X(p, i + 1))) for i, v in enumerate(rows)]
     for (i, u), (j, v) in combinations(enumerate(rows, start=1), 2):
         cycles.append(CollapsingCycle(sign_normalized(vec_sub(u, v)), (X(p, i), X(p, j))))
@@ -79,16 +72,10 @@ class Region:
         return all(sum(a * x for a, x in zip(n, lam)) > 0 for n in self.normals)
 
 
-@dataclass(frozen=True)
-class RegionFan:
-    p: int
-    regions: tuple[Region, ...]
-
-
-def regions(d: MinkowskiDecomposition, p: int) -> RegionFan:
+def regions(d: MinkowskiDecomposition, p: int) -> tuple[Region, ...]:
     """Wall complement for summand p: region 0 sees all vertex functionals
     positive, region j flips vertex j below the others."""
-    rows = _vertex_rows(d, p)
+    rows = summand_at(d, p).v
     m = len(rows)
     out = [Region(0, rows)]
     for j in range(1, m + 1):
@@ -96,7 +83,7 @@ def regions(d: MinkowskiDecomposition, p: int) -> RegionFan:
         normals = [vec_neg(vj)]
         normals += [vec_sub(rows[l], vj) for l in range(m) if l != j - 1]
         out.append(Region(j, tuple(normals)))
-    return RegionFan(p, tuple(out))
+    return tuple(out)
 
 
 def _shear_last_row(v, n) -> IntMat:
@@ -107,22 +94,23 @@ def _shear_last_column(v, n) -> IntMat:
     return transpose(_shear_last_row(v, n))
 
 
+def _stratum_vertex(d: MinkowskiDecomposition, p: int, j: int) -> IntVec:
+    rows = summand_at(d, p).v
+    if not 1 <= j <= len(rows):
+        raise IndexError(f"stratum index {j} out of range for summand {p}")
+    return rows[j - 1]
+
+
 def monodromy(d: MinkowskiDecomposition, p: int, j: int) -> IntMat:
     """Topological monodromy around the j-th stratum of summand p: identity
     with the vertex vector in the last column."""
-    rows = _vertex_rows(d, p)
-    if not 1 <= j <= len(rows):
-        raise IndexError(f"stratum index {j} out of range for summand {p}")
-    return _shear_last_column(rows[j - 1], d.n)
+    return _shear_last_column(_stratum_vertex(d, p, j), d.n)
 
 
 def affine_monodromy(d: MinkowskiDecomposition, p: int, j: int) -> IntMat:
     """Transpose inverse of the topological monodromy: identity with minus
     the vertex vector in the last row."""
-    rows = _vertex_rows(d, p)
-    if not 1 <= j <= len(rows):
-        raise IndexError(f"stratum index {j} out of range for summand {p}")
-    return _shear_last_row(vec_neg(rows[j - 1]), d.n)
+    return _shear_last_row(vec_neg(_stratum_vertex(d, p, j)), d.n)
 
 
 CUT_DIRECTION_NOTE = (
@@ -138,8 +126,9 @@ class BaseDiagram:
     ``applied`` is the set of summand indices whose cut has been transferred;
     the boundary height over a functional c is the sum of the applied
     summands' support terms, so nothing applied means height zero.  The
-    per-region shears and stratum tags are exposed as metadata so the
-    cancellation identities stay testable on the diagram itself.
+    per-region shears are exposed as metadata so the cancellation
+    identities stay testable on the diagram itself; the stratum tags of
+    summand p are :func:`collapsing_cycles`.
     """
 
     decomposition: MinkowskiDecomposition
@@ -152,10 +141,6 @@ class BaseDiagram:
     def boundary_height(self, c) -> int:
         c = as_vec(c)
         return sum(support(self.decomposition.summands[p - 1].vertices, c) for p in self.applied)
-
-    def strata(self, p) -> tuple[CollapsingCycle, ...]:
-        """Codimension-two stratum tags of summand p's singular fibre."""
-        return collapsing_cycles(self.decomposition, p)
 
     def region_map(self, p, j) -> IntMat:
         """Shear applied to region j when transferring the cut of summand p;
@@ -178,7 +163,7 @@ def transfer_cut(b: BaseDiagram, p: int) -> BaseDiagram:
     region i to region j inside the cut is the shear by their vertex
     difference, which is exactly what the applied affine monodromies cancel.
     """
-    _vertex_rows(b.decomposition, p)  # p in range, decomposition admissible
+    summand_at(b.decomposition, p)  # p in range, decomposition admissible
     if p in b.applied:
         raise AlreadyApplied(f"cut {p} was already transferred")
     return replace(b, applied=b.applied | {p})

@@ -68,6 +68,8 @@ def parse_input(text: str) -> AnalysisRequest:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, an integer too long
+        raise SchemaError(f"cannot load JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "$", "expected a JSON object")
     unknown = set(raw) - {"name", "dimension", "summands", "target"}
     _expect(not unknown, "$", f"unknown fields {sorted(unknown)}")
@@ -195,7 +197,7 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
         "regions": {
             str(p): [
                 {"index": r.j, "positive_normals": _mat(r.normals)}
-                for r in fib.regions(d, p).regions
+                for r in fib.regions(d, p)
             ]
             for p in range(1, d.k + 1)
         },

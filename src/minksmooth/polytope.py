@@ -234,6 +234,14 @@ def require_admissible(d: MinkowskiDecomposition) -> tuple[SummandMatrices, ...]
     return res.matrices
 
 
+def summand_at(d: MinkowskiDecomposition, p: int) -> SummandMatrices:
+    """The matrix package of summand p, 1 <= p <= k; admissibility first."""
+    mats = require_admissible(d)
+    if not 1 <= p <= d.k:
+        raise IndexError(f"summand index {p} out of range")
+    return mats[p - 1]
+
+
 def verify_matrix_relations(sm: SummandMatrices) -> bool:
     """The defining identities: v*a = Id, v*c = 0, e*a = 0, e*c = Id."""
     m, n = sm.m, sm.n

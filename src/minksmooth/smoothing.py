@@ -29,7 +29,7 @@ from .exactlin import (
     vec_neg,
     vec_sub,
 )
-from .polytope import MinkowskiDecomposition, phi, require_admissible
+from .polytope import MinkowskiDecomposition, phi, require_admissible, summand_at
 
 
 class UnknownLabel(KeyError):
@@ -135,8 +135,7 @@ def verify_generates(g: GeneratorSet, c: PolyhedralCone, box: int) -> bool:
 def relation_xy(d: MinkowskiDecomposition, p: int) -> IntVec:
     """Deformation exponents of y_p * prod_l x_{p,l}: the vector beta with
     beta_j the t_j-exponent.  Its own slot is always 1."""
-    mats = require_admissible(d)
-    sm = mats[p - 1]
+    sm = summand_at(d, p)
     if sm.m == 0:
         raise ValueError(f"summand {p} is a point and has no chart relation")
     beta = phi(d, sm.b)
@@ -149,8 +148,7 @@ def relation_xy(d: MinkowskiDecomposition, p: int) -> IntVec:
 
 def relation_w(d: MinkowskiDecomposition, p: int, j: int) -> IntVec:
     """Deformation exponents of w+_{p,j} * w-_{p,j}; the p-th slot vanishes."""
-    mats = require_admissible(d)
-    sm = mats[p - 1]
+    sm = summand_at(d, p)
     if not 1 <= j <= sm.n - sm.m:
         raise IndexError(f"kernel column index {j} out of range for summand {p}")
     col = sm.c_column(j - 1)
@@ -196,8 +194,7 @@ def express_in_chart(d: MinkowskiDecomposition, zhat, p: int, singular: bool) ->
     zhat = as_vec(zhat)
     if is_zero_vec(zhat):
         raise ValueError("zero vector has no chart expression")
-    mats = require_admissible(d)
-    sm = mats[p - 1]
+    sm = summand_at(d, p)
     m = sm.m
     xi = tuple(dot(row, zhat) for row in sm.v + sm.e)
     xi_x, xi_w = xi[:m], xi[m:]
@@ -236,10 +233,7 @@ class FibreModel:
 
 
 def fibre_model(d: MinkowskiDecomposition, p: int) -> FibreModel:
-    mats = require_admissible(d)
-    if not 1 <= p <= d.k:
-        raise IndexError(f"summand index {p} out of range")
-    sm = mats[p - 1]
+    sm = summand_at(d, p)
     if sm.m == 0:
         raise ValueError(f"summand {p} is a point; its fibre is a smooth torus")
     prod_coords = (Y(p),) + tuple(X(p, j) for j in range(1, sm.m + 1))

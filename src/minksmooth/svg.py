@@ -9,6 +9,8 @@ axonometric map, hardcoded so two runs produce byte-identical output.
 
 from __future__ import annotations
 
+from html import escape
+
 from .exactlin import support
 
 
@@ -50,7 +52,7 @@ def emit_svg(name: str, rays, summands) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">',
         "<!-- axonometric projection: screen_x = 0.8660254037844387*(x - y),",
         "     screen_y = -z + 0.5*(x + y); origin at (320, 360), scale 52 -->",
-        f"<title>{name}: convex base diagram</title>",
+        f"<title>{escape(name, quote=False)}: convex base diagram</title>",
         '<rect width="640" height="640" fill="white"/>',
     ]
     ox, oy = _project(0.0, 0.0, 0.0)

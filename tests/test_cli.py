@@ -4,9 +4,11 @@ import itertools
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +91,33 @@ def test_parse_rejects_bad_json_with_line_info():
     with pytest.raises(SchemaError) as err:
         parse_input("{\n  \"name\": }")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        pytest.param(
+            '{"dimension": ' + "9" * 5000 + "}",
+            "Exceeds the limit (4300 digits)",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no integer string-conversion limit"
+            ),
+        ),
+    ],
+    ids=["too-deep", "too-long"],
+)
+def test_json_the_parser_cannot_load_is_a_schema_error(tmp_path, capsys, text, message):
+    # json.loads raises RecursionError or a plain ValueError here, not a
+    # JSONDecodeError; both are refused as schema errors in one line
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse_input(text)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["hilbert", str(path)]) == cli.EXIT_SCHEMA == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: cannot load JSON: ") and err.count("\n") == 1
 
 
 def test_parse_rejects_target_mismatch():
@@ -266,6 +295,17 @@ def test_cli_write_failures_name_the_write(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("cannot write output: [Errno 2]")
     assert main(["analyze", missing]) == 2
     assert capsys.readouterr().err.startswith("cannot read input: [Errno 2]")
+
+
+def test_cli_undecodable_input_cannot_be_read(tmp_path, capsys):
+    # input is read as UTF-8; a Latin-1 file is an unreadable input, not a
+    # library error
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(dict(Q5_INPUT, name="Q5 caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == cli.EXIT_SCHEMA == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
 
 
 def test_cli_failed_svg_write_leaves_no_report(tmp_path, capsys):
@@ -581,6 +621,19 @@ def test_cli_diagram_draws_without_the_pipeline(tmp_path, monkeypatch, fixture):
     monkeypatch.setattr(potential, "critical_exists", refuse)
     assert main(["diagram", str(path), "--svg", str(drawn)]) == 0
     assert drawn.read_text(encoding="utf-8") == analyzed.read_text(encoding="utf-8") == want
+
+
+def test_cli_svg_escapes_the_input_name(tmp_path):
+    # the name is text inside <title>: markup characters in it are escaped,
+    # so both commands write well-formed XML that reads back the name
+    path = write_input(tmp_path, dict(Q5_INPUT, name="Q5 <R&D>"))
+    drawn, analyzed = tmp_path / "d.svg", tmp_path / "a.svg"
+    assert main(["diagram", path, "--svg", str(drawn)]) == 0
+    assert main(["analyze", path, "--fast", "--out", str(tmp_path / "r.json"), "--svg", str(analyzed)]) == 0
+    for svg in (drawn, analyzed):
+        title = xml.dom.minidom.parse(str(svg)).getElementsByTagName("title")[0]
+        assert title.firstChild.data == "Q5 <R&D>: convex base diagram"
+    assert "<title>Q5 &lt;R&amp;D&gt;: convex base diagram</title>" in drawn.read_text(encoding="utf-8")
 
 
 def test_cli_diagram_refuses_what_analyze_refuses(tmp_path):

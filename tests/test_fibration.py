@@ -49,12 +49,12 @@ def test_segment_summand_single_cycle(d_lens21):
 
 def test_regions_q5(d_q5):
     fan1 = regions(d_q5, 1)
-    assert fan1.regions[0].normals == ((0, 1), (1, 0))
-    assert fan1.regions[1].normals == ((0, -1), (1, -1))
-    assert fan1.regions[2].normals == ((-1, 0), (-1, 1))
+    assert fan1[0].normals == ((0, 1), (1, 0))
+    assert fan1[1].normals == ((0, -1), (1, -1))
+    assert fan1[2].normals == ((-1, 0), (-1, 1))
     fan2 = regions(d_q5, 2)
-    assert fan2.regions[0].normals == ((1, 1),)
-    assert fan2.regions[1].normals == ((-1, -1),)
+    assert fan2[0].normals == ((1, 1),)
+    assert fan2[1].normals == ((-1, -1),)
 
 
 def test_regions_partition(all_fixtures):
@@ -66,15 +66,15 @@ def test_regions_partition(all_fixtures):
             lam = (Fraction(rng.randint(-40, 40), 7), Fraction(rng.randint(-40, 40), 9))
             hit_wall = False
             for fan in fans:
-                for r in fan.regions:
+                for r in fan:
                     if any(sum(a * x for a, x in zip(n, lam)) == 0 for n in r.normals):
                         hit_wall = True
             if hit_wall:
                 continue
             samples += 1
-            for fan in fans:
-                count = sum(1 for r in fan.regions if r.contains(lam))
-                assert count == 1, f"lambda {lam} lies in {count} regions of summand {fan.p}"
+            for p, fan in enumerate(fans, start=1):
+                count = sum(1 for r in fan if r.contains(lam))
+                assert count == 1, f"lambda {lam} lies in {count} regions of summand {p}"
 
 
 Q5_TOPOLOGICAL_SHEARS = {
@@ -152,11 +152,11 @@ def test_monodromies_q6_first_known_matrices(d_q6_first):
 
 def test_regions_q6_first_known_systems(d_q6_first):
     fan1 = regions(d_q6_first, 1)
-    assert fan1.regions[0].normals == ((1, 0), (1, 1))  # x1 > 0, x1 + x2 > 0
-    assert fan1.regions[1].normals == ((-1, 0), (0, 1))  # x1 < 0, x2 > 0
-    assert fan1.regions[2].normals == ((-1, -1), (0, -1))  # x1 + x2 < 0, x2 < 0
+    assert fan1[0].normals == ((1, 0), (1, 1))  # x1 > 0, x1 + x2 > 0
+    assert fan1[1].normals == ((-1, 0), (0, 1))  # x1 < 0, x2 > 0
+    assert fan1[2].normals == ((-1, -1), (0, -1))  # x1 + x2 < 0, x2 < 0
     fan2 = regions(d_q6_first, 2)
-    assert fan2.regions[0].normals == ((0, 1), (1, 1))
+    assert fan2[0].normals == ((0, 1), (1, 1))
 
 
 def test_monodromy_index_errors(d_q5):
@@ -187,7 +187,7 @@ def test_transfer_cut_q6_height(d_q6_first):
 def test_diagram_metadata(d_q5):
     b = transfer_cut(new_base_diagram(d_q5), 1)
     assert b.cut_direction == (0, 0, 1)
-    assert {c.vector for c in b.strata(1)} == {(1, 0), (0, 1), (1, -1)}
+    assert {c.vector for c in collapsing_cycles(b.decomposition, 1)} == {(1, 0), (0, 1), (1, -1)}
     assert b.region_map(1, 0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert b.region_map(1, 1) == affine_monodromy(d_q5, 1, 1)
     with pytest.raises(ValueError):

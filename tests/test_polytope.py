@@ -20,6 +20,7 @@ from minksmooth.polytope import (
     minkowski_sum,
     phi,
     require_admissible,
+    summand_at,
     summand_matrices,
     verify_matrix_relations,
 )
@@ -206,24 +207,31 @@ def test_admissibility_memo_keeps_equality_and_hash(d_q5):
     assert sigma_tilde(fresh) is sigma_tilde(d_q5)
 
 
+# every function that reads one summand's matrix package, called on
+# summand p
+PER_SUMMAND = {
+    "summand_at": summand_at,
+    "relation_xy": smoothing.relation_xy,
+    "relation_w": lambda d, p: smoothing.relation_w(d, p, 1),
+    "express_in_chart": lambda d, p: smoothing.express_in_chart(d, (1, 0), p, False),
+    "fibre_model": smoothing.fibre_model,
+    "collapsing_cycles": fibration.collapsing_cycles,
+    "regions": fibration.regions,
+    "monodromy": lambda d, p: fibration.monodromy(d, p, 1),
+    "affine_monodromy": lambda d, p: fibration.affine_monodromy(d, p, 1),
+    "transfer_cut": lambda d, p: fibration.transfer_cut(fibration.BaseDiagram(d, frozenset()), p),
+}
+
 # every function that gates on admissibility, called on summand 1 where it
 # takes one
 ADMISSIBILITY_GATES = {
     "require_admissible": require_admissible,
     "sigma_tilde": sigma_tilde,
     "generator_set": smoothing.generator_set,
-    "relation_xy": lambda d: smoothing.relation_xy(d, 1),
-    "relation_w": lambda d: smoothing.relation_w(d, 1, 1),
-    "express_in_chart": lambda d: smoothing.express_in_chart(d, (1, 0), 1, False),
-    "fibre_model": lambda d: smoothing.fibre_model(d, 1),
-    "collapsing_cycles": lambda d: fibration.collapsing_cycles(d, 1),
-    "regions": lambda d: fibration.regions(d, 1),
-    "monodromy": lambda d: fibration.monodromy(d, 1, 1),
-    "affine_monodromy": lambda d: fibration.affine_monodromy(d, 1, 1),
     "new_base_diagram": fibration.new_base_diagram,
-    "transfer_cut": lambda d: fibration.transfer_cut(fibration.BaseDiagram(d, frozenset()), 1),
     "build_potential": potential.build_potential,
     "critical_exists": potential.critical_exists,
+    **{name: (lambda d, f=f: f(d, 1)) for name, f in PER_SUMMAND.items()},
 }
 
 
@@ -233,3 +241,11 @@ def test_inadmissible_rejected_at_every_gate(gate):
     with pytest.raises(NotAdmissible, match="primitive"):
         ADMISSIBILITY_GATES[gate](d)
     assert not d.admissibility.ok
+
+
+@pytest.mark.parametrize("p", [0, -1, 3], ids=["zero", "negative", "k+1"])  # Q5 has k = 2
+@pytest.mark.parametrize("name", sorted(PER_SUMMAND))
+def test_summand_index_checked_by_every_reader(d_q5, name, p):
+    # no negative indexing into the summand matrices: -1 is not summand k
+    with pytest.raises(IndexError, match=rf"^summand index {p} out of range$"):
+        PER_SUMMAND[name](d_q5, p)
