@@ -7,10 +7,10 @@ Subcommands:
     potential <file> [--critical]
     diagram <file> --svg out.svg
 
-Exit codes: 0 success, 2 schema error (JSON nested too deep or holding an
-integer too long to load is one) or an input that cannot be read or
-decoded as UTF-8 or an output that cannot be written, 3 inadmissible
-input, 4 internal
+Exit codes: 0 success, 2 schema error (JSON too deep or with too long an
+integer, a name with a control character or lone surrogate) or an input
+that cannot be read or decoded as UTF-8 or an output that cannot be
+written (a stdout closed early is one), 3 inadmissible input, 4 internal
 cross-check failure (``CrossCheckError``), 5 any other ``ValueError`` the
 library raises (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, numpy's
 ``LinAlgError``).  Only exits 0 and 4 (whose report lists the failed
@@ -43,13 +43,17 @@ EXIT_CROSSCHECK = 4
 EXIT_LIBRARY = 5
 
 
-class WriteFailed(Exception):
-    """An output file could not be written."""
+class ReadFailed(Exception):
+    """The input file could not be read or decoded."""
 
 
 def _load_request(path) -> AnalysisRequest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_input(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReadFailed(exc) from exc
+    return parse_input(text)
 
 
 def _write(*outputs) -> None:
@@ -61,11 +65,11 @@ def _write(*outputs) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 opened.append(path)
                 fh.write(text)
-    except OSError as exc:
+    except OSError:
         for path in opened:
             with contextlib.suppress(OSError):
                 os.remove(path)
-        raise WriteFailed(exc) from exc
+        raise
 
 
 def _draw(req) -> str:
@@ -161,11 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a broken pipe is reported here, not at exit
+        return code
+    except ReadFailed as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except WriteFailed as exc:
+    except OSError as exc:  # an output file, or stdout
+        if isinstance(exc, BrokenPipeError):  # the flush at exit must not raise again
+            sys.stdout = open(os.devnull, "w")
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except SchemaError as exc:

@@ -50,6 +50,12 @@ def _expect(cond, path, message):
         raise SchemaError(f"{path}: {message}")
 
 
+def _xml_char(c: str) -> bool:
+    """Whether XML 1.0's Char production allows ``c``: no control character
+    but tab and newlines, no surrogate (UTF-8 cannot encode one alone)."""
+    return c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
 def _parse_vertices(raw, path, dim=None):
     _expect(isinstance(raw, list) and raw, path, "expected a nonempty list of vertices")
     verts = []
@@ -75,6 +81,7 @@ def parse_input(text: str) -> AnalysisRequest:
     _expect(not unknown, "$", f"unknown fields {sorted(unknown)}")
     name = raw.get("name", "unnamed")
     _expect(isinstance(name, str), "name", "expected a string")
+    _expect(all(map(_xml_char, name)), "name", "expected no control character or lone surrogate")
     dim = raw.get("dimension")
     _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1, "dimension", "expected a positive integer")
     _expect(isinstance(raw.get("summands"), list) and raw["summands"], "summands", "expected a nonempty list")

@@ -5,8 +5,9 @@ The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
 For planar decompositions that pairwise condition is decided exactly with
-resultants and number-field gcds; other dimensions get the verdict
-"heuristic", with witnesses from the numeric :func:`heuristic_points`.
+resultants and number-field gcds read off their subresultant sequences;
+other dimensions get the verdict "heuristic", with witnesses from the
+numeric :func:`heuristic_points`.
 
 That search is damped Newton from 40 seeded starts, run in lockstep: the
 gradient and Hessian are compiled once into a term table that is evaluated
@@ -284,14 +285,15 @@ def _common_fibres(bi, bj):
     first generator, and h, in K[first generator] with K = Q[x]/(f), is the
     pair's gcd above the roots of f.  The pair must share no curve.
     """
-    res = _strip_x(rp.bresultant_y(bi, bj))
+    res, prs = rp.bresultant_y(bi, bj)
+    res = _strip_x(res)
     if res.degree() <= 0:
         return []
     fibres = []
     for f, _mult in rp.factor_rational(res.sqf_part()):
-        # one side may vanish identically above these roots; the gcd routine
-        # then returns the survivor, whose zeros are the common zeros here
-        h = _kmonic_strip(rp.kgcd_y(f, bi, bj))
+        # one side may vanish identically above these roots; the gcd read
+        # off the PRS is then the survivor, whose zeros are the common zeros
+        h = _kmonic_strip(rp.kgcd_y(f, prs))
         if len(h) >= 2:
             fibres.append((f, h))
     return fibres
@@ -327,7 +329,7 @@ def _partner_minpoly(f, h) -> Poly:
     lifted = Poly.from_dict(terms, x, y, domain=QQ).clear_denoms(convert=True)[1]
     if lifted.degree(x) == 0:
         return _strip_x(lifted.exclude()).sqf_part()
-    res = rp.bresultant_y(lifted, Poly(f, x, y))
+    res = rp.bresultant_y(lifted, Poly(f, x, y))[0]
     return _strip_x(res).sqf_part()
 
 

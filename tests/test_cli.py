@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import io
 import itertools
 import json
 import os
@@ -306,6 +307,45 @@ def test_cli_undecodable_input_cannot_be_read(tmp_path, capsys):
     assert main(["analyze", str(path)]) == cli.EXIT_SCHEMA == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
+
+
+def test_cli_broken_stdout_is_a_failed_write(monkeypatch, capsys):
+    # stdout closed early, as by `| head -1`, is an output that cannot be
+    # written, not an unreadable input; stdout then points at os.devnull, so
+    # the flush at exit raises no second BrokenPipeError
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    capsys.readouterr()
+    assert main(["potential", str(FIXTURES / "q5.json"), "--critical"]) == cli.EXIT_SCHEMA == 2
+    assert capsys.readouterr().err == "cannot write output: [Errno 32] Broken pipe\n"
+    with sys.stdout as devnull:
+        assert devnull.name == os.devnull
+        print("more", flush=True)
+
+
+@pytest.mark.parametrize("name", ["Q5 \u0001", "Q5 \ud800"], ids=["control", "lone-surrogate"])
+def test_cli_name_the_svg_cannot_hold_leaves_no_file(tmp_path, capsys, name):
+    # XML 1.0 forbids a control character even escaped, and UTF-8 cannot
+    # encode a lone surrogate: the name is refused before any file is opened
+    path = write_input(tmp_path, dict(Q5_INPUT, name=name))
+    out, svg = tmp_path / "r.json", tmp_path / "d.svg"
+    for argv in (["analyze", path, "--fast", "--out", str(out), "--svg", str(svg)], ["diagram", path, "--svg", str(svg)]):
+        capsys.readouterr()
+        assert main(argv) == cli.EXIT_SCHEMA == 2
+        assert capsys.readouterr().err.startswith("schema error: name: ")
+        assert not out.exists() and not svg.exists()
+
+
+def test_parse_keeps_every_name_xml_allows():
+    # tab, newline, non-ASCII and astral characters stay in the name
+    for name in ("Q5\tcaf\u00e9\n\U0001f600", "\x7f\ue000\ufffd"):
+        assert parse_input(json.dumps(dict(Q5_INPUT, name=name))).name == name
+    for name in ("\x1f", "\udfff", "\ufffe"):
+        with pytest.raises(SchemaError, match="^name: "):
+            parse_input(json.dumps(dict(Q5_INPUT, name=name)))
 
 
 def test_cli_failed_svg_write_leaves_no_report(tmp_path, capsys):

@@ -274,6 +274,11 @@ _PLANAR_CASES = {
     # partner coefficients with denominator 11: the witnesses depend on
     # how they are rounded to floats
     "two-triangles": [[(2, -1), (-1, 0)], [(-1, -2), (1, 1)]],
+    # above z1 = -1 the triangle's leading coefficient in z2 vanishes, and
+    # its image is a monomial: the gcd read off the PRS is empty there
+    "top-edge-triangle": [[(0, 1), (1, 1)], [(1, 0)]],
+    # its mirror: the same in the other elimination order
+    "side-edge-triangle": [[(1, 0), (1, 1)], [(0, 1)]],
 }
 
 
