@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 success, 2 schema error (JSON too deep or with too long an
 integer, a name with a control character or lone surrogate) or an input
 that cannot be read or decoded as UTF-8 or an output that cannot be
-written (a stdout closed early is one), 3 inadmissible input, 4 internal
-cross-check failure (``CrossCheckError``), 5 any other ``ValueError`` the
-library raises (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, numpy's
+written (a stdout closed early is one, ``--out`` and ``--svg`` naming
+one file another), 3 inadmissible input, 4 internal cross-check failure
+(``CrossCheckError``), 5 any other ``ValueError`` the library raises
+(``NotPointed``, ``NotFullDim``, ``NotUnimodular``, numpy's
 ``LinAlgError``).  Only exits 0 and 4 (whose report lists the failed
 checks) can leave output files; every other exit leaves none.
 """
@@ -80,6 +81,10 @@ def _draw(req) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+        # one would overwrite the other
+        print(f"cannot write output: --out and --svg name one file: {args.out}", file=sys.stderr)
+        return EXIT_SCHEMA
     req = _load_request(args.file)
     if args.svg:
         # refused before the pipeline runs and before any file is opened

@@ -11,8 +11,10 @@ matrices are tuples of row vectors.
 integers (Bareiss's single-step division by the previous pivot, in the
 Gauss-Jordan form of Nakos, Turner and Williams), which returns ``d``
 times the reduced row echelon form with ``d`` a minor of the input.  The
-lattice normal forms ``hnf`` and ``snf_invariant_factors`` use their own
-unimodular row and column operations.
+lattice normal forms rest on one unimodular reduction, :func:`hnf`'s row
+operations with their transform: ``snf_invariant_factors`` alternates it
+on a matrix and its transpose, and ``complete_to_basis`` reads a basis
+off its transform.
 """
 
 from __future__ import annotations
@@ -215,48 +217,24 @@ def hnf(m) -> tuple[IntMat, IntMat]:
 
 
 def snf_invariant_factors(m) -> list[int]:
-    """Diagonal of the Smith normal form (nonnegative, each dividing the next)."""
+    """Diagonal of the Smith normal form (nonnegative, each dividing the next).
+
+    Row Hermite forms (:func:`hnf`) of the matrix and of its transpose
+    alternate until no off-diagonal entry is left.  Each step is
+    unimodular, so that diagonal matrix is equivalent to ``m``; as
+    diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)), one gcd/lcm
+    pass over its diagonal gives the divisibility chain, zeros last.
+    """
     if not m:
         raise ValueError("empty matrix")
-    a = [list(r) for r in m]
-    nrows, ncols = len(a), len(a[0])
-    k = min(nrows, ncols)
-    for s in range(k):
-        while True:
-            # move a nonzero entry of minimal absolute value to (s, s)
-            nonzero = [(i, j) for i in range(s, nrows) for j in range(s, ncols) if a[i][j] != 0]
-            if not nonzero:
-                break
-            best = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
-            bi, bj = best
-            if bi != s:
-                a[s], a[bi] = a[bi], a[s]
-            if bj != s:
-                for row in a:
-                    row[s], row[bj] = row[bj], row[s]
-            p = a[s][s]
-            clean = True
-            for i in range(s + 1, nrows):
-                if a[i][s] != 0:
-                    q = a[i][s] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                    if a[i][s] != 0:
-                        clean = False
-            for j in range(s + 1, ncols):
-                if a[s][j] != 0:
-                    q = a[s][j] // p
-                    for row in a:
-                        row[j] -= q * row[s]
-                    if a[s][j] != 0:
-                        clean = False
-            if not clean:
-                continue
-            # pivot must divide the remaining block
-            offender = next((i for i in range(s + 1, nrows) if any(x % p for x in a[i][s + 1 :])), None)
-            if offender is None:
-                break
-            a[s] = [x + y for x, y in zip(a[s], a[offender])]
-    return [abs(a[i][i]) for i in range(k)]
+    a = as_mat(m)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = transpose(hnf(transpose(hnf(a)[0]))[0])
+    d = [abs(a[i][i]) for i in range(min(len(a), len(a[0])))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 def complete_to_basis(v) -> IntMat:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib
 import io
@@ -8,15 +9,18 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import typing
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minksmooth
-from minksmooth import cli, cone, polytope, potential
+from minksmooth import cli, cone, exactlin, polytope, potential
 from minksmooth.cli import main
 from minksmooth.exactlin import NotUnimodular
 from minksmooth.pipeline import (
@@ -339,6 +343,23 @@ def test_cli_name_the_svg_cannot_hold_leaves_no_file(tmp_path, capsys, name):
         assert not out.exists() and not svg.exists()
 
 
+def test_cli_refuses_out_and_svg_naming_one_file(tmp_path, capsys):
+    # the SVG would overwrite the report: refused before any file is opened,
+    # however the two paths are spelled
+    q5, same = str(FIXTURES / "q5.json"), tmp_path / "same.txt"
+    (tmp_path / "sub").mkdir()
+    for other in (str(same), str(tmp_path / "sub" / ".." / "same.txt")):
+        capsys.readouterr()
+        assert main(["analyze", q5, "--fast", "--out", str(same), "--svg", other]) == cli.EXIT_SCHEMA == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: --out and --svg name one file") and err.count("\n") == 1
+        assert not same.exists()
+    same.write_bytes(b"older report\n")
+    assert main(["analyze", q5, "--fast", "--out", str(same), "--svg", str(same)]) == 2
+    assert same.read_bytes() == b"older report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["same.txt", "sub"]
+
+
 def test_parse_keeps_every_name_xml_allows():
     # tab, newline, non-ASCII and astral characters stay in the name
     for name in ("Q5\tcaf\u00e9\n\U0001f600", "\x7f\ue000\ufffd"):
@@ -518,8 +539,11 @@ def _disagreeing_counts():
 
 
 def _identity_hnf():
-    # a wrong transform: the completed basis no longer starts with the input rows
-    return lambda m: (m, tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m))))
+    # a wrong transform: the completed basis no longer starts with the input
+    # rows; the Hermite form itself stays right, as the Smith invariant
+    # factors are read off it
+    hnf = exactlin.hnf
+    return lambda m: (hnf(m)[0], exactlin.identity(len(m)))
 
 
 @pytest.mark.parametrize(
@@ -785,3 +809,50 @@ def test_every_dataclass_annotation_resolves():
                 typing.get_type_hints(value)
                 checked += 1
     assert checked
+
+
+# a name is plain, or holds characters the SVG title cannot (controls, lone
+# surrogates, a noncharacter) next to ones it escapes
+_NAMES = st.just("Q") | st.text(st.sampled_from("Q5 \x00\x01\x1f\t\ud800\udfff\ufffe\u00e9<&"), max_size=3)
+
+
+@st.composite
+def cli_inputs(draw):
+    """Small inputs, n <= 3, k <= 3, |coordinates| <= 2: a summand is the
+    origin (most of the time) and up to n further points, so admissible and
+    inadmissible inputs both come up."""
+    n = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    summands = []
+    for _ in range(draw(st.integers(1, 3))):
+        vertices = draw(st.lists(point, max_size=n))
+        if not vertices or draw(st.integers(0, 5)):
+            vertices = [[0] * n] + vertices
+        summands.append({"vertices": vertices})
+    return {"name": draw(_NAMES), "dimension": n, "summands": summands}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_inputs())
+def test_cli_exit_codes_are_documented_and_failures_leave_no_file(payload):
+    # every command exits with a documented code, raises nothing, and a
+    # nonzero exit other than 4 leaves no output file
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, svg = (os.path.join(tmp, f) for f in ("in.json", "r.json", "d.svg"))
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload))
+        runs = [
+            ["analyze", path, "--fast", "--out", out, "--svg", svg],
+            ["hilbert", path],
+            ["potential", path, "--critical"],
+            ["diagram", path, "--svg", svg],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in {0, 2, 3, 4, 5}, (argv[0], code)
+            if code not in (0, 4):
+                assert not os.path.exists(out) and not os.path.exists(svg), argv[0]
+            for f in (out, svg):
+                if os.path.exists(f):
+                    os.remove(f)

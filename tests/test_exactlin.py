@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import gcd
 
 import linalg_oracle as oracle
 import pytest
@@ -107,6 +109,38 @@ def test_snf_divisibility_chain(rows):
             assert b % a == 0
         else:
             assert b == 0
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """1-4 x 1-4 integer matrices, some rows and columns zeroed."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-30, 30), min_size=ncols, max_size=ncols)
+    m = [draw(row) for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)):
+        m[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for r in m:
+            r[j] = 0
+    return tuple(tuple(r) for r in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_zero_lines())
+def test_snf_matches_determinantal_divisors(m):
+    # the k-th invariant factor is d_k / d_{k-1}, d_k the gcd of all k x k
+    # minors (d_0 = 1), and 0 once d_k is 0
+    nrows, ncols = len(m), len(m[0])
+    d = [1]
+    for k in range(1, min(nrows, ncols) + 1):
+        minors = (
+            oracle.det(tuple(tuple(m[i][j] for j in cols) for i in rows))
+            for rows in itertools.combinations(range(nrows), k)
+            for cols in itertools.combinations(range(ncols), k)
+        )
+        d.append(gcd(*minors))
+    want = [b // a if b else 0 for a, b in zip(d, d[1:])]
+    assert snf_invariant_factors(m) == want
 
 
 def test_complete_to_basis_examples():
