@@ -12,10 +12,10 @@ integer, a name with a control character or lone surrogate) or an input
 that cannot be read or decoded as UTF-8 or an output that cannot be
 written (a stdout closed early is one, ``--out`` and ``--svg`` naming
 one file another), 3 inadmissible input, 4 internal cross-check failure
-(``CrossCheckError``), 5 any other ``ValueError`` the library raises
+(``CrossCheckError``), 5 any other ``ValueError`` or ``ArithmeticError``
 (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, numpy's
-``LinAlgError``).  Only exits 0 and 4 (whose report lists the failed
-checks) can leave output files; every other exit leaves none.
+``LinAlgError``, ``OverflowError``).  Only exits 0 and 4 (whose report
+lists the failed checks) can leave output files; every other exit leaves none.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         # after every ValueError subclass handled above
         print(f"library error: {type(exc).__name__}: " + " ".join(str(exc).split()), file=sys.stderr)
         return EXIT_LIBRARY

@@ -4,10 +4,10 @@ polytope, and the critical-point decision.
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
-For planar decompositions that pairwise condition is decided exactly with
-resultants and number-field gcds read off their subresultant sequences;
-other dimensions get the verdict "heuristic", with witnesses from the
-numeric :func:`heuristic_points`.
+For planar decompositions it is decided exactly: each pair's families come
+from one resultant, and the count from one integer polynomial per pair in
+a summand's chart, whose gcds count each point once; other dimensions get
+the verdict "heuristic", with witnesses from :func:`heuristic_points`.
 
 That search is damped Newton from 40 seeded starts, run in lockstep: the
 gradient and Hessian are compiled once into a term table that is evaluated
@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -36,15 +38,14 @@ from .polytope import (
     OriginNotVertex,
     convex_hull,
     require_admissible,
+    summand_at,
 )
 from . import ratpoly as rp
 
 
-_Z1, _Z2 = symbols("z1 z2")
+_Z1, _Z2, _T = symbols("z1 z2 t")
 # a numeric root counts as on the unit circle when its modulus is this close to 1
 _CIRCLE_TOL = 1e-12
-# two numeric critical points are one when both coordinates are this close
-_POINT_TOL = 1e-8
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
 # size below which a start has converged
 _SEARCH_STARTS = 40
@@ -293,14 +294,16 @@ def _common_fibres(bi, bj):
     for f, _mult in rp.factor_rational(res.sqf_part()):
         # one side may vanish identically above these roots; the gcd read
         # off the PRS is then the survivor, whose zeros are the common zeros
-        h = _kmonic_strip(rp.kgcd_y(f, prs))
+        h = rp.kgcd_y(f, prs)
+        while h and h[-1].is_zero:  # partner roots at zero are off the torus
+            h = h[:-1]
         if len(h) >= 2:
             fibres.append((f, h))
     return fibres
 
 
 def _family(f, h, points, pair) -> CriticalFamily:
-    """A fibre of the reported order (z2 eliminated) with its annotations."""
+    """A fibre (z2 eliminated) with its annotations."""
     z1 = _int_coeffs(f)
     z2 = _int_coeffs(_partner_minpoly(f, h))
     return CriticalFamily(
@@ -310,13 +313,6 @@ def _family(f, h, points, pair) -> CriticalFamily:
         points=points,
         on_unit_circle=_roots_on_unit_circle(z1) and _roots_on_unit_circle(z2),
     )
-
-
-def _kmonic_strip(h):
-    """Remove partner roots at zero (non-torus) from h in K[y]."""
-    while h and h[-1].is_zero:
-        h = h[:-1]
-    return h
 
 
 def _partner_minpoly(f, h) -> Poly:
@@ -352,10 +348,30 @@ def _numeric_points(f, h):
     return pts
 
 
+def _chart_points(sm, fj: LaurentPoly) -> Poly:
+    """Squarefree in t; its roots are the common torus zeros of summand i's
+    factor and ``fj``.  With [v; e]^-1 = [a | c], z^u = w1^(u.col0) t^(u.col1)
+    on V(f_i), where w1 = -1 on a segment and -1 - t on a triangle; the roots
+    t = 0 and, on a triangle, t = -1 (w1 = 0) are off the torus."""
+    if sm.m == 0:  # a point's factor is 1
+        return Poly(1, _T, domain=ZZ)
+    cols = (sm.a_column(0), sm.c_column(0) if sm.m == 1 else sm.a_column(1))
+    exps = {tuple(sum(x * y for x, y in zip(u, col)) for col in cols): c for u, c in fj.terms.items()}
+    p0, q0 = (min(e[s] for e in exps) for s in (0, 1))
+    coeffs = {}
+    for (p, q), c in exps.items():
+        top = p - p0 if sm.m == 2 else 0  # w1^p = (-1)^p (1 + t)^p; clear (1 + t)^-p0
+        for r in range(top + 1):
+            coeffs[q - q0 + r] = coeffs.get(q - q0 + r, 0) + (-c if p % 2 else c) * comb(top, r)
+    g = Poly.from_dict({(e,): c for e, c in coeffs.items()}, _T, domain=ZZ).sqf_part()
+    return g.exquo(g.gcd(Poly.from_list([1, 1, 0] if sm.m == 2 else [1, 0], _T, domain=ZZ)))
+
+
 def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
-    Planar case: exact, via pairwise elimination of the summand factors.
+    Planar case: exact; one elimination per pair gives the families, and
+    :func:`_chart_points` the count, each point at the first pair it lies on.
     Anything else: the verdict "heuristic", with no search behind it; the
     points come from :func:`heuristic_points`.
     """
@@ -364,35 +380,27 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
         return CriticalReport(verdict="heuristic", note="dimension is not 2: numeric multi-start search, not a proof")
     factors = [factor(s) for s in d.summands]
     cleared = [_clear_to_bpoly(f) for f in factors]
-    families = []
+    chart = cache(lambda i, l: _chart_points(summand_at(d, i + 1), factors[l]))
+    families, count = [], 0
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        # a non-monomial gcd is a shared curve in either elimination order
+        # a non-monomial gcd is a shared curve
         if len(rp.bgcd(bi, bj).terms()) > 1:
             return CriticalReport(
                 verdict="positive_dimensional",
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
         fibres = _common_fibres(bi, bj)
-        points = [_numeric_points(f, h) for f, h in fibres]
-        # confirm the count with the other elimination order; only the
-        # reported order gets partner polynomials and unit-circle tests
-        other = _common_fibres(bi.reorder(_Z1, _Z2), bj.reorder(_Z1, _Z2))
-        if _distinct_point_count(points) != _distinct_point_count([_numeric_points(f, h) for f, h in other]):
-            raise CrossCheckError("elimination orders disagree on the solution count")
-        families.extend(_family(f, h, pts, (i + 1, j + 1)) for (f, h), pts in zip(fibres, points))
-    count = _distinct_point_count([fam.points for fam in families])
+        g = chart(i, j)
+        if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres):
+            raise CrossCheckError("the chart and the elimination disagree on the solution count")
+        for l in range(j):
+            if l != i and g.degree() > 0:
+                g = g.exquo(g.gcd(chart(i, l)))
+        count += g.degree()
+        families.extend(_family(f, h, _numeric_points(f, h), (i + 1, j + 1)) for f, h in fibres)
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)
-
-
-def _distinct_point_count(point_lists):
-    pts = []
-    for group in point_lists:
-        for p in group:
-            if all(abs(p[0] - q[0]) > _POINT_TOL or abs(p[1] - q[1]) > _POINT_TOL for q in pts):
-                pts.append(p)
-    return len(pts)
 
 
 class _TermTable:

@@ -25,10 +25,12 @@ from minksmooth.polytope import require_admissible
 from minksmooth.potential import (
     CriticalFamily,
     CriticalReport,
-    _distinct_point_count,
     _roots_on_unit_circle,
     factor,
 )
+
+# two numeric critical points are one when both coordinates are this close
+_POINT_TOL = 1e-8
 
 UPoly = tuple[Fraction, ...]
 BPoly = tuple[UPoly, ...]
@@ -527,9 +529,21 @@ def _numeric_points(f, h):
     return pts
 
 
+def _distinct_point_count(point_lists):
+    """The number of numeric points after merging those within
+    ``_POINT_TOL`` in both coordinates."""
+    pts = []
+    for group in point_lists:
+        for p in group:
+            if all(abs(p[0] - q[0]) > _POINT_TOL or abs(p[1] - q[1]) > _POINT_TOL for q in pts):
+                pts.append(p)
+    return len(pts)
+
+
 def critical_exists(d) -> CriticalReport:
     """``potential.critical_exists`` for planar decompositions, on this
-    module's arithmetic."""
+    module's arithmetic.  The count is independent of the library's: both
+    elimination orders' numeric points, merged within ``_POINT_TOL``."""
     require_admissible(d)
     if d.n != 2:
         raise ValueError("the elimination oracle is planar only")

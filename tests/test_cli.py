@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import importlib
 import io
-import itertools
 import json
 import os
 import pkgutil
@@ -415,6 +414,24 @@ def test_cli_library_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, ow
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["hilbert"], ["analyze", "--fast", "--out", "r.json", "--svg", "d.svg"], ["diagram", "--svg", "d.svg"]],
+    ids=["hilbert", "analyze", "diagram"],
+)
+def test_cli_arithmetic_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, argv):
+    # a coordinate too large for the Hilbert basis's box scan overflows
+    # range(); that is a library error, not a traceback
+    monkeypatch.chdir(tmp_path)
+    summands = [{"vertices": [[0, 0], [1, 10**300]]}, {"vertices": [[0, 0], [1, 0]]}]
+    path = write_input(tmp_path, {"dimension": 2, "summands": summands})
+    capsys.readouterr()
+    assert main([argv[0], path, *argv[1:]]) == cli.EXIT_LIBRARY == 5
+    err = capsys.readouterr().err
+    assert err.startswith("library error: OverflowError: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.svg").exists()
+
+
 def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
     import minksmooth.cli as cli_mod
     from minksmooth.pipeline import AnalysisReport
@@ -532,10 +549,10 @@ def test_newton_check_fails_on_a_wrong_potential(tmp_path, monkeypatch, broken):
     assert data["potential"]["newton_polytope_vertices"] == [list(v) for v in hull]
 
 
-def _disagreeing_counts():
-    # the two elimination orders of a factor pair see different point counts
-    counter = itertools.count()
-    return lambda families: next(counter)
+def _extra_chart_root():
+    # a pair's chart polynomial gains a root its elimination does not see
+    chart_points = potential._chart_points
+    return lambda sm, fj: chart_points(sm, fj) * potential.Poly(potential._T - 7)
 
 
 def _identity_hnf():
@@ -549,11 +566,11 @@ def _identity_hnf():
 @pytest.mark.parametrize(
     "command, target, broken",
     [
-        (["analyze", "--out", "r.json"], "potential._distinct_point_count", _disagreeing_counts),
-        (["potential", "--critical"], "potential._distinct_point_count", _disagreeing_counts),
+        (["analyze", "--out", "r.json"], "potential._chart_points", _extra_chart_root),
+        (["potential", "--critical"], "potential._chart_points", _extra_chart_root),
         (["analyze", "--out", "r.json"], "exactlin.hnf", _identity_hnf),
     ],
-    ids=["analyze-elimination-orders", "potential-elimination-orders", "analyze-basis-completion"],
+    ids=["analyze-chart-count", "potential-chart-count", "analyze-basis-completion"],
 )
 def test_cli_cross_check_error_exit(tmp_path, monkeypatch, capsys, command, target, broken):
     monkeypatch.chdir(tmp_path)

@@ -279,6 +279,10 @@ _PLANAR_CASES = {
     "top-edge-triangle": [[(0, 1), (1, 1)], [(1, 0)]],
     # its mirror: the same in the other elimination order
     "side-edge-triangle": [[(1, 0), (1, 1)], [(0, 1)]],
+    # z = (-1, -1) lies on all three factors: the pairs see 1 + 2 + 1 points
+    "triple-point": [[(1, 0)], [(0, 1)], [(1, 2)]],
+    # a point summand has no chart, and its factor 1 meets nothing
+    "point-summand": [[(1, 0)], [], [(0, 1)]],
 }
 
 
@@ -289,6 +293,13 @@ def test_critical_matches_fraction_oracle(name, axes, signs):
     # == on the report compares the complex witnesses bit for bit
     d = _planar(_moved(vs, axes, signs) for vs in _PLANAR_CASES[name])
     assert critical_exists(d) == ratpoly_oracle.critical_exists(d)
+
+
+def test_critical_count_counts_a_shared_point_once():
+    # the pair counts add up to 4; (-1, -1) is on every factor
+    report = critical_exists(_planar(_PLANAR_CASES["triple-point"]))
+    assert (report.verdict, report.count) == ("finite", 2)
+    assert sum(len(fam.points) for fam in report.families) == 4
 
 
 _vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
