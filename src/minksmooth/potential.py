@@ -4,10 +4,10 @@ polytope, and the critical-point decision.
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
-For planar decompositions it is decided exactly: each pair's families come
-from one resultant, and the count from one integer polynomial per pair in
-a summand's chart, whose gcds count each point once; other dimensions get
-the verdict "heuristic", with witnesses from :func:`heuristic_points`.
+For planar decompositions it is decided exactly: per pair, one integer
+polynomial in a summand's chart is zero on a shared curve and otherwise
+counts the points, and one resultant names the families; other dimensions
+get the verdict "heuristic", with witnesses from :func:`heuristic_points`.
 
 That search is damped Newton from 40 seeded starts, run in lockstep: the
 gradient and Hessian are compiled once into a term table that is evaluated
@@ -284,7 +284,7 @@ def _common_fibres(bi, bj):
     """Common torus zeros of a pair of cleared integer polynomials, as fibres
     (f, h): f is an irreducible factor of the resultant that eliminates the
     first generator, and h, in K[first generator] with K = Q[x]/(f), is the
-    pair's gcd above the roots of f.  The pair must share no curve.
+    pair's gcd above the roots of f.  The chart has ruled out a shared curve.
     """
     res, prs = rp.bresultant_y(bi, bj)
     res = _strip_x(res)
@@ -349,10 +349,10 @@ def _numeric_points(f, h):
 
 
 def _chart_points(sm, fj: LaurentPoly) -> Poly:
-    """Squarefree in t; its roots are the common torus zeros of summand i's
-    factor and ``fj``.  With [v; e]^-1 = [a | c], z^u = w1^(u.col0) t^(u.col1)
-    on V(f_i), where w1 = -1 on a segment and -1 - t on a triangle; the roots
-    t = 0 and, on a triangle, t = -1 (w1 = 0) are off the torus."""
+    """Squarefree in t; zero iff ``fj`` vanishes on V(f_i), one irreducible
+    curve, else its roots are the common torus zeros.  With [v; e]^-1 = [a | c],
+    z^u = w1^(u.col0) t^(u.col1) on V(f_i), where w1 = -1 on a segment and
+    -1 - t on a triangle; t = 0 and t = -1 (w1 = 0) are off the torus."""
     if sm.m == 0:  # a point's factor is 1
         return Poly(1, _T, domain=ZZ)
     cols = (sm.a_column(0), sm.c_column(0) if sm.m == 1 else sm.a_column(1))
@@ -370,8 +370,8 @@ def _chart_points(sm, fj: LaurentPoly) -> Poly:
 def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
-    Planar case: exact; one elimination per pair gives the families, and
-    :func:`_chart_points` the count, each point at the first pair it lies on.
+    Planar case: exact; :func:`_chart_points` decides shared curves and counts
+    each point at its first pair; one elimination per pair names the families.
     Anything else: the verdict "heuristic", with no search behind it; the
     points come from :func:`heuristic_points`.
     """
@@ -383,14 +383,13 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     chart = cache(lambda i, l: _chart_points(summand_at(d, i + 1), factors[l]))
     families, count = [], 0
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        # a non-monomial gcd is a shared curve
-        if len(rp.bgcd(bi, bj).terms()) > 1:
+        g = chart(i, j)
+        if g.is_zero:
             return CriticalReport(
                 verdict="positive_dimensional",
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
         fibres = _common_fibres(bi, bj)
-        g = chart(i, j)
         if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres):
             raise CrossCheckError("the chart and the elimination disagree on the solution count")
         for l in range(j):

@@ -23,7 +23,7 @@ def bresultant_y(f: Poly, g: Poly) -> tuple[Poly, list[Poly]]:
 
 
 def bgcd(f: Poly, g: Poly) -> Poly:
-    """Gcd in Z[y, x]."""
+    """Gcd in Z[y, x]; no library caller, the tests' shared-curve oracle."""
     return f.gcd(g)
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minksmooth import potential
-from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition
+from minksmooth import ratpoly as rp
+from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, summand_at
 from minksmooth.potential import (
     LaurentPoly,
     ZeroCoordinate,
@@ -283,6 +284,9 @@ _PLANAR_CASES = {
     "triple-point": [[(1, 0)], [(0, 1)], [(1, 2)]],
     # a point summand has no chart, and its factor 1 meets nothing
     "point-summand": [[(1, 0)], [], [(0, 1)]],
+    # pair (1, 2) meets in a point, then factors 1 and 3 share a curve
+    "opposite-segments": [[(1, 0)], [(0, 1)], [(-1, 0)]],
+    "twin-triangles": [[(1, 0), (0, 1)], [(1, 0), (0, 1)]],
 }
 
 
@@ -504,13 +508,17 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
 
 
 @pytest.mark.parametrize(
-    "vs",
-    [((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2))],
-    ids=["Q6-segments", "8-segments"],
+    "vs, verdict",
+    [
+        ([[(1, 0)], [(0, 1)], [(1, 1)]], "finite"),
+        ([[v] for v in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2))], "finite"),
+        ([[(1, 0), (0, 1)]] * 3, "positive_dimensional"),
+    ],
+    ids=["Q6-segments", "8-segments", "cubic-cone"],
 )
-def test_one_shared_curve_test_per_factor_pair(monkeypatch, vs):
-    # the gcd of a pair does not depend on the elimination order, so both
-    # orders share one test for a common curve
+def test_one_shared_curve_test_per_factor_pair(monkeypatch, vs, verdict):
+    # the chart polynomial of a pair is zero exactly on a shared curve, so
+    # the decision runs no bivariate gcd
     calls = []
     original = potential.rp.bgcd
 
@@ -519,6 +527,33 @@ def test_one_shared_curve_test_per_factor_pair(monkeypatch, vs):
         return original(f, g)
 
     monkeypatch.setattr(potential.rp, "bgcd", counted)
-    d = _segments(*vs)
-    assert critical_exists(d).verdict == "finite"
-    assert len(calls) == math.comb(len(vs), 2)
+    assert critical_exists(_planar(vs)).verdict == verdict
+    assert calls == []
+
+
+@st.composite
+def _summand_pairs(draw):
+    """Two admissible planar summands, or the point; the second is often the
+    first again, its negative, or its translate by minus a vertex."""
+    first = draw(st.one_of(st.just([]), _planar_summands))
+    how = draw(st.sampled_from(["any", "twin", "negated", "translated"]))
+    if how == "any":
+        return first, draw(st.one_of(st.just([]), _planar_summands))
+    if how == "twin" or not first:
+        return first, first
+    if how == "negated":
+        return first, [(-a, -b) for a, b in first]
+    v = draw(st.sampled_from(first))
+    return first, [(a - v[0], b - v[1]) for a, b in [(0, 0), *first] if (a, b) != v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_summand_pairs())
+def test_zero_chart_polynomial_is_a_shared_curve(pair):
+    # the oracle: two factors share a curve iff their gcd in Z[z2, z1] is
+    # not a monomial
+    d = _planar(pair)
+    factors = [factor(s) for s in d.summands]
+    shared = len(rp.bgcd(*(potential._clear_to_bpoly(f) for f in factors)).terms()) > 1
+    for i, j in ((0, 1), (1, 0)):
+        assert potential._chart_points(summand_at(d, i + 1), factors[j]).is_zero == shared
