@@ -44,7 +44,7 @@ from . import ratpoly as rp
 
 
 _Z1, _Z2, _T = symbols("z1 z2 t")
-# a numeric root counts as on the unit circle when its modulus is this close to 1
+# a family is on the unit circle when every witness coordinate's modulus is this close to 1
 _CIRCLE_TOL = 1e-12
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
 # size below which a start has converged
@@ -237,6 +237,8 @@ class CriticalFamily:
     annihilator of the partner coordinate across the whole family; it is the
     minimal polynomial when the family carries a single partner per root and
     may factor further otherwise (it never vanishes at zero).
+    ``on_unit_circle``: every witness coordinate lies within ``_CIRCLE_TOL``
+    of |z| = 1.
     """
 
     z1_minpoly: tuple[int, ...]
@@ -273,13 +275,6 @@ def _int_coeffs(u: Poly) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(u.all_coeffs()))
 
 
-def _roots_on_unit_circle(int_coeffs) -> bool:
-    if len(int_coeffs) <= 1:
-        return True
-    roots = np.roots(list(reversed(int_coeffs)))
-    return bool(np.all(np.abs(np.abs(roots) - 1.0) < _CIRCLE_TOL))
-
-
 def _common_fibres(bi, bj):
     """Common torus zeros of a pair of cleared integer polynomials, as fibres
     (f, h): f is an irreducible factor of the resultant that eliminates the
@@ -302,16 +297,18 @@ def _common_fibres(bi, bj):
     return fibres
 
 
-def _family(f, h, points, pair) -> CriticalFamily:
-    """A fibre (z2 eliminated) with its annotations."""
-    z1 = _int_coeffs(f)
-    z2 = _int_coeffs(_partner_minpoly(f, h))
+def _family(f, h, pair) -> CriticalFamily:
+    """A fibre (z2 eliminated) with its witnesses and annotations.  The
+    witnesses pair every root a of f with every root of h(a, y), and the
+    partner resultant vanishes exactly at those roots, so they hold every
+    root of both minimal polynomials: the unit-circle flag is read off them."""
+    points = _numeric_points(f, h)
     return CriticalFamily(
-        z1_minpoly=z1,
-        z2_minpoly=z2,
+        z1_minpoly=_int_coeffs(f),
+        z2_minpoly=_int_coeffs(_partner_minpoly(f, h)),
         pair=pair,
         points=points,
-        on_unit_circle=_roots_on_unit_circle(z1) and _roots_on_unit_circle(z2),
+        on_unit_circle=all(abs(abs(z) - 1.0) < _CIRCLE_TOL for p in points for z in p),
     )
 
 
@@ -396,7 +393,7 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
             if l != i and g.degree() > 0:
                 g = g.exquo(g.gcd(chart(i, l)))
         count += g.degree()
-        families.extend(_family(f, h, _numeric_points(f, h), (i + 1, j + 1)) for f, h in fibres)
+        families.extend(_family(f, h, (i + 1, j + 1)) for f, h in fibres)
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)

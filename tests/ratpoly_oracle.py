@@ -9,7 +9,9 @@ driver :func:`critical_exists` on top of them.  Univariate polynomials are
 tuples of Fractions indexed by degree, trimmed; bivariate ones live in
 Q[x][y] as a tuple of univariate coefficients, the i-th that of y^i.
 Only factorization goes through sympy.  Tests compare the library's
-primitives and its ``CriticalReport`` with these, the latter with ``==``.
+primitives and its ``CriticalReport`` with these, the latter with ``==``;
+the unit-circle flag here tests the roots of both minimal polynomials,
+where the library reads it off the witnesses.
 """
 
 from __future__ import annotations
@@ -23,14 +25,22 @@ import sympy
 from minksmooth.exactlin import CrossCheckError
 from minksmooth.polytope import require_admissible
 from minksmooth.potential import (
+    _CIRCLE_TOL,
     CriticalFamily,
     CriticalReport,
-    _roots_on_unit_circle,
     factor,
 )
 
 # two numeric critical points are one when both coordinates are this close
 _POINT_TOL = 1e-8
+
+
+def _roots_on_unit_circle(int_coeffs) -> bool:
+    if len(int_coeffs) <= 1:
+        return True
+    roots = np.roots(list(reversed(int_coeffs)))
+    return bool(np.all(np.abs(np.abs(roots) - 1.0) < _CIRCLE_TOL))
+
 
 UPoly = tuple[Fraction, ...]
 BPoly = tuple[UPoly, ...]

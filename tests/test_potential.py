@@ -287,6 +287,8 @@ _PLANAR_CASES = {
     # pair (1, 2) meets in a point, then factors 1 and 3 share a curve
     "opposite-segments": [[(1, 0)], [(0, 1)], [(-1, 0)]],
     "twin-triangles": [[(1, 0), (0, 1)], [(1, 0), (0, 1)]],
+    # z1 = -1 is on the unit circle, its partners (1 ± sqrt 5)/2 are not
+    "golden-partner": [[(1, 0)], [(0, 1), (1, 2)]],
 }
 
 
@@ -297,6 +299,12 @@ def test_critical_matches_fraction_oracle(name, axes, signs):
     # == on the report compares the complex witnesses bit for bit
     d = _planar(_moved(vs, axes, signs) for vs in _PLANAR_CASES[name])
     assert critical_exists(d) == ratpoly_oracle.critical_exists(d)
+
+
+def test_unit_circle_flag_reads_the_partner_coordinate():
+    (fam,) = critical_exists(_planar(_PLANAR_CASES["golden-partner"])).families
+    assert (fam.z1_minpoly, fam.z2_minpoly) == ((1, 1), (-1, -1, 1))
+    assert fam.on_unit_circle is False
 
 
 def test_critical_count_counts_a_shared_point_once():
@@ -490,9 +498,9 @@ def test_numeric_gradient_richardson():
     ids=["lens-13-5", "dilation-2"],
 )
 def test_only_reported_families_are_annotated(monkeypatch, d):
-    # the second elimination order confirms the count and is then dropped:
-    # partner polynomials and unit-circle tests run for reported families only
-    calls = {"_partner_minpoly": 0, "_roots_on_unit_circle": 0}
+    # witnesses and partner polynomials run once per reported family; the
+    # unit-circle flag is read off the witnesses, with no root pass of its own
+    calls = {"_partner_minpoly": 0, "_numeric_points": 0}
     for name in calls:
         original = getattr(potential, name)
 
@@ -503,8 +511,7 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
         monkeypatch.setattr(potential, name, counted)
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
-    assert calls["_partner_minpoly"] == len(rep.families)
-    assert len(rep.families) <= calls["_roots_on_unit_circle"] <= 2 * len(rep.families)
+    assert calls["_partner_minpoly"] == calls["_numeric_points"] == len(rep.families)
 
 
 @pytest.mark.parametrize(
