@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -38,14 +38,15 @@ from .polytope import (
     OriginNotVertex,
     convex_hull,
     require_admissible,
-    summand_at,
 )
 from . import ratpoly as rp
 
 
 _Z1, _Z2, _T = symbols("z1 z2 t")
-# a family is on the unit circle when every witness coordinate's modulus is this close to 1
-_CIRCLE_TOL = 1e-12
+# the planar decision builds no dense polynomial of higher degree in any variable
+_MAX_DEGREE = 10**5
+# the divisors of x^3 - 1 other than 1, lowest degree first
+_CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
 # size below which a start has converged
 _SEARCH_STARTS = 40
@@ -58,8 +59,8 @@ class ZeroPolynomial(ValueError):
     pass
 
 
-class ZeroCoordinate(ValueError):
-    pass
+class DegreeTooLarge(ValueError):
+    """A polynomial of the planar decision would exceed ``_MAX_DEGREE``."""
 
 
 class LaurentPoly:
@@ -207,23 +208,6 @@ def newton_polytope(p: LaurentPoly) -> LatticePolytope:
     return convex_hull(list(p.terms.keys()))
 
 
-def numeric_gradient_check(p: LaurentPoly, point, h: float) -> float:
-    """Largest deviation between analytic partials and central differences."""
-    point = [complex(z) for z in point]
-    if any(z == 0 for z in point):
-        raise ZeroCoordinate("point must avoid the coordinate hyperplanes")
-    worst = 0.0
-    for i in range(p.nvars):
-        analytic = p.derivative(i).evaluate(point)
-        up = list(point)
-        dn = list(point)
-        up[i] += h
-        dn[i] -= h
-        numeric = (p.evaluate(up) - p.evaluate(dn)) / (2 * h)
-        worst = max(worst, abs(analytic - numeric))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # critical points
 
@@ -237,15 +221,28 @@ class CriticalFamily:
     annihilator of the partner coordinate across the whole family; it is the
     minimal polynomial when the family carries a single partner per root and
     may factor further otherwise (it never vanishes at zero).
-    ``on_unit_circle``: every witness coordinate lies within ``_CIRCLE_TOL``
-    of |z| = 1.
+    ``on_unit_circle``: every point of the family lies on the unit torus.
+    Such a common zero of two admissible factors is torsion, so the pair's
+    summand shapes decide it.  Two segments vanish together where
+    z^v = z^u = -1 with det[v; u] != 0, which forces |z| = 1 and rational
+    angles: the flag holds on every segment pair.  A triangle's factor is
+    1 + w1 + w2 with (w1, w2) = (z^a, z^b) for a lattice basis (a, b), and
+    |w1| = |w2| = 1 forces {w1, w2} = {w, conj(w)}, w a primitive cube root
+    of unity, so every coordinate is a cube root of unity: on a pair with a
+    triangle the flag holds iff both polynomials divide x^3 - 1.
+    ``points``: the numeric witnesses, computed when first read from
+    ``fibre``, the (f, h) the family was built from.
     """
 
     z1_minpoly: tuple[int, ...]
     z2_minpoly: tuple[int, ...]
     pair: tuple[int, int]
-    points: list[tuple[complex, complex]]
     on_unit_circle: bool
+    fibre: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def points(self) -> list[tuple[complex, complex]]:
+        return _numeric_points(*self.fibre)
 
 
 @dataclass
@@ -262,7 +259,14 @@ def _clear_to_bpoly(p: LaurentPoly) -> Poly:
     min1 = min(e[0] for e in p.terms)
     min2 = min(e[1] for e in p.terms)
     terms = {(e2 - min2, e1 - min1): c for (e1, e2), c in p.terms.items()}
+    _require_degree(max(max(e) for e in terms))
     return Poly.from_dict(terms, _Z2, _Z1, domain=ZZ)
+
+
+def _require_degree(deg):
+    """Refuse a dense polynomial of degree over ``_MAX_DEGREE`` before it is built."""
+    if deg > _MAX_DEGREE:
+        raise DegreeTooLarge(f"the planar decision needs a polynomial of degree over {_MAX_DEGREE}")
 
 
 def _strip_x(u: Poly) -> Poly:
@@ -295,21 +299,6 @@ def _common_fibres(bi, bj):
         if len(h) >= 2:
             fibres.append((f, h))
     return fibres
-
-
-def _family(f, h, pair) -> CriticalFamily:
-    """A fibre (z2 eliminated) with its witnesses and annotations.  The
-    witnesses pair every root a of f with every root of h(a, y), and the
-    partner resultant vanishes exactly at those roots, so they hold every
-    root of both minimal polynomials: the unit-circle flag is read off them."""
-    points = _numeric_points(f, h)
-    return CriticalFamily(
-        z1_minpoly=_int_coeffs(f),
-        z2_minpoly=_int_coeffs(_partner_minpoly(f, h)),
-        pair=pair,
-        points=points,
-        on_unit_circle=all(abs(abs(z) - 1.0) < _CIRCLE_TOL for p in points for z in p),
-    )
 
 
 def _partner_minpoly(f, h) -> Poly:
@@ -355,6 +344,7 @@ def _chart_points(sm, fj: LaurentPoly) -> Poly:
     cols = (sm.a_column(0), sm.c_column(0) if sm.m == 1 else sm.a_column(1))
     exps = {tuple(sum(x * y for x, y in zip(u, col)) for col in cols): c for u, c in fj.terms.items()}
     p0, q0 = (min(e[s] for e in exps) for s in (0, 1))
+    _require_degree(max(q - q0 + (p - p0 if sm.m == 2 else 0) for p, q in exps))
     coeffs = {}
     for (p, q), c in exps.items():
         top = p - p0 if sm.m == 2 else 0  # w1^p = (-1)^p (1 + t)^p; clear (1 + t)^-p0
@@ -368,16 +358,17 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
     Planar case: exact; :func:`_chart_points` decides shared curves and counts
-    each point at its first pair; one elimination per pair names the families.
+    each point at its first pair; one elimination per pair names the families,
+    whose unit-circle flags need no witness (see :class:`CriticalFamily`).
     Anything else: the verdict "heuristic", with no search behind it; the
     points come from :func:`heuristic_points`.
     """
-    require_admissible(d)
+    mats = require_admissible(d)
     if d.n != 2:
         return CriticalReport(verdict="heuristic", note="dimension is not 2: numeric multi-start search, not a proof")
     factors = [factor(s) for s in d.summands]
     cleared = [_clear_to_bpoly(f) for f in factors]
-    chart = cache(lambda i, l: _chart_points(summand_at(d, i + 1), factors[l]))
+    chart = cache(lambda i, l: _chart_points(mats[i], factors[l]))
     families, count = [], 0
     for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
         g = chart(i, j)
@@ -393,7 +384,11 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
             if l != i and g.degree() > 0:
                 g = g.exquo(g.gcd(chart(i, l)))
         count += g.degree()
-        families.extend(_family(f, h, (i + 1, j + 1)) for f, h in fibres)
+        segments = mats[i].m == mats[j].m == 1  # else one is a triangle: a point meets nothing
+        for f, h in fibres:
+            z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
+            circle = segments or {z1, z2} <= _CUBE_ROOT_POLYS
+            families.append(CriticalFamily(z1, z2, (i + 1, j + 1), circle, (f, h)))
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)

@@ -9,13 +9,15 @@ driver :func:`critical_exists` on top of them.  Univariate polynomials are
 tuples of Fractions indexed by degree, trimmed; bivariate ones live in
 Q[x][y] as a tuple of univariate coefficients, the i-th that of y^i.
 Only factorization goes through sympy.  Tests compare the library's
-primitives and its ``CriticalReport`` with these, the latter with ``==``;
-the unit-circle flag here tests the roots of both minimal polynomials,
-where the library reads it off the witnesses.
+primitives and its ``CriticalReport`` with these, field by field and the
+witnesses bit for bit; the unit-circle flag here tests the numeric roots of
+both minimal polynomials, where the library decides it exactly from the
+pair's summand shapes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,15 +26,24 @@ import sympy
 
 from minksmooth.exactlin import CrossCheckError
 from minksmooth.polytope import require_admissible
-from minksmooth.potential import (
-    _CIRCLE_TOL,
-    CriticalFamily,
-    CriticalReport,
-    factor,
-)
+from minksmooth.potential import CriticalReport, factor
 
 # two numeric critical points are one when both coordinates are this close
 _POINT_TOL = 1e-8
+# a root is on the unit circle when its modulus is this close to 1
+_CIRCLE_TOL = 1e-12
+
+
+@dataclass
+class OracleFamily:
+    """The fields of ``potential.CriticalFamily``, with the witnesses and the
+    unit-circle flag computed here."""
+
+    z1_minpoly: tuple[int, ...]
+    z2_minpoly: tuple[int, ...]
+    pair: tuple[int, int]
+    points: list[tuple[complex, complex]]
+    on_unit_circle: bool
 
 
 def _roots_on_unit_circle(int_coeffs) -> bool:
@@ -491,7 +502,7 @@ def _pair_families(bi, bj, pair):
         numeric = _numeric_points(f, h)
         circle = _roots_on_unit_circle(u_int_coeffs(f)) and _roots_on_unit_circle(u_int_coeffs(z2_ann))
         families.append(
-            CriticalFamily(
+            OracleFamily(
                 z1_minpoly=u_int_coeffs(f),
                 z2_minpoly=u_int_coeffs(z2_ann),
                 pair=pair,

@@ -432,6 +432,17 @@ def test_cli_arithmetic_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.svg").exists()
 
 
+def test_cli_potential_critical_refuses_a_huge_degree(tmp_path, capsys):
+    # the planar decision would build a dense polynomial of degree 10**300;
+    # it refuses before building anything, in one line
+    summands = [{"vertices": [[0, 0], [1, 10**300]]}, {"vertices": [[0, 0], [1, 0]]}]
+    path = write_input(tmp_path, {"dimension": 2, "summands": summands})
+    capsys.readouterr()
+    assert main(["potential", path, "--critical"]) == cli.EXIT_LIBRARY == 5
+    err = capsys.readouterr().err
+    assert err.startswith("library error: DegreeTooLarge: ") and err.count("\n") == 1
+
+
 def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
     import minksmooth.cli as cli_mod
     from minksmooth.pipeline import AnalysisReport

@@ -12,7 +12,6 @@ from minksmooth import ratpoly as rp
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, summand_at
 from minksmooth.potential import (
     LaurentPoly,
-    ZeroCoordinate,
     ZeroPolynomial,
     build_potential,
     critical_exists,
@@ -20,7 +19,6 @@ from minksmooth.potential import (
     heuristic_points,
     mutate,
     newton_polytope,
-    numeric_gradient_check,
     _lstsq_stack,
     _norm_below,
     _TermTable,
@@ -296,9 +294,16 @@ _PLANAR_CASES = {
 @pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
 @pytest.mark.parametrize("name", list(_PLANAR_CASES))
 def test_critical_matches_fraction_oracle(name, axes, signs):
-    # == on the report compares the complex witnesses bit for bit
-    d = _planar(_moved(vs, axes, signs) for vs in _PLANAR_CASES[name])
-    assert critical_exists(d) == ratpoly_oracle.critical_exists(d)
+    _assert_matches_fraction_oracle(_planar(_moved(vs, axes, signs) for vs in _PLANAR_CASES[name]))
+
+
+def _assert_matches_fraction_oracle(d):
+    # the witnesses are compared bit for bit, and the exact unit-circle flag
+    # with the oracle's root test of both minimal polynomials
+    got, want = critical_exists(d), ratpoly_oracle.critical_exists(d)
+    assert (got.verdict, got.count, got.note) == (want.verdict, want.count, want.note)
+    fields = lambda f: (f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, f.points)
+    assert [fields(f) for f in got.families] == [fields(f) for f in want.families]
 
 
 def test_unit_circle_flag_reads_the_partner_coordinate():
@@ -307,11 +312,39 @@ def test_unit_circle_flag_reads_the_partner_coordinate():
     assert fam.on_unit_circle is False
 
 
+@pytest.mark.parametrize(
+    "summands, flags",
+    [
+        ([[(1, 0)], [(1, 2)]], [True]),
+        ([[(1, 0)], [(0, 1)], [(1, 1)]], [True, True, True]),
+        ([[(1, 0), (1, 1)], [(0, 1), (1, 1)]], [True]),
+        (_PLANAR_CASES["golden-partner"], [False]),
+    ],
+    ids=["lens_2_1", "q6_segments", "q6_triangles", "golden-partner"],
+)
+def test_unit_circle_flag_ignores_the_witnesses(monkeypatch, summands, flags):
+    # the flag follows from the summand shapes and the minimal polynomials;
+    # witnesses off the circle by a relative 1e-9 change none of them
+    original = potential._numeric_points
+    drifted = lambda f, h: [tuple(z * (1 + 1e-9) for z in p) for p in original(f, h)]
+    monkeypatch.setattr(potential, "_numeric_points", drifted)
+    report = critical_exists(_planar(summands))
+    assert [fam.on_unit_circle for fam in report.families] == flags
+    assert all(abs(abs(z) - 1) > 1e-10 for fam in report.families for p in fam.points for z in p)
+
+
 def test_critical_count_counts_a_shared_point_once():
     # the pair counts add up to 4; (-1, -1) is on every factor
     report = critical_exists(_planar(_PLANAR_CASES["triple-point"]))
     assert (report.verdict, report.count) == ("finite", 2)
     assert sum(len(fam.points) for fam in report.families) == 4
+
+
+def test_chart_degree_over_the_bound_is_refused():
+    # each factor has degree 400, but the pair's chart polynomial would have
+    # degree |det| = 159999, over the bound: refused before the elimination
+    with pytest.raises(potential.DegreeTooLarge):
+        critical_exists(_planar([[(1, 400)], [(400, 1)]]))
 
 
 _vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -326,8 +359,7 @@ _planar_summands = st.one_of(
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_planar_summands, min_size=1, max_size=3))
 def test_critical_matches_fraction_oracle_on_random_summands(summands):
-    d = _planar(summands)
-    assert critical_exists(d) == ratpoly_oracle.critical_exists(d)
+    _assert_matches_fraction_oracle(_planar(summands))
 
 
 def test_heuristic_for_other_dimensions():
@@ -471,25 +503,28 @@ def test_norm_below_decides_as_norm(row, ulps):
     assert _norm_below(vals, tol).tolist() == [bool(np.linalg.norm(r) < tol) for r in vals]
 
 
-def test_numeric_gradient_q6_witness(d_q6_first):
-    po = build_potential(d_q6_first)
-    w = np.exp(2j * np.pi / 3)
-    grad_norm = max(abs(po.derivative(i).evaluate([w, w, 1.0])) for i in range(3))
-    assert grad_norm < 1e-9
-    assert numeric_gradient_check(po, [w, w, 1.0], 1e-6) < 1e-6
+def _central_difference_gap(p, point, h):
+    """Largest deviation between the formal partials of ``p`` and central
+    differences with step ``h`` at ``point``."""
+    worst = 0.0
+    for i in range(p.nvars):
+        up, dn = list(point), list(point)
+        up[i] += h
+        dn[i] -= h
+        numeric = (p.evaluate(up) - p.evaluate(dn)) / (2 * h)
+        worst = max(worst, abs(p.derivative(i).evaluate(point) - numeric))
+    return worst
 
 
-def test_numeric_gradient_richardson():
+def test_derivative_matches_central_differences():
     # cubic terms make the central-difference error genuinely O(h^2)
     po = build_potential(decomposition([triangle(), triangle(), triangle()]))
     pt = [0.7 + 0.1j, -1.3 + 0.4j, 0.9]
-    e1 = numeric_gradient_check(po, pt, 1e-2)
-    e2 = numeric_gradient_check(po, pt, 5e-3)
+    e1 = _central_difference_gap(po, pt, 1e-2)
+    e2 = _central_difference_gap(po, pt, 5e-3)
     assert e2 < e1
     assert 2.5 < e1 / e2 < 5.5  # halving h quarters the error
-    assert numeric_gradient_check(LaurentPoly.one(3), pt, 1e-3) == 0.0
-    with pytest.raises(ZeroCoordinate):
-        numeric_gradient_check(po, [0.0, 1.0, 1.0], 1e-3)
+    assert _central_difference_gap(LaurentPoly.one(3), pt, 1e-3) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -498,8 +533,8 @@ def test_numeric_gradient_richardson():
     ids=["lens-13-5", "dilation-2"],
 )
 def test_only_reported_families_are_annotated(monkeypatch, d):
-    # witnesses and partner polynomials run once per reported family; the
-    # unit-circle flag is read off the witnesses, with no root pass of its own
+    # the decision runs one partner polynomial per reported family and no
+    # witnesses; the witnesses are computed once, when first read
     calls = {"_partner_minpoly": 0, "_numeric_points": 0}
     for name in calls:
         original = getattr(potential, name)
@@ -511,7 +546,10 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
         monkeypatch.setattr(potential, name, counted)
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
-    assert calls["_partner_minpoly"] == calls["_numeric_points"] == len(rep.families)
+    assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
+    fam = rep.families[0]
+    assert fam.points is fam.points
+    assert calls["_numeric_points"] == 1
 
 
 @pytest.mark.parametrize(
