@@ -116,9 +116,10 @@ def _cmd_potential(args) -> int:
 
     req = _load_request(args.file)
     po = build_potential(req.decomposition)
+    # decided before anything is printed, so a refused run prints nothing
+    crit = critical_exists(req.decomposition) if args.critical else None
     print(po)
-    if args.critical:
-        crit = critical_exists(req.decomposition)
+    if crit:
         print(f"verdict: {crit.verdict}" + (f" (count {crit.count})" if crit.count is not None else ""))
         for fam in crit.families:
             print(

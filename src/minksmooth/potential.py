@@ -4,10 +4,13 @@ polytope, and the critical-point decision.
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
-For planar decompositions it is decided exactly: per pair, one integer
-polynomial in a summand's chart is zero on a shared curve and otherwise
-counts the points, and one resultant names the families; other dimensions
-get the verdict "heuristic", with witnesses from :func:`heuristic_points`.
+For planar decompositions it is decided exactly, pair by pair.  Two
+segments meet in a coset of a finite subgroup of the unit torus: torsion
+arithmetic lists it, and the orders of its points name the families, whose
+polynomials are cyclotomic.  Any other pair is one integer polynomial in a
+summand's chart, zero on a shared curve and otherwise counting the points,
+and one resultant names its families.  Other dimensions get the verdict
+"heuristic", with witnesses from :func:`heuristic_points`.
 
 That search is damped Newton from 40 seeded starts, run in lockstep: the
 gradient and Hessian are compiled once into a term table that is evaluated
@@ -21,17 +24,18 @@ prints them to 12 digits.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from sympy import QQ, ZZ, Poly, symbols
+from sympy import QQ, ZZ, Poly, primefactors, symbols
 
-from .exactlin import CrossCheckError
+from .exactlin import CrossCheckError, hnf
 from .polytope import (
     LatticePolytope,
     MinkowskiDecomposition,
@@ -43,10 +47,12 @@ from . import ratpoly as rp
 
 
 _Z1, _Z2, _T = symbols("z1 z2 t")
-# the planar decision builds no dense polynomial of higher degree in any variable
+# the planar decision builds no dense polynomial of higher degree in any
+# variable, and lists no more common zeros of two segments
 _MAX_DEGREE = 10**5
 # the divisors of x^3 - 1 other than 1, lowest degree first
 _CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
+_HALF = Fraction(1, 2)
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
 # size below which a start has converged
 _SEARCH_STARTS = 40
@@ -60,7 +66,7 @@ class ZeroPolynomial(ValueError):
 
 
 class DegreeTooLarge(ValueError):
-    """A polynomial of the planar decision would exceed ``_MAX_DEGREE``."""
+    """A polynomial or a point list of the planar decision would exceed ``_MAX_DEGREE``."""
 
 
 class LaurentPoly:
@@ -230,19 +236,22 @@ class CriticalFamily:
     |w1| = |w2| = 1 forces {w1, w2} = {w, conj(w)}, w a primitive cube root
     of unity, so every coordinate is a cube root of unity: on a pair with a
     triangle the flag holds iff both polynomials divide x^3 - 1.
-    ``points``: the numeric witnesses, computed when first read from
-    ``fibre``, the (f, h) the family was built from.
+    ``points``: the numeric witnesses, computed when first read from the
+    fibre (f, h) that ``fibre()`` returns: for a pair with a triangle or a
+    point, the elimination fibre the family was built from; for a segment
+    pair, the fibre of the pair's elimination whose f is ``z1_minpoly``,
+    that elimination run on the first read of any of the pair's families.
     """
 
     z1_minpoly: tuple[int, ...]
     z2_minpoly: tuple[int, ...]
     pair: tuple[int, int]
     on_unit_circle: bool
-    fibre: tuple = field(compare=False, repr=False)
+    fibre: Callable[[], tuple] = field(compare=False, repr=False)
 
     @cached_property
     def points(self) -> list[tuple[complex, complex]]:
-        return _numeric_points(*self.fibre)
+        return _numeric_points(*self.fibre())
 
 
 @dataclass
@@ -264,7 +273,8 @@ def _clear_to_bpoly(p: LaurentPoly) -> Poly:
 
 
 def _require_degree(deg):
-    """Refuse a dense polynomial of degree over ``_MAX_DEGREE`` before it is built."""
+    """Refuse a dense polynomial of degree, or a list of points, over
+    ``_MAX_DEGREE`` before it is built."""
     if deg > _MAX_DEGREE:
         raise DegreeTooLarge(f"the planar decision needs a polynomial of degree over {_MAX_DEGREE}")
 
@@ -354,12 +364,109 @@ def _chart_points(sm, fj: LaurentPoly) -> Poly:
     return g.exquo(g.gcd(Poly.from_list([1, 1, 0] if sm.m == 2 else [1, 0], _T, domain=ZZ)))
 
 
+def _torsion_angles(v, u, det):
+    """Common zeros of 1 + z^v and 1 + z^u with det = det[v; u] != 0, as
+    angles theta in [0, 1)^2, z = exp(2 pi i theta): <v, theta> = <u, theta>
+    = 1/2 mod 1, the coset theta0 + M^-1 Z^2 of M = [v; u], with
+    theta0 = M^-1 (1/2, 1/2).  The rows of adj(M)^T span det * M^-1 Z^2; their
+    Hermite basis (h11, h12), (0, h22) has h11 * h22 = |det|, so the coset is
+    the grid theta0 + (i * h11, i * h12 + j * h22) / |det|, 0 <= i < h22,
+    0 <= j < h11."""
+    (h11, h12), (_, h22) = hnf([[u[1], -u[0]], [-v[1], v[0]]])[0]
+    t1, t2, size = Fraction(u[1] - v[1], 2 * det), Fraction(v[0] - u[0], 2 * det), abs(det)
+    return [
+        ((t1 + Fraction(i * h11, size)) % 1, (t2 + Fraction(i * h12 + j * h22, size)) % 1)
+        for i in range(h22)
+        for j in range(h11)
+    ]
+
+
+def _cyclotomic_product(orders) -> tuple[int, ...]:
+    """The product of the cyclotomic polynomials Phi_m over the distinct
+    orders m, lowest degree first.  Phi_m is the product over d | m of
+    (x^d - 1)^mu(m/d), so the product is one of factors 1 - x^d and their
+    inverses, expanded as a power series up to its degree, and negated when
+    Phi_1 = x - 1 is a factor."""
+    exps, degree = {}, 0
+    for m in orders:
+        primes = primefactors(m)
+        degree += m // prod(primes) * prod(p - 1 for p in primes)
+        for k in range(len(primes) + 1):
+            for sub in combinations(primes, k):
+                d = m // prod(sub)
+                exps[d] = exps.get(d, 0) + (-1) ** k
+    coeffs = [1] + [0] * degree
+    for d, e in exps.items():
+        for _ in range(abs(e)):
+            if e > 0:  # times 1 - x^d
+                for k in range(degree, d - 1, -1):
+                    coeffs[k] -= coeffs[k - d]
+            else:  # over 1 - x^d
+                for k in range(d, degree + 1):
+                    coeffs[k] += coeffs[k - d]
+    return tuple(-c for c in coeffs) if 1 in orders else tuple(coeffs)
+
+
+def _segment_pair(mats, i, j, fibres):
+    """A pair of segments, decided on its torsion coset (:func:`_torsion_angles`):
+    ``None`` on a shared curve, else the number of its points on no factor
+    l < j other than i, and its families, one per order of z1, sorted as
+    ``factor_list`` sorts their z1 polynomials.  The witnesses of a family
+    are the pair's elimination fibre with its z1 polynomial, found when first
+    read; ``fibres`` runs that elimination."""
+    (v,), (u,) = mats[i].v, mats[j].v
+    det = v[0] * u[1] - v[1] * u[0]
+    if det == 0:
+        return None
+    _require_degree(abs(det))
+    angles = _torsion_angles(v, u, det)
+    # a triangle's factor vanishes on the unit torus only where its two
+    # monomials are the primitive cube roots of unity, at angles in
+    # (1/3) Z^2, where no <v, theta> is 1/2: only an earlier segment can
+    # have counted a point of this pair, and a point's factor 1 none
+    earlier = [mats[l].v[0] for l in range(j) if l != i and mats[l].m == 1]
+    count = sum(all((w[0] * t1 + w[1] * t2) % 1 != _HALF for w in earlier) for t1, t2 in angles)
+    partners = {}
+    for t1, t2 in angles:
+        partners.setdefault(t1.denominator, set()).add(t2.denominator)
+    by_z1 = cache(lambda: {_int_coeffs(f): (f, h) for f, h in fibres()})
+    families = []
+    for m1, m2s in partners.items():
+        z1 = _cyclotomic_product({m1})
+        families.append(CriticalFamily(z1, _cyclotomic_product(m2s), (i + 1, j + 1), True, lambda z1=z1: by_z1()[z1]))
+    families.sort(key=lambda fam: (len(fam.z1_minpoly), fam.z1_minpoly[::-1]))
+    return count, families
+
+
+def _chart_pair(mats, i, j, chart, fibres):
+    """A pair with a triangle or a point, decided in summand i's chart:
+    ``None`` on a shared curve, else the number of roots of its chart
+    polynomial on no factor l < j other than i, and one family per fibre of
+    its elimination."""
+    g = chart(i, j)
+    if g.is_zero:
+        return None
+    if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres()):
+        raise CrossCheckError("the chart and the elimination disagree on the solution count")
+    for l in range(j):
+        if l != i and g.degree() > 0:
+            g = g.exquo(g.gcd(chart(i, l)))
+    families = []
+    for f, h in fibres():
+        z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
+        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=(f, h): fh))
+    return g.degree(), families
+
+
 def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
-    Planar case: exact; :func:`_chart_points` decides shared curves and counts
-    each point at its first pair; one elimination per pair names the families,
-    whose unit-circle flags need no witness (see :class:`CriticalFamily`).
+    Planar case: exact, pair by pair, each point counted at its first pair.
+    A pair of segments is decided by torsion arithmetic alone
+    (:func:`_segment_pair`); any other pair by its polynomial in a summand's
+    chart, which decides a shared curve and counts the points, and one
+    elimination, which names the families (:func:`_chart_pair`).  No
+    unit-circle flag needs a witness (see :class:`CriticalFamily`).
     Anything else: the verdict "heuristic", with no search behind it; the
     points come from :func:`heuristic_points`.
     """
@@ -367,28 +474,22 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     if d.n != 2:
         return CriticalReport(verdict="heuristic", note="dimension is not 2: numeric multi-start search, not a proof")
     factors = [factor(s) for s in d.summands]
-    cleared = [_clear_to_bpoly(f) for f in factors]
+    bpoly = cache(lambda i: _clear_to_bpoly(factors[i]))
     chart = cache(lambda i, l: _chart_points(mats[i], factors[l]))
     families, count = [], 0
-    for (i, bi), (j, bj) in combinations(enumerate(cleared), 2):
-        g = chart(i, j)
-        if g.is_zero:
+    for i, j in combinations(range(len(factors)), 2):
+        fibres = cache(lambda i=i, j=j: _common_fibres(bpoly(i), bpoly(j)))
+        if mats[i].m == mats[j].m == 1:
+            found = _segment_pair(mats, i, j, fibres)
+        else:
+            found = _chart_pair(mats, i, j, chart, fibres)
+        if found is None:
             return CriticalReport(
                 verdict="positive_dimensional",
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
-        fibres = _common_fibres(bi, bj)
-        if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres):
-            raise CrossCheckError("the chart and the elimination disagree on the solution count")
-        for l in range(j):
-            if l != i and g.degree() > 0:
-                g = g.exquo(g.gcd(chart(i, l)))
-        count += g.degree()
-        segments = mats[i].m == mats[j].m == 1  # else one is a triangle: a point meets nothing
-        for f, h in fibres:
-            z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
-            circle = segments or {z1, z2} <= _CUBE_ROOT_POLYS
-            families.append(CriticalFamily(z1, z2, (i + 1, j + 1), circle, (f, h)))
+        count += found[0]
+        families += found[1]
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)

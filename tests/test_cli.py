@@ -433,13 +433,14 @@ def test_cli_arithmetic_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys,
 
 
 def test_cli_potential_critical_refuses_a_huge_degree(tmp_path, capsys):
-    # the planar decision would build a dense polynomial of degree 10**300;
-    # it refuses before building anything, in one line
+    # the two segments meet in |det| = 10**300 points; the planar decision
+    # refuses before listing any, in one line, and before printing anything
     summands = [{"vertices": [[0, 0], [1, 10**300]]}, {"vertices": [[0, 0], [1, 0]]}]
     path = write_input(tmp_path, {"dimension": 2, "summands": summands})
     capsys.readouterr()
     assert main(["potential", path, "--critical"]) == cli.EXIT_LIBRARY == 5
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("library error: DegreeTooLarge: ") and err.count("\n") == 1
 
 

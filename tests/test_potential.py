@@ -1,15 +1,16 @@
 import math
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, cyclotomic_poly
 
 from minksmooth import potential
 from minksmooth import ratpoly as rp
-from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, summand_at
+from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, require_admissible, summand_at
 from minksmooth.potential import (
     LaurentPoly,
     ZeroPolynomial,
@@ -340,26 +341,96 @@ def test_critical_count_counts_a_shared_point_once():
     assert sum(len(fam.points) for fam in report.families) == 4
 
 
-def test_chart_degree_over_the_bound_is_refused():
-    # each factor has degree 400, but the pair's chart polynomial would have
-    # degree |det| = 159999, over the bound: refused before the elimination
+def test_segment_pair_over_the_bound_is_refused(monkeypatch):
+    # each factor has degree 400, but the two segments meet in
+    # |det| = 159999 points, over the bound: refused before any is listed
+    def refuse(*args):
+        raise AssertionError("the torsion coset was enumerated")
+
+    monkeypatch.setattr(potential, "_torsion_angles", refuse)
     with pytest.raises(potential.DegreeTooLarge):
         critical_exists(_planar([[(1, 400)], [(400, 1)]]))
 
 
+def test_chart_degree_over_the_bound_is_refused():
+    # the segment's factor has degree 10**5, within the bound, but in the
+    # triangle's chart the pair's polynomial has degree 10**5 + 1: the chart
+    # refuses it before the elimination
+    with pytest.raises(potential.DegreeTooLarge) as excinfo:
+        critical_exists(_planar([[(1, 0), (0, 1)], [(1, 10**5)]]))
+    assert any(entry.name == "_chart_points" for entry in excinfo.traceback)
+
+
 _vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_unimodular_triangles = st.tuples(_vectors, _vectors).filter(
+    lambda vw: abs(vw[0][0] * vw[1][1] - vw[0][1] * vw[1][0]) == 1
+)
 # admissible planar summands: a segment to a primitive vector, or a
 # unimodular triangle at the origin
-_planar_summands = st.one_of(
-    _vectors.filter(lambda v: math.gcd(*v) == 1).map(lambda v: [v]),
-    st.tuples(_vectors, _vectors).filter(lambda vw: abs(vw[0][0] * vw[1][1] - vw[0][1] * vw[1][0]) == 1),
-)
+_planar_summands = st.one_of(_vectors.filter(lambda v: math.gcd(*v) == 1).map(lambda v: [v]), _unimodular_triangles)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_planar_summands, min_size=1, max_size=3))
 def test_critical_matches_fraction_oracle_on_random_summands(summands):
     _assert_matches_fraction_oracle(_planar(summands))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(1, 120), min_size=1, max_size=4))
+def test_cyclotomic_product_matches_sympy(orders):
+    want = Poly(1, potential._T)
+    for m in orders:
+        want *= cyclotomic_poly(m, potential._T, polys=True)
+    assert potential._cyclotomic_product(orders) == potential._int_coeffs(want)
+
+
+def _on_unit_circle(coeffs):
+    return all(abs(abs(r) - 1) < 1e-6 for r in np.roots(coeffs[::-1]))
+
+
+def _decided_by_elimination(d):
+    """The planar decision with every pair in a summand's chart: a zero chart
+    polynomial is a shared curve, the gcds with earlier charts count each
+    point at its first pair, the elimination names the families and the
+    roots of their polynomials decide the unit-circle flag."""
+    mats = require_admissible(d)
+    factors = [factor(s) for s in d.summands]
+    bpolys = [potential._clear_to_bpoly(f) for f in factors]
+    chart = lambda i, l: potential._chart_points(mats[i], factors[l])
+    count, families = 0, []
+    for i, j in combinations(range(len(factors)), 2):
+        g = chart(i, j)
+        if g.is_zero:
+            return "positive_dimensional", None, f"factors {i + 1} and {j + 1} share a curve of torus zeros", []
+        for l in range(j):
+            if l != i and g.degree() > 0:
+                g = g.exquo(g.gcd(chart(i, l)))
+        count += g.degree()
+        for f, h in potential._common_fibres(bpolys[i], bpolys[j]):
+            z1, z2 = potential._int_coeffs(f), potential._int_coeffs(potential._partner_minpoly(f, h))
+            families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2)))
+    return ("finite" if count else "none"), count, "", families
+
+
+_primitive_vectors = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(lambda v: math.gcd(*v) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_primitive_vectors.map(lambda v: [v]), min_size=2, max_size=4),
+        st.lists(st.one_of(_primitive_vectors.map(lambda v: [v]), _unimodular_triangles), min_size=2, max_size=4),
+    )
+)
+def test_segment_pairs_match_the_elimination(summands):
+    # the torsion cosets of segment pairs against the chart and the
+    # elimination run on every pair: verdict, count, note, and each family's
+    # polynomials, pair, place in the list and flag
+    d = _planar(summands)
+    got = critical_exists(d)
+    families = [(f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle) for f in got.families]
+    assert (got.verdict, got.count, got.note, families) == _decided_by_elimination(d)
 
 
 def test_heuristic_for_other_dimensions():
@@ -527,16 +598,10 @@ def test_derivative_matches_central_differences():
     assert _central_difference_gap(LaurentPoly.one(3), pt, 1e-3) == 0.0
 
 
-@pytest.mark.parametrize(
-    "d",
-    [lens(13, 5), decomposition([segment((1, 2)), segment((2, 1)), segment((1, -2))])],
-    ids=["lens-13-5", "dilation-2"],
-)
-def test_only_reported_families_are_annotated(monkeypatch, d):
-    # the decision runs one partner polynomial per reported family and no
-    # witnesses; the witnesses are computed once, when first read
-    calls = {"_partner_minpoly": 0, "_numeric_points": 0}
-    for name in calls:
+def _counted(monkeypatch, *names):
+    """Count the calls of the named ``potential`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(potential, name)
 
         def counted(*args, _name=name, _original=original):
@@ -544,7 +609,38 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
             return _original(*args)
 
         monkeypatch.setattr(potential, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d",
+    [lens(13, 5), decomposition([segment((1, 2)), segment((2, 1)), segment((1, -2))])],
+    ids=["lens-13-5", "dilation-2"],
+)
+def test_only_reported_families_are_annotated(monkeypatch, d):
+    # segment pairs are decided on their torsion cosets, with no chart and
+    # no elimination; reading the witnesses runs the elimination once per
+    # pair and the numeric roots once per family
+    calls = _counted(monkeypatch, "_chart_points", "_common_fibres", "_partner_minpoly", "_numeric_points")
     rep = critical_exists(d)
+    assert rep.verdict == "finite" and rep.families
+    assert calls == dict.fromkeys(calls, 0)
+    for fam in rep.families:
+        assert fam.points is fam.points
+    pairs = {fam.pair for fam in rep.families}
+    assert calls == {
+        "_chart_points": 0,
+        "_common_fibres": len(pairs),
+        "_partner_minpoly": 0,
+        "_numeric_points": len(rep.families),
+    }
+
+
+def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
+    # a pair with a triangle runs one partner polynomial per family and no
+    # witnesses; the witnesses are computed once, when first read
+    calls = _counted(monkeypatch, "_partner_minpoly", "_numeric_points")
+    rep = critical_exists(d_q5)
     assert rep.verdict == "finite" and rep.families
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
     fam = rep.families[0]
