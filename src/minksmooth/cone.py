@@ -12,9 +12,13 @@ Each ray carries its zero set, the indices of the inequalities tight on it.
 Inserting an inequality keeps the rays on its nonnegative side and combines
 a positive ray p with a negative ray q only when they are adjacent, that
 is when no third ray's zero set contains Z(p) & Z(q) (the combinatorial
-test of the same paper).  The new ray's zero set is that intersection plus
-the new index, so the rays stay exactly one per extreme ray, modulo the
-lineality space, with no rank computation.
+test of the same paper).  Adjacent rays span a 2-face, so Z(p) & Z(q)
+holds at least d - l - 2 indices in dimension d with lineality dimension
+l (the algebraic test); a pair with fewer is skipped before the scan, and
+the scan for a third ray stops at the first one.  The new ray's zero set
+is that intersection plus the new index, so the rays stay exactly one per
+extreme ray, modulo the lineality space, with no rank computation.  The
+rank-pruned kernel in ``tests/cone_oracle.py`` is the test oracle.
 
 Hilbert bases need no double description.  A lifted cone (sigma dual,
 sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
@@ -30,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import gcd
+from operator import mul
 
 from .exactlin import (
     IntMat,
     IntVec,
     as_mat,
-    as_vec,
     dot,
     identity,
     is_zero_vec,
@@ -61,44 +66,70 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of ``{x : <a, x> >= 0 for a in ineqs}``.
 
     Returns ``(lineality, rays)``, both primitive; the lineality vectors are
-    sign-normalized, rays keep their direction.
+    sign-normalized, rays keep their direction.  A pair of rays is tested
+    for adjacency (the combinatorial test) only when it shares at least
+    ``dim - len(lin) - 2`` tight inequalities (the algebraic test), and the
+    scan for a third ray stops at the first one.  A normal whose length is
+    not ``dim`` raises ``ValueError``.
     """
     lin = list(identity(dim))
     # each extreme ray with its zero set: bit j set iff <ineqs[j], ray> == 0
     rays: list[tuple[IntVec, int]] = []
     done = 0
     for j, a in enumerate(ineqs):
-        a = as_vec(a)
-        if is_zero_vec(a):
+        if len(a) != dim:
+            raise ValueError(f"dimension mismatch: {len(a)} vs {dim}")
+        if not any(a):
             continue
         bit = 1 << j
-        vals = [dot(a, l) for l in lin]
-        if any(v != 0 for v in vals):
-            i0 = next(i for i, v in enumerate(vals) if v != 0)
-            l0 = lin[i0] if vals[i0] > 0 else vec_neg(lin[i0])
-            v0 = abs(vals[i0])
+        vals = [sum(map(mul, a, l)) for l in lin]
+        i0 = next((i for i, v in enumerate(vals) if v), None)
+        if i0 is not None:
+            v0, l0 = abs(vals[i0]), lin[i0] if vals[i0] > 0 else vec_neg(lin[i0])
 
-            def project(x):
-                # scaled projection onto the hyperplane of `a` along l0
-                return vec_sub(tuple(v0 * t for t in x), tuple(dot(a, x) * t for t in l0))
+            def project(x, ax):
+                # scaled projection onto the hyperplane of `a` along l0; ax = <a, x>
+                w = [v0 * t - ax * t0 for t, t0 in zip(x, l0)]
+                g = gcd(*w)
+                return tuple(t // g for t in w)
 
-            lin = [primitive(project(l)) for i, l in enumerate(lin) if i != i0]
+            lin = [project(l, v) for i, (l, v) in enumerate(zip(lin, vals)) if i != i0]
             # a ray is never a lineality direction, so none projects to zero;
             # l0 was one, so every earlier inequality is tight on it
-            rays = [(primitive(project(r)), z | bit) for r, z in rays]
+            rays = [(project(r, sum(map(mul, a, r))), z | bit) for r, z in rays]
             rays.append((l0, done))
         else:
-            signed = [(r, z, dot(a, r)) for r, z in rays]
-            pos = [(r, z, v) for r, z, v in signed if v > 0]
-            neg = [(r, z, v) for r, z, v in signed if v < 0]
+            pos, neg, zero = [], [], []
+            for r, z in rays:
+                v = sum(map(mul, a, r))
+                if v > 0:
+                    pos.append((r, z, v))
+                elif v < 0:
+                    neg.append((r, z, v))
+                else:
+                    zero.append((r, z | bit))
+            zsets = [z for _, z in rays]
+            # adjacent rays span a 2-face, so they share at least this many
+            # tight inequalities (the rank of the face's equality set)
+            need = dim - len(lin) - 2
             combos = []
-            for (p, zp, vp), (q, zq, vq) in product(pos, neg):
-                s = zp & zq
-                # adjacent iff no third ray is tight wherever both are
-                if sum(z & s == s for _, z in rays) == 2:
-                    w = vec_sub(tuple(vp * x for x in q), tuple(vq * x for x in p))
-                    combos.append((primitive(w), s | bit))
-            rays = [(r, z) for r, z, _ in pos] + [(r, z | bit) for r, z, v in signed if v == 0] + combos
+            for p, zp, vp in pos:
+                for q, zq, vq in neg:
+                    s = zp & zq
+                    if s.bit_count() < need:
+                        continue
+                    # adjacent iff no third ray is tight wherever both are
+                    hits = 0
+                    for z in zsets:
+                        if z & s == s:
+                            hits += 1
+                            if hits == 3:
+                                break
+                    if hits == 2:
+                        w = [vp * y - vq * x for x, y in zip(p, q)]
+                        g = gcd(*w)
+                        combos.append((tuple(t // g for t in w), s | bit))
+            rays = [(r, z) for r, z, _ in pos] + zero + combos
         done |= bit
     lin = sorted(set(sign_normalized(l) for l in lin))
     return lin, sorted(r for r, _ in rays)

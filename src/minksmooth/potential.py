@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -52,7 +52,6 @@ _Z1, _Z2, _T = symbols("z1 z2 t")
 _MAX_DEGREE = 10**5
 # the divisors of x^3 - 1 other than 1, lowest degree first
 _CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
-_HALF = Fraction(1, 2)
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
 # size below which a start has converged
 _SEARCH_STARTS = 40
@@ -366,16 +365,18 @@ def _chart_points(sm, fj: LaurentPoly) -> Poly:
 
 def _torsion_angles(v, u, det):
     """Common zeros of 1 + z^v and 1 + z^u with det = det[v; u] != 0, as
-    angles theta in [0, 1)^2, z = exp(2 pi i theta): <v, theta> = <u, theta>
-    = 1/2 mod 1, the coset theta0 + M^-1 Z^2 of M = [v; u], with
-    theta0 = M^-1 (1/2, 1/2).  The rows of adj(M)^T span det * M^-1 Z^2; their
-    Hermite basis (h11, h12), (0, h22) has h11 * h22 = |det|, so the coset is
-    the grid theta0 + (i * h11, i * h12 + j * h22) / |det|, 0 <= i < h22,
-    0 <= j < h11."""
+    the integer numerators n in [0, D)^2 of their angles theta = n / D over
+    D = 2 |det|, z = exp(2 pi i theta): <v, theta> = <u, theta> = 1/2 mod 1,
+    the coset theta0 + M^-1 Z^2 of M = [v; u], with
+    theta0 = M^-1 (1/2, 1/2) = sign(det) (u2 - v2, v1 - u1) / D.  The rows of
+    adj(M)^T span det * M^-1 Z^2; their Hermite basis (h11, h12), (0, h22)
+    has h11 * h22 = |det|, so the coset is the grid
+    theta0 + 2 (i * h11, i * h12 + j * h22) / D, 0 <= i < h22, 0 <= j < h11."""
     (h11, h12), (_, h22) = hnf([[u[1], -u[0]], [-v[1], v[0]]])[0]
-    t1, t2, size = Fraction(u[1] - v[1], 2 * det), Fraction(v[0] - u[0], 2 * det), abs(det)
+    size, sign = 2 * abs(det), 1 if det > 0 else -1
+    n1, n2 = sign * (u[1] - v[1]), sign * (v[0] - u[0])
     return [
-        ((t1 + Fraction(i * h11, size)) % 1, (t2 + Fraction(i * h12 + j * h22, size)) % 1)
+        ((n1 + 2 * i * h11) % size, (n2 + 2 * (i * h12 + j * h22)) % size)
         for i in range(h22)
         for j in range(h11)
     ]
@@ -407,33 +408,36 @@ def _cyclotomic_product(orders) -> tuple[int, ...]:
     return tuple(-c for c in coeffs) if 1 in orders else tuple(coeffs)
 
 
-def _segment_pair(mats, i, j, fibres):
+def _segment_pair(mats, i, j, fibres, cyclotomic):
     """A pair of segments, decided on its torsion coset (:func:`_torsion_angles`):
     ``None`` on a shared curve, else the number of its points on no factor
     l < j other than i, and its families, one per order of z1, sorted as
     ``factor_list`` sorts their z1 polynomials.  The witnesses of a family
     are the pair's elimination fibre with its z1 polynomial, found when first
-    read; ``fibres`` runs that elimination."""
+    read; ``fibres`` runs that elimination.  ``cyclotomic`` maps a frozenset
+    of orders to :func:`_cyclotomic_product` of it."""
     (v,), (u,) = mats[i].v, mats[j].v
     det = v[0] * u[1] - v[1] * u[0]
     if det == 0:
         return None
     _require_degree(abs(det))
-    angles = _torsion_angles(v, u, det)
+    size = 2 * abs(det)
+    points = _torsion_angles(v, u, det)
     # a triangle's factor vanishes on the unit torus only where its two
     # monomials are the primitive cube roots of unity, at angles in
     # (1/3) Z^2, where no <v, theta> is 1/2: only an earlier segment can
     # have counted a point of this pair, and a point's factor 1 none
     earlier = [mats[l].v[0] for l in range(j) if l != i and mats[l].m == 1]
-    count = sum(all((w[0] * t1 + w[1] * t2) % 1 != _HALF for w in earlier) for t1, t2 in angles)
+    count = sum(all((w[0] * n1 + w[1] * n2) % size != size // 2 for w in earlier) for n1, n2 in points)
+    # the order of n / D is D / gcd(n, D)
     partners = {}
-    for t1, t2 in angles:
-        partners.setdefault(t1.denominator, set()).add(t2.denominator)
+    for n1, n2 in points:
+        partners.setdefault(size // gcd(n1, size), set()).add(size // gcd(n2, size))
     by_z1 = cache(lambda: {_int_coeffs(f): (f, h) for f, h in fibres()})
     families = []
     for m1, m2s in partners.items():
-        z1 = _cyclotomic_product({m1})
-        families.append(CriticalFamily(z1, _cyclotomic_product(m2s), (i + 1, j + 1), True, lambda z1=z1: by_z1()[z1]))
+        z1 = cyclotomic(frozenset((m1,)))
+        families.append(CriticalFamily(z1, cyclotomic(frozenset(m2s)), (i + 1, j + 1), True, lambda z1=z1: by_z1()[z1]))
     families.sort(key=lambda fam: (len(fam.z1_minpoly), fam.z1_minpoly[::-1]))
     return count, families
 
@@ -476,11 +480,19 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     factors = [factor(s) for s in d.summands]
     bpoly = cache(lambda i: _clear_to_bpoly(factors[i]))
     chart = cache(lambda i, l: _chart_points(mats[i], factors[l]))
+    # each distinct order set's cyclotomic product once per decision
+    products: dict[frozenset[int], tuple[int, ...]] = {}
+
+    def cyclotomic(orders):
+        if orders not in products:
+            products[orders] = _cyclotomic_product(orders)
+        return products[orders]
+
     families, count = [], 0
     for i, j in combinations(range(len(factors)), 2):
         fibres = cache(lambda i=i, j=j: _common_fibres(bpoly(i), bpoly(j)))
         if mats[i].m == mats[j].m == 1:
-            found = _segment_pair(mats, i, j, fibres)
+            found = _segment_pair(mats, i, j, fibres, cyclotomic)
         else:
             found = _chart_pair(mats, i, j, chart, fibres)
         if found is None:

@@ -317,14 +317,44 @@ def dd_systems(draw):
     return rows, dim
 
 
+def _last_hull_rows(*vecs):
+    """The generators of the last hull that parsing segments to ``vecs``
+    takes: each vertex of the sum of all but the last segment plus each end
+    of the last one, with a 1 appended."""
+    head, v = _segments(*vecs[:-1]).target.vertices, vecs[-1]
+    return sorted({tuple(x + s * y for x, y in zip(w, v)) + (1,) for w in head for s in (0, 1)}), len(v) + 1
+
+
+_PLANAR_16 = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2),
+              (1, 3), (3, 1), (3, 4), (4, 3), (1, 4), (4, 1), (3, 5), (5, 3))
+
+
 @settings(max_examples=150, deadline=None)
 @given(dd_systems())
 @example((vertex_sum_rows(_segments((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3))), 3))
+@example(_last_hull_rows(*_PLANAR_16))
 @example(_tagged_vertices(_segments((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 @example(([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3))
+# the first positive/negative pair, e1 and e2, shares no tight row and is
+# adjacent: the lineality line e3 lowers the rows an adjacent pair shares
+@example(([(1, 0, 0), (0, 1, 0), (1, -2, 0)], 3))
 def test_adjacency_kernel_matches_rank_pruned_oracle(system):
     # zero rows, repeated rows, lineality and hyperplane cuts included
     assert halfspace_description(*system) == rank_pruned_halfspace_description(*system)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        ([(1, 0)], 3),  # the first row, on the lineality space
+        ([(1, 0, 0, 2)], 3),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1)], 3),  # a row after the rays
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1, 1)], 3),
+    ],
+)
+def test_double_description_refuses_a_normal_of_the_wrong_length(system):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        halfspace_description(*system)
 
 
 def test_double_description_makes_no_rank_call(monkeypatch, d_q6_first):

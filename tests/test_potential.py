@@ -1,15 +1,18 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, cyclotomic_poly
 
 from minksmooth import potential
 from minksmooth import ratpoly as rp
+from minksmooth.exactlin import hnf
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, require_admissible, summand_at
 from minksmooth.potential import (
     LaurentPoly,
@@ -383,6 +386,47 @@ def test_cyclotomic_product_matches_sympy(orders):
     for m in orders:
         want *= cyclotomic_poly(m, potential._T, polys=True)
     assert potential._cyclotomic_product(orders) == potential._int_coeffs(want)
+
+
+def _fraction_torsion_angles(v, u, det):
+    """The common zeros of 1 + z^v and 1 + z^u as ``Fraction`` angles in
+    [0, 1)^2: the grid theta0 + (i * h11, i * h12 + j * h22) / |det| of the
+    Hermite basis of adj([v; u])^T, theta0 = [v; u]^-1 (1/2, 1/2)."""
+    (h11, h12), (_, h22) = hnf([[u[1], -u[0]], [-v[1], v[0]]])[0]
+    t1, t2, size = Fraction(u[1] - v[1], 2 * det), Fraction(v[0] - u[0], 2 * det), abs(det)
+    return [
+        ((t1 + Fraction(i * h11, size)) % 1, (t2 + Fraction(i * h12 + j * h22, size)) % 1)
+        for i in range(h22)
+        for j in range(h11)
+    ]
+
+
+_coset_vectors = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coset_vectors, _coset_vectors, st.lists(_coset_vectors, max_size=3))
+@example((1, 14), (14, 1), [(29, 16), (2, 0)])  # det -195; the first earlier segment is 1/2 on every point
+@example((14, 1), (1, 14), [(1, 0), (0, 1)])  # det 195
+def test_integer_torsion_coset_matches_fraction_oracle(v, u, earlier):
+    det = v[0] * u[1] - v[1] * u[0]
+    assume(det != 0 and abs(det) <= 200)
+    want = _fraction_torsion_angles(v, u, det)
+    size = 2 * abs(det)
+    assert [(Fraction(n1, size), Fraction(n2, size)) for n1, n2 in potential._torsion_angles(v, u, det)] == want
+    # the pair after the earlier segments: the points none of them is 1/2
+    # on, and one family per order of theta_1 with the orders of its theta_2
+    count = sum(all((w[0] * t1 + w[1] * t2) % 1 != Fraction(1, 2) for w in earlier) for t1, t2 in want)
+    partners = {}
+    for t1, t2 in want:
+        partners.setdefault(t1.denominator, set()).add(t2.denominator)
+    families = sorted(
+        ((potential._cyclotomic_product({m1}), potential._cyclotomic_product(m2s)) for m1, m2s in partners.items()),
+        key=lambda f: (len(f[0]), f[0][::-1]),
+    )
+    mats = [SimpleNamespace(v=(w,), m=1) for w in [v, *earlier, u]]
+    got = potential._segment_pair(mats, 0, len(mats) - 1, None, potential._cyclotomic_product)
+    assert (got[0], [(f.z1_minpoly, f.z2_minpoly) for f in got[1]]) == (count, families)
 
 
 def _on_unit_circle(coeffs):
