@@ -4,11 +4,11 @@ polytope, and the critical-point decision.
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
-For planar decompositions it is decided exactly, pair by pair.  Two
-segments meet in a coset of a finite subgroup of the unit torus: torsion
-arithmetic lists it, and the orders of its points name the families, whose
-polynomials are cyclotomic.  Any other pair is one integer polynomial in a
-summand's chart, zero on a shared curve and otherwise counting the points,
+For planar decompositions it is decided exactly, pair by pair.  Two segments
+meet in a coset of a finite subgroup of the unit torus: torsion arithmetic
+lists it, and the orders of its points name the families, with cyclotomic
+polynomials and binomial gcds.  Any other pair is one integer polynomial in
+a summand's chart, zero on a shared curve and otherwise counting the points,
 and one resultant names its families.  Other dimensions get the verdict
 "heuristic", with witnesses from :func:`heuristic_points`.
 
@@ -236,10 +236,9 @@ class CriticalFamily:
     of unity, so every coordinate is a cube root of unity: on a pair with a
     triangle the flag holds iff both polynomials divide x^3 - 1.
     ``points``: the numeric witnesses, computed when first read from the
-    fibre (f, h) that ``fibre()`` returns: for a pair with a triangle or a
-    point, the elimination fibre the family was built from; for a segment
-    pair, the fibre of the pair's elimination whose f is ``z1_minpoly``,
-    that elimination run on the first read of any of the pair's families.
+    fibre (f, h) that ``fibre()`` returns: the elimination fibre of a pair
+    with a triangle or a point, and on a segment pair its closed form
+    (:func:`_binomial_fibre`), so no segment pair is ever eliminated.
     """
 
     z1_minpoly: tuple[int, ...]
@@ -408,14 +407,26 @@ def _cyclotomic_product(orders) -> tuple[int, ...]:
     return tuple(-c for c in coeffs) if 1 in orders else tuple(coeffs)
 
 
-def _segment_pair(mats, i, j, fibres, cyclotomic):
+def _binomial_fibre(v, u, m, z1):
+    """The fibre (f, h) of the segments v = (a, b), u = (c, d) above
+    f = Phi_m, with coefficients ``z1`` lowest first, as :func:`_common_fibres`
+    finds it.  Above a root x their factors read y^b = -x^-a and y^d = -x^-c,
+    so the monic gcd in K[y] is y^g - r: g = s b + t d = gcd(b, d) > 0 and
+    r = (-1)^(s + t) x^-(s a + t c), x^m = 1.  A segment with b = 0 vanishes
+    identically above f = x + 1, and h is the other one's binomial."""
+    ((g,), _), ((s, t), _) = hnf([[v[1]], [u[1]]])
+    f = Poly.from_list(z1[::-1], _Z1, domain=ZZ)
+    r = Poly.from_dict({(-(s * v[0] + t * u[0]) % m,): -1 if (s + t) % 2 else 1}, _Z1, domain=QQ)
+    return f, [Poly(1, _Z1, domain=QQ)] + [Poly(0, _Z1, domain=QQ)] * (g - 1) + [-r.rem(f.to_field())]
+
+
+def _segment_pair(mats, i, j, cyclotomic):
     """A pair of segments, decided on its torsion coset (:func:`_torsion_angles`):
     ``None`` on a shared curve, else the number of its points on no factor
     l < j other than i, and its families, one per order of z1, sorted as
-    ``factor_list`` sorts their z1 polynomials.  The witnesses of a family
-    are the pair's elimination fibre with its z1 polynomial, found when first
-    read; ``fibres`` runs that elimination.  ``cyclotomic`` maps a frozenset
-    of orders to :func:`_cyclotomic_product` of it."""
+    ``factor_list`` sorts their z1 polynomials, with fibres from
+    :func:`_binomial_fibre`.  ``cyclotomic`` maps a frozenset of orders to
+    :func:`_cyclotomic_product` of it."""
     (v,), (u,) = mats[i].v, mats[j].v
     det = v[0] * u[1] - v[1] * u[0]
     if det == 0:
@@ -433,16 +444,16 @@ def _segment_pair(mats, i, j, fibres, cyclotomic):
     partners = {}
     for n1, n2 in points:
         partners.setdefault(size // gcd(n1, size), set()).add(size // gcd(n2, size))
-    by_z1 = cache(lambda: {_int_coeffs(f): (f, h) for f, h in fibres()})
     families = []
     for m1, m2s in partners.items():
         z1 = cyclotomic(frozenset((m1,)))
-        families.append(CriticalFamily(z1, cyclotomic(frozenset(m2s)), (i + 1, j + 1), True, lambda z1=z1: by_z1()[z1]))
+        fibre = lambda m1=m1, z1=z1: _binomial_fibre(v, u, m1, z1)
+        families.append(CriticalFamily(z1, cyclotomic(frozenset(m2s)), (i + 1, j + 1), True, fibre))
     families.sort(key=lambda fam: (len(fam.z1_minpoly), fam.z1_minpoly[::-1]))
     return count, families
 
 
-def _chart_pair(mats, i, j, chart, fibres):
+def _chart_pair(mats, i, j, chart, bpoly):
     """A pair with a triangle or a point, decided in summand i's chart:
     ``None`` on a shared curve, else the number of roots of its chart
     polynomial on no factor l < j other than i, and one family per fibre of
@@ -450,13 +461,14 @@ def _chart_pair(mats, i, j, chart, fibres):
     g = chart(i, j)
     if g.is_zero:
         return None
-    if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres()):
+    fibres = _common_fibres(bpoly(i), bpoly(j))
+    if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres):
         raise CrossCheckError("the chart and the elimination disagree on the solution count")
     for l in range(j):
         if l != i and g.degree() > 0:
             g = g.exquo(g.gcd(chart(i, l)))
     families = []
-    for f, h in fibres():
+    for f, h in fibres:
         z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
         families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=(f, h): fh))
     return g.degree(), families
@@ -490,11 +502,10 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
 
     families, count = [], 0
     for i, j in combinations(range(len(factors)), 2):
-        fibres = cache(lambda i=i, j=j: _common_fibres(bpoly(i), bpoly(j)))
         if mats[i].m == mats[j].m == 1:
-            found = _segment_pair(mats, i, j, fibres, cyclotomic)
+            found = _segment_pair(mats, i, j, cyclotomic)
         else:
-            found = _chart_pair(mats, i, j, chart, fibres)
+            found = _chart_pair(mats, i, j, chart, bpoly)
         if found is None:
             return CriticalReport(
                 verdict="positive_dimensional",

@@ -425,7 +425,7 @@ def test_integer_torsion_coset_matches_fraction_oracle(v, u, earlier):
         key=lambda f: (len(f[0]), f[0][::-1]),
     )
     mats = [SimpleNamespace(v=(w,), m=1) for w in [v, *earlier, u]]
-    got = potential._segment_pair(mats, 0, len(mats) - 1, None, potential._cyclotomic_product)
+    got = potential._segment_pair(mats, 0, len(mats) - 1, potential._cyclotomic_product)
     assert (got[0], [(f.z1_minpoly, f.z2_minpoly) for f in got[1]]) == (count, families)
 
 
@@ -437,7 +437,8 @@ def _decided_by_elimination(d):
     """The planar decision with every pair in a summand's chart: a zero chart
     polynomial is a shared curve, the gcds with earlier charts count each
     point at its first pair, the elimination names the families and the
-    roots of their polynomials decide the unit-circle flag."""
+    roots of their polynomials decide the unit-circle flag.  Each family
+    carries its elimination fibre (f, h)."""
     mats = require_admissible(d)
     factors = [factor(s) for s in d.summands]
     bpolys = [potential._clear_to_bpoly(f) for f in factors]
@@ -453,7 +454,7 @@ def _decided_by_elimination(d):
         count += g.degree()
         for f, h in potential._common_fibres(bpolys[i], bpolys[j]):
             z1, z2 = potential._int_coeffs(f), potential._int_coeffs(potential._partner_minpoly(f, h))
-            families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2)))
+            families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2), (f, h)))
     return ("finite" if count else "none"), count, "", families
 
 
@@ -467,13 +468,19 @@ _primitive_vectors = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(la
         st.lists(st.one_of(_primitive_vectors.map(lambda v: [v]), _unimodular_triangles), min_size=2, max_size=4),
     )
 )
+@example([[(1, 12)], [(12, 1)], [(1, -12)]])  # dilation a=12: z1 orders up to 290
+@example(_PLANAR_CASES["lens(97,30)"])
+@example([[(3, 2)], [(-1, 0)], [(1, 4)]])  # an axis segment, second then first: b = 0, the survivor fibre
+@example([[(2, -3)], [(-5, -7)]])  # both second coordinates negative
 def test_segment_pairs_match_the_elimination(summands):
     # the torsion cosets of segment pairs against the chart and the
     # elimination run on every pair: verdict, count, note, and each family's
-    # polynomials, pair, place in the list and flag
+    # polynomials, pair, place in the list and flag, and its fibre: a
+    # segment pair's closed form must be the elimination's f and h, equal
+    # Polys with equal coefficient lists
     d = _planar(summands)
     got = critical_exists(d)
-    families = [(f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle) for f in got.families]
+    families = [(f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, f.fibre()) for f in got.families]
     assert (got.verdict, got.count, got.note, families) == _decided_by_elimination(d)
 
 
@@ -642,17 +649,17 @@ def test_derivative_matches_central_differences():
     assert _central_difference_gap(LaurentPoly.one(3), pt, 1e-3) == 0.0
 
 
-def _counted(monkeypatch, *names):
-    """Count the calls of the named ``potential`` functions."""
+def _counted(monkeypatch, *names, module=potential):
+    """Count the calls of the named functions of ``module``."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(potential, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(potential, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -663,21 +670,18 @@ def _counted(monkeypatch, *names):
 )
 def test_only_reported_families_are_annotated(monkeypatch, d):
     # segment pairs are decided on their torsion cosets, with no chart and
-    # no elimination; reading the witnesses runs the elimination once per
-    # pair and the numeric roots once per family
-    calls = _counted(monkeypatch, "_chart_points", "_common_fibres", "_partner_minpoly", "_numeric_points")
+    # no elimination; reading the witnesses runs the numeric roots once per
+    # family, on its closed-form fibre, and still no elimination
+    calls = _counted(
+        monkeypatch, "_chart_points", "_clear_to_bpoly", "_common_fibres", "_partner_minpoly", "_numeric_points"
+    )
+    calls.update(_counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp))
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
     assert calls == dict.fromkeys(calls, 0)
     for fam in rep.families:
         assert fam.points is fam.points
-    pairs = {fam.pair for fam in rep.families}
-    assert calls == {
-        "_chart_points": 0,
-        "_common_fibres": len(pairs),
-        "_partner_minpoly": 0,
-        "_numeric_points": len(rep.families),
-    }
+    assert calls == {**dict.fromkeys(calls, 0), "_numeric_points": len(rep.families)}
 
 
 def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
