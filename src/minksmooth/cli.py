@@ -13,8 +13,8 @@ that cannot be read or decoded as UTF-8 or an output that cannot be
 written (a stdout closed early is one, ``--out`` and ``--svg`` naming
 one file another), 3 inadmissible input, 4 internal cross-check failure
 (``CrossCheckError``), 5 any other ``ValueError`` or ``ArithmeticError``
-(``NotPointed``, ``NotFullDim``, ``NotUnimodular``, ``DegreeTooLarge``,
-numpy's ``LinAlgError``, ``OverflowError``).  Only exits 0 and 4 (whose report
+(``NotPointed``, ``NotFullDim``, ``NotUnimodular``, ``BasisTooLarge``,
+``DegreeTooLarge``, numpy's ``LinAlgError``).  Only exits 0 and 4 (whose report
 lists the failed checks) can leave output files; every other exit leaves none.
 """
 

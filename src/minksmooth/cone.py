@@ -24,9 +24,13 @@ Hilbert bases need no double description.  A lifted cone (sigma dual,
 sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
 normals are the heads of the cone's extreme rays; Q's vertices and each
 fan cone C_u (the normals tight at u, the edges of Q at u) follow from
-their incidences (:func:`fan_cones`).  Every other cone, and each C_u,
-scans the bounding box of the zonotope of its extreme rays
-(:func:`_box_hilbert_basis`).
+their incidences (:func:`fan_cones`).  The lift of every element of every
+C_u's basis is irreducible, so only the unit tags are tested for a split.
+A planar cone, each C_u of a planar input among them, takes the
+Hirzebruch-Jung continued fraction walk (:func:`_planar_hilbert_basis`),
+linear in its output; in any other dimension a cone scans the bounding
+box of the zonotope of its extreme rays (:func:`_box_hilbert_basis`).
+Either refuses an answer past its budget with :class:`BasisTooLarge`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .exactlin import (
@@ -42,6 +46,7 @@ from .exactlin import (
     IntVec,
     as_mat,
     dot,
+    hnf,
     identity,
     is_zero_vec,
     primitive,
@@ -60,6 +65,14 @@ class NotPointed(ValueError):
 
 class NotFullDim(ValueError):
     """Cone does not span its ambient space."""
+
+
+class BasisTooLarge(ValueError):
+    """A planar Hilbert basis would exceed ``_MAX_BASIS`` elements, or a box scan ``_MAX_BOX`` points."""
+
+
+_MAX_BASIS = 10**5
+_MAX_BOX = 10**6
 
 
 def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
@@ -264,11 +277,17 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
 
     A cone whose facet normals all read ``(p, e_i)`` (a unit vector in the
     last k coordinates, every slot used) is a lifted cone
-    ``{(v, s) : s_i >= phi_i(v)}``; both sigma-tilde dual and sigma dual
+    ``{(v, s) : s_i >= psi_i(v)}``; both sigma-tilde dual and sigma dual
     have that form.  Its basis is read off the normal fan of the sum of the
     slot polytopes (:func:`_lifted_candidates`), which needs Hilbert bases
-    in dimension d - k only.  Every other cone goes through the box scan of
-    :func:`_box_hilbert_basis`.
+    in dimension d - k only.  Every candidate ``(h, psi(h))`` is
+    irreducible: psi is sublinear, so a split ``(x, s) + (y, t)`` has
+    ``s = psi(x)``, ``t = psi(y)`` and ``psi(x) + psi(y) = psi(h)``, which
+    puts x and y in one cone of the common refinement of the slots' fans,
+    so in one C_u, against h in the basis of C_u; and x = 0 forces s = 0.
+    So only the unit tags are tested, each against the lifts below it in
+    the positive functional that sums the facet normals.  Every other cone
+    goes to :func:`_cone_basis`.
     """
     if not is_strongly_convex(c):
         raise NotPointed("Hilbert basis needs a pointed cone")
@@ -276,8 +295,68 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
         raise NotFullDim("Hilbert basis needs a full-dimensional cone")
     slots = _slot_polytopes(c)
     if slots is None:
-        return HilbertBasisResult(_box_hilbert_basis(c), c)
-    return HilbertBasisResult(_irreducible(c, _lifted_candidates(c, slots)), c)
+        return HilbertBasisResult(_cone_basis(c), c)
+    candidates = _lifted_candidates(c, slots)
+    n = c.ambient_dim - len(slots)
+    tags = {(0,) * n + tag for tag in identity(len(slots))}
+    weight = [sum(col) for col in zip(*c.inequalities)]
+    bound = max(dot(weight, t) for t in tags)
+    light = [g for g in candidates - tags if dot(weight, g) < bound]
+    split = {t for t in tags if any(c.contains(vec_sub(t, g)) for g in light)}
+    return HilbertBasisResult(tuple(sorted(candidates - split)), c)
+
+
+def _cone_basis(c: PolyhedralCone) -> IntMat:
+    """Hilbert basis of a pointed full-dimensional cone: the continued
+    fraction walk in the plane, the box scan in any other dimension."""
+    return _planar_hilbert_basis(c) if c.ambient_dim == 2 else _box_hilbert_basis(c)
+
+
+def _det2(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+@lru_cache(maxsize=256)
+def _planar_hilbert_basis(c: PolyhedralCone) -> IntMat:
+    """Hilbert basis of a pointed full-dimensional cone in the plane.
+
+    The Hirzebruch-Jung continued fraction (Cox-Little-Schenck, *Toric
+    Varieties*, 10.2): with the rays ordered so that D = det[r1; r2] > 0,
+    the basis runs u_0 = r1, u_1, ..., r2 with det[u_i; u_(i+1)] = 1.  u_1
+    is the point with det[r1; u_1] = 1 (an extended gcd) nearest the ray
+    r2, that is with 0 <= det[u_1; r2] < D; then
+    ``u_(i+1) = b_i u_i - u_(i-1)`` with the least b_i that keeps
+    det[u_(i+1); r2] >= 0, which strictly decreases to 0 at r2.  The walk
+    is linear in its output and refuses one past ``_MAX_BASIS`` elements.
+    Cached, so sigma dual and sigma-tilde dual share their fan cones' bases.
+    """
+    r1, r2 = c.generators
+    if _det2(r1, r2) < 0:
+        r1, r2 = r2, r1
+    _, ((s, t), _) = hnf([[r1[0]], [r1[1]]])
+    u = (-t, s)  # det[r1; u] = s r1[0] + t r1[1] = 1, as r1 is primitive
+    prev, dprev = r1, _det2(r1, r2)
+    q = _det2(u, r2) // dprev
+    u = (u[0] - q * r1[0], u[1] - q * r1[1])
+    du = _det2(u, r2)
+    basis = [r1]
+    while du:
+        basis.append(u)
+        if len(basis) >= _MAX_BASIS:
+            raise BasisTooLarge(f"planar Hilbert basis exceeds {_MAX_BASIS} elements")
+        b = -(-dprev // du)
+        prev, u = u, (b * u[0] - prev[0], b * u[1] - prev[1])
+        dprev, du = du, b * du - dprev
+    basis.append(r2)
+    return tuple(sorted(basis))
+
+
+def box_points(lo, hi):
+    """The lattice points of the box ``[lo, hi]``, in lexicographic order;
+    a box of more than ``_MAX_BOX`` points is refused before any is made."""
+    if prod(b - a + 1 for a, b in zip(lo, hi)) > _MAX_BOX:
+        raise BasisTooLarge(f"box scan exceeds {_MAX_BOX} lattice points")
+    return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
 @lru_cache(maxsize=256)
@@ -291,15 +370,17 @@ def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
     zonotope's bounding box ``[sum_j min(r_j, 0), sum_j max(r_j, 0)]`` and
     keeps the points of the order interval ``c intersect (sum_j r_j - c)``,
     which contains the zonotope.  The cost grows with the volume of that
-    box; it is the general path and the test oracle for the lifted one.
+    box, which :func:`box_points` bounds; it is the path in dimension other
+    than 2 and the test oracle for the planar walk and the lifted path.
     Cached, so sigma dual and sigma-tilde dual share their fan cones' bases.
     """
     rays = c.generators
     total = tuple(sum(col) for col in zip(*rays))
-    box = [range(sum(min(x, 0) for x in col), sum(max(x, 0) for x in col) + 1) for col in zip(*rays)]
+    lo = [sum(min(x, 0) for x in col) for col in zip(*rays)]
+    hi = [sum(max(x, 0) for x in col) for col in zip(*rays)]
     candidates = {
         pt
-        for pt in product(*box)
+        for pt in box_points(lo, hi)
         if not is_zero_vec(pt) and c.contains(pt) and c.contains(vec_sub(total, pt))
     }
     return _irreducible(c, candidates | set(rays))
@@ -315,13 +396,14 @@ def _irreducible(c: PolyhedralCone, candidates) -> IntMat:
     # reducibility via precomputed facet values: h - g lies in the cone iff
     # the value vector of g is componentwise below that of h; their sum (the
     # positive functional) strictly increases, so only earlier entries in
-    # functional order can witness a split
+    # functional order can witness a split; a reducible witness dominates an
+    # earlier basis element in turn, so the basis kept so far suffices and
+    # the pass costs O(N |basis|)
     vals = {p: tuple(dot(a, p) for a in c.inequalities) for p in candidates}
-    ordered = sorted(vals, key=lambda p: (sum(vals[p]), p))
     basis = []
-    for idx, h in enumerate(ordered):
+    for h in sorted(vals, key=lambda p: (sum(vals[p]), p)):
         vh = vals[h]
-        if not any(all(x <= y for x, y in zip(vals[g], vh)) for g in ordered[:idx]):
+        if not any(all(x <= y for x, y in zip(vals[g], vh)) for g in basis):
             basis.append(h)
     return tuple(sorted(basis))
 
@@ -396,7 +478,8 @@ def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
     ``Q = sum_i conv(slots[i])``, so v splits along the Hilbert basis of
     the C_u containing it (Altmann's tagged-summand construction).  The
     C_u come from :func:`fan_cones`, with no double description, and go
-    straight to the cached box scan: Q spans, so each C_u is pointed, and
+    straight to :func:`_cone_basis` (the continued fraction walk when
+    n = 2, the box scan otherwise): Q spans, so each C_u is pointed, and
     it is full-dimensional at a vertex, so no rank check is needed.
     Each slot is already a vertex set: a non-vertex gives no extreme normal.
     """
@@ -404,6 +487,6 @@ def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
     n = c.ambient_dim - k
     out = {(0,) * n + tag for tag in identity(k)}
     for fan_cone in fan_cones(c, slots).values():
-        for h in _box_hilbert_basis(fan_cone):
+        for h in _cone_basis(fan_cone):
             out.add(h + tuple(support(pts, h) for pts in slots))
     return out

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
 
-from .cone import cone_from_generators, cone_over
+from .cone import box_points, cone_from_generators, cone_over
 from .exactlin import (
     IntMat,
     IntVec,
@@ -80,12 +79,13 @@ def minkowski_sum(a: LatticePolytope, b: LatticePolytope) -> LatticePolytope:
 
 
 def lattice_points(p: LatticePolytope) -> list[IntVec]:
-    """All integer points of the hull: bounding-box scan with exact facet tests."""
+    """All integer points of the hull: bounding-box scan with exact facet
+    tests, refused (``BasisTooLarge``) on a box of more than 10^6 points."""
     facets = cone_over(p).inequalities
     lo = [min(v[j] for v in p.vertices) for j in range(p.ambient_dim)]
     hi = [max(v[j] for v in p.vertices) for j in range(p.ambient_dim)]
     out = []
-    for pt in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+    for pt in box_points(lo, hi):
         if all(dot(f, pt + (1,)) >= 0 for f in facets):
             out.append(pt)
     return out

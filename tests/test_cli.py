@@ -420,15 +420,16 @@ def test_cli_library_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, ow
     ids=["hilbert", "analyze", "diagram"],
 )
 def test_cli_arithmetic_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, argv):
-    # a coordinate too large for the Hilbert basis's box scan overflows
-    # range(); that is a library error, not a traceback
+    # a coordinate so large that a fan cone's Hilbert basis would hold about
+    # 10**300 elements exceeds the planar walk's budget; that is a library
+    # error, not a traceback
     monkeypatch.chdir(tmp_path)
     summands = [{"vertices": [[0, 0], [1, 10**300]]}, {"vertices": [[0, 0], [1, 0]]}]
     path = write_input(tmp_path, {"dimension": 2, "summands": summands})
     capsys.readouterr()
     assert main([argv[0], path, *argv[1:]]) == cli.EXIT_LIBRARY == 5
     err = capsys.readouterr().err
-    assert err.startswith("library error: OverflowError: ") and err.count("\n") == 1
+    assert err.startswith("library error: BasisTooLarge: ") and err.count("\n") == 1
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.svg").exists()
 
 

@@ -1,5 +1,5 @@
 import random
-from math import prod
+from math import gcd, prod
 from unittest import mock
 
 import pytest
@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from minksmooth import cone as cone_module
 from minksmooth.cone import (
+    BasisTooLarge,
     NotFullDim,
     NotPointed,
+    PolyhedralCone,
     cone_from_generators,
     cone_over,
     cones_equal,
@@ -21,10 +23,13 @@ from minksmooth.cone import (
     is_strongly_convex,
     sigma_tilde,
     _box_hilbert_basis,
+    _irreducible,
+    _lifted_candidates,
+    _planar_hilbert_basis,
     _slot_polytopes,
 )
 from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
-from minksmooth.polytope import convex_hull, decomposition
+from minksmooth.polytope import convex_hull, decomposition, lattice_points
 
 from box_oracle import (
     BoundTooSmall,
@@ -426,7 +431,8 @@ def test_semigroup_definitive_negative_with_certificate():
 
 def test_unstructured_cone_keeps_box_scan_answer():
     # one facet normal (1, 0) has no unit tail, so the cone is not a lifted
-    # cone and goes through the box scan as before
+    # cone: the planar one takes the continued fraction walk, the spatial one
+    # the box scan, and both keep the box scan's answer
     c = cone_from_generators([(1, 0), (1, 2)], 2)
     assert _slot_polytopes(c) is None
     assert hilbert_basis(c).elements == ((1, 0), (1, 1), (1, 2))
@@ -591,3 +597,66 @@ def test_cone_over_and_sigma_tilde_match_two_pass_oracle(d):
         assert dd.call_count == 1
         assert sigma_tilde(d) == want_tilde
         assert dd.call_count == 1
+
+
+primitive_plane_vectors = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(
+    lambda v: gcd(*v) == 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(primitive_plane_vectors, primitive_plane_vectors)
+@example((1, 0), (0, 1))  # det 1, rays on the axes
+@example((0, -1), (1, 0))
+@example((2, 1), (1, 1))  # det 1 off the axes
+@example((1, 0), (1, 50))  # det 50: the 51 points (1, k)
+@example((0, 1), (-49, -50))
+@example((50, -49), (-49, 48))  # det -1 with long rays
+@example((-1, 0), (3, -50))
+def test_planar_walk_matches_box_scan(r1, r2):
+    # the Hirzebruch-Jung walk against the zonotope box scan, with the two
+    # rays stored in either order, so the walk flips them for either sign of
+    # det[r1; r2]
+    assume(r1[0] * r2[1] != r1[1] * r2[0])
+    c = cone_from_generators([r1, r2], 2)
+    want = _box_hilbert_basis(c)
+    for gens in ((r1, r2), (r2, r1)):
+        assert _planar_hilbert_basis(PolyhedralCone(2, gens, c.inequalities)) == want
+    assert hilbert_basis(c).elements == want
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(admissible_decompositions)
+@example(_segments((1, 0), (0, 1), (1, 1), (1, -1)))
+@example(_segments((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 1, 1)))
+def test_lifted_basis_keeps_every_lift(d):
+    # every lift (h, psi(h)) is irreducible, so testing only the unit tags
+    # gives what the full reducibility pass over the candidates gives
+    assume(is_full_dimensional(cone_over(d.target)))
+    for c in (dual(sigma_tilde(d)), dual(cone_over(d.target))):
+        slots = _slot_polytopes(c)
+        assert hilbert_basis(c).elements == _irreducible(c, _lifted_candidates(c, slots))
+
+
+def test_planar_walk_refuses_a_huge_basis():
+    # (N, -1) and (0, -1) span a cone whose basis is (k, -1), k = 0..N
+    small = cone_from_generators([(5, -1), (0, -1)], 2)
+    assert _planar_hilbert_basis(small) == tuple((k, -1) for k in range(6))
+    with pytest.raises(BasisTooLarge):
+        _planar_hilbert_basis(cone_from_generators([(10**6, -1), (0, -1)], 2))
+    huge = _segments((1, 10**300), (1, 0))
+    with pytest.raises(BasisTooLarge):
+        hilbert_basis(dual(sigma_tilde(huge)))
+    with pytest.raises(BasisTooLarge):
+        hilbert_basis(dual(cone_over(huge.target)))
+
+
+def test_box_scan_refuses_a_large_box_before_scanning(monkeypatch):
+    # the volume is checked before any point is made: product() is never called
+    monkeypatch.setattr(cone_module, "product", None)
+    with pytest.raises(BasisTooLarge):
+        _box_hilbert_basis(cone_from_generators([(1, 0, 0), (0, 1, 0), (100, 101, 102)], 3))
+    with pytest.raises(BasisTooLarge):
+        _box_hilbert_basis(cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 10**300, 1)], 3))
+    with pytest.raises(BasisTooLarge):
+        lattice_points(convex_hull([(0, 0), (10**300, 0), (0, 1)]))
