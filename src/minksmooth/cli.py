@@ -14,7 +14,8 @@ written (a stdout closed early is one, ``--out`` and ``--svg`` naming
 one file another), 3 inadmissible input, 4 internal cross-check failure
 (``CrossCheckError``), 5 any other ``ValueError`` or ``ArithmeticError``
 (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, ``BasisTooLarge``,
-``DegreeTooLarge``, numpy's ``LinAlgError``).  Only exits 0 and 4 (whose report
+``DegreeTooLarge``, also from ``analyze`` when a family's witnesses are too
+large to compute, numpy's ``LinAlgError``).  Only exits 0 and 4 (whose report
 lists the failed checks) can leave output files; every other exit leaves none.
 """
 
@@ -168,8 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parsing leaves it unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a broken pipe is reported here, not at exit

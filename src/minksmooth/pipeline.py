@@ -216,7 +216,7 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
             for p in range(1, d.k + 1)
             for j in range(1, mats[p - 1].m + 1)
         },
-        "cut_direction": [0] * d.n + [1],
+        "cut_direction": list(diagrams.cut_direction),
         "cut_note": fib.CUT_DIRECTION_NOTE,
     }
     final = fib.final_cone(diagrams)
@@ -237,12 +237,10 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
         g in po.terms for g in sigma.generators
     )
     newton_vertices = sigma.generators if newton_ok else pot.newton_polytope(po).vertices
-    crit = pot.critical_exists(d)
-    points = pot.heuristic_points(d) if crit.verdict == "heuristic" else []
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
         "newton_polytope_vertices": _mat(newton_vertices),
-        "critical": _critical_to_dict(crit, points),
+        "critical": _critical_to_dict(pot.critical_exists(d)),
     }
 
     checks = {
@@ -265,25 +263,21 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     return AnalysisReport(report, failures)
 
 
-def _critical_to_dict(crit, points) -> dict:
+def _critical_to_dict(crit) -> dict:
     out = {"verdict": crit.verdict, "count": crit.count, "note": crit.note}
     out["families"] = [
         {
             "z1_minimal_polynomial": list(f.z1_minpoly),
             "z2_minimal_polynomial": list(f.z2_minpoly),
             "factor_pair": list(f.pair),
-            "points": [[_c(z) for z in p] for p in sorted(f.points, key=_point_key)],
+            "points": [[_c(z) for z in p] for p in f.points],
             "all_roots_on_unit_circle": f.on_unit_circle,
         }
         for f in crit.families
     ]
-    out["heuristic_points"] = [[_c(z) for z in p] for p in points]
+    out["heuristic_points"] = [[_c(z) for z in p] for p in crit.heuristic_points]
     return out
 
 
 def _c(z: complex) -> list[float]:
     return [float(round(z.real, 12)), float(round(z.imag, 12))]
-
-
-def _point_key(p):
-    return tuple((round(z.real, 9), round(z.imag, 9)) for z in p)

@@ -10,16 +10,8 @@ lists it, and the orders of its points name the families, with cyclotomic
 polynomials and binomial gcds.  Any other pair is one integer polynomial in
 a summand's chart, zero on a shared curve and otherwise counting the points,
 and one resultant names its families.  Other dimensions get the verdict
-"heuristic", with witnesses from :func:`heuristic_points`.
-
-That search is damped Newton from 40 seeded starts, run in lockstep: the
-gradient and Hessian are compiled once into a term table that is evaluated
-for all live starts per step, with the same IEEE operations in the same
-order as ``LaurentPoly.evaluate`` on each start alone, and the steps of all
-live starts are one stacked call of the LAPACK solver behind
-``np.linalg.lstsq``.  Its points are therefore bit-identical to the
-one-start-at-a-time search, which the tests keep as an oracle; the report
-prints them to 12 digits.
+"heuristic", whose report runs the damped Newton search of
+:func:`heuristic_points` for witnesses when they are first read.
 """
 
 from __future__ import annotations
@@ -50,6 +42,11 @@ _Z1, _Z2, _T = symbols("z1 z2 t")
 # the planar decision builds no dense polynomial of higher degree in any
 # variable, and lists no more common zeros of two segments
 _MAX_DEGREE = 10**5
+# one family's witnesses solve companion eigenproblems of sizes deg f and,
+# above each root of f, deg h: about deg f^3 + deg f * deg h^3 operations.
+# numpy 2.4 on a 2-core host takes 1.7 s for np.roots of a binomial of
+# degree 1000 (10^9) and 8.8 s at degree 2000 (8 * 10^9)
+_MAX_EIGEN_WORK = 10**9
 # the divisors of x^3 - 1 other than 1, lowest degree first
 _CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
@@ -65,7 +62,9 @@ class ZeroPolynomial(ValueError):
 
 
 class DegreeTooLarge(ValueError):
-    """A polynomial or a point list of the planar decision would exceed ``_MAX_DEGREE``."""
+    """A polynomial or a point list of the planar decision would exceed
+    ``_MAX_DEGREE``, or a family's witnesses would take eigenproblems of
+    more than ``_MAX_EIGEN_WORK`` operations."""
 
 
 class LaurentPoly:
@@ -235,10 +234,11 @@ class CriticalFamily:
     |w1| = |w2| = 1 forces {w1, w2} = {w, conj(w)}, w a primitive cube root
     of unity, so every coordinate is a cube root of unity: on a pair with a
     triangle the flag holds iff both polynomials divide x^3 - 1.
-    ``points``: the numeric witnesses, computed when first read from the
-    fibre (f, h) that ``fibre()`` returns: the elimination fibre of a pair
-    with a triangle or a point, and on a segment pair its closed form
-    (:func:`_binomial_fibre`), so no segment pair is ever eliminated.
+    ``points``: the numeric witnesses in report order, computed when first
+    read from the fibre (f, h) that ``fibre()`` returns: the elimination
+    fibre of a pair with a triangle or a point, and on a segment pair its
+    closed form (:func:`_binomial_fibre`), so no segment pair is ever
+    eliminated.
     """
 
     z1_minpoly: tuple[int, ...]
@@ -249,7 +249,7 @@ class CriticalFamily:
 
     @cached_property
     def points(self) -> list[tuple[complex, complex]]:
-        return _numeric_points(*self.fibre())
+        return sorted(_numeric_points(*self.fibre()), key=_point_key)
 
 
 @dataclass
@@ -258,6 +258,16 @@ class CriticalReport:
     count: int | None = None
     families: list[CriticalFamily] = field(default_factory=list)
     note: str = ""
+    search: Callable[[], list] = field(default=list, compare=False, repr=False)  # run by heuristic_points
+
+    @cached_property
+    def heuristic_points(self) -> list[tuple[complex, ...]]:
+        """Witnesses of the verdict "heuristic", searched for when first read."""
+        return self.search()
+
+
+def _point_key(p):  # report order: the coordinates rounded to 9 digits
+    return tuple((round(z.real, 9), round(z.imag, 9)) for z in p)
 
 
 def _clear_to_bpoly(p: LaurentPoly) -> Poly:
@@ -324,7 +334,13 @@ def _partner_minpoly(f, h) -> Poly:
 
 
 def _numeric_points(f, h):
-    """Numeric witnesses: roots of f paired with the roots of h above each."""
+    """Numeric witnesses: roots of f paired with the roots of h above each,
+    refused before any root is taken past ``_MAX_EIGEN_WORK``."""
+    if f.degree() ** 3 + f.degree() * (len(h) - 1) ** 3 > _MAX_EIGEN_WORK:
+        raise DegreeTooLarge(
+            f"the witnesses need eigenproblems of sizes {f.degree()} and {len(h) - 1},"
+            f" over {_MAX_EIGEN_WORK} operations"
+        )
     pts = []
     z1_roots = np.roots([float(c) for c in f.all_coeffs()])
     # each exact coefficient rounded once, as float(Fraction) rounds it
@@ -483,12 +499,13 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     chart, which decides a shared curve and counts the points, and one
     elimination, which names the families (:func:`_chart_pair`).  No
     unit-circle flag needs a witness (see :class:`CriticalFamily`).
-    Anything else: the verdict "heuristic", with no search behind it; the
-    points come from :func:`heuristic_points`.
+    Anything else: the verdict "heuristic", whose report runs
+    :func:`heuristic_points` only when its witnesses are read.
     """
     mats = require_admissible(d)
     if d.n != 2:
-        return CriticalReport(verdict="heuristic", note="dimension is not 2: numeric multi-start search, not a proof")
+        note = "dimension is not 2: numeric multi-start search, not a proof"
+        return CriticalReport(verdict="heuristic", note=note, search=lambda: heuristic_points(d))
     factors = [factor(s) for s in d.summands]
     bpoly = cache(lambda i: _clear_to_bpoly(factors[i]))
     chart = cache(lambda i, l: _chart_points(mats[i], factors[l]))

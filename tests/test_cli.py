@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -443,6 +444,59 @@ def test_cli_potential_critical_refuses_a_huge_degree(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("library error: DegreeTooLarge: ") and err.count("\n") == 1
+
+
+def test_cli_analyze_refuses_witnesses_too_large_to_compute(tmp_path, monkeypatch, capsys):
+    # the segments (1, 0) and (1, 2000) meet in 2000 points, under the
+    # decision's degree bound, and their one family's fibre is the binomial
+    # z2^2000 - r: a 2000 x 2000 companion eigenproblem.  It is refused
+    # before any root is taken, so numpy.roots is never called
+    monkeypatch.setattr(np, "roots", _raise(AssertionError("analyze took roots past the witness budget")))
+    summands = [{"vertices": [[0, 0], [1, 0]]}, {"vertices": [[0, 0], [1, 2000]]}]
+    path = write_input(tmp_path, {"dimension": 2, "summands": summands})
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["analyze", path, "--fast", "--out", str(out)]) == cli.EXIT_LIBRARY == 5
+    err = capsys.readouterr().err
+    assert err.startswith("library error: DegreeTooLarge: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_witness_budget_admits_the_largest_tested_family():
+    # dilation a=24: its largest family has z1 of degree 576 and one partner
+    # above each root, 576^3 + 576 operations; it stays within the budget
+    vs = [(1, 24), (24, 1), (1, -24)]
+    d = parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": [[0, 0], list(v)]} for v in vs]}))
+    fam = max(potential.critical_exists(d.decomposition).families, key=lambda f: len(f.z1_minpoly))
+    assert len(fam.z1_minpoly) - 1 == 576
+    assert len(fam.points) == 576
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    # the parser is built at import; main only parses with it
+    monkeypatch.setattr(argparse, "ArgumentParser", _raise(AssertionError("main built a parser")))
+    path = write_input(tmp_path, Q5_INPUT)
+    assert main(["hilbert", path]) == 0
+    assert main(["potential", path]) == 0
+
+
+def test_analyze_searches_only_through_the_report(tmp_path, monkeypatch):
+    # the n != 2 search runs once, when the report's witnesses are read;
+    # no planar report reads them, so no planar analyze searches
+    calls = []
+    search = potential.heuristic_points
+
+    def counted(d):
+        calls.append(d)
+        return search(d)
+
+    monkeypatch.setattr(potential, "heuristic_points", counted)
+    payload = {"dimension": 3, "summands": [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
+    assert main(["analyze", write_input(tmp_path, payload), "--fast", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        assert main(["analyze", str(fixture), "--fast", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
