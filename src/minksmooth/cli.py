@@ -14,7 +14,7 @@ written (a stdout closed early is one, ``--out`` and ``--svg`` naming
 one file another), 3 inadmissible input, 4 internal cross-check failure
 (``CrossCheckError``), 5 any other ``ValueError`` or ``ArithmeticError``
 (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, ``BasisTooLarge``,
-``DegreeTooLarge``, also from ``analyze`` when a family's witnesses are too
+``DegreeTooLarge``, also from ``analyze`` when a report's witnesses are too
 large to compute, numpy's ``LinAlgError``).  Only exits 0 and 4 (whose report
 lists the failed checks) can leave output files; every other exit leaves none.
 """

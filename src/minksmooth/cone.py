@@ -268,7 +268,6 @@ def cones_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
 @dataclass(frozen=True)
 class HilbertBasisResult:
     elements: IntMat
-    cone: PolyhedralCone
 
 
 @lru_cache(maxsize=256)
@@ -295,7 +294,7 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
         raise NotFullDim("Hilbert basis needs a full-dimensional cone")
     slots = _slot_polytopes(c)
     if slots is None:
-        return HilbertBasisResult(_cone_basis(c), c)
+        return HilbertBasisResult(_cone_basis(c))
     candidates = _lifted_candidates(c, slots)
     n = c.ambient_dim - len(slots)
     tags = {(0,) * n + tag for tag in identity(len(slots))}
@@ -303,7 +302,7 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
     bound = max(dot(weight, t) for t in tags)
     light = [g for g in candidates - tags if dot(weight, g) < bound]
     split = {t for t in tags if any(c.contains(vec_sub(t, g)) for g in light)}
-    return HilbertBasisResult(tuple(sorted(candidates - split)), c)
+    return HilbertBasisResult(tuple(sorted(candidates - split)))
 
 
 def _cone_basis(c: PolyhedralCone) -> IntMat:

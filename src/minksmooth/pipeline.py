@@ -270,10 +270,10 @@ def _critical_to_dict(crit) -> dict:
             "z1_minimal_polynomial": list(f.z1_minpoly),
             "z2_minimal_polynomial": list(f.z2_minpoly),
             "factor_pair": list(f.pair),
-            "points": [[_c(z) for z in p] for p in f.points],
+            "points": [[_c(z) for z in p] for p in points],
             "all_roots_on_unit_circle": f.on_unit_circle,
         }
-        for f in crit.families
+        for f, points in zip(crit.families, crit.witnesses)
     ]
     out["heuristic_points"] = [[_c(z) for z in p] for p in crit.heuristic_points]
     return out

@@ -4,14 +4,15 @@ polytope, and the critical-point decision.
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
-For planar decompositions it is decided exactly, pair by pair.  Two segments
-meet in a coset of a finite subgroup of the unit torus: torsion arithmetic
-lists it, and the orders of its points name the families, with cyclotomic
-polynomials and binomial gcds.  Any other pair is one integer polynomial in
-a summand's chart, zero on a shared curve and otherwise counting the points,
-and one resultant names its families.  Other dimensions get the verdict
-"heuristic", whose report runs the damped Newton search of
-:func:`heuristic_points` for witnesses when they are first read.
+For planar decompositions it is decided exactly, pair by pair, on each
+summand's ``require_admissible`` matrices alone.  Two segments meet in a
+coset of a finite subgroup of the unit torus: torsion arithmetic lists it,
+and the orders of its points name the families, with cyclotomic polynomials
+and binomial gcds.  A pair with a triangle is one integer polynomial in a
+summand's chart, zero on a shared curve and otherwise counting the points,
+and one resultant names its families; a point's factor 1 meets nothing.
+Other dimensions get the verdict "heuristic", whose report runs the damped
+Newton search of :func:`heuristic_points` for witnesses when first read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import comb, gcd, prod
 
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 from sympy import QQ, ZZ, Poly, primefactors, symbols
 
-from .exactlin import CrossCheckError, hnf
+from .exactlin import CrossCheckError, dot, hnf
 from .polytope import (
     LatticePolytope,
     MinkowskiDecomposition,
@@ -42,10 +43,10 @@ _Z1, _Z2, _T = symbols("z1 z2 t")
 # the planar decision builds no dense polynomial of higher degree in any
 # variable, and lists no more common zeros of two segments
 _MAX_DEGREE = 10**5
-# one family's witnesses solve companion eigenproblems of sizes deg f and,
-# above each root of f, deg h: about deg f^3 + deg f * deg h^3 operations.
-# numpy 2.4 on a 2-core host takes 1.7 s for np.roots of a binomial of
-# degree 1000 (10^9) and 8.8 s at degree 2000 (8 * 10^9)
+# a report's witnesses solve, per family, companion eigenproblems of sizes
+# deg f and, above each root of f, deg h: deg f^3 + deg f * deg h^3 summed
+# over the families.  numpy 2.4 on a 2-core host takes 1.7 s for np.roots of
+# a binomial of degree 1000 (10^9) and 8.8 s at degree 2000 (8 * 10^9)
 _MAX_EIGEN_WORK = 10**9
 # the divisors of x^3 - 1 other than 1, lowest degree first
 _CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
@@ -63,8 +64,8 @@ class ZeroPolynomial(ValueError):
 
 class DegreeTooLarge(ValueError):
     """A polynomial or a point list of the planar decision would exceed
-    ``_MAX_DEGREE``, or a family's witnesses would take eigenproblems of
-    more than ``_MAX_EIGEN_WORK`` operations."""
+    ``_MAX_DEGREE``, or a report's witnesses would take eigenproblems of
+    more than ``_MAX_EIGEN_WORK`` operations in all."""
 
 
 class LaurentPoly:
@@ -234,10 +235,9 @@ class CriticalFamily:
     |w1| = |w2| = 1 forces {w1, w2} = {w, conj(w)}, w a primitive cube root
     of unity, so every coordinate is a cube root of unity: on a pair with a
     triangle the flag holds iff both polynomials divide x^3 - 1.
-    ``points``: the numeric witnesses in report order, computed when first
-    read from the fibre (f, h) that ``fibre()`` returns: the elimination
-    fibre of a pair with a triangle or a point, and on a segment pair its
-    closed form (:func:`_binomial_fibre`), so no segment pair is ever
+    ``fibre()`` returns the fibre (f, h) that the witnesses are rooted on:
+    the elimination fibre of a pair with a triangle, and on a segment pair
+    its closed form (:func:`_binomial_fibre`), so no segment pair is ever
     eliminated.
     """
 
@@ -247,13 +247,12 @@ class CriticalFamily:
     on_unit_circle: bool
     fibre: Callable[[], tuple] = field(compare=False, repr=False)
 
-    @cached_property
-    def points(self) -> list[tuple[complex, complex]]:
-        return sorted(_numeric_points(*self.fibre()), key=_point_key)
-
 
 @dataclass
 class CriticalReport:
+    """The decision, with the numeric points of its families (``witnesses``)
+    or of the verdict "heuristic" computed when first read."""
+
     verdict: str  # "none" | "finite" | "positive_dimensional" | "heuristic"
     count: int | None = None
     families: list[CriticalFamily] = field(default_factory=list)
@@ -265,17 +264,28 @@ class CriticalReport:
         """Witnesses of the verdict "heuristic", searched for when first read."""
         return self.search()
 
+    @cached_property
+    def witnesses(self) -> list[list[tuple[complex, complex]]]:
+        """Each family's points, rooted on its fibre, refused before any root
+        is taken when the report's eigenproblems exceed ``_MAX_EIGEN_WORK``."""
+        fibres = [fam.fibre() for fam in self.families]
+        work = sum(f.degree() ** 3 + f.degree() * (len(h) - 1) ** 3 for f, h in fibres)
+        if work > _MAX_EIGEN_WORK:
+            raise DegreeTooLarge(f"the witnesses need eigenproblems of {work} operations, over {_MAX_EIGEN_WORK}")
+        return [sorted(_numeric_points(f, h), key=_point_key) for f, h in fibres]
+
 
 def _point_key(p):  # report order: the coordinates rounded to 9 digits
     return tuple((round(z.real, 9), round(z.imag, 9)) for z in p)
 
 
-def _clear_to_bpoly(p: LaurentPoly) -> Poly:
-    """Shift a two-variable Laurent polynomial into Z[z2, z1] by a monomial;
-    z2 comes first, so it is the variable the resultant eliminates."""
-    min1 = min(e[0] for e in p.terms)
-    min2 = min(e[1] for e in p.terms)
-    terms = {(e2 - min2, e1 - min1): c for (e1, e2), c in p.terms.items()}
+def _clear_to_bpoly(sm) -> Poly:
+    """Shift the factor 1 + sum z^v over the rows v of ``sm.v`` into
+    Z[z2, z1] by a monomial; z2 comes first, so it is the variable the
+    resultant eliminates."""
+    exps = [(0, 0), *sm.v]
+    min1, min2 = (min(e[s] for e in exps) for s in (0, 1))
+    terms = {(e2 - min2, e1 - min1): 1 for e1, e2 in exps}
     _require_degree(max(max(e) for e in terms))
     return Poly.from_dict(terms, _Z2, _Z1, domain=ZZ)
 
@@ -334,48 +344,35 @@ def _partner_minpoly(f, h) -> Poly:
 
 
 def _numeric_points(f, h):
-    """Numeric witnesses: roots of f paired with the roots of h above each,
-    refused before any root is taken past ``_MAX_EIGEN_WORK``."""
-    if f.degree() ** 3 + f.degree() * (len(h) - 1) ** 3 > _MAX_EIGEN_WORK:
-        raise DegreeTooLarge(
-            f"the witnesses need eigenproblems of sizes {f.degree()} and {len(h) - 1},"
-            f" over {_MAX_EIGEN_WORK} operations"
-        )
+    """Numeric witnesses: roots of f paired with the roots of h above each."""
     pts = []
     z1_roots = np.roots([float(c) for c in f.all_coeffs()])
     # each exact coefficient rounded once, as float(Fraction) rounds it
     hcoeffs = [[complex(Fraction(int(c.p), int(c.q))) for c in u.all_coeffs()] if u else [] for u in h]
-    for alpha in z1_roots:
-        arr = []
-        for u in hcoeffs:
-            val = 0j
-            for c in u:
-                val = val * alpha + c
-            arr.append(val)
-        z2_roots = np.roots(arr) if len(arr) > 1 else []
-        for beta in z2_roots:
-            pts.append((complex(alpha), complex(beta)))
+    for alpha in z1_roots:  # h's coefficients at alpha by Horner's rule
+        arr = [reduce(lambda val, c: val * alpha + c, u, 0j) for u in hcoeffs]
+        pts += [(complex(alpha), complex(beta)) for beta in np.roots(arr)]
     return pts
 
 
-def _chart_points(sm, fj: LaurentPoly) -> Poly:
-    """Squarefree in t; zero iff ``fj`` vanishes on V(f_i), one irreducible
-    curve, else its roots are the common torus zeros.  With [v; e]^-1 = [a | c],
-    z^u = w1^(u.col0) t^(u.col1) on V(f_i), where w1 = -1 on a segment and
-    -1 - t on a triangle; t = 0 and t = -1 (w1 = 0) are off the torus."""
-    if sm.m == 0:  # a point's factor is 1
-        return Poly(1, _T, domain=ZZ)
-    cols = (sm.a_column(0), sm.c_column(0) if sm.m == 1 else sm.a_column(1))
-    exps = {tuple(sum(x * y for x, y in zip(u, col)) for col in cols): c for u, c in fj.terms.items()}
+def _chart_points(sm_i, sm_j) -> Poly:
+    """Squarefree in t; zero iff f_j = 1 + sum z^u over the rows u of
+    ``sm_j.v`` vanishes on V(f_i), one irreducible curve, else its roots are
+    the common torus zeros.  With [v; e]^-1 = [a | c] of the segment or
+    triangle i, z^u = w1^(u.col0) t^(u.col1) on V(f_i), where w1 = -1 on a
+    segment and -1 - t on a triangle; t = 0 and t = -1 (w1 = 0) are off the
+    torus."""
+    cols = (sm_i.a_column(0), sm_i.c_column(0) if sm_i.m == 1 else sm_i.a_column(1))
+    exps = [tuple(dot(u, col) for col in cols) for u in [(0, 0), *sm_j.v]]
     p0, q0 = (min(e[s] for e in exps) for s in (0, 1))
-    _require_degree(max(q - q0 + (p - p0 if sm.m == 2 else 0) for p, q in exps))
+    _require_degree(max(q - q0 + (p - p0 if sm_i.m == 2 else 0) for p, q in exps))
     coeffs = {}
-    for (p, q), c in exps.items():
-        top = p - p0 if sm.m == 2 else 0  # w1^p = (-1)^p (1 + t)^p; clear (1 + t)^-p0
+    for p, q in exps:
+        top = p - p0 if sm_i.m == 2 else 0  # w1^p = (-1)^p (1 + t)^p; clear (1 + t)^-p0
         for r in range(top + 1):
-            coeffs[q - q0 + r] = coeffs.get(q - q0 + r, 0) + (-c if p % 2 else c) * comb(top, r)
+            coeffs[q - q0 + r] = coeffs.get(q - q0 + r, 0) + (-1 if p % 2 else 1) * comb(top, r)
     g = Poly.from_dict({(e,): c for e, c in coeffs.items()}, _T, domain=ZZ).sqf_part()
-    return g.exquo(g.gcd(Poly.from_list([1, 1, 0] if sm.m == 2 else [1, 0], _T, domain=ZZ)))
+    return g.exquo(g.gcd(Poly.from_list([1, 1, 0] if sm_i.m == 2 else [1, 0], _T, domain=ZZ)))
 
 
 def _torsion_angles(v, u, det):
@@ -453,7 +450,7 @@ def _segment_pair(mats, i, j, cyclotomic):
     # a triangle's factor vanishes on the unit torus only where its two
     # monomials are the primitive cube roots of unity, at angles in
     # (1/3) Z^2, where no <v, theta> is 1/2: only an earlier segment can
-    # have counted a point of this pair, and a point's factor 1 none
+    # have counted a point of this pair
     earlier = [mats[l].v[0] for l in range(j) if l != i and mats[l].m == 1]
     count = sum(all((w[0] * n1 + w[1] * n2) % size != size // 2 for w in earlier) for n1, n2 in points)
     # the order of n / D is D / gcd(n, D)
@@ -470,10 +467,10 @@ def _segment_pair(mats, i, j, cyclotomic):
 
 
 def _chart_pair(mats, i, j, chart, bpoly):
-    """A pair with a triangle or a point, decided in summand i's chart:
-    ``None`` on a shared curve, else the number of roots of its chart
-    polynomial on no factor l < j other than i, and one family per fibre of
-    its elimination."""
+    """A pair with a triangle, decided in summand i's chart: ``None`` on a
+    shared curve, else the number of roots of its chart polynomial on no
+    factor l < j other than i and no point, and one family per fibre of its
+    elimination."""
     g = chart(i, j)
     if g.is_zero:
         return None
@@ -481,7 +478,7 @@ def _chart_pair(mats, i, j, chart, bpoly):
     if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres):
         raise CrossCheckError("the chart and the elimination disagree on the solution count")
     for l in range(j):
-        if l != i and g.degree() > 0:
+        if l != i and mats[l].m and g.degree() > 0:
             g = g.exquo(g.gcd(chart(i, l)))
     families = []
     for f, h in fibres:
@@ -493,7 +490,8 @@ def _chart_pair(mats, i, j, chart, bpoly):
 def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
-    Planar case: exact, pair by pair, each point counted at its first pair.
+    Planar case: exact, pair by pair, each point counted at its first pair,
+    read from the summands' matrices alone.  A pair with a point is skipped.
     A pair of segments is decided by torsion arithmetic alone
     (:func:`_segment_pair`); any other pair by its polynomial in a summand's
     chart, which decides a shared curve and counts the points, and one
@@ -506,9 +504,8 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     if d.n != 2:
         note = "dimension is not 2: numeric multi-start search, not a proof"
         return CriticalReport(verdict="heuristic", note=note, search=lambda: heuristic_points(d))
-    factors = [factor(s) for s in d.summands]
-    bpoly = cache(lambda i: _clear_to_bpoly(factors[i]))
-    chart = cache(lambda i, l: _chart_points(mats[i], factors[l]))
+    bpoly = cache(lambda i: _clear_to_bpoly(mats[i]))
+    chart = cache(lambda i, l: _chart_points(mats[i], mats[l]))
     # each distinct order set's cyclotomic product once per decision
     products: dict[frozenset[int], tuple[int, ...]] = {}
 
@@ -518,7 +515,8 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
         return products[orders]
 
     families, count = [], 0
-    for i, j in combinations(range(len(factors)), 2):
+    # a point's factor 1 meets nothing
+    for i, j in combinations([i for i, sm in enumerate(mats) if sm.m], 2):
         if mats[i].m == mats[j].m == 1:
             found = _segment_pair(mats, i, j, cyclotomic)
         else:

@@ -204,15 +204,15 @@ def test_criterion_07_critical_points(all_fixtures):
     assert verdicts["q6_first"].verdict == "finite" and verdicts["q6_first"].count == 2
     fam = verdicts["q6_first"].families[0]
     assert fam.z1_minpoly == (1, 1, 1) and fam.z2_minpoly == (1, 1, 1)
-    for z1, z2 in fam.points:  # the two primitive cube roots, with z1 = z2
+    for z1, z2 in verdicts["q6_first"].witnesses[0]:  # the two primitive cube roots, with z1 = z2
         assert abs(z1 - z2) < 1e-9
         assert abs(z1 ** 3 - 1) < 1e-9 and abs(z1 - 1) > 1e-9
 
     assert verdicts["q6_second"].verdict == "finite" and verdicts["q6_second"].count == 3
     pts = {
         (round(p[0].real), round(p[1].real))
-        for f in verdicts["q6_second"].families
-        for p in f.points
+        for points in verdicts["q6_second"].witnesses
+        for p in points
     }
     assert pts == {(-1, -1), (-1, 1), (1, -1)}
 
@@ -228,8 +228,8 @@ def test_criterion_07_critical_points(all_fixtures):
         if rep.verdict != "finite":
             continue
         po = build_potential(all_fixtures[name])
-        for fam in rep.families:
-            for z1, z2 in fam.points:
+        for points in rep.witnesses:
+            for z1, z2 in points:
                 worst = max(abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3))
                 assert worst < 1e-9, (name, z1, z2, worst)
 

@@ -462,14 +462,59 @@ def test_cli_analyze_refuses_witnesses_too_large_to_compute(tmp_path, monkeypatc
     assert not out.exists()
 
 
-def test_witness_budget_admits_the_largest_tested_family():
-    # dilation a=24: its largest family has z1 of degree 576 and one partner
-    # above each root, 576^3 + 576 operations; it stays within the budget
-    vs = [(1, 24), (24, 1), (1, -24)]
+def _eigen_work(families):
+    """The witness budget's count: deg f^3 + deg f * deg h^3 over the families."""
+    return sum(f.degree() ** 3 + f.degree() * (len(h) - 1) ** 3 for f, h in (fam.fibre() for fam in families))
+
+
+def _segments_report(*vs):
     d = parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": [[0, 0], list(v)]} for v in vs]}))
-    fam = max(potential.critical_exists(d.decomposition).families, key=lambda f: len(f.z1_minpoly))
-    assert len(fam.z1_minpoly) - 1 == 576
-    assert len(fam.points) == 576
+    return potential.critical_exists(d.decomposition)
+
+
+# six segments whose 32 families each stay under the budget, 4.93 * 10^9
+# operations together
+SIX_SEGMENTS = [(1, 0), (1, 999), (1, 997), (1, 995), (1, 993), (1, 991)]
+
+
+def test_witness_budget_admits_the_largest_tested_family():
+    # dilation a=24, the largest report in tests, CI and bench: 10 families,
+    # the largest with z1 of degree 576 and one partner above each root,
+    # 2.77 * 10^8 operations in all; it stays within the budget
+    report = _segments_report((1, 24), (24, 1), (1, -24))
+    assert _eigen_work(report.families) == 277_015_964
+    assert len(report.families) == len(report.witnesses) == 10
+    assert sum(map(len, report.witnesses)) == 1200
+
+
+def test_witness_budget_bounds_the_whole_report(monkeypatch):
+    # the budget counts the report, not each family: at exactly its sum a
+    # report is admitted, one operation below it is refused before any root
+    six = _segments_report(*SIX_SEGMENTS)
+    assert len(six.families) == 32 and _eigen_work(six.families) == 4_925_494_000
+    assert all(_eigen_work([fam]) < potential._MAX_EIGEN_WORK for fam in six.families)
+    report = _segments_report((1, 0), (0, 1), (1, 1))
+    work = _eigen_work(report.families)
+    monkeypatch.setattr(potential, "_MAX_EIGEN_WORK", work)
+    assert sum(map(len, report.witnesses)) == 3
+    monkeypatch.setattr(potential, "_MAX_EIGEN_WORK", work - 1)
+    monkeypatch.setattr(np, "roots", _raise(AssertionError("roots taken past the witness budget")))
+    with pytest.raises(potential.DegreeTooLarge):
+        _segments_report((1, 0), (0, 1), (1, 1)).witnesses
+
+
+def test_cli_analyze_refuses_a_report_whose_witnesses_are_too_large(tmp_path, monkeypatch, capsys):
+    # no family of the six segments is over the budget, but their sum is:
+    # analyze refuses before any root is taken, in one line and with no
+    # report
+    monkeypatch.setattr(np, "roots", _raise(AssertionError("analyze took roots past the witness budget")))
+    path = write_input(tmp_path, {"dimension": 2, "summands": [{"vertices": [[0, 0], list(v)]} for v in SIX_SEGMENTS]})
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["analyze", path, "--fast", "--out", str(out)]) == cli.EXIT_LIBRARY == 5
+    err = capsys.readouterr().err
+    assert err.startswith("library error: DegreeTooLarge: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
@@ -619,7 +664,7 @@ def test_newton_check_fails_on_a_wrong_potential(tmp_path, monkeypatch, broken):
 def _extra_chart_root():
     # a pair's chart polynomial gains a root its elimination does not see
     chart_points = potential._chart_points
-    return lambda sm, fj: chart_points(sm, fj) * potential.Poly(potential._T - 7)
+    return lambda sm_i, sm_j: chart_points(sm_i, sm_j) * potential.Poly(potential._T - 7)
 
 
 def _identity_hnf():

@@ -203,8 +203,8 @@ def test_critical_q6_second(d_q6_second):
     assert rep.verdict == "finite" and rep.count == 3
     pts = {
         (round(p[0].real), round(p[1].real))
-        for fam in rep.families
-        for p in fam.points
+        for points in rep.witnesses
+        for p in points
     }
     assert pts == {(-1, -1), (-1, 1), (1, -1)}
 
@@ -216,7 +216,7 @@ def test_critical_lens(d_lens21):
     assert fam.z1_minpoly == (1, 1)
     assert fam.z2_minpoly == (-1, 0, 1)
     assert fam.on_unit_circle
-    z2s = sorted(round(p[1].real) for p in fam.points)
+    z2s = sorted(round(p[1].real) for p in rep.witnesses[0])
     assert z2s == [-1, 1]
 
 
@@ -254,8 +254,8 @@ def test_witness_gradients_vanish(all_fixtures):
         if rep.verdict != "finite":
             continue
         po = build_potential(d)
-        for fam in rep.families:
-            for z1, z2 in fam.points:
+        for points in rep.witnesses:
+            for z1, z2 in points:
                 grad = max(
                     abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3)
                 )
@@ -308,7 +308,7 @@ def _assert_matches_fraction_oracle(d):
     got, want = critical_exists(d), ratpoly_oracle.critical_exists(d)
     assert (got.verdict, got.count, got.note) == (want.verdict, want.count, want.note)
     fields = lambda f, points: (f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, points)
-    assert [fields(f, f.points) for f in got.families] == [
+    assert [fields(f, points) for f, points in zip(got.families, got.witnesses)] == [
         fields(f, sorted(f.points, key=potential._point_key)) for f in want.families
     ]
 
@@ -337,14 +337,14 @@ def test_unit_circle_flag_ignores_the_witnesses(monkeypatch, summands, flags):
     monkeypatch.setattr(potential, "_numeric_points", drifted)
     report = critical_exists(_planar(summands))
     assert [fam.on_unit_circle for fam in report.families] == flags
-    assert all(abs(abs(z) - 1) > 1e-10 for fam in report.families for p in fam.points for z in p)
+    assert all(abs(abs(z) - 1) > 1e-10 for points in report.witnesses for p in points for z in p)
 
 
 def test_critical_count_counts_a_shared_point_once():
     # the pair counts add up to 4; (-1, -1) is on every factor
     report = critical_exists(_planar(_PLANAR_CASES["triple-point"]))
     assert (report.verdict, report.count) == ("finite", 2)
-    assert sum(len(fam.points) for fam in report.families) == 4
+    assert sum(map(len, report.witnesses)) == 4
 
 
 def test_segment_pair_over_the_bound_is_refused(monkeypatch):
@@ -443,11 +443,10 @@ def _decided_by_elimination(d):
     roots of their polynomials decide the unit-circle flag.  Each family
     carries its elimination fibre (f, h)."""
     mats = require_admissible(d)
-    factors = [factor(s) for s in d.summands]
-    bpolys = [potential._clear_to_bpoly(f) for f in factors]
-    chart = lambda i, l: potential._chart_points(mats[i], factors[l])
+    bpolys = [potential._clear_to_bpoly(sm) for sm in mats]
+    chart = lambda i, l: potential._chart_points(mats[i], mats[l])
     count, families = 0, []
-    for i, j in combinations(range(len(factors)), 2):
+    for i, j in combinations(range(len(mats)), 2):
         g = chart(i, j)
         if g.is_zero:
             return "positive_dimensional", None, f"factors {i + 1} and {j + 1} share a curve of torus zeros", []
@@ -682,8 +681,7 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
     assert calls == dict.fromkeys(calls, 0)
-    for fam in rep.families:
-        assert fam.points is fam.points
+    assert rep.witnesses is rep.witnesses
     assert calls == {**dict.fromkeys(calls, 0), "_numeric_points": len(rep.families)}
 
 
@@ -694,9 +692,8 @@ def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
     rep = critical_exists(d_q5)
     assert rep.verdict == "finite" and rep.families
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
-    fam = rep.families[0]
-    assert fam.points is fam.points
-    assert calls["_numeric_points"] == 1
+    assert rep.witnesses is rep.witnesses
+    assert calls["_numeric_points"] == len(rep.families)
 
 
 @pytest.mark.parametrize(
@@ -743,9 +740,64 @@ def _summand_pairs(draw):
 @given(_summand_pairs())
 def test_zero_chart_polynomial_is_a_shared_curve(pair):
     # the oracle: two factors share a curve iff their gcd in Z[z2, z1] is
-    # not a monomial
+    # not a monomial.  A point's factor 1 shares none, and the decision
+    # skips its pair
     d = _planar(pair)
-    factors = [factor(s) for s in d.summands]
-    shared = len(rp.bgcd(*(potential._clear_to_bpoly(f) for f in factors)).terms()) > 1
+    mats = require_admissible(d)
+    shared = len(rp.bgcd(*(potential._clear_to_bpoly(sm) for sm in mats)).terms()) > 1
+    if not all(sm.m for sm in mats):
+        assert not shared and critical_exists(d).verdict == "none"
+        return
     for i, j in ((0, 1), (1, 0)):
-        assert potential._chart_points(summand_at(d, i + 1), factors[j]).is_zero == shared
+        assert potential._chart_points(summand_at(d, i + 1), summand_at(d, j + 1)).is_zero == shared
+
+
+# the planar bench base inputs that are not fixtures
+_BENCH_PLANAR = {
+    "segments(k=4)": [[(1, 0)], [(0, 1)], [(1, 1)], [(1, -1)]],
+    "dilation(a=1)": [[(1, 1)], [(1, 1)], [(1, -1)]],
+    "dilation(a=2)": [[(1, 2)], [(2, 1)], [(1, -2)]],
+    "lens(7,3)": [[(1, 0)], [(3, 7)]],
+    "lens(13,5)": [[(1, 0)], [(5, 13)]],
+    "triangle+5-segments": [[(1, 0), (0, 1)], [(1, 1)], [(1, -1)], [(1, 2)], [(2, 1)], [(2, 3)]],
+    **{name: _PLANAR_CASES[name] for name in ("lens(61,17)", "lens(97,30)", "dilation(a=4)", "8-segments")},
+}
+
+
+def test_planar_decision_reads_only_the_matrices(monkeypatch, all_fixtures):
+    # every factor is 1 + sum z^v over the rows v of its summand's matrices,
+    # so the decision needs no Laurent polynomial
+    cases = list(all_fixtures.values()) + [_planar(vs) for vs in _BENCH_PLANAR.values()]
+    want = [critical_exists(d) for d in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the planar decision built a Laurent polynomial")
+
+    monkeypatch.setattr(potential, "factor", refuse)
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    got = [critical_exists(d) for d in cases]
+    assert [(r.verdict, r.count, r.families) for r in got] == [(r.verdict, r.count, r.families) for r in want]
+
+
+@pytest.mark.parametrize(
+    "summands, charts",
+    [
+        ([[(1, 0)], []], 0),
+        ([[], [(1, 0)]], 0),
+        ([[(1, 0), (0, 1)], []], 0),
+        ([[], [(1, 0), (0, 1)]], 0),
+        # one chart, of the triangle pair; the point between is no earlier factor
+        ([[(1, 0), (0, 1)], [], [(1, 1)]], 1),
+    ],
+    ids=["segment-point", "point-segment", "triangle-point", "point-triangle", "triangle-point-segment"],
+)
+def test_point_pairs_build_no_polynomial(monkeypatch, summands, charts):
+    # a point's factor is 1: its pairs are skipped before any chart or
+    # elimination
+    calls = _counted(monkeypatch, "_chart_points", "_clear_to_bpoly")
+    calls.update(_counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp))
+    rep = critical_exists(_planar(summands))
+    assert calls["_chart_points"] == charts
+    if not charts:
+        assert (rep.verdict, rep.count) == ("none", 0)
+        assert calls == dict.fromkeys(calls, 0)
