@@ -305,9 +305,11 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
     return HilbertBasisResult(tuple(sorted(candidates - split)))
 
 
+@lru_cache(maxsize=256)
 def _cone_basis(c: PolyhedralCone) -> IntMat:
     """Hilbert basis of a pointed full-dimensional cone: the continued
-    fraction walk in the plane, the box scan in any other dimension."""
+    fraction walk in the plane, the box scan in any other dimension.
+    Cached, so sigma dual and sigma-tilde dual share their fan cones' bases."""
     return _planar_hilbert_basis(c) if c.ambient_dim == 2 else _box_hilbert_basis(c)
 
 
@@ -315,7 +317,6 @@ def _det2(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-@lru_cache(maxsize=256)
 def _planar_hilbert_basis(c: PolyhedralCone) -> IntMat:
     """Hilbert basis of a pointed full-dimensional cone in the plane.
 
@@ -327,7 +328,6 @@ def _planar_hilbert_basis(c: PolyhedralCone) -> IntMat:
     ``u_(i+1) = b_i u_i - u_(i-1)`` with the least b_i that keeps
     det[u_(i+1); r2] >= 0, which strictly decreases to 0 at r2.  The walk
     is linear in its output and refuses one past ``_MAX_BASIS`` elements.
-    Cached, so sigma dual and sigma-tilde dual share their fan cones' bases.
     """
     r1, r2 = c.generators
     if _det2(r1, r2) < 0:
@@ -358,7 +358,6 @@ def box_points(lo, hi):
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-@lru_cache(maxsize=256)
 def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
     """Hilbert basis of a pointed full-dimensional cone by a box scan.
 
@@ -371,7 +370,6 @@ def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
     which contains the zonotope.  The cost grows with the volume of that
     box, which :func:`box_points` bounds; it is the path in dimension other
     than 2 and the test oracle for the planar walk and the lifted path.
-    Cached, so sigma dual and sigma-tilde dual share their fan cones' bases.
     """
     rays = c.generators
     total = tuple(sum(col) for col in zip(*rays))

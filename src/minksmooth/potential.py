@@ -222,10 +222,12 @@ class CriticalFamily:
     """One algebraic family of isolated torus solutions in the first two
     variables; the last variable is free along each.
 
-    ``z1_minpoly`` is irreducible over Q.  ``z2_minpoly`` is the squarefree
-    annihilator of the partner coordinate across the whole family; it is the
-    minimal polynomial when the family carries a single partner per root and
-    may factor further otherwise (it never vanishes at zero).
+    ``z1_minpoly`` is irreducible over Q and differs between the families of
+    one pair, which a report lists by its degree, then by its coefficients
+    leading first.  ``z2_minpoly`` is the squarefree annihilator of the
+    partner coordinate across the whole family; it is the minimal polynomial
+    when the family carries a single partner per root and may factor further
+    otherwise (it never vanishes at zero).
     ``on_unit_circle``: every point of the family lies on the unit torus.
     Such a common zero of two admissible factors is torsion, so the pair's
     summand shapes decide it.  Two segments vanish together where
@@ -331,16 +333,13 @@ def _common_fibres(bi, bj):
 
 def _partner_minpoly(f, h) -> Poly:
     """Squarefree annihilator of the second coordinate over the family:
-    eliminate x between f(x) and the lifted h(x, y) by a resultant in x,
-    which is a power of h when h does not involve x."""
+    eliminate x between f(x) and the lifted h(x, y) by a resultant in x (a
+    power of h when h does not involve x)."""
     x, y = f.gen, _Z2
     top = len(h) - 1
     terms = {(ex, top - k): c for k, u in enumerate(h) for (ex,), c in u.terms()}
     lifted = Poly.from_dict(terms, x, y, domain=QQ).clear_denoms(convert=True)[1]
-    if lifted.degree(x) == 0:
-        return _strip_x(lifted.exclude()).sqf_part()
-    res = rp.bresultant_y(lifted, Poly(f, x, y))[0]
-    return _strip_x(res).sqf_part()
+    return _strip_x(rp.bresultant_y(lifted, Poly(f, x, y))[0]).sqf_part()
 
 
 def _numeric_points(f, h):
@@ -348,7 +347,7 @@ def _numeric_points(f, h):
     pts = []
     z1_roots = np.roots([float(c) for c in f.all_coeffs()])
     # each exact coefficient rounded once, as float(Fraction) rounds it
-    hcoeffs = [[complex(Fraction(int(c.p), int(c.q))) for c in u.all_coeffs()] if u else [] for u in h]
+    hcoeffs = [[complex(Fraction(int(c.p), int(c.q))) for c in u.all_coeffs()] for u in h]
     for alpha in z1_roots:  # h's coefficients at alpha by Horner's rule
         arr = [reduce(lambda val, c: val * alpha + c, u, 0j) for u in hcoeffs]
         pts += [(complex(alpha), complex(beta)) for beta in np.roots(arr)]
@@ -436,10 +435,9 @@ def _binomial_fibre(v, u, m, z1):
 def _segment_pair(mats, i, j, cyclotomic):
     """A pair of segments, decided on its torsion coset (:func:`_torsion_angles`):
     ``None`` on a shared curve, else the number of its points on no factor
-    l < j other than i, and its families, one per order of z1, sorted as
-    ``factor_list`` sorts their z1 polynomials, with fibres from
-    :func:`_binomial_fibre`.  ``cyclotomic`` maps a frozenset of orders to
-    :func:`_cyclotomic_product` of it."""
+    l < j other than i, and its families, one per order of z1, with fibres
+    from :func:`_binomial_fibre`.  ``cyclotomic`` maps a frozenset of orders
+    to :func:`_cyclotomic_product` of it."""
     (v,), (u,) = mats[i].v, mats[j].v
     det = v[0] * u[1] - v[1] * u[0]
     if det == 0:
@@ -462,7 +460,6 @@ def _segment_pair(mats, i, j, cyclotomic):
         z1 = cyclotomic(frozenset((m1,)))
         fibre = lambda m1=m1, z1=z1: _binomial_fibre(v, u, m1, z1)
         families.append(CriticalFamily(z1, cyclotomic(frozenset(m2s)), (i + 1, j + 1), True, fibre))
-    families.sort(key=lambda fam: (len(fam.z1_minpoly), fam.z1_minpoly[::-1]))
     return count, families
 
 
@@ -495,8 +492,9 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     A pair of segments is decided by torsion arithmetic alone
     (:func:`_segment_pair`); any other pair by its polynomial in a summand's
     chart, which decides a shared curve and counts the points, and one
-    elimination, which names the families (:func:`_chart_pair`).  No
-    unit-circle flag needs a witness (see :class:`CriticalFamily`).
+    elimination, which names the families (:func:`_chart_pair`).  Each
+    pair's families are sorted here, in :class:`CriticalFamily`'s order, so
+    no factoring routine decides it.  No unit-circle flag needs a witness.
     Anything else: the verdict "heuristic", whose report runs
     :func:`heuristic_points` only when its witnesses are read.
     """
@@ -506,14 +504,7 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
         return CriticalReport(verdict="heuristic", note=note, search=lambda: heuristic_points(d))
     bpoly = cache(lambda i: _clear_to_bpoly(mats[i]))
     chart = cache(lambda i, l: _chart_points(mats[i], mats[l]))
-    # each distinct order set's cyclotomic product once per decision
-    products: dict[frozenset[int], tuple[int, ...]] = {}
-
-    def cyclotomic(orders):
-        if orders not in products:
-            products[orders] = _cyclotomic_product(orders)
-        return products[orders]
-
+    cyclotomic = cache(_cyclotomic_product)
     families, count = [], 0
     # a point's factor 1 meets nothing
     for i, j in combinations([i for i, sm in enumerate(mats) if sm.m], 2):
@@ -527,7 +518,8 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
                 note=f"factors {i + 1} and {j + 1} share a curve of torus zeros",
             )
         count += found[0]
-        families += found[1]
+        # by degree, then the z1 coefficients leading first
+        families += sorted(found[1], key=lambda fam: (len(fam.z1_minpoly), fam.z1_minpoly[::-1]))
     if count == 0:
         return CriticalReport(verdict="none", count=0)
     return CriticalReport(verdict="finite", count=count, families=families)

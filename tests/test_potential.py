@@ -291,6 +291,10 @@ _PLANAR_CASES = {
     "twin-triangles": [[(1, 0), (0, 1)], [(1, 0), (0, 1)]],
     # z1 = -1 is on the unit circle, its partners (1 ± sqrt 5)/2 are not
     "golden-partner": [[(1, 0)], [(0, 1), (1, 2)]],
+    # tt(3): three triangles whose pairs have 2 or 3 families each; above
+    # two of them the gcd h is free of z1, so the partner resultant is a
+    # power of h
+    "tt(3)": [[(1, 0), (0, 1)], [(1, 3), (0, 1)], [(3, 1), (1, 0)]],
 }
 
 
@@ -423,13 +427,12 @@ def test_integer_torsion_coset_matches_fraction_oracle(v, u, earlier):
     partners = {}
     for t1, t2 in want:
         partners.setdefault(t1.denominator, set()).add(t2.denominator)
-    families = sorted(
-        ((potential._cyclotomic_product({m1}), potential._cyclotomic_product(m2s)) for m1, m2s in partners.items()),
-        key=lambda f: (len(f[0]), f[0][::-1]),
-    )
+    cyclotomic = potential._cyclotomic_product
+    families = {(cyclotomic({m1}), cyclotomic(m2s)) for m1, m2s in partners.items()}
     mats = [SimpleNamespace(v=(w,), m=1) for w in [v, *earlier, u]]
     got = potential._segment_pair(mats, 0, len(mats) - 1, potential._cyclotomic_product)
-    assert (got[0], [(f.z1_minpoly, f.z2_minpoly) for f in got[1]]) == (count, families)
+    # one family per order of theta_1; critical_exists orders them
+    assert (got[0], len(got[1]), {(f.z1_minpoly, f.z2_minpoly) for f in got[1]}) == (count, len(families), families)
 
 
 def _on_unit_circle(coeffs):
@@ -651,9 +654,11 @@ def test_derivative_matches_central_differences():
     assert _central_difference_gap(LaurentPoly.one(3), pt, 1e-3) == 0.0
 
 
-def _counted(monkeypatch, *names, module=potential):
-    """Count the calls of the named functions of ``module``."""
-    calls = dict.fromkeys(names, 0)
+def _counted(monkeypatch, *names, module=potential, calls=None):
+    """Count the calls of the named functions of ``module`` in ``calls``, a
+    new dict unless given one."""
+    calls = {} if calls is None else calls
+    calls.update(dict.fromkeys(names, 0))
     for name in names:
         original = getattr(module, name)
 
@@ -677,7 +682,7 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
     calls = _counted(
         monkeypatch, "_chart_points", "_clear_to_bpoly", "_common_fibres", "_partner_minpoly", "_numeric_points"
     )
-    calls.update(_counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp))
+    _counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp, calls=calls)
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
     assert calls == dict.fromkeys(calls, 0)
@@ -694,6 +699,30 @@ def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
     assert rep.witnesses is rep.witnesses
     assert calls["_numeric_points"] == len(rep.families)
+
+
+@pytest.mark.parametrize(
+    "vs", [_PLANAR_CASES["tt(3)"], [[(1, 0), (1, 1)], [(0, 1), (1, 1)]]], ids=["tt(3)", "Q6-triangles"]
+)
+def test_family_order_is_independent_of_the_factoring(monkeypatch, vs):
+    # the decision sorts each pair's families itself, so factors listed in
+    # any order give the same report
+    want = critical_exists(_planar(vs))
+    original = rp.factor_rational
+    monkeypatch.setattr(rp, "factor_rational", lambda f: original(f)[::-1])
+    got = critical_exists(_planar(vs))
+    assert got.families == want.families
+    assert got.witnesses == want.witnesses
+
+
+def test_every_partner_polynomial_is_a_resultant(monkeypatch):
+    # one resultant per chart pair names its families, then one per family
+    # eliminates z1 from its partner polynomial, also where h is free of z1
+    calls = _counted(monkeypatch, "_common_fibres")
+    _counted(monkeypatch, "bresultant_y", module=rp, calls=calls)
+    rep = critical_exists(_planar(_PLANAR_CASES["tt(3)"]))
+    assert (calls["_common_fibres"], len(rep.families)) == (3, 7)
+    assert calls["bresultant_y"] == calls["_common_fibres"] + len(rep.families)
 
 
 @pytest.mark.parametrize(
@@ -795,7 +824,7 @@ def test_point_pairs_build_no_polynomial(monkeypatch, summands, charts):
     # a point's factor is 1: its pairs are skipped before any chart or
     # elimination
     calls = _counted(monkeypatch, "_chart_points", "_clear_to_bpoly")
-    calls.update(_counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp))
+    _counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp, calls=calls)
     rep = critical_exists(_planar(summands))
     assert calls["_chart_points"] == charts
     if not charts:
