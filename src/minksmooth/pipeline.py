@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import cone as cone_mod
 from . import fibration as fib
@@ -125,7 +126,61 @@ class AnalysisReport:
     failures: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
+        out = []
+        _encode(self.data, "\n", out)
+        return "".join(out)
+
+
+def _encode(obj, newline, out):
+    """Append the text of ``json.dumps(obj, indent=2, sort_keys=True)`` to
+    ``out``, byte for byte, for the report's JSON types (string keys).
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder; here a list
+    of ints, the bulk of a report, is joined in one step by ``int.__repr__``,
+    and strings are escaped by the C ``encode_basestring_ascii``."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    if not isinstance(obj, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif set(map(type, obj)) == {int}:
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+    else:
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+
+
+def _float_text(x):
+    """A float as ``json.dumps`` writes it."""
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:

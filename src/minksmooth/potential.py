@@ -237,10 +237,13 @@ class CriticalFamily:
     |w1| = |w2| = 1 forces {w1, w2} = {w, conj(w)}, w a primitive cube root
     of unity, so every coordinate is a cube root of unity: on a pair with a
     triangle the flag holds iff both polynomials divide x^3 - 1.
-    ``fibre()`` returns the fibre (f, h) that the witnesses are rooted on:
-    the elimination fibre of a pair with a triangle, and on a segment pair
-    its closed form (:func:`_binomial_fibre`), so no segment pair is ever
-    eliminated.
+    ``fibre()`` returns the fibre (f, h) that the witnesses are rooted on,
+    as exact coefficient lists, leading first: f the integer coefficients of
+    z1's polynomial, and h its gcd in y, one list of int or ``Fraction``
+    coefficients in z1 per power of y.  On a pair with a triangle it is the
+    elimination fibre, converted from sympy once; on a segment pair its
+    closed form in integers (:func:`_binomial_fibre`), so no segment pair is
+    ever eliminated and its witnesses build no sympy polynomial.
     """
 
     z1_minpoly: tuple[int, ...]
@@ -268,10 +271,12 @@ class CriticalReport:
 
     @cached_property
     def witnesses(self) -> list[list[tuple[complex, complex]]]:
-        """Each family's points, rooted on its fibre, refused before any root
-        is taken when the report's eigenproblems exceed ``_MAX_EIGEN_WORK``."""
+        """Each family's points, rooted on its fibre's coefficient lists
+        (:func:`_numeric_points`), refused before any root is taken when the
+        report's eigenproblems, deg f^3 + deg f * deg h^3 with the degrees
+        read off the list lengths, exceed ``_MAX_EIGEN_WORK``."""
         fibres = [fam.fibre() for fam in self.families]
-        work = sum(f.degree() ** 3 + f.degree() * (len(h) - 1) ** 3 for f, h in fibres)
+        work = sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h in fibres)
         if work > _MAX_EIGEN_WORK:
             raise DegreeTooLarge(f"the witnesses need eigenproblems of {work} operations, over {_MAX_EIGEN_WORK}")
         return [sorted(_numeric_points(f, h), key=_point_key) for f, h in fibres]
@@ -343,11 +348,12 @@ def _partner_minpoly(f, h) -> Poly:
 
 
 def _numeric_points(f, h):
-    """Numeric witnesses: roots of f paired with the roots of h above each."""
+    """Numeric witnesses of a fibre in coefficient lists: the roots of f
+    paired with the roots of h above each.  Each exact coefficient is
+    rounded once, by ``float`` or ``complex`` of an int or a ``Fraction``."""
     pts = []
-    z1_roots = np.roots([float(c) for c in f.all_coeffs()])
-    # each exact coefficient rounded once, as float(Fraction) rounds it
-    hcoeffs = [[complex(Fraction(int(c.p), int(c.q))) for c in u.all_coeffs()] for u in h]
+    z1_roots = np.roots([float(c) for c in f])
+    hcoeffs = [[complex(c) for c in u] for u in h]
     for alpha in z1_roots:  # h's coefficients at alpha by Horner's rule
         arr = [reduce(lambda val, c: val * alpha + c, u, 0j) for u in hcoeffs]
         pts += [(complex(alpha), complex(beta)) for beta in np.roots(arr)]
@@ -420,16 +426,28 @@ def _cyclotomic_product(orders) -> tuple[int, ...]:
 
 
 def _binomial_fibre(v, u, m, z1):
-    """The fibre (f, h) of the segments v = (a, b), u = (c, d) above
-    f = Phi_m, with coefficients ``z1`` lowest first, as :func:`_common_fibres`
-    finds it.  Above a root x their factors read y^b = -x^-a and y^d = -x^-c,
-    so the monic gcd in K[y] is y^g - r: g = s b + t d = gcd(b, d) > 0 and
-    r = (-1)^(s + t) x^-(s a + t c), x^m = 1.  A segment with b = 0 vanishes
-    identically above f = x + 1, and h is the other one's binomial."""
+    """The fibre of the segments v = (a, b), u = (c, d) above f = Phi_m,
+    whose coefficients ``z1`` are lowest first, as coefficient lists (see
+    :attr:`CriticalFamily.fibre`) equal to those of the fibre
+    :func:`_common_fibres` finds.  Above a root x their factors read
+    y^b = -x^-a and y^d = -x^-c, so the monic gcd in K[y] is y^g - r:
+    g = s b + t d = gcd(b, d) > 0 and r = (-1)^(s + t) x^e with
+    e = -(s a + t c) mod m, as x^m = 1.  r is reduced modulo the monic Phi_m
+    by integer long division.  A segment with b = 0 vanishes identically
+    above f = x + 1, and h is the other one's binomial."""
     ((g,), _), ((s, t), _) = hnf([[v[1]], [u[1]]])
-    f = Poly.from_list(z1[::-1], _Z1, domain=ZZ)
-    r = Poly.from_dict({(-(s * v[0] + t * u[0]) % m,): -1 if (s + t) % 2 else 1}, _Z1, domain=QQ)
-    return f, [Poly(1, _Z1, domain=QQ)] + [Poly(0, _Z1, domain=QQ)] * (g - 1) + [-r.rem(f.to_field())]
+    rem = [0] * max(len(z1) - 1, m)
+    rem[-(s * v[0] + t * u[0]) % m] = 1 if (s + t) % 2 else -1  # -r
+    top = len(z1) - 1
+    lower = [(k, c) for k, c in enumerate(z1[:-1]) if c]
+    for k in range(len(rem) - 1, top - 1, -1):  # subtract rem[k] x^(k - top) Phi_m
+        if rem[k]:
+            for j, c in lower:
+                rem[k - top + j] -= rem[k] * c
+    del rem[top:]
+    while len(rem) > 1 and not rem[-1]:
+        rem.pop()
+    return list(z1[::-1]), [[1]] + [[0]] * (g - 1) + [rem[::-1]]
 
 
 def _segment_pair(mats, i, j, cyclotomic):
@@ -480,7 +498,8 @@ def _chart_pair(mats, i, j, chart, bpoly):
     families = []
     for f, h in fibres:
         z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
-        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=(f, h): fh))
+        fibre = (list(z1[::-1]), [[Fraction(int(c.p), int(c.q)) for c in u.all_coeffs()] for u in h])
+        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=fibre: fh))
     return g.degree(), families
 
 
@@ -527,55 +546,76 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
 
 class _TermTable:
     """Laurent polynomials compiled for evaluation at many points at once,
-    bit-identical to ``LaurentPoly.evaluate``.
+    bit for bit ``LaurentPoly.evaluate`` on every finite value.
 
-    Variables past the first ``nfree`` are pinned to ``1 + 0j`` and skipped,
-    which is exact.  Each polynomial keeps its terms in dictionary order and
-    is padded to the longest with zero terms, which add nothing.  A term is
-    its coefficient times the powers of its free variables in variable order,
-    each power taken once per distinct exponent by ``np.power``, which
-    matches scalar ``**``.  Complex products are split into real ones so no
-    fused multiply-add can enter, and the terms are summed one at a time, not
-    by a pairwise reduction.
+    The table is term-major and ragged.  The polynomials are ranked by
+    decreasing term count, ties in list order, so the terms at place ``t``
+    of their dictionary order are those of the first ``counts[t]`` ranked
+    polynomials; the table holds place 0 of every polynomial, then place 1,
+    and so on, with no padding.  Variables past the first ``nfree`` are
+    pinned to ``1 + 0j`` and skipped, which is exact.  A term is its
+    coefficient times the powers of its free variables in variable order.
+    Each variable's distinct nonzero exponents are powered once by
+    ``np.power``, which matches scalar ``**``, into slots 1, 2, ...; slot 0
+    holds ``1 + 0j``, which a term without the variable gathers.  Where
+    ``evaluate`` skips a variable or multiplies the coefficient's zero
+    imaginary part, the table's products differ at most in the sign of a
+    zero, and a zero's sign never reaches a nonzero value or a sum started
+    from ``+0.0``.  Complex products are split into real ones so no fused
+    multiply-add can enter.  Each polynomial's terms are added to its
+    running sum one place at a time, in order, never by numpy's pairwise
+    reduction.  An overflow may read ``nan`` where ``evaluate`` reads
+    ``inf``: both are non-finite.
     """
 
-    __slots__ = ("shape", "coeffs", "factors")
+    __slots__ = ("columns", "counts", "coeffs", "factors")
 
     def __init__(self, polys, nfree):
-        width = max((len(p.terms) for p in polys), default=0)
-        self.shape = (len(polys), width)
-        coeffs = np.zeros(self.shape)
-        exps = np.zeros((nfree,) + self.shape, dtype=np.int64)
-        for a, p in enumerate(polys):
-            for t, (exp, c) in enumerate(p.terms.items()):
-                coeffs[a, t] = c
-                exps[:, a, t] = exp[:nfree]
-        self.coeffs = coeffs.ravel()
-        # per free variable: its distinct exponents, each term's index into
-        # them, and which terms carry the variable (the others skip it, as
-        # ``evaluate`` does)
+        ranked = sorted(range(len(polys)), key=lambda a: -len(polys[a].terms))
+        terms = [list(polys[a].terms.items()) for a in ranked]
+        # the sum of polynomial a is row columns[a] of the ranked sums
+        self.columns = np.argsort(ranked)
+        self.counts = [sum(len(ts) > t for ts in terms) for t in range(len(terms[0]) if terms else 0)]
+        table = [ts[t] for t, count in enumerate(self.counts) for ts in terms[:count]]
+        self.coeffs = np.array([c for _, c in table], dtype=float).reshape(-1, 1)
+        # per free variable that any term carries: its distinct nonzero
+        # exponents, and each term's slot
         self.factors = []
-        for var, e in enumerate(exps.reshape(nfree, self.coeffs.size)):
-            powers, index = np.unique(e, return_inverse=True)
-            mask = e != 0
-            if mask.any():
-                self.factors.append((var, powers, index, mask))
+        for var in range(nfree):
+            column = [exp[var] for exp, _ in table]
+            powers = sorted(set(column) - {0})
+            if powers:
+                slot = np.array([powers.index(e) + 1 if e else 0 for e in column])
+                self.factors.append((var, np.array(powers, dtype=np.int64)[:, None], slot))
 
     def evaluate(self, z):
         """Values at the rows of ``z`` (shape ``(points, nfree)``), one column
         per polynomial."""
-        re = np.broadcast_to(self.coeffs, (len(z), self.coeffs.size))
-        im = np.zeros(re.shape)
-        for var, powers, index, mask in self.factors:
-            pw = np.power(z[:, var, None], powers)
-            pr, pi = pw.real[:, index], pw.imag[:, index]
-            re, im = np.where(mask, re * pr - im * pi, re), np.where(mask, re * pi + im * pr, im)
-        re = re.reshape((len(z),) + self.shape)
-        im = im.reshape(re.shape)
-        out = np.zeros(re.shape[:2], dtype=complex)
-        for t in range(self.shape[1]):
-            out.real += re[:, :, t]
-            out.imag += im[:, :, t]
+        re, im = self.coeffs, np.zeros(self.coeffs.shape)
+        for k, (var, powers, slot) in enumerate(self.factors):
+            pw = np.ones((len(powers) + 1, len(z)), dtype=complex)
+            pw[1:] = np.power(z[:, var], powers)
+            pr, pi = pw.real[slot], pw.imag[slot]
+            if k:  # re + i im times pr + i pi, formed in the gathered powers
+                t = im * pi
+                im *= pr
+                pi *= re
+                im += pi
+                pr *= re
+                pr -= t
+            else:  # the real coefficient times the first power
+                pr *= re
+                pi *= re
+                im = pi
+            re = pr
+        sums = np.zeros((2, len(self.columns), len(z)))
+        start = 0
+        for count in self.counts:
+            sums[0, :count] += re[start : start + count]
+            sums[1, :count] += im[start : start + count]
+            start += count
+        out = np.empty((len(z), len(self.columns)), dtype=complex)
+        out.real, out.imag = sums[:, self.columns].transpose(0, 2, 1)
         return out
 
 
@@ -609,20 +649,38 @@ def _norm_below(vals, tol):
     return below
 
 
+def _abs_sign(vals, bound):
+    """The sign of ``abs(v) - bound`` for each entry ``v`` of ``vals``, as
+    the scalar ``abs`` decides it.  The squared modulus settles it unless it
+    lies within a relative 1e-12 of ``bound**2``; only those entries go
+    through ``abs``."""
+    gap = vals.real**2 + vals.imag**2 - bound * bound
+    sign = np.sign(gap)
+    for idx in zip(*np.nonzero(np.abs(gap) <= 1e-12 * bound * bound)):
+        a = abs(vals[idx])
+        sign[idx] = (a > bound) - (a < bound)
+    return sign
+
+
 def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
     """Torus critical points found by damped Newton on the full gradient with
     the last variable pinned to 1, sorted by the first coordinate.
     Non-authoritative by construction: witnesses of the verdict "heuristic".
 
     All starts step in lockstep, each step a handful of array operations over
-    the live starts: the gradient and the Hessian are one
+    the live starts: the gradient and the Hessian are one term-major
     :class:`_TermTable`, the least-squares steps one stacked ``gelsd`` call
     (:func:`_lstsq_stack`), and the finiteness tests, the norm test
     (:func:`_norm_below`), the damped update and the drop of starts that
-    reach a coordinate hyperplane act on all rows at once.  Each of these
-    rounds exactly as its one-start form does, so the points are bit for bit
-    those of the one-start-at-a-time search with ``LaurentPoly.evaluate`` and
-    ``np.linalg.lstsq``; the report prints them to 12 digits.
+    reach a coordinate hyperplane act on all rows at once.  So do the final
+    residual, torus and duplicate tests: every modulus is compared with its
+    bound as the scalar ``abs`` compares it (:func:`_abs_sign`), and a start
+    is kept when some coordinate is more than 1e-6 from that of every start
+    kept before it.  Each of these rounds exactly as its one-start form
+    does, so the points are bit for bit those of the one-start-at-a-time
+    search with ``LaurentPoly.evaluate`` and ``np.linalg.lstsq``; the report
+    prints them to 12 digits.  A start whose final point or gradient is not
+    finite is no witness.
     """
     pot = build_potential(d)
     n1 = pot.nvars
@@ -645,11 +703,19 @@ def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
             live = live[keep]
             zs[live] = zs[live] + 0.5 * step[keep]
             live = live[~(np.abs(zs[live]) < 1e-13).any(axis=1)]
-        residuals = table.evaluate(zs)[:, :n1]
-    found = []
-    for z, vals in zip(zs, residuals):
-        residual = max(abs(v) for v in vals)
-        if residual < _SEARCH_TOL and all(abs(w) > 1e-9 for w in z):
-            if all(max(abs(z[i] - q[i]) for i in range(n1 - 1)) > 1e-6 for q in found):
-                found.append(tuple(complex(w) for w in z))
+        values = table.evaluate(zs)[:, :n1]
+        # converged (every |gradient| < tol) and off the coordinate
+        # hyperplanes (every |z| > 1e-9); a non-finite point or gradient is
+        # no witness
+        ok = np.isfinite(values).all(axis=1) & np.isfinite(zs).all(axis=1)
+        ok[ok] = (_abs_sign(values[ok], _SEARCH_TOL) < 0).all(axis=1) & (_abs_sign(zs[ok], 1e-9) > 0).all(axis=1)
+        points = zs[ok]
+        # a point is new when some coordinate is more than 1e-6 from that
+        # of every point kept before it
+        far = (_abs_sign(points[:, None] - points[None], 1e-6) > 0).any(axis=2).tolist()
+    kept = []
+    for i, row in enumerate(far):
+        if all(row[j] for j in kept):
+            kept.append(i)
+    found = [tuple(p) for p in points[kept].tolist()]
     return sorted(found, key=lambda t: (t[0].real, t[0].imag))

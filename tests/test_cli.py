@@ -24,6 +24,7 @@ from minksmooth import cli, cone, exactlin, polytope, potential
 from minksmooth.cli import main
 from minksmooth.exactlin import NotUnimodular
 from minksmooth.pipeline import (
+    AnalysisReport,
     SchemaError,
     TargetMismatch,
     _c,
@@ -215,6 +216,28 @@ def test_report_deterministic():
     req1 = parse_input(json.dumps(Q5_INPUT))
     req2 = parse_input(json.dumps(Q5_INPUT))
     assert run_pipeline(req1).to_json() == run_pipeline(req2).to_json()
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.integers(), max_size=4).map(tuple),
+        st.lists(st.lists(st.integers(), max_size=3), max_size=3),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _json_values))
+def test_report_text_is_json_dumps(data):
+    # the report's own encoder writes json.dumps(indent=2, sort_keys=True)
+    # byte for byte: escapes, non-ASCII text, nan and infinities, -0.0,
+    # bools among ints, tuples and empty containers
+    assert AnalysisReport(data, []).to_json() == json.dumps(data, indent=2, sort_keys=True)
 
 
 def test_svg_q5_labels():
@@ -464,7 +487,7 @@ def test_cli_analyze_refuses_witnesses_too_large_to_compute(tmp_path, monkeypatc
 
 def _eigen_work(families):
     """The witness budget's count: deg f^3 + deg f * deg h^3 over the families."""
-    return sum(f.degree() ** 3 + f.degree() * (len(h) - 1) ** 3 for f, h in (fam.fibre() for fam in families))
+    return sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h in (fam.fibre() for fam in families))
 
 
 def _segments_report(*vs):
@@ -483,6 +506,15 @@ def test_witness_budget_admits_the_largest_tested_family():
     # 2.77 * 10^8 operations in all; it stays within the budget
     report = _segments_report((1, 24), (24, 1), (1, -24))
     assert _eigen_work(report.families) == 277_015_964
+    assert len(report.families) == len(report.witnesses) == 10
+    assert sum(map(len, report.witnesses)) == 1200
+
+
+def test_segment_witnesses_build_no_sympy_polynomial(monkeypatch):
+    # a segment pair's fibre is integer coefficient lists: dilation a=24
+    # yields its 10 families and 1200 witnesses with sympy's Poly refused
+    monkeypatch.setattr(potential, "Poly", _raise(AssertionError("a segment fibre built a sympy Poly")))
+    report = _segments_report((1, 24), (24, 1), (1, -24))
     assert len(report.families) == len(report.witnesses) == 10
     assert sum(map(len, report.witnesses)) == 1200
 

@@ -29,6 +29,7 @@ from minksmooth.potential import (
 )
 
 from conftest import lens, segment, triangle
+import fibre_oracle
 import newton_oracle
 import ratpoly_oracle
 
@@ -444,7 +445,7 @@ def _decided_by_elimination(d):
     polynomial is a shared curve, the gcds with earlier charts count each
     point at its first pair, the elimination names the families and the
     roots of their polynomials decide the unit-circle flag.  Each family
-    carries its elimination fibre (f, h)."""
+    carries its elimination fibre (f, h) as exact coefficient lists."""
     mats = require_admissible(d)
     bpolys = [potential._clear_to_bpoly(sm) for sm in mats]
     chart = lambda i, l: potential._chart_points(mats[i], mats[l])
@@ -459,7 +460,8 @@ def _decided_by_elimination(d):
         count += g.degree()
         for f, h in potential._common_fibres(bpolys[i], bpolys[j]):
             z1, z2 = potential._int_coeffs(f), potential._int_coeffs(potential._partner_minpoly(f, h))
-            families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2), (f, h)))
+            fibre = fibre_oracle.coefficient_lists(f, h)
+            families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2), fibre))
     return ("finite" if count else "none"), count, "", families
 
 
@@ -481,12 +483,29 @@ def test_segment_pairs_match_the_elimination(summands):
     # the torsion cosets of segment pairs against the chart and the
     # elimination run on every pair: verdict, count, note, and each family's
     # polynomials, pair, place in the list and flag, and its fibre: a
-    # segment pair's closed form must be the elimination's f and h, equal
-    # Polys with equal coefficient lists
+    # segment pair's closed form must be the elimination's f and h, every
+    # coefficient equal
     d = _planar(summands)
     got = critical_exists(d)
     families = [(f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, f.fibre()) for f in got.families]
     assert (got.verdict, got.count, got.note, families) == _decided_by_elimination(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vectors, _vectors, st.integers(1, 300))
+@example((3, 0), (1, 2), 2)  # an axis segment, b = 0
+@example((1, 2), (-4, 0), 7)  # an axis segment second, d = 0, and e = 6 = deg Phi_7
+@example((2, -3), (-5, -7), 29)  # both second coordinates negative
+@example((3, 2), (5, 4), 12)  # g = 2, and e = 9 >= deg Phi_12 = 4
+@example((1, 24), (1, -24), 1154)  # dilation a=24's largest order: g = 24, e = 1153 >= deg = 576
+def test_integer_fibre_matches_the_sympy_fibre(v, u, m):
+    # integer long division modulo the monic Phi_m against Poly.rem over Q:
+    # the same f and h, every coefficient equal
+    assume(v[1] or u[1])
+    z1 = tuple(int(c) for c in reversed(cyclotomic_poly(m, polys=True).all_coeffs()))
+    got = potential._binomial_fibre(v, u, m, z1)
+    assert got == fibre_oracle.coefficient_lists(*fibre_oracle.binomial_fibre(v, u, m, z1))
+    assert all(type(c) is int for coeffs in got[1] for c in coeffs)
 
 
 def test_heuristic_for_other_dimensions():
@@ -510,8 +529,11 @@ def test_heuristic_survives_diverging_starts(extra, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def _segments(*vs):
-    return decomposition([convex_hull([(0,) * len(vs[0]), v]) for v in vs])
+def _at_origin(*vs):
+    """Summands at the origin: a vector is a segment, a list of vectors the
+    simplex on them."""
+    shapes = [v if isinstance(v, list) else [v] for v in vs]
+    return decomposition([convex_hull([(0,) * len(shapes[0][0]), *shape]) for shape in shapes])
 
 
 def _moved(vs, axes, signs):
@@ -532,11 +554,17 @@ _NEWTON_CASES["n=2"] = [(1, 0), (0, 1), (1, 1)]
 _NEWTON_CASES["n=4-five"] = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
 _NEWTON_CASES["diverging"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
 _NEWTON_CASES["diverging+(-1,-1,-1)"] = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)]
+# summands with more than one nonzero vertex, so the gradient and Hessian
+# entries have unequal term counts: st3, the simplex plus the triangle, has
+# no critical point, and every start dies before the last step; a triangle
+# with two segments leaves some starts unconverged
+_NEWTON_CASES["st3"] = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0)]]
+_NEWTON_CASES["triangle+2-segments"] = [[(1, 0, 0), (0, 1, 0)], (0, 0, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("vs", list(_NEWTON_CASES.values()), ids=list(_NEWTON_CASES))
 def test_lockstep_newton_matches_scalar_oracle(vs):
-    d = _segments(*vs)
+    d = _at_origin(*vs)
     assert heuristic_points(d) == newton_oracle.heuristic_points(d)
 
 
@@ -560,8 +588,38 @@ def _tables(draw):
     return polys, nfree, np.array(points, dtype=complex)
 
 
+def _table_case(nvars, nfree, polys, points):
+    return [LaurentPoly(nvars, p) for p in polys], nfree, np.array(points, dtype=complex)
+
+
+# one polynomial of ten terms of mixed magnitudes at one point: numpy's
+# pairwise reduction would add them in another order
+_TEN_TERMS = {(k,): (-1) ** k * 10 ** (3 * (k % 4)) + k for k in range(-4, 6)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tables())
+@example(_table_case(1, 1, [{}], [[1 + 0j]]))  # the zero table: no term, no variable
+@example(_table_case(1, 1, [{(0,): -7}], [[1 + 0j]]))  # a constant: no free variable
+@example(_table_case(2, 1, [{(0, 3): 2, (0, -1): 5}], [[0.5 - 2j]]))  # only the pinned variable
+@example(_table_case(1, 1, [_TEN_TERMS], [[0.7 - 1.3j]]))
+@example(_table_case(1, 1, [_TEN_TERMS, {(2,): 3}], [[1.1 + 0.4j], [-0.9 + 2j]]))
+@example(  # unequal term counts
+    _table_case(
+        2,
+        2,
+        [{(1, 0): 1}, {(-2, 1): 3, (0, 0): -1, (1, -3): 4, (2, 2): 1, (0, 1): -9}, {(-1, -1): 2, (3, 0): 1}],
+        [[1.5 + 0.5j, -0.5 + 1j]],
+    )
+)
+@example(  # exactly zero real or imaginary parts, of either sign
+    _table_case(
+        2,
+        2,
+        [{(1, 0): -3, (0, 2): 1, (-1, -1): 2}, {(2, 1): 5, (0, 0): 1}],
+        [[-2 + 0j, 0 - 1.5j], [complex(-0.0, 2), complex(3, -0.0)], [complex(1, -0.0), -1j]],
+    )
+)
 def test_term_table_matches_evaluate_bit_for_bit(case):
     # numpy's complex array multiply may fuse multiply-adds, scalar ** and
     # LaurentPoly.evaluate do not; the split products must keep every bit
