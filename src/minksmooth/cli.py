@@ -15,7 +15,9 @@ one file another), 3 inadmissible input, 4 internal cross-check failure
 (``CrossCheckError``), 5 any other ``ValueError`` or ``ArithmeticError``
 (``NotPointed``, ``NotFullDim``, ``NotUnimodular``, ``BasisTooLarge``,
 ``DegreeTooLarge``, also from ``analyze`` when a report's witnesses are too
-large to compute, numpy's ``LinAlgError``).  Only exits 0 and 4 (whose report
+large to compute, numpy's ``LinAlgError``), and a ``RecursionError`` or
+``MemoryError``; each prints one line, ``library error: <class>:
+<message>``, with no traceback.  Only exits 0 and 4 (whose report
 lists the failed checks) can leave output files; every other exit leaves none.
 """
 
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
         # after every ValueError subclass handled above
         print(f"library error: {type(exc).__name__}: " + " ".join(str(exc).split()), file=sys.stderr)
         return EXIT_LIBRARY

@@ -11,6 +11,9 @@ and the orders of its points name the families, with cyclotomic polynomials
 and binomial gcds.  A pair with a triangle is one integer polynomial in a
 summand's chart, zero on a shared curve and otherwise counting the points,
 and one resultant names its families; a point's factor 1 meets nothing.
+The chart and the elimination run on sympy's dense coefficient lists, with
+the dense-layer routines that ``sympy.Poly`` wraps (:mod:`.ratpoly`), and
+build no ``Poly``.
 Other dimensions get the verdict "heuristic", whose report runs the damped
 Newton search of :func:`heuristic_points` for witnesses when first read.
 """
@@ -26,7 +29,12 @@ from math import comb, gcd, prod
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from sympy import QQ, ZZ, Poly, primefactors, symbols
+from sympy.polys.densearith import dup_exquo
+from sympy.polys.densebasic import dmp_from_dict, dmp_terms_gcd, dup_from_dict
+from sympy.polys.densetools import dmp_clear_denoms
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from .exactlin import CrossCheckError, dot, hnf
 from .polytope import (
@@ -39,7 +47,6 @@ from .polytope import (
 from . import ratpoly as rp
 
 
-_Z1, _Z2, _T = symbols("z1 z2 t")
 # the planar decision builds no dense polynomial of higher degree in any
 # variable, and lists no more common zeros of two segments
 _MAX_DEGREE = 10**5
@@ -241,9 +248,10 @@ class CriticalFamily:
     as exact coefficient lists, leading first: f the integer coefficients of
     z1's polynomial, and h its gcd in y, one list of int or ``Fraction``
     coefficients in z1 per power of y.  On a pair with a triangle it is the
-    elimination fibre, converted from sympy once; on a segment pair its
-    closed form in integers (:func:`_binomial_fibre`), so no segment pair is
-    ever eliminated and its witnesses build no sympy polynomial.
+    elimination fibre, read once off sympy's dense lists (each rational as
+    a ``Fraction``, a zero coefficient as ``[Fraction(0)]``); on a segment
+    pair its closed form in integers (:func:`_binomial_fibre`), so no
+    segment pair is ever eliminated and its witnesses call no sympy routine.
     """
 
     z1_minpoly: tuple[int, ...]
@@ -286,15 +294,15 @@ def _point_key(p):  # report order: the coordinates rounded to 9 digits
     return tuple((round(z.real, 9), round(z.imag, 9)) for z in p)
 
 
-def _clear_to_bpoly(sm) -> Poly:
+def _clear_to_bpoly(sm) -> list:
     """Shift the factor 1 + sum z^v over the rows v of ``sm.v`` into
-    Z[z2, z1] by a monomial; z2 comes first, so it is the variable the
-    resultant eliminates."""
+    Z[z2, z1] by a monomial, as a dense list (see :mod:`.ratpoly`); z2 is
+    the main variable, so it is the one the resultant eliminates."""
     exps = [(0, 0), *sm.v]
     min1, min2 = (min(e[s] for e in exps) for s in (0, 1))
     terms = {(e2 - min2, e1 - min1): 1 for e1, e2 in exps}
     _require_degree(max(max(e) for e in terms))
-    return Poly.from_dict(terms, _Z2, _Z1, domain=ZZ)
+    return dmp_from_dict(terms, 1, ZZ)
 
 
 def _require_degree(deg):
@@ -304,47 +312,49 @@ def _require_degree(deg):
         raise DegreeTooLarge(f"the planar decision needs a polynomial of degree over {_MAX_DEGREE}")
 
 
-def _strip_x(u: Poly) -> Poly:
-    """Drop the monomial factor x^k; torus roots are unaffected."""
-    return u.terms_gcd()[1]
+def _strip_x(u: list) -> list:
+    """Drop the monomial factor x^k of an integer list; torus roots are
+    unaffected."""
+    return dmp_terms_gcd(u, 0, ZZ)[1]
 
 
-def _int_coeffs(u: Poly) -> tuple[int, ...]:
-    """Coefficients of a primitive integer Poly, lowest degree first."""
-    return tuple(int(c) for c in reversed(u.all_coeffs()))
+def _int_coeffs(u: list) -> tuple[int, ...]:
+    """Coefficients of a primitive integer list, lowest degree first."""
+    return tuple(int(c) for c in reversed(u))
 
 
 def _common_fibres(bi, bj):
-    """Common torus zeros of a pair of cleared integer polynomials, as fibres
-    (f, h): f is an irreducible factor of the resultant that eliminates the
-    first generator, and h, in K[first generator] with K = Q[x]/(f), is the
-    pair's gcd above the roots of f.  The chart has ruled out a shared curve.
+    """Common torus zeros of a pair of cleared integer bivariate lists, as
+    fibres (f, h): f is an irreducible integer factor of the resultant that
+    eliminates the main variable y, and h, in K[y] with K = Q[x]/(f), is the
+    pair's gcd above the roots of f, one list over QQ per power of y.  The
+    chart has ruled out a shared curve.
     """
     res, prs = rp.bresultant_y(bi, bj)
     res = _strip_x(res)
-    if res.degree() <= 0:
+    if len(res) <= 1:
         return []
     fibres = []
-    for f, _mult in rp.factor_rational(res.sqf_part()):
+    for f, _mult in rp.factor_rational(dup_sqf_part(res, ZZ)):
         # one side may vanish identically above these roots; the gcd read
         # off the PRS is then the survivor, whose zeros are the common zeros
         h = rp.kgcd_y(f, prs)
-        while h and h[-1].is_zero:  # partner roots at zero are off the torus
+        while h and not h[-1]:  # partner roots at zero are off the torus
             h = h[:-1]
         if len(h) >= 2:
             fibres.append((f, h))
     return fibres
 
 
-def _partner_minpoly(f, h) -> Poly:
+def _partner_minpoly(f, h) -> list:
     """Squarefree annihilator of the second coordinate over the family:
     eliminate x between f(x) and the lifted h(x, y) by a resultant in x (a
     power of h when h does not involve x)."""
-    x, y = f.gen, _Z2
     top = len(h) - 1
-    terms = {(ex, top - k): c for k, u in enumerate(h) for (ex,), c in u.terms()}
-    lifted = Poly.from_dict(terms, x, y, domain=QQ).clear_denoms(convert=True)[1]
-    return _strip_x(rp.bresultant_y(lifted, Poly(f, x, y))[0]).sqf_part()
+    terms = {(len(u) - 1 - ex, top - k): c for k, u in enumerate(h) for ex, c in enumerate(u) if c}
+    lifted = dmp_clear_denoms(dmp_from_dict(terms, 1, QQ), 1, QQ, ZZ, convert=True)[1]
+    res = rp.bresultant_y(lifted, [[c] if c else [] for c in f])[0]
+    return dup_sqf_part(_strip_x(res), ZZ)
 
 
 def _numeric_points(f, h):
@@ -360,10 +370,10 @@ def _numeric_points(f, h):
     return pts
 
 
-def _chart_points(sm_i, sm_j) -> Poly:
-    """Squarefree in t; zero iff f_j = 1 + sum z^u over the rows u of
-    ``sm_j.v`` vanishes on V(f_i), one irreducible curve, else its roots are
-    the common torus zeros.  With [v; e]^-1 = [a | c] of the segment or
+def _chart_points(sm_i, sm_j) -> list:
+    """An integer list, squarefree in t; zero iff f_j = 1 + sum z^u over
+    the rows u of ``sm_j.v`` vanishes on V(f_i), one irreducible curve, else
+    its roots are the common torus zeros.  With [v; e]^-1 = [a | c] of the segment or
     triangle i, z^u = w1^(u.col0) t^(u.col1) on V(f_i), where w1 = -1 on a
     segment and -1 - t on a triangle; t = 0 and t = -1 (w1 = 0) are off the
     torus."""
@@ -376,8 +386,8 @@ def _chart_points(sm_i, sm_j) -> Poly:
         top = p - p0 if sm_i.m == 2 else 0  # w1^p = (-1)^p (1 + t)^p; clear (1 + t)^-p0
         for r in range(top + 1):
             coeffs[q - q0 + r] = coeffs.get(q - q0 + r, 0) + (-1 if p % 2 else 1) * comb(top, r)
-    g = Poly.from_dict({(e,): c for e, c in coeffs.items()}, _T, domain=ZZ).sqf_part()
-    return g.exquo(g.gcd(Poly.from_list([1, 1, 0] if sm_i.m == 2 else [1, 0], _T, domain=ZZ)))
+    g = dup_sqf_part(dup_from_dict(coeffs, ZZ), ZZ)
+    return dup_exquo(g, dup_gcd(g, [1, 1, 0] if sm_i.m == 2 else [1, 0], ZZ), ZZ)
 
 
 def _torsion_angles(v, u, det):
@@ -399,6 +409,20 @@ def _torsion_angles(v, u, det):
     ]
 
 
+def _prime_factors(m):
+    """The distinct primes dividing m >= 1, increasing, by trial division;
+    the orders of the planar decision are at most 2 * ``_MAX_DEGREE``, so no
+    trial divisor passes 447."""
+    primes, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return primes + [m] if m > 1 else primes
+
+
 def _cyclotomic_product(orders) -> tuple[int, ...]:
     """The product of the cyclotomic polynomials Phi_m over the distinct
     orders m, lowest degree first.  Phi_m is the product over d | m of
@@ -407,7 +431,7 @@ def _cyclotomic_product(orders) -> tuple[int, ...]:
     Phi_1 = x - 1 is a factor."""
     exps, degree = {}, 0
     for m in orders:
-        primes = primefactors(m)
+        primes = _prime_factors(m)
         degree += m // prod(primes) * prod(p - 1 for p in primes)
         for k in range(len(primes) + 1):
             for sub in combinations(primes, k):
@@ -487,20 +511,22 @@ def _chart_pair(mats, i, j, chart, bpoly):
     factor l < j other than i and no point, and one family per fibre of its
     elimination."""
     g = chart(i, j)
-    if g.is_zero:
+    if not g:
         return None
     fibres = _common_fibres(bpoly(i), bpoly(j))
-    if g.degree() != sum(f.degree() * (len(h) - 1) for f, h in fibres):
+    if len(g) - 1 != sum((len(f) - 1) * (len(h) - 1) for f, h in fibres):
         raise CrossCheckError("the chart and the elimination disagree on the solution count")
     for l in range(j):
-        if l != i and mats[l].m and g.degree() > 0:
-            g = g.exquo(g.gcd(chart(i, l)))
+        if l != i and mats[l].m and len(g) > 1:
+            g = dup_exquo(g, dup_gcd(g, chart(i, l), ZZ), ZZ)
     families = []
     for f, h in fibres:
         z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
-        fibre = (list(z1[::-1]), [[Fraction(int(c.p), int(c.q)) for c in u.all_coeffs()] for u in h])
+        # a zero coefficient of h is the list [0], as in the segment fibres
+        exact = [[Fraction(int(c.numerator), int(c.denominator)) for c in u] or [Fraction(0)] for u in h]
+        fibre = (list(z1[::-1]), exact)
         families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=fibre: fh))
-    return g.degree(), families
+    return len(g) - 1, families
 
 
 def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.densearith import dup_mul
 
 import minksmooth
 from minksmooth import cli, cone, exactlin, polytope, potential
@@ -439,6 +442,31 @@ def test_cli_library_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, ow
 
 
 @pytest.mark.parametrize(
+    "exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()], ids=["RecursionError", "MemoryError"]
+)
+@pytest.mark.parametrize(
+    "owner, target, argv",
+    [
+        (cli, "run_pipeline", ["analyze", "--fast", "--out", "r.json"]),
+        (potential, "critical_exists", ["potential", "--critical"]),
+    ],
+    ids=["analyze", "potential"],
+)
+def test_cli_resource_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, owner, target, argv, exc):
+    # neither a ValueError nor an ArithmeticError, still one line and no
+    # traceback, no report and nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(owner, target, _raise(exc))
+    path = write_input(tmp_path, Q5_INPUT)
+    capsys.readouterr()
+    assert main([argv[0], path, *argv[1:]]) == cli.EXIT_LIBRARY
+    out, err = capsys.readouterr()
+    assert err == f"library error: {type(exc).__name__}: {exc}\n"
+    assert out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["hilbert"], ["analyze", "--fast", "--out", "r.json", "--svg", "d.svg"], ["diagram", "--svg", "d.svg"]],
     ids=["hilbert", "analyze", "diagram"],
@@ -512,8 +540,12 @@ def test_witness_budget_admits_the_largest_tested_family():
 
 def test_segment_witnesses_build_no_sympy_polynomial(monkeypatch):
     # a segment pair's fibre is integer coefficient lists: dilation a=24
-    # yields its 10 families and 1200 witnesses with sympy's Poly refused
-    monkeypatch.setattr(potential, "Poly", _raise(AssertionError("a segment fibre built a sympy Poly")))
+    # yields its 10 families and 1200 witnesses with every sympy routine of
+    # the elimination refused
+    for module in (potential, potential.rp):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__.startswith("sympy."):
+                monkeypatch.setattr(module, name, _raise(AssertionError(f"a segment fibre called sympy's {name}")))
     report = _segments_report((1, 24), (24, 1), (1, -24))
     assert len(report.families) == len(report.witnesses) == 10
     assert sum(map(len, report.witnesses)) == 1200
@@ -696,7 +728,7 @@ def test_newton_check_fails_on_a_wrong_potential(tmp_path, monkeypatch, broken):
 def _extra_chart_root():
     # a pair's chart polynomial gains a root its elimination does not see
     chart_points = potential._chart_points
-    return lambda sm_i, sm_j: chart_points(sm_i, sm_j) * potential.Poly(potential._T - 7)
+    return lambda sm_i, sm_j: dup_mul(chart_points(sm_i, sm_j), [1, -7], ZZ)
 
 
 def _identity_hnf():
@@ -958,6 +990,28 @@ def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[0, 2, 2, 0] []"
+
+
+def test_triangle_pairs_load_neither_sympy_combinatorics_nor_tensor():
+    # the planar elimination runs on sympy's dense coefficient lists; a
+    # sympy expression, as building a Poly from another's generators makes,
+    # would load both packages on the first pair with a triangle
+    runs = [
+        [command, str(FIXTURES / name), flag]
+        for name in ("q5.json", "cubic.json")
+        for command, flag in (("potential", "--critical"), ("analyze", "--fast"))
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import minksmooth.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [minksmooth.cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in ('sympy.combinatorics', 'sympy.tensor.tensor') if m in sys.modules),"
+        " 'sympy.polys' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] [] True"
 
 
 def test_every_dataclass_annotation_resolves():

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import Poly, cyclotomic_poly
+from sympy import QQ, ZZ, Poly, cyclotomic_poly, primefactors, symbols
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.densearith import dup_exquo
 
 from minksmooth import potential
 from minksmooth import ratpoly as rp
@@ -390,10 +392,23 @@ def test_critical_matches_fraction_oracle_on_random_summands(summands):
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(1, 120), min_size=1, max_size=4))
 def test_cyclotomic_product_matches_sympy(orders):
-    want = Poly(1, potential._T)
+    t = symbols("t")
+    want = Poly(1, t)
     for m in orders:
-        want *= cyclotomic_poly(m, potential._T, polys=True)
-    assert potential._cyclotomic_product(orders) == potential._int_coeffs(want)
+        want *= cyclotomic_poly(m, t, polys=True)
+    assert potential._cyclotomic_product(orders) == potential._int_coeffs(want.rep.to_list())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 * potential._MAX_DEGREE))
+@example(1)
+@example(2 * potential._MAX_DEGREE)  # 2^6 * 5^5
+@example(199_999)  # prime
+@example(2 * 99_991)  # 2 times the largest prime under 10^5
+@example(443**2)  # the square of the largest prime under 447
+@example(443 * 449)  # two primes, the second past the trial divisors
+def test_trial_division_matches_sympy_primefactors(m):
+    assert potential._prime_factors(m) == primefactors(m)
 
 
 def _fraction_torsion_angles(v, u, det):
@@ -452,19 +467,20 @@ def _decided_by_elimination(d):
     count, families = 0, []
     for i, j in combinations(range(len(mats)), 2):
         g = chart(i, j)
-        if g.is_zero:
+        if not g:
             return "positive_dimensional", None, f"factors {i + 1} and {j + 1} share a curve of torus zeros", []
         for l in range(j):
-            if l != i and g.degree() > 0:
-                g = g.exquo(g.gcd(chart(i, l)))
-        count += g.degree()
+            if l != i and len(g) > 1:
+                g = dup_exquo(g, dup_gcd(g, chart(i, l), ZZ), ZZ)
+        count += len(g) - 1
         for f, h in potential._common_fibres(bpolys[i], bpolys[j]):
             z1, z2 = potential._int_coeffs(f), potential._int_coeffs(potential._partner_minpoly(f, h))
-            fibre = fibre_oracle.coefficient_lists(f, h)
+            fibre = fibre_oracle.coefficient_lists(Poly(f, _X), [Poly(u, _X, domain=QQ) for u in h])
             families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2), fibre))
     return ("finite" if count else "none"), count, "", families
 
 
+_X = symbols("x")
 _primitive_vectors = st.tuples(st.integers(-8, 8), st.integers(-8, 8)).filter(lambda v: math.gcd(*v) == 1)
 
 
@@ -831,12 +847,12 @@ def test_zero_chart_polynomial_is_a_shared_curve(pair):
     # skips its pair
     d = _planar(pair)
     mats = require_admissible(d)
-    shared = len(rp.bgcd(*(potential._clear_to_bpoly(sm) for sm in mats)).terms()) > 1
+    shared = sum(1 for u in rp.bgcd(*(potential._clear_to_bpoly(sm) for sm in mats)) for c in u if c) > 1
     if not all(sm.m for sm in mats):
         assert not shared and critical_exists(d).verdict == "none"
         return
     for i, j in ((0, 1), (1, 0)):
-        assert potential._chart_points(summand_at(d, i + 1), summand_at(d, j + 1)).is_zero == shared
+        assert (not potential._chart_points(summand_at(d, i + 1), summand_at(d, j + 1))) == shared
 
 
 # the planar bench base inputs that are not fixtures
