@@ -20,6 +20,10 @@ is that intersection plus the new index, so the rays stay exactly one per
 extreme ray, modulo the lineality space, with no rank computation.  The
 rank-pruned kernel in ``tests/cone_oracle.py`` is the test oracle.
 
+Each vector the pass holds is primitive.  So a lineality vector or ray on
+which a new inequality is 0 projects to itself and is kept as it is, and a
+projection or combination whose content (gcd) is 1 is not divided.
+
 Hilbert bases need no double description.  A lifted cone (sigma dual,
 sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
 normals are the heads of the cone's extreme rays; Q's vertices and each
@@ -96,20 +100,31 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
             continue
         bit = 1 << j
         vals = [sum(map(mul, a, l)) for l in lin]
-        i0 = next((i for i, v in enumerate(vals) if v), None)
-        if i0 is not None:
-            v0, l0 = abs(vals[i0]), lin[i0] if vals[i0] > 0 else vec_neg(lin[i0])
-
-            def project(x, ax):
-                # scaled projection onto the hyperplane of `a` along l0; ax = <a, x>
-                w = [v0 * t - ax * t0 for t, t0 in zip(x, l0)]
-                g = gcd(*w)
-                return tuple(t // g for t in w)
-
-            lin = [project(l, v) for i, (l, v) in enumerate(zip(lin, vals)) if i != i0]
-            # a ray is never a lineality direction, so none projects to zero;
-            # l0 was one, so every earlier inequality is tight on it
-            rays = [(project(r, sum(map(mul, a, r))), z | bit) for r, z in rays]
+        for i0, v0 in enumerate(vals):
+            if v0:
+                break
+        else:
+            v0 = 0
+        if v0:
+            l0 = lin.pop(i0)
+            del vals[i0]
+            if v0 < 0:
+                l0, v0 = vec_neg(l0), -v0
+            # project the rest of the lineality basis, then the rays, onto the
+            # hyperplane of `a` along l0: x -> (v0 * x - <a, x> * l0) / gcd.
+            # Each x is primitive, so one with <a, x> == 0 stays as it is; a
+            # ray is never a lineality direction, so none projects to zero
+            kept = len(lin)
+            xs = lin + [r for r, _ in rays]
+            vals += [sum(map(mul, a, r)) for r, _ in rays]
+            for i, ax in enumerate(vals):
+                if ax:
+                    w = [v0 * t - ax * t0 for t, t0 in zip(xs[i], l0)]
+                    g = gcd(*w)
+                    xs[i] = tuple(w) if g == 1 else tuple(t // g for t in w)
+            lin = xs[:kept]
+            # l0 was a lineality direction, so every earlier inequality is tight on it
+            rays = [(x, z | bit) for x, (_, z) in zip(xs[kept:], rays)]
             rays.append((l0, done))
         else:
             pos, neg, zero = [], [], []
@@ -141,7 +156,7 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
                     if hits == 2:
                         w = [vp * y - vq * x for x, y in zip(p, q)]
                         g = gcd(*w)
-                        combos.append((tuple(t // g for t in w), s | bit))
+                        combos.append((tuple(w) if g == 1 else tuple(t // g for t in w), s | bit))
             rays = [(r, z) for r, z, _ in pos] + zero + combos
         done |= bit
     lin = sorted(set(sign_normalized(l) for l in lin))

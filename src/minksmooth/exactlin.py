@@ -10,11 +10,19 @@ matrices are tuples of row vectors.
 :func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
 integers (Bareiss's single-step division by the previous pivot, in the
 Gauss-Jordan form of Nakos, Turner and Williams), which returns ``d``
-times the reduced row echelon form with ``d`` a minor of the input.  The
-lattice normal forms rest on one unimodular reduction, :func:`hnf`'s row
-operations with their transform: ``snf_invariant_factors`` alternates it
-on a matrix and its transpose, and ``complete_to_basis`` reads a basis
-off its transform.
+times the reduced row echelon form with ``d`` a minor of the input.  A
+step with pivot ``p`` maps each other row x to (p * x - f * y) / d, with
+f its entry in the pivot column and y the pivot row.  A row with f == 0
+only becomes p * x / d: it is left alone when p == d, as in the
+near-identity matrices whose inverses ``summand_matrices`` takes, and
+only rescaled otherwise.
+
+The lattice normal forms rest on one unimodular reduction,
+:func:`_hermite`.  :func:`hnf` runs it on the matrix with the identity
+appended, so the transform rides along; ``complete_to_basis`` reads a
+basis off that transform.  ``snf_invariant_factors`` alternates it on a
+matrix and its transpose and reads only the forms, so it builds no
+transform.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ class CrossCheckError(RuntimeError):
 
 
 def as_vec(seq) -> IntVec:
-    return tuple(int(x) for x in seq)
+    return tuple(map(int, seq))
 
 
 def as_mat(rows) -> IntMat:
@@ -134,8 +142,10 @@ def _gauss_jordan(m, ncols=None):
         r = len(pivots)
         if r == len(a):
             break
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
+        for piv in range(r, len(a)):
+            if a[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
@@ -144,7 +154,12 @@ def _gauss_jordan(m, ncols=None):
         for i, row in enumerate(a):
             if i != r:
                 f = row[c]
-                a[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                if f:
+                    a[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                elif p != d:
+                    # (p * x - 0 * y) / d: a row that is 0 in the pivot
+                    # column is only rescaled, and left alone when p == d
+                    a[i] = [p * x // d for x in row]
         d = p
         pivots.append(c)
     return a, pivots, d, sign
@@ -169,6 +184,45 @@ def rank(m) -> int:
     return len(_gauss_jordan(m)[1])
 
 
+def _hermite(a, ncols) -> list[list[int]]:
+    """Row Hermite normal form of the list of int rows ``a``, in place.
+
+    Pivots are sought only in the first ``ncols`` columns, so augmented
+    columns ride along with the row operations (:func:`hnf` carries its
+    transform that way).
+    """
+    nrows = len(a)
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, nrows) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = nz[0] if len(nz) == 1 else min(nz, key=lambda i: abs(a[i][c]))
+            if i0 != r:
+                a[r], a[i0] = a[i0], a[r]
+            done = True
+            for i in range(r + 1, nrows):
+                if a[i][c] != 0:
+                    q = a[i][c] // a[r][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    if a[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < nrows and a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                if q != 0:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            r += 1
+            if r == nrows:
+                break
+    return a
+
+
 def hnf(m) -> tuple[IntMat, IntMat]:
     """Row Hermite normal form.
 
@@ -178,58 +232,28 @@ def hnf(m) -> tuple[IntMat, IntMat]:
     """
     if not m:
         raise ValueError("empty matrix")
-    nrows, ncols = len(m), len(m[0])
-    a = [list(r) for r in m]
-    u = [list(r) for r in identity(nrows)]
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, nrows) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
-            done = True
-            for i in range(r + 1, nrows):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if a[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q != 0:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-            if r == nrows:
-                break
-    return as_mat(a), as_mat(u)
+    ncols = len(m[0])
+    a = _hermite([[*map(int, r), *e] for r, e in zip(m, identity(len(m)))], ncols)
+    return tuple(tuple(r[:ncols]) for r in a), tuple(tuple(r[ncols:]) for r in a)
 
 
 def snf_invariant_factors(m) -> list[int]:
     """Diagonal of the Smith normal form (nonnegative, each dividing the next).
 
-    Row Hermite forms (:func:`hnf`) of the matrix and of its transpose
-    alternate until no off-diagonal entry is left.  Each step is
-    unimodular, so that diagonal matrix is equivalent to ``m``; as
-    diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)), one gcd/lcm
-    pass over its diagonal gives the divisibility chain, zeros last.
+    Row Hermite forms of the matrix and of its transpose alternate until
+    no off-diagonal entry is left; only the forms are needed, so they are
+    built with no transform (:func:`_hermite`).  Each step is unimodular,
+    so that diagonal matrix is equivalent to ``m``; as diag(a, b) is
+    equivalent to diag(gcd(a, b), lcm(a, b)), one gcd/lcm pass over its
+    diagonal gives the divisibility chain, zeros last.
     """
     if not m:
         raise ValueError("empty matrix")
-    a = as_mat(m)
-    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-        a = transpose(hnf(transpose(hnf(a)[0]))[0])
+    a = [list(map(int, r)) for r in m]
+    while any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
+        a = _hermite(a, len(a[0]))
+        at = _hermite([list(r) for r in zip(*a)], len(a))
+        a = [list(r) for r in zip(*at)]
     d = [abs(a[i][i]) for i in range(min(len(a), len(a[0])))]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -268,7 +292,7 @@ def unimodular_inverse(x) -> IntMat:
     if dt not in (1, -1):
         raise NotUnimodular(f"determinant is {dt}, not +-1")
     # a == d * [I | x^{-1}] and 1/d == d
-    return tuple(tuple(v * d for v in row[n:]) for row in a)
+    return tuple(tuple(row[n:]) if d == 1 else tuple(-v for v in row[n:]) for row in a)
 
 
 def rational_nullspace(m) -> list[RatVec]:

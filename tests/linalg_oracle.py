@@ -11,12 +11,15 @@ slow, obvious way so tests can compare the two.
 from fractions import Fraction
 
 
-def rref(m, ncols=None):
+def rref(m, ncols=None, steps=None):
     """Reduced row echelon form of ``m`` over the rationals.
 
     Returns ``(a, pivots, det)`` with pivots sought in the first ``ncols``
     columns; ``det`` is the product of the pivots times the sign of the
     row swaps, the determinant when ``m`` is square (0 when singular).
+    Given a list ``steps``, each elimination step appends its pivot, before
+    the pivot row is divided by it, and the number of other rows that are
+    0 in the pivot column.
     """
     a = [[Fraction(x) for x in row] for row in m]
     nrows = len(a)
@@ -35,6 +38,8 @@ def rref(m, ncols=None):
             a[r], a[piv] = a[piv], a[r]
             det = -det
         det *= a[r][c]
+        if steps is not None:
+            steps.append((a[r][c], sum(1 for i in range(nrows) if i != r and a[i][c] == 0)))
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
         for i in range(nrows):

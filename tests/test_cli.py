@@ -302,7 +302,7 @@ def test_cli_exit_codes(tmp_path):
     assert main(["analyze", write_input(tmp_path, mismatch, "mismatch.json")]) == 3
 
 
-def test_cli_missing_file_and_flat_target(tmp_path):
+def test_cli_missing_file_and_flat_target(tmp_path, capsys):
     assert main(["hilbert", str(tmp_path / "absent.json")]) == 2
     flat = write_input(
         tmp_path,
@@ -313,6 +313,23 @@ def test_cli_missing_file_and_flat_target(tmp_path):
     # basis, so the pipeline rejects the input instead of crashing
     assert main(["analyze", flat]) == 3
     assert main(["hilbert", flat]) == 3
+    assert main(["diagram", flat, "--svg", str(tmp_path / "flat.svg")]) == 3
+    # the segments to e1 and e2 in dimension 40 span a plane: parsing hulls
+    # and inverts in dimension 40 before the cone is found flat
+    unit = lambda i: [int(j == i) for j in range(40)]
+    flat40 = write_input(
+        tmp_path,
+        {"dimension": 40, "summands": [{"vertices": [[0] * 40, unit(i)]} for i in (0, 1)]},
+        "flat40.json",
+    )
+    assert main(["analyze", flat40]) == 3
+    assert main(["hilbert", flat40]) == 3
+    # diagram refuses the dimension first, after parsing and before the
+    # flatness check
+    capsys.readouterr()
+    assert main(["diagram", flat40, "--svg", str(tmp_path / "flat40.svg")]) == 2
+    assert capsys.readouterr().err == "unsupported: diagram rendering is limited to three-dimensional cones\n"
+    assert not (tmp_path / "flat.svg").exists() and not (tmp_path / "flat40.svg").exists()
 
 
 def test_cli_write_failures_name_the_write(tmp_path, capsys):

@@ -23,6 +23,7 @@ from minksmooth.cone import (
     is_strongly_convex,
     sigma_tilde,
     _box_hilbert_basis,
+    _canonical_vrep,
     _irreducible,
     _lifted_candidates,
     _planar_hilbert_basis,
@@ -345,6 +346,43 @@ _PLANAR_16 = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (2, 3), (3, 2),
 @example(([(1, 0, 0), (0, 1, 0), (1, -2, 0)], 3))
 def test_adjacency_kernel_matches_rank_pruned_oracle(system):
     # zero rows, repeated rows, lineality and hyperplane cuts included
+    assert halfspace_description(*system) == rank_pruned_halfspace_description(*system)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rows that are mostly zeros, with a few entries of +-1 or +-2: most
+    values of a row on the lineality basis and the rays are 0, and most
+    projections and combinations have content 1."""
+    dim = draw(st.integers(2, 8))
+    entry = st.sampled_from([1, -1, 2, -2])
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [0] * dim
+        for j in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+            row[j] = draw(entry)
+        rows.append(tuple(row))
+    return rows, dim
+
+
+def _flat_hull_rows(n):
+    """The rows of the first pass of a hull of 0, e1 and e2 in dimension n,
+    each with a 1 appended, as parsing the segments to e1 and e2 hulls."""
+    unit = lambda i: tuple(int(j == i) for j in range(n))
+    return [(0,) * n + (1,), unit(0) + (1,), unit(1) + (1,)], n + 1
+
+
+_FLAT6_FIRST = _flat_hull_rows(6)
+_FLAT6_SECOND = list(_canonical_vrep(*halfspace_description(*_FLAT6_FIRST))), 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+# both passes of a hull in dimension 6 that spans a plane: nearly every
+# value is 0 and every projection has content 1
+@example(_FLAT6_FIRST)
+@example(_FLAT6_SECOND)
+def test_sparse_systems_match_rank_pruned_oracle(system):
     assert halfspace_description(*system) == rank_pruned_halfspace_description(*system)
 
 

@@ -4,7 +4,7 @@ from math import gcd
 
 import linalg_oracle as oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minksmooth.exactlin import (
@@ -127,6 +127,10 @@ def matrices_with_zero_lines(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices_with_zero_lines())
+@example(((4, 6, 10),))  # 1 x n
+@example(((6,), (0,), (-9,), (15,)))  # n x 1
+@example(((2, 4, 6, 8, 10, 12), (0, 3, 0, 9, 0, 3)))  # wide
+@example(((1, 0, 2, 0, 3, 0, 4), (0, 2, 0, 4, 0, 6, 0), (3, 0, 6, 0, 9, 0, 12)))
 def test_snf_matches_determinantal_divisors(m):
     # the k-th invariant factor is d_k / d_{k-1}, d_k the gcd of all k x k
     # minors (d_0 = 1), and 0 once d_k is 0
@@ -141,6 +145,75 @@ def test_snf_matches_determinantal_divisors(m):
         d.append(gcd(*minors))
     want = [b // a if b else 0 for a, b in zip(d, d[1:])]
     assert snf_invariant_factors(m) == want
+
+
+def _sparse_case(rng):
+    """An n x n matrix, n <= 12, and a right-hand side: the identity after a
+    few elementary row operations, or a zero-heavy singular matrix."""
+    n = rng.randint(1, 12)
+    if rng.random() < 0.5:
+        m = [list(r) for r in identity(n)]
+        for _ in range(rng.randint(0, 5)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            kind = rng.randrange(3)
+            if kind == 0:
+                m[i], m[j] = m[j], m[i]
+            elif kind == 1:
+                m[i] = [-x for x in m[i]]
+            elif i != j:
+                c = rng.choice((-2, -1, 1, 2))
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    else:
+        m = [[rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(n)]
+        i = rng.randrange(n)
+        if n < 3 or rng.random() < 0.5:
+            m[i] = [0] * n
+        else:
+            j, k = rng.sample([r for r in range(n) if r != i], 2)
+            m[i] = [x + y for x, y in zip(m[j], m[k])]
+    return tuple(map(tuple, m)), tuple(rng.randint(-9, 9) for _ in range(n))
+
+
+def _check_sparse_case(m, b):
+    """Compare every reader of the elimination with the rational oracle on
+    ``m``.  Returns how many rows the elimination of ``m`` meets that are 0
+    in the pivot column, where the pivot equals the previous one (p == d:
+    the row is kept) and where it does not (the row is scaled by p / d).
+    The kernel's pivot is the previous one times the oracle's, so p == d
+    exactly where the oracle's pivot is 1."""
+    assert rank(m) == oracle.rank(m)
+    assert det(m) == oracle.det(m)
+    if det(m) in (1, -1):
+        assert unimodular_inverse(m) == oracle.inverse(m)
+    else:
+        with pytest.raises(NotUnimodular):
+            unimodular_inverse(m)
+    assert rational_nullspace(m) == oracle.nullspace(m)
+    assert rational_solve(m, b) == oracle.solve(m, b)
+    rhs = mat_vec(m, b)
+    assert rational_solve(m, rhs) == oracle.solve(m, rhs)
+    steps = []
+    oracle.rref(m, steps=steps)
+    return sum(z for p, z in steps if p == 1), sum(z for p, z in steps if p != 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False).map(_sparse_case))
+@example((((1, 0, 0), (0, 0, 0), (0, 0, 2)), (1, 0, 1)))
+@example((((0, 1, 0), (1, 2, 0), (0, 0, -1)), (4, -4, 4)))
+def test_sparse_kernel_matches_rational_oracle(case):
+    _check_sparse_case(*case)
+
+
+def test_sparse_eliminations_keep_and_scale_rows():
+    # both row rules occur: pivots 1 (most of the near-identity matrices')
+    # keep the rows that are 0 in the pivot column, others rescale them
+    rng = random.Random(20261019)
+    kept = scaled = 0
+    for _ in range(200):
+        k, s = _check_sparse_case(*_sparse_case(rng))
+        kept, scaled = kept + k, scaled + s
+    assert kept > 0 and scaled > 0
 
 
 def test_complete_to_basis_examples():
