@@ -11,14 +11,15 @@ Exit codes: 0 success, 2 schema error (JSON too deep or with too long an
 integer, a name with a control character or lone surrogate) or an input
 that cannot be read or decoded as UTF-8 or an output that cannot be
 written (a stdout closed early is one, ``--out`` and ``--svg`` naming
-one file another), 3 inadmissible input, 4 internal cross-check failure
-(``CrossCheckError``), 5 any other ``ValueError`` or ``ArithmeticError``
-(``NotPointed``, ``NotFullDim``, ``NotUnimodular``, ``BasisTooLarge``,
-``DegreeTooLarge``, also from ``analyze`` when a report's witnesses are too
-large to compute, numpy's ``LinAlgError``), and a ``RecursionError`` or
-``MemoryError``; each prints one line, ``library error: <class>:
-<message>``, with no traceback.  Only exits 0 and 4 (whose report
-lists the failed checks) can leave output files; every other exit leaves none.
+one file another), 3 inadmissible input (a flat target is one, also under
+``potential``), 4 internal cross-check failure (``CrossCheckError``), 5 any
+other ``ValueError`` or ``ArithmeticError`` (``NotPointed``, ``NotFullDim``,
+``NotUnimodular``, ``BasisTooLarge``, ``DegreeTooLarge``, also from
+``analyze`` when a report's witnesses are too large to compute, the n != 2
+search's ``LinAlgError``), and a ``RecursionError`` or ``MemoryError``; each
+prints one line, ``library error: <class>: <message>``, with no traceback.
+Only exits 0 and 4 (whose report lists the failed checks) can leave output
+files; every other exit leaves none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import contextlib
 import os
 import sys
 
-from .cone import dual, hilbert_basis, sigma_tilde, spanning_sigma
+from .cone import dual, hilbert_basis, require_spanning, sigma_tilde, spanning_sigma
 from .exactlin import CrossCheckError
 from .pipeline import (
     AnalysisRequest,
@@ -118,6 +119,7 @@ def _cmd_potential(args) -> int:
     from .potential import build_potential, critical_exists
 
     req = _load_request(args.file)
+    require_spanning(req.decomposition)
     po = build_potential(req.decomposition)
     # decided before anything is printed, so a refused run prints nothing
     crit = critical_exists(req.decomposition) if args.critical else None

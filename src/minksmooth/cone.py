@@ -217,20 +217,24 @@ def cone_over(q) -> PolyhedralCone:
     return PolyhedralCone(dim, gens, _canonical_vrep(*halfspace_description(gens, dim)))
 
 
-def spanning_sigma(d) -> PolyhedralCone:
-    """sigma of an admissible decomposition whose target spans its ambient
-    space; else NotAdmissible, as sigma dual (and sigma-tilde dual) is then
-    not pointed and has no Hilbert basis."""
+def require_spanning(d) -> None:
+    """NotAdmissible unless ``d`` is admissible and its target spans its
+    ambient space (sigma dual is otherwise not pointed): every summand has
+    the origin as a vertex, so one rank of all their vertices decides it."""
     from .polytope import NotAdmissible, require_admissible
 
     require_admissible(d)
-    sigma = cone_over(d.target)
-    if not is_full_dimensional(sigma):
+    if rank([v for s in d.summands for v in s.vertices]) < d.n:
         raise NotAdmissible(
             "target polytope is not full-dimensional in its ambient space;"
             " restate the input in the dimension it actually spans"
         )
-    return sigma
+
+
+def spanning_sigma(d) -> PolyhedralCone:
+    """sigma of a decomposition that :func:`require_spanning` admits."""
+    require_spanning(d)
+    return cone_over(d.target)
 
 
 @lru_cache(maxsize=256)

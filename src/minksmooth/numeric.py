@@ -1,0 +1,212 @@
+"""Floating-point points of the critical-point analysis: the witnesses of
+an exact report's families, and the damped Newton search behind the
+verdict "heuristic".  The package's only numpy code; :mod:`.potential`
+imports it when a report's witnesses or search are first read.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+import numpy as np
+from numpy.linalg import _umath_linalg
+
+from .polytope import MinkowskiDecomposition
+from .potential import build_potential
+
+# the n != 2 search: seeded starts, Newton steps per start, and the gradient
+# size below which a start has converged
+_SEARCH_STARTS = 40
+_SEARCH_ITERS = 80
+_SEARCH_TOL = 1e-10
+_SEARCH_SEED = 7
+
+
+def _numeric_points(f, h):
+    """Numeric witnesses of a fibre in coefficient lists: the roots of f
+    paired with the roots of h above each.  Each exact coefficient is
+    rounded once, by ``float`` or ``complex`` of an int or a ``Fraction``."""
+    pts = []
+    z1_roots = np.roots([float(c) for c in f])
+    hcoeffs = [[complex(c) for c in u] for u in h]
+    for alpha in z1_roots:  # h's coefficients at alpha by Horner's rule
+        arr = [reduce(lambda val, c: val * alpha + c, u, 0j) for u in hcoeffs]
+        pts += [(complex(alpha), complex(beta)) for beta in np.roots(arr)]
+    return pts
+
+
+class _TermTable:
+    """Laurent polynomials compiled for evaluation at many points at once,
+    bit for bit ``LaurentPoly.evaluate`` on every finite value.
+
+    The table is term-major and ragged.  The polynomials are ranked by
+    decreasing term count, ties in list order, so the terms at place ``t``
+    of their dictionary order are those of the first ``counts[t]`` ranked
+    polynomials; the table holds place 0 of every polynomial, then place 1,
+    and so on, with no padding.  Variables past the first ``nfree`` are
+    pinned to ``1 + 0j`` and skipped, which is exact.  A term is its
+    coefficient times the powers of its free variables in variable order.
+    Each variable's distinct nonzero exponents are powered once by
+    ``np.power``, which matches scalar ``**``, into slots 1, 2, ...; slot 0
+    holds ``1 + 0j``, which a term without the variable gathers.  Where
+    ``evaluate`` skips a variable or multiplies the coefficient's zero
+    imaginary part, the table's products differ at most in the sign of a
+    zero, and a zero's sign never reaches a nonzero value or a sum started
+    from ``+0.0``.  Complex products are split into real ones so no fused
+    multiply-add can enter.  Each polynomial's terms are added to its
+    running sum one place at a time, in order, never by numpy's pairwise
+    reduction.  An overflow may read ``nan`` where ``evaluate`` reads
+    ``inf``: both are non-finite.
+    """
+
+    __slots__ = ("columns", "counts", "coeffs", "factors")
+
+    def __init__(self, polys, nfree):
+        ranked = sorted(range(len(polys)), key=lambda a: -len(polys[a].terms))
+        terms = [list(polys[a].terms.items()) for a in ranked]
+        # the sum of polynomial a is row columns[a] of the ranked sums
+        self.columns = np.argsort(ranked)
+        self.counts = [sum(len(ts) > t for ts in terms) for t in range(len(terms[0]) if terms else 0)]
+        table = [ts[t] for t, count in enumerate(self.counts) for ts in terms[:count]]
+        self.coeffs = np.array([c for _, c in table], dtype=float).reshape(-1, 1)
+        # per free variable that any term carries: its distinct nonzero
+        # exponents, and each term's slot
+        self.factors = []
+        for var in range(nfree):
+            column = [exp[var] for exp, _ in table]
+            powers = sorted(set(column) - {0})
+            if powers:
+                slot = np.array([powers.index(e) + 1 if e else 0 for e in column])
+                self.factors.append((var, np.array(powers, dtype=np.int64)[:, None], slot))
+
+    def evaluate(self, z):
+        """Values at the rows of ``z`` (shape ``(points, nfree)``), one column
+        per polynomial."""
+        re, im = self.coeffs, np.zeros(self.coeffs.shape)
+        for k, (var, powers, slot) in enumerate(self.factors):
+            pw = np.ones((len(powers) + 1, len(z)), dtype=complex)
+            pw[1:] = np.power(z[:, var], powers)
+            pr, pi = pw.real[slot], pw.imag[slot]
+            if k:  # re + i im times pr + i pi, formed in the gathered powers
+                t = im * pi
+                im *= pr
+                pi *= re
+                im += pi
+                pr *= re
+                pr -= t
+            else:  # the real coefficient times the first power
+                pr *= re
+                pi *= re
+                im = pi
+            re = pr
+        sums = np.zeros((2, len(self.columns), len(z)))
+        start = 0
+        for count in self.counts:
+            sums[0, :count] += re[start : start + count]
+            sums[1, :count] += im[start : start + count]
+            start += count
+        out = np.empty((len(z), len(self.columns)), dtype=complex)
+        out.real, out.imag = sums[:, self.columns].transpose(0, 2, 1)
+        return out
+
+
+def _lstsq_raise(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(a, b):
+    """Least-squares solutions of the complex systems ``a[i] @ x = b[i]``,
+    bit for bit ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``: one call of the
+    LAPACK ``gelsd`` gufunc that ``lstsq`` wraps, over the whole stack, with
+    its cutoff ``eps * max(m, n)``.  A singular value decomposition that does
+    not converge raises ``LinAlgError``, as in ``lstsq``.
+    """
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_raise, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(a, b[..., None], np.finfo(float).eps * max(m, n), signature="DDd->Ddid")[0]
+    return x[..., 0]
+
+
+def _norm_below(vals, tol):
+    """Which rows of ``vals`` have ``np.linalg.norm(row) < tol``, decided as
+    ``norm`` decides it.  A row's sum of squares settles it unless it lies
+    within a relative 1e-12 of ``tol**2``, far beyond the few ulps by which
+    sums in another order can differ; only those rows go through ``norm``.
+    """
+    sq = (vals.real**2 + vals.imag**2).sum(axis=1)
+    below = sq < tol * tol * (1 - 1e-12)
+    for row in np.flatnonzero(~below & (sq <= tol * tol * (1 + 1e-12))):
+        below[row] = np.linalg.norm(vals[row]) < tol
+    return below
+
+
+def _abs_sign(vals, bound):
+    """The sign of ``abs(v) - bound`` for each entry ``v`` of ``vals``, as
+    the scalar ``abs`` decides it.  The squared modulus settles it unless it
+    lies within a relative 1e-12 of ``bound**2``; only those entries go
+    through ``abs``."""
+    gap = vals.real**2 + vals.imag**2 - bound * bound
+    sign = np.sign(gap)
+    for idx in zip(*np.nonzero(np.abs(gap) <= 1e-12 * bound * bound)):
+        a = abs(vals[idx])
+        sign[idx] = (a > bound) - (a < bound)
+    return sign
+
+
+def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
+    """Torus critical points found by damped Newton on the full gradient with
+    the last variable pinned to 1, sorted by the first coordinate.
+    Non-authoritative by construction: witnesses of the verdict "heuristic".
+
+    All starts step in lockstep, each step a handful of array operations over
+    the live starts: the gradient and the Hessian are one term-major
+    :class:`_TermTable`, the least-squares steps one stacked ``gelsd`` call
+    (:func:`_lstsq_stack`), and the finiteness tests, the norm test
+    (:func:`_norm_below`), the damped update and the drop of starts that
+    reach a coordinate hyperplane act on all rows at once.  So do the final
+    residual, torus and duplicate tests: every modulus is compared with its
+    bound as the scalar ``abs`` compares it (:func:`_abs_sign`), and a start
+    is kept when some coordinate is more than 1e-6 from that of every start
+    kept before it.  Each of these rounds exactly as its one-start form
+    does, so the points are bit for bit those of the one-start-at-a-time
+    search with ``LaurentPoly.evaluate`` and ``np.linalg.lstsq``; the report
+    prints them to 12 digits.  A start whose final point or gradient is not
+    finite is no witness.
+    """
+    pot = build_potential(d)
+    n1 = pot.nvars
+    grads = [pot.derivative(i) for i in range(n1)]
+    table = _TermTable(grads + [g.derivative(b) for g in grads for b in range(n1 - 1)], n1 - 1)
+    rng = np.random.default_rng(_SEARCH_SEED)
+    zs = np.array([np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(_SEARCH_STARTS)])
+    live = np.arange(_SEARCH_STARTS)
+    # a diverging start overflows to inf/nan; it is abandoned, not reported
+    with np.errstate(all="ignore"):
+        for _ in range(_SEARCH_ITERS):
+            if not live.size:
+                break
+            values = table.evaluate(zs[live])
+            keep = np.isfinite(values).all(axis=1)
+            keep[keep] = ~_norm_below(values[keep, :n1], _SEARCH_TOL)
+            live, values = live[keep], values[keep]
+            step = _lstsq_stack(values[:, n1:].reshape(-1, n1, n1 - 1), -values[:, :n1])
+            keep = np.isfinite(step).all(axis=1)
+            live = live[keep]
+            zs[live] = zs[live] + 0.5 * step[keep]
+            live = live[~(np.abs(zs[live]) < 1e-13).any(axis=1)]
+        values = table.evaluate(zs)[:, :n1]
+        # converged (every |gradient| < tol) and off the coordinate
+        # hyperplanes (every |z| > 1e-9); a non-finite point or gradient is
+        # no witness
+        ok = np.isfinite(values).all(axis=1) & np.isfinite(zs).all(axis=1)
+        ok[ok] = (_abs_sign(values[ok], _SEARCH_TOL) < 0).all(axis=1) & (_abs_sign(zs[ok], 1e-9) > 0).all(axis=1)
+        points = zs[ok]
+        # a point is new when some coordinate is more than 1e-6 from that
+        # of every point kept before it
+        far = (_abs_sign(points[:, None] - points[None], 1e-6) > 0).any(axis=2).tolist()
+    kept = []
+    for i, row in enumerate(far):
+        if all(row[j] for j in kept):
+            kept.append(i)
+    found = [tuple(p) for p in points[kept].tolist()]
+    return sorted(found, key=lambda t: (t[0].real, t[0].imag))

@@ -185,7 +185,7 @@ _SCALARS = {
 
 def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     """The full report; ``fast`` skips the semigroup-generation check."""
-    from . import potential as pot  # sympy and numpy: loaded only when run
+    from . import potential as pot  # loaded only when run, off the import of cli
 
     d = req.decomposition
     failures: list[str] = []

@@ -1,7 +1,7 @@
 """Scalar damped-Newton oracle, independent of the library's batched search.
 
 :func:`heuristic_points` is the multi-start search of
-``potential.heuristic_points`` written one start at a time: every gradient
+``numeric.heuristic_points`` written one start at a time: every gradient
 and Hessian entry is a ``LaurentPoly.evaluate`` call, every step one
 ``np.linalg.lstsq`` call, and the norm, finiteness and hyperplane tests are
 made on that start alone.  The library steps all starts at once instead: one

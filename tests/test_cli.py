@@ -23,7 +23,7 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_mul
 
 import minksmooth
-from minksmooth import cli, cone, exactlin, polytope, potential
+from minksmooth import cli, cone, exactlin, numeric, polytope, potential, ratpoly
 from minksmooth.cli import main
 from minksmooth.exactlin import NotUnimodular
 from minksmooth.pipeline import (
@@ -332,6 +332,24 @@ def test_cli_missing_file_and_flat_target(tmp_path, capsys):
     assert not (tmp_path / "flat.svg").exists() and not (tmp_path / "flat40.svg").exists()
 
 
+def test_cli_potential_refuses_a_flat_target(tmp_path, capsys):
+    # the rank gate that hilbert passes through spanning_sigma: exit 3 with
+    # hilbert's line, before anything is printed
+    unit = lambda i: [int(j == i) for j in range(40)]
+    for payload in (
+        {"dimension": 2, "summands": [{"vertices": [[0, 0], [1, 0]]}]},
+        {"dimension": 40, "summands": [{"vertices": [[0] * 40, unit(i)]} for i in (0, 1)]},
+    ):
+        path = write_input(tmp_path, payload)
+        capsys.readouterr()
+        assert main(["hilbert", path]) == 3
+        refusal = capsys.readouterr()
+        assert refusal.out == "" and "not full-dimensional" in refusal.err
+        for flags in ([], ["--critical"]):
+            assert main(["potential", path, *flags]) == 3
+            assert capsys.readouterr() == ("", refusal.err)
+
+
 def test_cli_write_failures_name_the_write(tmp_path, capsys):
     # an output that cannot be written exits 2 like an unreadable input, but
     # says which of the two failed
@@ -441,7 +459,7 @@ def _raise(exc):
         (cli, "run_pipeline", NotUnimodular("not unimodular")),
         (cli, "run_pipeline", ValueError("stray\nvalue")),
         (cli, "hilbert_basis", cone.NotPointed("cone contains a line")),
-        (potential, "_lstsq_stack", np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")),
+        (numeric, "_lstsq_stack", np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")),
     ],
     ids=["NotPointed", "NotFullDim", "NotUnimodular", "ValueError", "hilbert-NotPointed", "LinAlgError"],
 )
@@ -559,7 +577,7 @@ def test_segment_witnesses_build_no_sympy_polynomial(monkeypatch):
     # a segment pair's fibre is integer coefficient lists: dilation a=24
     # yields its 10 families and 1200 witnesses with every sympy routine of
     # the elimination refused
-    for module in (potential, potential.rp):
+    for module in (potential, ratpoly, numeric):
         for name, obj in list(vars(module).items()):
             if inspect.isfunction(obj) and obj.__module__.startswith("sympy."):
                 monkeypatch.setattr(module, name, _raise(AssertionError(f"a segment fibre called sympy's {name}")))
@@ -610,13 +628,13 @@ def test_analyze_searches_only_through_the_report(tmp_path, monkeypatch):
     # the n != 2 search runs once, when the report's witnesses are read;
     # no planar report reads them, so no planar analyze searches
     calls = []
-    search = potential.heuristic_points
+    search = numeric.heuristic_points
 
     def counted(d):
         calls.append(d)
         return search(d)
 
-    monkeypatch.setattr(potential, "heuristic_points", counted)
+    monkeypatch.setattr(numeric, "heuristic_points", counted)
     payload = {"dimension": 3, "summands": [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
     assert main(["analyze", write_input(tmp_path, payload), "--fast", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
@@ -744,7 +762,7 @@ def test_newton_check_fails_on_a_wrong_potential(tmp_path, monkeypatch, broken):
 
 def _extra_chart_root():
     # a pair's chart polynomial gains a root its elimination does not see
-    chart_points = potential._chart_points
+    chart_points = ratpoly._chart_points
     return lambda sm_i, sm_j: dup_mul(chart_points(sm_i, sm_j), [1, -7], ZZ)
 
 
@@ -759,8 +777,8 @@ def _identity_hnf():
 @pytest.mark.parametrize(
     "command, target, broken",
     [
-        (["analyze", "--out", "r.json"], "potential._chart_points", _extra_chart_root),
-        (["potential", "--critical"], "potential._chart_points", _extra_chart_root),
+        (["analyze", "--out", "r.json"], "ratpoly._chart_points", _extra_chart_root),
+        (["potential", "--critical"], "ratpoly._chart_points", _extra_chart_root),
         (["analyze", "--out", "r.json"], "exactlin.hnf", _identity_hnf),
     ],
     ids=["analyze-chart-count", "potential-chart-count", "analyze-basis-completion"],
@@ -867,7 +885,7 @@ def test_cli_potential_critical_prints_the_heuristic_verdict_without_searching(
     def refuse(d):
         raise AssertionError("potential --critical ran the Newton search")
 
-    monkeypatch.setattr(potential, "heuristic_points", refuse)
+    monkeypatch.setattr(numeric, "heuristic_points", refuse)
     assert main(["potential", write_input(tmp_path, payload), "--critical"]) == 0
     assert capsys.readouterr().out == terms + "\n" + HEURISTIC_LINES
 
@@ -985,28 +1003,50 @@ def test_report_prints_the_newton_witnesses():
 
 
 def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
-    # only the potential needs sympy and numpy; the package root re-exports
-    # nothing and `run_pipeline` imports the potential where it runs, so the
-    # exact modules, the command line and commands that never reach it load
-    # neither, the diagram included
+    # sympy is imported by ratpoly alone, for a planar decision, and numpy
+    # by numeric alone, when a report's points are computed; the package
+    # root re-exports nothing.  So the exact modules, the potential, the
+    # command line and commands that take neither step load neither, and
+    # each step loads only its own library, in a fresh interpreter
+    segments = lambda n, *vs: {"dimension": n, "summands": [{"vertices": [[0] * n, list(v)]} for v in vs]}
     spatial = write_input(tmp_path, SPATIAL_SEGMENTS_K4)
-    svg = str(tmp_path / "d.svg")
-    runs = [
-        ["hilbert", str(FIXTURES / "q5.json")],
-        ["analyze", spatial, "--svg", svg],
-        ["diagram", spatial, "--svg", svg],
-        ["diagram", str(FIXTURES / "q5.json"), "--svg", svg],
+    # two segments span a plane of Q^3: refused before the decision
+    flat = write_input(tmp_path, segments(3, (1, 0, 0), (0, 1, 0)), "flat.json")
+    unit = write_input(tmp_path, segments(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), "unit.json")
+    # its witnesses are over the budget, refused before any root is taken
+    binomial = write_input(tmp_path, segments(2, (1, 0), (1, 2000)), "binomial.json")
+    q5, svg, out = str(FIXTURES / "q5.json"), str(tmp_path / "d.svg"), str(tmp_path / "r.json")
+    stages = [
+        [
+            ["hilbert", q5],
+            ["analyze", spatial, "--svg", svg],
+            ["diagram", spatial, "--svg", svg],
+            ["diagram", q5, "--svg", svg],
+            ["potential", q5],
+            ["potential", flat, "--critical"],
+            ["potential", unit, "--critical"],
+        ],
+        [["potential", str(FIXTURES / "lens_2_1.json"), "--critical"]],
+        [["analyze", binomial, "--fast", "--out", out]],
+        [["analyze", q5, "--fast", "--out", out]],
     ]
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import minksmooth.cone, minksmooth.polytope, minksmooth.smoothing, minksmooth.fibration, minksmooth.svg\n"
-        "import minksmooth.cli\n"
-        f"codes = [minksmooth.cli.main(argv) for argv in {runs!r}]\n"
-        "print(codes, sorted(m for m in ('sympy', 'numpy') if m in sys.modules))\n"
+        "import minksmooth.cli, minksmooth.potential\n"
+        f"for runs in {stages!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [minksmooth.cli.main(argv) for argv in runs]\n"
+        "    print(codes, sorted(m for m in ('sympy', 'numpy') if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 2, 2, 0] []"
+    assert proc.stdout.splitlines() == [
+        "[0, 2, 2, 0, 0, 3, 0] []",
+        "[0] ['sympy']",
+        "[5] ['sympy']",
+        "[0] ['numpy', 'sympy']",
+    ]
 
 
 def test_triangle_pairs_load_neither_sympy_combinatorics_nor_tensor():

@@ -21,6 +21,7 @@ from minksmooth.cone import (
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
+    require_spanning,
     sigma_tilde,
     _box_hilbert_basis,
     _canonical_vrep,
@@ -30,7 +31,7 @@ from minksmooth.cone import (
     _slot_polytopes,
 )
 from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
-from minksmooth.polytope import convex_hull, decomposition, lattice_points
+from minksmooth.polytope import NotAdmissible, convex_hull, decomposition, lattice_points
 
 from box_oracle import (
     BoundTooSmall,
@@ -608,6 +609,30 @@ def test_box_scan_matches_order_interval_oracle(c):
 def test_sigma_tilde_matches_lattice_point_oracle(d):
     assume(is_full_dimensional(cone_over(d.target)))
     assert sigma_tilde(d) == sigma_tilde_on_lattice_points(d)
+
+
+# planar admissible decompositions sheared into dimension 3 by
+# (x, y) -> (x, y, a x + b y), a split embedding of the lattice, so each
+# summand stays admissible and the target spans only a plane
+flat_decompositions = st.tuples(
+    st.lists(_admissible_summand(2), min_size=1, max_size=3), st.integers(-2, 2), st.integers(-2, 2)
+).map(lambda t: decomposition([convex_hull([(x, y, t[1] * x + t[2] * y) for x, y in s.vertices]) for s in t[0]]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.one_of(admissible_decompositions, flat_decompositions))
+@example(_segments((1, 0), (1, 0)))
+@example(_segments((1, 0, 0), (0, 1, 0)))
+@example(_segments((1, 0, 2), (0, 1, -1), (1, 1, 1)))
+def test_rank_gate_matches_the_cone_over_the_target(d):
+    # the double description of sigma is the oracle: one rank of the
+    # summands' vertices refuses exactly the targets that are not
+    # full-dimensional
+    if is_full_dimensional(cone_over(d.target)):
+        require_spanning(d)
+    else:
+        with pytest.raises(NotAdmissible, match="not full-dimensional"):
+            require_spanning(d)
 
 
 # n = 1..3, k = 1..4, point summands included; a lone point is refused

@@ -12,7 +12,7 @@ from sympy import QQ, ZZ, Poly, cyclotomic_poly, primefactors, symbols
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.densearith import dup_exquo
 
-from minksmooth import potential
+from minksmooth import numeric, potential
 from minksmooth import ratpoly as rp
 from minksmooth.exactlin import hnf
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, require_admissible, summand_at
@@ -22,13 +22,10 @@ from minksmooth.potential import (
     build_potential,
     critical_exists,
     factor,
-    heuristic_points,
     mutate,
     newton_polytope,
-    _lstsq_stack,
-    _norm_below,
-    _TermTable,
 )
+from minksmooth.numeric import _lstsq_stack, _norm_below, _TermTable, heuristic_points
 
 from conftest import lens, segment, triangle
 import fibre_oracle
@@ -339,9 +336,9 @@ def test_unit_circle_flag_reads_the_partner_coordinate():
 def test_unit_circle_flag_ignores_the_witnesses(monkeypatch, summands, flags):
     # the flag follows from the summand shapes and the minimal polynomials;
     # witnesses off the circle by a relative 1e-9 change none of them
-    original = potential._numeric_points
+    original = numeric._numeric_points
     drifted = lambda f, h: [tuple(z * (1 + 1e-9) for z in p) for p in original(f, h)]
-    monkeypatch.setattr(potential, "_numeric_points", drifted)
+    monkeypatch.setattr(numeric, "_numeric_points", drifted)
     report = critical_exists(_planar(summands))
     assert [fam.on_unit_circle for fam in report.families] == flags
     assert all(abs(abs(z) - 1) > 1e-10 for points in report.witnesses for p in points for z in p)
@@ -396,7 +393,7 @@ def test_cyclotomic_product_matches_sympy(orders):
     want = Poly(1, t)
     for m in orders:
         want *= cyclotomic_poly(m, t, polys=True)
-    assert potential._cyclotomic_product(orders) == potential._int_coeffs(want.rep.to_list())
+    assert potential._cyclotomic_product(orders) == rp._int_coeffs(want.rep.to_list())
 
 
 @settings(max_examples=300, deadline=None)
@@ -462,8 +459,8 @@ def _decided_by_elimination(d):
     roots of their polynomials decide the unit-circle flag.  Each family
     carries its elimination fibre (f, h) as exact coefficient lists."""
     mats = require_admissible(d)
-    bpolys = [potential._clear_to_bpoly(sm) for sm in mats]
-    chart = lambda i, l: potential._chart_points(mats[i], mats[l])
+    bpolys = [rp._clear_to_bpoly(sm) for sm in mats]
+    chart = lambda i, l: rp._chart_points(mats[i], mats[l])
     count, families = 0, []
     for i, j in combinations(range(len(mats)), 2):
         g = chart(i, j)
@@ -473,8 +470,8 @@ def _decided_by_elimination(d):
             if l != i and len(g) > 1:
                 g = dup_exquo(g, dup_gcd(g, chart(i, l), ZZ), ZZ)
         count += len(g) - 1
-        for f, h in potential._common_fibres(bpolys[i], bpolys[j]):
-            z1, z2 = potential._int_coeffs(f), potential._int_coeffs(potential._partner_minpoly(f, h))
+        for f, h in rp._common_fibres(bpolys[i], bpolys[j]):
+            z1, z2 = rp._int_coeffs(f), rp._int_coeffs(rp._partner_minpoly(f, h))
             fibre = fibre_oracle.coefficient_lists(Poly(f, _X), [Poly(u, _X, domain=QQ) for u in h])
             families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2), fibre))
     return ("finite" if count else "none"), count, "", families
@@ -728,7 +725,7 @@ def test_derivative_matches_central_differences():
     assert _central_difference_gap(LaurentPoly.one(3), pt, 1e-3) == 0.0
 
 
-def _counted(monkeypatch, *names, module=potential, calls=None):
+def _counted(monkeypatch, *names, module=rp, calls=None):
     """Count the calls of the named functions of ``module`` in ``calls``, a
     new dict unless given one."""
     calls = {} if calls is None else calls
@@ -753,10 +750,9 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
     # segment pairs are decided on their torsion cosets, with no chart and
     # no elimination; reading the witnesses runs the numeric roots once per
     # family, on its closed-form fibre, and still no elimination
-    calls = _counted(
-        monkeypatch, "_chart_points", "_clear_to_bpoly", "_common_fibres", "_partner_minpoly", "_numeric_points"
-    )
-    _counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp, calls=calls)
+    calls = _counted(monkeypatch, "_numeric_points", module=numeric)
+    names = ("_chart_points", "_clear_to_bpoly", "_common_fibres", "_partner_minpoly")
+    _counted(monkeypatch, *names, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", calls=calls)
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
     assert calls == dict.fromkeys(calls, 0)
@@ -767,7 +763,8 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
 def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
     # a pair with a triangle runs one partner polynomial per family and no
     # witnesses; the witnesses are computed once, when first read
-    calls = _counted(monkeypatch, "_partner_minpoly", "_numeric_points")
+    calls = _counted(monkeypatch, "_partner_minpoly")
+    _counted(monkeypatch, "_numeric_points", module=numeric, calls=calls)
     rep = critical_exists(d_q5)
     assert rep.verdict == "finite" and rep.families
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
@@ -792,8 +789,7 @@ def test_family_order_is_independent_of_the_factoring(monkeypatch, vs):
 def test_every_partner_polynomial_is_a_resultant(monkeypatch):
     # one resultant per chart pair names its families, then one per family
     # eliminates z1 from its partner polynomial, also where h is free of z1
-    calls = _counted(monkeypatch, "_common_fibres")
-    _counted(monkeypatch, "bresultant_y", module=rp, calls=calls)
+    calls = _counted(monkeypatch, "_common_fibres", "bresultant_y")
     rep = critical_exists(_planar(_PLANAR_CASES["tt(3)"]))
     assert (calls["_common_fibres"], len(rep.families)) == (3, 7)
     assert calls["bresultant_y"] == calls["_common_fibres"] + len(rep.families)
@@ -812,13 +808,13 @@ def test_one_shared_curve_test_per_factor_pair(monkeypatch, vs, verdict):
     # the chart polynomial of a pair is zero exactly on a shared curve, so
     # the decision runs no bivariate gcd
     calls = []
-    original = potential.rp.bgcd
+    original = rp.bgcd
 
     def counted(f, g):
         calls.append((f, g))
         return original(f, g)
 
-    monkeypatch.setattr(potential.rp, "bgcd", counted)
+    monkeypatch.setattr(rp, "bgcd", counted)
     assert critical_exists(_planar(vs)).verdict == verdict
     assert calls == []
 
@@ -847,12 +843,12 @@ def test_zero_chart_polynomial_is_a_shared_curve(pair):
     # skips its pair
     d = _planar(pair)
     mats = require_admissible(d)
-    shared = sum(1 for u in rp.bgcd(*(potential._clear_to_bpoly(sm) for sm in mats)) for c in u if c) > 1
+    shared = sum(1 for u in rp.bgcd(*(rp._clear_to_bpoly(sm) for sm in mats)) for c in u if c) > 1
     if not all(sm.m for sm in mats):
         assert not shared and critical_exists(d).verdict == "none"
         return
     for i, j in ((0, 1), (1, 0)):
-        assert (not potential._chart_points(summand_at(d, i + 1), summand_at(d, j + 1))) == shared
+        assert (not rp._chart_points(summand_at(d, i + 1), summand_at(d, j + 1))) == shared
 
 
 # the planar bench base inputs that are not fixtures
@@ -897,8 +893,8 @@ def test_planar_decision_reads_only_the_matrices(monkeypatch, all_fixtures):
 def test_point_pairs_build_no_polynomial(monkeypatch, summands, charts):
     # a point's factor is 1: its pairs are skipped before any chart or
     # elimination
-    calls = _counted(monkeypatch, "_chart_points", "_clear_to_bpoly")
-    _counted(monkeypatch, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", module=rp, calls=calls)
+    names = ("_chart_points", "_clear_to_bpoly", "bresultant_y", "bgcd", "kgcd_y", "factor_rational")
+    calls = _counted(monkeypatch, *names)
     rep = critical_exists(_planar(summands))
     assert calls["_chart_points"] == charts
     if not charts:
