@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 schema error (JSON too deep or with too long an
 integer, a name with a control character or lone surrogate) or an input
 that cannot be read or decoded as UTF-8 or an output that cannot be
 written (a stdout closed early is one, ``--out`` and ``--svg`` naming
-one file another), 3 inadmissible input (a flat target is one, also under
-``potential``), 4 internal cross-check failure (``CrossCheckError``), 5 any
+one file another), 3 inadmissible input (a flat target is one, refused by
+every command while parsing, before any hull and before ``diagram``'s
+dimension check), 4 internal cross-check failure (``CrossCheckError``), 5 any
 other ``ValueError`` or ``ArithmeticError`` (``NotPointed``, ``NotFullDim``,
 ``NotUnimodular``, ``BasisTooLarge``, ``DegreeTooLarge``, also from
 ``analyze`` when a report's witnesses are too large to compute, the n != 2

@@ -221,10 +221,17 @@ def require_spanning(d) -> None:
     """NotAdmissible unless ``d`` is admissible and its target spans its
     ambient space (sigma dual is otherwise not pointed): every summand has
     the origin as a vertex, so one rank of all their vertices decides it."""
-    from .polytope import NotAdmissible, require_admissible
+    from .polytope import require_admissible
 
     require_admissible(d)
-    if rank([v for s in d.summands for v in s.vertices]) < d.n:
+    require_rank([v for s in d.summands for v in s.vertices], d.n)
+
+
+def require_rank(rows, n) -> None:
+    """NotAdmissible, a flat target, unless the integer ``rows`` span Q^n."""
+    from .polytope import NotAdmissible
+
+    if rank(rows) < n:
         raise NotAdmissible(
             "target polytope is not full-dimensional in its ambient space;"
             " restate the input in the dimension it actually spans"

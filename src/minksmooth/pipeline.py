@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import sub
 
 from . import cone as cone_mod
-from . import fibration as fib
-from . import smoothing as smo
 from .polytope import (
     MinkowskiDecomposition,
     NotAdmissible,
@@ -86,15 +85,17 @@ def parse_input(text: str) -> AnalysisRequest:
     dim = raw.get("dimension")
     _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1, "dimension", "expected a positive integer")
     _expect(isinstance(raw.get("summands"), list) and raw["summands"], "summands", "expected a nonempty list")
-    summands = []
+    points = []
     for i, s in enumerate(raw["summands"]):
         _expect(isinstance(s, dict), f"summands[{i}]", "expected an object")
         _expect(set(s) == {"vertices"}, f"summands[{i}]", "expected exactly the field 'vertices'")
-        verts = _parse_vertices(s["vertices"], f"summands[{i}].vertices", dim)
-        summands.append(convex_hull(verts))
-    target = None
-    if "target" in raw:
-        target = convex_hull(_parse_vertices(raw["target"], "target", dim))
+        points.append(_parse_vertices(s["vertices"], f"summands[{i}].vertices", dim))
+    target = _parse_vertices(raw["target"], "target", dim) if "target" in raw else None
+    # a flat input is refused before any hull: the Minkowski sum spans Q^n
+    # iff the differences of each summand's points from its first one do
+    cone_mod.require_rank([tuple(map(sub, v, ps[0])) for ps in points for v in ps[1:]], dim)
+    summands = [convex_hull(ps) for ps in points]
+    target = None if target is None else convex_hull(target)
     try:
         d = decomposition(summands)
     except ValueError as exc:
@@ -185,7 +186,7 @@ _SCALARS = {
 
 def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     """The full report; ``fast`` skips the semigroup-generation check."""
-    from . import potential as pot  # loaded only when run, off the import of cli
+    from . import fibration as fib, potential as pot, smoothing as smo  # loaded only when run, off the import of cli
 
     d = req.decomposition
     failures: list[str] = []

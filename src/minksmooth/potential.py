@@ -261,7 +261,9 @@ class CriticalReport:
         """Each family's points, rooted on its fibre's coefficient lists by
         :mod:`.numeric`, refused before it is loaded when the report's
         eigenproblems, deg f^3 + deg f * deg h^3 with the degrees read off
-        the list lengths, exceed ``_MAX_EIGEN_WORK``."""
+        the list lengths, exceed ``_MAX_EIGEN_WORK``; with no family it is not loaded."""
+        if not self.families:
+            return []
         fibres = [fam.fibre() for fam in self.families]
         work = sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h in fibres)
         if work > _MAX_EIGEN_WORK:

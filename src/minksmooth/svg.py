@@ -9,8 +9,6 @@ axonometric map, hardcoded so two runs produce byte-identical output.
 
 from __future__ import annotations
 
-from html import escape
-
 from .exactlin import support
 
 
@@ -36,6 +34,11 @@ def _fmt(t: float) -> str:
     return f"{t:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``html.escape(text, quote=False)``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def require_drawable(n: int) -> None:
     """Refuse an input of dimension ``n`` unless its cone is three-dimensional."""
     if n + 1 != 3:
@@ -52,7 +55,7 @@ def emit_svg(name: str, rays, summands) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">',
         "<!-- axonometric projection: screen_x = 0.8660254037844387*(x - y),",
         "     screen_y = -z + 0.5*(x + y); origin at (320, 360), scale 52 -->",
-        f"<title>{escape(name, quote=False)}: convex base diagram</title>",
+        f"<title>{_escape(name)}: convex base diagram</title>",
         '<rect width="640" height="640" fill="white"/>',
     ]
     ox, oy = _project(0.0, 0.0, 0.0)

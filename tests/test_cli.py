@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import html
 import importlib
 import inspect
 import io
@@ -23,7 +24,7 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_mul
 
 import minksmooth
-from minksmooth import cli, cone, exactlin, numeric, polytope, potential, ratpoly
+from minksmooth import cli, cone, exactlin, numeric, pipeline, polytope, potential, ratpoly
 from minksmooth.cli import main
 from minksmooth.exactlin import NotUnimodular
 from minksmooth.pipeline import (
@@ -36,7 +37,7 @@ from minksmooth.pipeline import (
     serialize_request,
 )
 from minksmooth.polytope import NotAdmissible
-from minksmooth.svg import UnsupportedDimension, emit_svg
+from minksmooth.svg import UnsupportedDimension, _escape, emit_svg
 
 import newton_oracle
 
@@ -207,7 +208,9 @@ def test_pipeline_inadmissible_raises():
             {
                 "name": "bad",
                 "dimension": 2,
-                "summands": [{"vertices": [[0, 0], [2, 0]]}],
+                # full-dimensional, so parsing admits it; the first segment
+                # is not primitive
+                "summands": [{"vertices": [[0, 0], [2, 0]]}, {"vertices": [[0, 0], [0, 1]]}],
             }
         )
     )
@@ -314,22 +317,62 @@ def test_cli_missing_file_and_flat_target(tmp_path, capsys):
     assert main(["analyze", flat]) == 3
     assert main(["hilbert", flat]) == 3
     assert main(["diagram", flat, "--svg", str(tmp_path / "flat.svg")]) == 3
-    # the segments to e1 and e2 in dimension 40 span a plane: parsing hulls
-    # and inverts in dimension 40 before the cone is found flat
+    # the segments to e1 and e2 in dimension 40 span a plane: parsing finds
+    # it flat before any hull, so every command refuses it with one line,
+    # diagram and analyze --svg before their dimension check
     unit = lambda i: [int(j == i) for j in range(40)]
     flat40 = write_input(
         tmp_path,
         {"dimension": 40, "summands": [{"vertices": [[0] * 40, unit(i)]} for i in (0, 1)]},
         "flat40.json",
     )
-    assert main(["analyze", flat40]) == 3
-    assert main(["hilbert", flat40]) == 3
-    # diagram refuses the dimension first, after parsing and before the
-    # flatness check
-    capsys.readouterr()
-    assert main(["diagram", flat40, "--svg", str(tmp_path / "flat40.svg")]) == 2
-    assert capsys.readouterr().err == "unsupported: diagram rendering is limited to three-dimensional cones\n"
+    flatness = (
+        "inadmissible input: target polytope is not full-dimensional in its ambient space;"
+        " restate the input in the dimension it actually spans\n"
+    )
+    for argv in (
+        ["analyze", flat40],
+        ["hilbert", flat40],
+        ["diagram", flat40, "--svg", str(tmp_path / "flat40.svg")],
+        ["analyze", flat40, "--svg", str(tmp_path / "flat40.svg")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", flatness)
     assert not (tmp_path / "flat.svg").exists() and not (tmp_path / "flat40.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [
+        [[[0, 0], [2, 0]]],  # a non-primitive segment
+        [[[1, 0], [2, 0]]],  # the origin is not a vertex
+        [[[0, 0], [1, 0]], [[0, 0], [3, 0]]],
+    ],
+    ids=["non-primitive", "origin-not-vertex", "two-parallel"],
+)
+def test_parse_reports_flatness_before_admissibility(summands):
+    # flat and inadmissible: the rank check runs before any hull, so the
+    # input is refused as flat
+    with pytest.raises(NotAdmissible, match="not full-dimensional"):
+        parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": s} for s in summands]}))
+
+
+def test_parse_takes_no_hull_of_a_flat_input(monkeypatch):
+    # the rank of the summands' point differences refuses it; a points-only
+    # input has rank 0, and the target is checked for its schema first
+    def refuse(points):
+        raise AssertionError("hull taken of a flat input")
+
+    monkeypatch.setattr(pipeline, "convex_hull", refuse)
+    for payload in (
+        {"dimension": 3, "summands": [{"vertices": [[0, 0, 0], [1, 0, 0]]}, {"vertices": [[0, 0, 0], [0, 1, 0]]}]},
+        {"dimension": 2, "summands": [{"vertices": [[0, 0]]}, {"vertices": [[0, 0]]}]},
+    ):
+        with pytest.raises(NotAdmissible, match="not full-dimensional"):
+            parse_input(json.dumps(payload))
+    with pytest.raises(SchemaError, match="target"):
+        parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": [[0, 0]]}], "target": [[0]]}))
 
 
 def test_cli_potential_refuses_a_flat_target(tmp_path, capsys):
@@ -1047,6 +1090,43 @@ def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
         "[5] ['sympy']",
         "[0] ['numpy', 'sympy']",
     ]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # start-up loads neither the analyze-only modules nor the libraries;
+    # hilbert, diagram and potential never load fibration or smoothing,
+    # analyze loads them at its first run, and numpy only for witnesses,
+    # which a report without families has none of
+    q5, svg, out = str(FIXTURES / "q5.json"), str(tmp_path / "d.svg"), str(tmp_path / "r.json")
+    stages = [
+        [],
+        [["hilbert", q5], ["diagram", q5, "--svg", svg], ["potential", q5]],
+        [["analyze", str(FIXTURES / "cubic.json"), "--fast", "--out", out]],
+        [["analyze", str(FIXTURES / "trapezoid.json"), "--fast", "--out", out]],
+    ]
+    watched = ("minksmooth.fibration", "minksmooth.smoothing", "minksmooth.potential", "html", "sympy", "numpy")
+    code = (
+        "import contextlib, io, sys\n"
+        "import minksmooth.cli\n"
+        f"for runs in {stages!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes = [minksmooth.cli.main(argv) for argv in runs]\n"
+        f"    print(codes, [m for m in {watched!r} if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "[] []",
+        "[0, 0, 0] ['minksmooth.potential']",
+        "[0] ['minksmooth.fibration', 'minksmooth.smoothing', 'minksmooth.potential', 'sympy']",
+        "[0] ['minksmooth.fibration', 'minksmooth.smoothing', 'minksmooth.potential', 'sympy']",
+    ]
+
+
+@given(st.text())
+def test_svg_title_escape_is_html_escape_without_quotes(text):
+    # the standard library's escape is the oracle; the package does not load it
+    assert _escape(text) == html.escape(text, quote=False)
 
 
 def test_triangle_pairs_load_neither_sympy_combinatorics_nor_tensor():
