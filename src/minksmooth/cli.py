@@ -30,7 +30,7 @@ import contextlib
 import os
 import sys
 
-from .cone import dual, hilbert_basis, require_spanning, sigma_tilde, spanning_sigma
+from .cone import dual, hilbert_basis, sigma_tilde
 from .exactlin import CrossCheckError
 from .pipeline import (
     AnalysisRequest,
@@ -39,7 +39,7 @@ from .pipeline import (
     parse_input,
     run_pipeline,
 )
-from .polytope import NotAdmissible
+from .polytope import NotAdmissible, spanning_sigma
 from .svg import UnsupportedDimension, emit_svg, require_drawable
 
 EXIT_OK = 0
@@ -120,7 +120,6 @@ def _cmd_potential(args) -> int:
     from .potential import build_potential, critical_exists
 
     req = _load_request(args.file)
-    require_spanning(req.decomposition)
     po = build_potential(req.decomposition)
     # decided before anything is printed, so a refused run prints nothing
     crit = critical_exists(req.decomposition) if args.critical else None

@@ -217,45 +217,19 @@ def cone_over(q) -> PolyhedralCone:
     return PolyhedralCone(dim, gens, _canonical_vrep(*halfspace_description(gens, dim)))
 
 
-def require_spanning(d) -> None:
-    """NotAdmissible unless ``d`` is admissible and its target spans its
-    ambient space (sigma dual is otherwise not pointed): every summand has
-    the origin as a vertex, so one rank of all their vertices decides it."""
-    from .polytope import require_admissible
-
-    require_admissible(d)
-    require_rank([v for s in d.summands for v in s.vertices], d.n)
-
-
-def require_rank(rows, n) -> None:
-    """NotAdmissible, a flat target, unless the integer ``rows`` span Q^n."""
-    from .polytope import NotAdmissible
-
-    if rank(rows) < n:
-        raise NotAdmissible(
-            "target polytope is not full-dimensional in its ambient space;"
-            " restate the input in the dimension it actually spans"
-        )
-
-
-def spanning_sigma(d) -> PolyhedralCone:
-    """sigma of a decomposition that :func:`require_spanning` admits."""
-    require_spanning(d)
-    return cone_over(d.target)
-
-
 @lru_cache(maxsize=256)
 def sigma_tilde(d) -> PolyhedralCone:
     """Cone on the tagged vertices ``(v, e_i)`` of the summands (their
     lattice points: an admissible summand is a unimodular simplex), read
     off sigma with no double description.  Each is a vertex of the Cayley
-    polytope, so an extreme ray.  The dual ``{(v, s) : s_i >= phi_i(v)}``
-    has a ray ``(a, phi(a))`` over each facet ``(a, h_Q(a))`` of sigma (the
-    phi_i are sublinear), and ``(0, e_i)`` unless the other summands lie in
-    a hyperplane ``<u, .> = 0``, which splits it as
-    ``(u, s) + (-u, e_i - s)`` (Altmann, 1997).
+    polytope (the Cayley trick of Huber-Rambau-Santos), so an extreme ray.
+    The dual ``{(v, s) : s_i >= phi_i(v)}`` has a ray ``(a, phi(a))`` over
+    each facet ``(a, h_Q(a))`` of sigma (the phi_i are sublinear), and
+    ``(0, e_i)`` unless the other summands lie in a hyperplane
+    ``<u, .> = 0``, which splits it as ``(u, s) + (-u, e_i - s)``
+    (Altmann, 1997).
     """
-    from .polytope import phi
+    from .polytope import phi, spanning_sigma
 
     n, tags, sigma = d.n, identity(d.k), spanning_sigma(d)
     gens = sorted(v + tag for s, tag in zip(d.summands, tags) for v in s.vertices)

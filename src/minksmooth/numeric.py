@@ -119,7 +119,8 @@ def _lstsq_stack(a, b):
     bit for bit ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]``: one call of the
     LAPACK ``gelsd`` gufunc that ``lstsq`` wraps, over the whole stack, with
     its cutoff ``eps * max(m, n)``.  A singular value decomposition that does
-    not converge raises ``LinAlgError``, as in ``lstsq``.
+    not converge raises ``LinAlgError``, as in ``lstsq``.  The gufunc is a
+    private numpy name, hence the numpy 2.1 floor of the package.
     """
     m, n = a.shape[-2:]
     with np.errstate(call=_lstsq_raise, invalid="call", over="ignore", divide="ignore", under="ignore"):

@@ -28,6 +28,7 @@ from .polytope import (
     decomposition,
     phi,
     require_admissible,
+    require_rank,
 )
 
 
@@ -93,7 +94,7 @@ def parse_input(text: str) -> AnalysisRequest:
     target = _parse_vertices(raw["target"], "target", dim) if "target" in raw else None
     # a flat input is refused before any hull: the Minkowski sum spans Q^n
     # iff the differences of each summand's points from its first one do
-    cone_mod.require_rank([tuple(map(sub, v, ps[0])) for ps in points for v in ps[1:]], dim)
+    require_rank([tuple(map(sub, v, ps[0])) for ps in points for v in ps[1:]], dim)
     summands = [convex_hull(ps) for ps in points]
     target = None if target is None else convex_hull(target)
     try:
@@ -286,9 +287,10 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     report["fibration"] = fibration_block
 
     po = pot.build_potential(d)
-    # Newt(W) is Q at height one iff every monomial lies in sigma at height
-    # one and every vertex (v, 1) of it is a monomial; only a failure pays
-    # for the hull, so the report shows the potential's real one
+    # Newt(W) is Q at height one (Ostrowski: Newt of a product is the sum),
+    # which holds iff every monomial lies in sigma at height one and every
+    # vertex (v, 1) of it is a monomial; only a failure pays for the hull,
+    # so the report shows the potential's real one
     newton_ok = all(e[-1] == 1 and sigma.contains(e) for e in po.terms) and all(
         g in po.terms for g in sigma.generators
     )

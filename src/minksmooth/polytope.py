@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .cone import box_points, cone_from_generators, cone_over
+from .cone import PolyhedralCone, box_points, cone_from_generators, cone_over
 from .exactlin import (
     IntMat,
     IntVec,
@@ -23,6 +23,7 @@ from .exactlin import (
     identity,
     is_zero_vec,
     mat_mul,
+    rank,
     snf_invariant_factors,
     support,
     unimodular_inverse,
@@ -232,6 +233,29 @@ def require_admissible(d: MinkowskiDecomposition) -> tuple[SummandMatrices, ...]
     if not res.ok:
         raise NotAdmissible("; ".join(res.violations))
     return res.matrices
+
+
+def require_spanning(d: MinkowskiDecomposition) -> None:
+    """NotAdmissible unless ``d`` is admissible and its target spans its
+    ambient space (sigma dual is otherwise not pointed): every summand has
+    the origin as a vertex, so one rank of all their vertices decides it."""
+    require_admissible(d)
+    require_rank([v for s in d.summands for v in s.vertices], d.n)
+
+
+def require_rank(rows, n) -> None:
+    """NotAdmissible, a flat target, unless the integer ``rows`` span Q^n."""
+    if rank(rows) < n:
+        raise NotAdmissible(
+            "target polytope is not full-dimensional in its ambient space;"
+            " restate the input in the dimension it actually spans"
+        )
+
+
+def spanning_sigma(d: MinkowskiDecomposition) -> PolyhedralCone:
+    """sigma of a decomposition that :func:`require_spanning` admits."""
+    require_spanning(d)
+    return cone_over(d.target)
 
 
 def summand_at(d: MinkowskiDecomposition, p: int) -> SummandMatrices:

@@ -11,9 +11,10 @@ and the orders of its points name the families, with cyclotomic polynomials
 and binomial gcds.  A pair with a triangle is one integer polynomial in a
 summand's chart, zero on a shared curve and otherwise counting the points,
 and one resultant names its families (:mod:`.ratpoly`); a point's factor 1
-meets nothing.  Other dimensions get the verdict "heuristic", whose report
-runs the damped Newton search of :mod:`.numeric` for witnesses when first
-read.
+meets nothing.  In any dimension, fewer than two factors other than 1 give
+no critical point, as no admissible factor has a singular torus zero.
+Other dimensions get the verdict "heuristic", whose report runs the damped
+Newton search of :mod:`.numeric` for witnesses when first read.
 """
 
 from __future__ import annotations
@@ -410,10 +411,14 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     elimination, which names the families (:func:`.ratpoly._chart_pair`).
     Each pair's families are sorted here, in :class:`CriticalFamily`'s
     order, so no factoring routine decides it.  No unit-circle flag needs a
-    witness.  Anything else: the verdict "heuristic", whose report runs
+    witness.  Fewer than two factors other than 1: "none", in any dimension.
+    Anything else: the verdict "heuristic", whose report runs
     :func:`.numeric.heuristic_points` only when its witnesses are read.
     """
     mats = require_admissible(d)
+    factors = [i for i, sm in enumerate(mats) if sm.m]
+    if len(factors) < 2:
+        return CriticalReport(verdict="none", count=0)
     if d.n != 2:
 
         def search():
@@ -429,8 +434,7 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     chart = cache(lambda i, l: rp._chart_points(mats[i], mats[l]))
     cyclotomic = cache(_cyclotomic_product)
     families, count = [], 0
-    # a point's factor 1 meets nothing
-    for i, j in combinations([i for i, sm in enumerate(mats) if sm.m], 2):
+    for i, j in combinations(factors, 2):
         if mats[i].m == mats[j].m == 1:
             found = _segment_pair(mats, i, j, cyclotomic)
         else:

@@ -933,6 +933,25 @@ def test_cli_potential_critical_prints_the_heuristic_verdict_without_searching(
     assert capsys.readouterr().out == terms + "\n" + HEURISTIC_LINES
 
 
+@pytest.mark.parametrize(
+    "summands",
+    [[[[0], [1]]], [[[0]], [[0], [1]]], [[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]]],
+    ids=["segment-n1", "point-and-segment-n1", "simplex-n3"],
+)
+def test_fewer_than_two_factors_have_no_critical_point_in_any_dimension(tmp_path, monkeypatch, capsys, summands):
+    # a point's factor is 1, and no admissible factor has a singular torus
+    # zero: the verdict is exact in every dimension, and nothing is searched
+    def refuse(d):
+        raise AssertionError("the Newton search ran")
+
+    monkeypatch.setattr(numeric, "heuristic_points", refuse)
+    path = write_input(tmp_path, {"dimension": len(summands[0][0]), "summands": [{"vertices": s} for s in summands]})
+    crit = potential.critical_exists(parse_input(Path(path).read_text()).decomposition)
+    assert (crit.verdict, crit.count, crit.families, crit.note, crit.heuristic_points) == ("none", 0, [], "", [])
+    assert main(["potential", path, "--critical"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["verdict: none (count 0)"]
+
+
 def test_cli_diagram(tmp_path):
     path = write_input(tmp_path, Q3_INPUT)
     svg = tmp_path / "q3.svg"
@@ -971,12 +990,17 @@ def test_cli_svg_escapes_the_input_name(tmp_path):
     assert "<title>Q5 &lt;R&amp;D&gt;: convex base diagram</title>" in drawn.read_text(encoding="utf-8")
 
 
-def test_cli_diagram_refuses_what_analyze_refuses(tmp_path):
-    # the inadmissible and the flat input exit 3, as under analyze
+def test_cli_diagram_refuses_what_analyze_refuses(tmp_path, capsys):
+    # the inadmissible and the flat input exit 3 under every command, as
+    # under analyze, with its stderr line and nothing on stdout
     for summands in ([[[0, 0], [2, 0]], [[0, 0], [0, 1]]], [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]):
         path = write_input(tmp_path, {"dimension": 2, "summands": [{"vertices": s} for s in summands]})
-        assert main(["diagram", path, "--svg", str(tmp_path / "d.svg")]) == 3
         assert main(["analyze", path]) == 3
+        refused = capsys.readouterr()
+        assert refused.out == "" and refused.err.startswith("inadmissible input: ")
+        for argv in (["diagram", path, "--svg", str(tmp_path / "d.svg")], ["potential", path], ["potential", path, "--critical"]):
+            assert main(argv) == 3
+            assert capsys.readouterr() == refused
     assert not (tmp_path / "d.svg").exists()
 
 

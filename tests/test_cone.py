@@ -21,7 +21,6 @@ from minksmooth.cone import (
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
-    require_spanning,
     sigma_tilde,
     _box_hilbert_basis,
     _canonical_vrep,
@@ -31,7 +30,7 @@ from minksmooth.cone import (
     _slot_polytopes,
 )
 from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
-from minksmooth.polytope import NotAdmissible, convex_hull, decomposition, lattice_points
+from minksmooth.polytope import NotAdmissible, convex_hull, decomposition, lattice_points, require_spanning
 
 from box_oracle import (
     BoundTooSmall,
