@@ -5,7 +5,7 @@ precision); rational answers come back as ``fractions.Fraction`` values,
 and there is no floating point anywhere.  Vectors are ``tuple[int, ...]``,
 matrices are tuples of row vectors.
 
-``rank``, ``det``, ``rational_nullspace``, ``rational_solve`` and
+``rank``, ``rational_nullspace``, ``rational_solve`` and
 ``unimodular_inverse`` all read their answers off one kernel,
 :func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
 integers (Bareiss's single-step division by the previous pivot, in the
@@ -77,13 +77,9 @@ def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
 
-def vec_gcd(u) -> int:
-    return gcd(*u)
-
-
 def primitive(u) -> IntVec:
     """Divide a nonzero vector by the gcd of its entries; direction is kept."""
-    g = vec_gcd(u)
+    g = gcd(*u)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(a // g for a in u)
@@ -109,15 +105,6 @@ def support(points, c) -> int:
 
 def transpose(m) -> IntMat:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m, v) -> IntVec:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b) -> IntMat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def _gauss_jordan(m, ncols=None):
@@ -163,20 +150,6 @@ def _gauss_jordan(m, ncols=None):
         d = p
         pivots.append(c)
     return a, pivots, d, sign
-
-
-def _square(m) -> int:
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
-    return n
-
-
-def det(m) -> int:
-    """Determinant of a square integer matrix."""
-    n = _square(m)
-    _, pivots, d, sign = _gauss_jordan(m)
-    return sign * d if len(pivots) == n else 0
 
 
 def rank(m) -> int:
@@ -286,7 +259,9 @@ def complete_to_basis(v) -> IntMat:
 def unimodular_inverse(x) -> IntMat:
     """Exact integer inverse of a matrix with determinant +-1."""
     x = as_mat(x)
-    n = _square(x)
+    n = len(x)
+    if any(len(r) != n for r in x):
+        raise ValueError("unimodular inverse needs a square matrix")
     a, pivots, d, sign = _gauss_jordan([row + e for row, e in zip(x, identity(n))], n)
     dt = sign * d if len(pivots) == n else 0
     if dt not in (1, -1):
@@ -337,5 +312,5 @@ def scale_to_integer(v) -> IntVec:
     """Clear denominators of a rational vector and strip the content."""
     den = lcm(*(Fraction(x).denominator for x in v))
     ints = tuple(int(Fraction(x) * den) for x in v)
-    g = vec_gcd(ints)
+    g = gcd(*ints)
     return ints if g == 0 else tuple(a // g for a in ints)

@@ -11,7 +11,6 @@ the support function (the per-summand maxima add up to the target's).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 
 from .cone import PolyhedralCone, cone_over, dual
@@ -19,7 +18,6 @@ from .exactlin import (
     IntMat,
     IntVec,
     as_vec,
-    dot,
     identity,
     rational_solve,
     sign_normalized,
@@ -37,10 +35,6 @@ class AlreadyApplied(ValueError):
 
 
 class CutsRemaining(ValueError):
-    pass
-
-
-class NegativeArea(ValueError):
     pass
 
 
@@ -211,13 +205,3 @@ def height_one_normalization(c: PolyhedralCone):
     mat = _shear_last_row(w, dim - 1)
     heads = LatticePolytope(dim - 1, tuple(sorted(r[:-1] for r in rays)))
     return mat, heads
-
-
-def disk_time(v, s) -> Fraction:
-    """Hitting time s / (|v|^2 + 1) of the downward path against the facet
-    with normal (v, 1); the pairing <(v,1),(v,1)> times it recovers s."""
-    s = Fraction(s)
-    if s < 0:
-        raise NegativeArea("area must be nonnegative")
-    v = as_vec(v)
-    return s / (dot(v, v) + 1)

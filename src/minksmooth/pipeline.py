@@ -108,16 +108,6 @@ def parse_input(text: str) -> AnalysisRequest:
     return AnalysisRequest(name=name, decomposition=d)
 
 
-def serialize_request(req: AnalysisRequest) -> str:
-    obj = {
-        "name": req.name,
-        "dimension": req.decomposition.n,
-        "summands": [{"vertices": [list(v) for v in s.vertices]} for s in req.decomposition.summands],
-        "target": [list(v) for v in req.decomposition.target.vertices],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _mat(m):
     return [list(r) for r in m]
 

@@ -22,7 +22,6 @@ from .exactlin import (
     dot,
     identity,
     is_zero_vec,
-    mat_mul,
     rank,
     snf_invariant_factors,
     support,
@@ -90,14 +89,6 @@ def lattice_points(p: LatticePolytope) -> list[IntVec]:
         if all(dot(f, pt + (1,)) >= 0 for f in facets):
             out.append(pt)
     return out
-
-
-def eta0(q: LatticePolytope, c) -> int:
-    """max over vertices v of <c, -v>; the boundary height of the dual cone."""
-    c = as_vec(c)
-    if len(c) != q.ambient_dim:
-        raise DimensionMismatch("functional dimension mismatch")
-    return support(q.vertices, c)
 
 
 @dataclass(frozen=True)
@@ -264,18 +255,3 @@ def summand_at(d: MinkowskiDecomposition, p: int) -> SummandMatrices:
     if not 1 <= p <= d.k:
         raise IndexError(f"summand index {p} out of range")
     return mats[p - 1]
-
-
-def verify_matrix_relations(sm: SummandMatrices) -> bool:
-    """The defining identities: v*a = Id, v*c = 0, e*a = 0, e*c = Id."""
-    m, n = sm.m, sm.n
-    zero = lambda r, s: tuple(tuple(0 for _ in range(s)) for _ in range(r))
-    checks = [
-        mat_mul(sm.v, sm.a) == identity(m) if m else True,
-        mat_mul(sm.v, sm.c) == zero(m, n - m) if m and n > m else True,
-        mat_mul(sm.e, sm.a) == zero(n - m, m) if m and n > m else True,
-        mat_mul(sm.e, sm.c) == identity(n - m) if n > m else True,
-    ]
-    if sm.a and sm.a[0]:
-        checks.append(sm.b == tuple(-sum(row) for row in sm.a))
-    return all(checks)

@@ -1,5 +1,5 @@
-"""Laurent-polynomial superpotentials: construction, mutation, Newton
-polytope, and the critical-point decision.
+"""Laurent-polynomial superpotentials: construction, Newton polytope, and
+the critical-point decision.
 
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
@@ -73,10 +73,6 @@ class LaurentPoly:
         return cls(len(exp), {tuple(exp): coeff})
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
 
@@ -107,14 +103,6 @@ class LaurentPoly:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative powers of polynomials are not Laurent")
-        out = LaurentPoly.one(self.nvars)
-        for _ in range(e):
-            out = out * self
-        return out
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -177,20 +165,6 @@ def build_potential(d: MinkowskiDecomposition) -> LaurentPoly:
     out = LaurentPoly.monomial((0,) * n + (1,))
     for s in d.summands:
         out = out * factor(s).lift(n + 1)
-    return out
-
-
-def mutate(p: LaurentPoly, summand: LatticePolytope) -> LaurentPoly:
-    """Wall-crossing substitution: last variable -> last variable times the
-    summand factor, everything else fixed; expanded and collected."""
-    n = p.nvars
-    fac = factor(summand).lift(n)
-    out = LaurentPoly.zero(n)
-    for exp, c in p.terms.items():
-        e_last = exp[-1]
-        if e_last < 0:
-            raise ValueError("mutation needs nonnegative exponents in the last variable")
-        out = out + LaurentPoly(n, {exp: c}) * (fac ** e_last)
     return out
 
 

@@ -1,5 +1,5 @@
-"""Labeled character generators, binomial relations, chart expressions,
-singular-fibre models, and the homogeneity certificate.
+"""Labeled character generators, the deformation exponents of their
+binomial relations, singular-fibre models, and the homogeneity certificate.
 
 Characters are tagged by :class:`CharLabel`.  Kinds follow the coordinate
 roles in the smoothing: ``t`` for the deformation slots, ``x``/``y`` for the
@@ -19,15 +19,11 @@ from .exactlin import (
     CrossCheckError,
     IntVec,
     as_vec,
-    dot,
     identity,
-    is_zero_vec,
     rational_nullspace,
     scale_to_integer,
-    transpose,
     vec_add,
     vec_neg,
-    vec_sub,
 )
 from .polytope import MinkowskiDecomposition, phi, require_admissible, summand_at
 
@@ -156,63 +152,6 @@ def relation_w(d: MinkowskiDecomposition, p: int, j: int) -> IntVec:
     if eta[p - 1] != 0:
         raise CrossCheckError("own deformation slot must carry exponent 0")
     return eta
-
-
-@dataclass(frozen=True)
-class BinomialRelation:
-    lhs: tuple[CharLabel, ...]
-    rhs: tuple[CharLabel, ...]
-
-
-def verify_binomial(g: GeneratorSet, r: BinomialRelation) -> bool:
-    def total(labels):
-        return tuple(map(sum, zip((0,) * (g.n + g.k), *[g.vector(lab) for lab in labels])))
-
-    return total(r.lhs) == total(r.rhs)
-
-
-@dataclass(frozen=True)
-class ChartExpression:
-    """Exponent record for a character in the chart of summand p.
-
-    Non-singular charts use the plain integer coordinates ``xi`` in the
-    column basis [A_p C_p].  Singular charts shift the first block through
-    the y_p coordinate: ``xi_plus`` many copies of y_p, shifted nonnegative
-    ``xi_shifted`` on the x's; in that mode the t_p exponent is zero.
-    """
-
-    p: int
-    singular: bool
-    xi_plus: int | None
-    xi_shifted: tuple[int, ...] | None
-    xi_x: tuple[int, ...] | None
-    xi_w: tuple[int, ...]
-    t_exponents: tuple[int, ...]
-
-
-def express_in_chart(d: MinkowskiDecomposition, zhat, p: int, singular: bool) -> ChartExpression:
-    zhat = as_vec(zhat)
-    if is_zero_vec(zhat):
-        raise ValueError("zero vector has no chart expression")
-    sm = summand_at(d, p)
-    m = sm.m
-    xi = tuple(dot(row, zhat) for row in sm.v + sm.e)
-    xi_x, xi_w = xi[:m], xi[m:]
-    tail = phi(d, zhat)
-    # the singular chart trades xi_plus copies of y_p for nonnegative x's
-    xi_plus = max([0] + [-v for v in xi_x]) if singular else 0
-    xi_shifted = tuple(v + xi_plus for v in xi_x)
-    if singular and tail[p - 1] != xi_plus:
-        raise CrossCheckError("singular chart exponent must match the phi tail")
-    acc = tuple(xi_plus * t for t in phi(d, sm.b))
-    for coord, col in zip(xi_shifted + xi_w, transpose(sm.a) + transpose(sm.c)):
-        acc = vec_add(acc, tuple(coord * t for t in phi(d, col)))
-    t_exp = vec_sub(tail, acc)
-    if not singular:
-        return ChartExpression(p, False, None, None, xi_x, xi_w, t_exp)
-    if t_exp[p - 1] != 0:
-        raise CrossCheckError("t_p must not appear in a singular chart")
-    return ChartExpression(p, True, xi_plus, xi_shifted, None, xi_w, t_exp)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 :func:`rref` is textbook Gauss-Jordan elimination over ``Fraction``: each
 pivot row is divided by its pivot and the pivot column cleared above and
-below.  The library reads ``rank``, ``det``, ``rational_nullspace``,
+below.  The library reads ``rank``, ``rational_nullspace``,
 ``rational_solve`` and ``unimodular_inverse`` off a fraction-free integer
 elimination instead; the functions here answer the same questions the
-slow, obvious way so tests can compare the two.
+slow, obvious way so tests can compare the two.  :func:`mat_mul`, the
+integer matrix product, checks the library's inverses and transforms.
 """
 
 from fractions import Fraction
@@ -92,3 +93,10 @@ def inverse(m):
     if len(pivots) < n:
         return None
     return tuple(tuple(row[n:]) for row in a)
+
+
+def mat_mul(a, b):
+    """The integer matrix product of row tuples, as a tuple of row tuples."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("matrix product of mismatched shapes")
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)

@@ -2,7 +2,6 @@
 the stated 1e-9 bound on numeric witness gradients."""
 
 import random
-from itertools import permutations, product
 
 from minksmooth.cone import (
     cone_from_generators,
@@ -14,7 +13,7 @@ from minksmooth.cone import (
     is_strongly_convex,
     sigma_tilde,
 )
-from minksmooth.exactlin import mat_mul, unimodular_inverse, vec_sub
+from minksmooth.exactlin import vec_sub
 from minksmooth.fibration import (
     affine_monodromy,
     final_cone,
@@ -23,16 +22,8 @@ from minksmooth.fibration import (
     new_base_diagram,
     transfer_cut,
 )
-from minksmooth.polytope import eta0, is_admissible, phi
-from minksmooth.potential import (
-    LaurentPoly,
-    build_potential,
-    critical_exists,
-    mutate,
-    newton_polytope,
-)
+from minksmooth.potential import build_potential, critical_exists, newton_polytope
 from minksmooth.smoothing import (
-    BinomialRelation,
     Extra,
     GeneratorSet,
     T,
@@ -40,17 +31,19 @@ from minksmooth.smoothing import (
     WPlus,
     X,
     Y,
-    express_in_chart,
     generator_set,
     relation_w,
     relation_xy,
-    verify_binomial,
     verify_generates,
 )
 
 from box_oracle import lattice_points_in_box, semigroup_contains
-from cone_oracle import dd_dual
-from test_potential import random_admissible_decomposition, z3_times
+import test_cone
+import test_fibration
+import test_polytope
+import test_potential
+import test_smoothing
+from test_potential import z3_times
 
 
 def transferred(d):
@@ -133,8 +126,9 @@ Q5_BINOMIALS = [
 def test_criterion_02_q5_relations(d_q5):
     assert len(Q5_BINOMIALS) == 15
     for lhs, rhs in Q5_BINOMIALS:
-        rel = BinomialRelation(tuple(_L[s] for s in lhs), tuple(_L[s] for s in rhs))
-        assert verify_binomial(Q5_LABELED, rel), (lhs, rhs)
+        # a binomial holds when both sides sum to one character
+        sums = [tuple(map(sum, zip(*(Q5_LABELED.vector(_L[s]) for s in side)))) for side in (lhs, rhs)]
+        assert sums[0] == sums[1], (lhs, rhs)
     # the canonical pipeline reproduces the same character vectors
     g = generator_set(d_q5)
     assert set(g.vectors()) == set(Q5_LABELED.vectors())
@@ -241,21 +235,13 @@ def test_criterion_08_newton_polytopes(all_fixtures):
 
 
 def test_criterion_09_property_suites(all_fixtures):
-    # bidual on 200 random pointed full-dimensional cones
-    rng = random.Random(31337)
-    count = 0
-    while count < 200:
-        dim = rng.randint(2, 4)
-        gens = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(rng.randint(2, 6))]
-        gens = [g for g in gens if any(g)]
-        if not gens:
-            continue
-        c = cone_from_generators(gens, dim)
-        if not (is_strongly_convex(c) and is_full_dimensional(c)):
-            continue
-        count += 1
-        assert dual(c) == dd_dual(c)
-        assert cones_equal(dual(dual(c)), c)
+    # the suites a unit test runs are run from there
+    test_cone.test_bidual_on_random_pointed_cones()  # 200 random pointed cones
+    test_polytope.test_eta0_equals_phi_total(all_fixtures)  # support additivity
+    test_potential.test_mutation_fold_order_independent(all_fixtures)  # mutation fold = closed form
+    test_potential.test_mutation_fold_on_random_decompositions()
+    test_smoothing.test_xi_plus_identity_exhaustive(all_fixtures)  # singular-chart exponents
+    test_fibration.test_cross_wall_cancellation(all_fixtures)  # shear cancellation
 
     # Hilbert minimality and generation against the brute-force box oracle
     rng = random.Random(777)
@@ -278,59 +264,6 @@ def test_criterion_09_property_suites(all_fixtures):
                     assert not (any(r) and c.contains(r))
         for pt in box:
             assert semigroup_contains(hb.elements, pt, 10 ** 6)
-
-    # support additivity on 500 random functionals per fixture
-    rng = random.Random(1729)
-    for d in all_fixtures.values():
-        for _ in range(500):
-            c = (rng.randint(-9, 9), rng.randint(-9, 9))
-            assert eta0(d.target, c) == sum(phi(d, c))
-
-    # mutation fold equals the closed form, fixtures and 50 random cases
-    for d in all_fixtures.values():
-        closed = build_potential(d)
-        for order in permutations(range(d.k)):
-            p = LaurentPoly.monomial((0,) * d.n + (1,))
-            for i in order:
-                p = mutate(p, d.summands[i])
-            assert p == closed
-    rng = random.Random(600613)
-    for _ in range(50):
-        d = random_admissible_decomposition(rng)
-        p = LaurentPoly.monomial((0, 0, 1))
-        for s in d.summands:
-            p = mutate(p, s)
-        assert p == build_potential(d)
-
-    # the singular-chart exponent identity, exhaustively on [-3, 3]^2 \ {0}
-    for d in all_fixtures.values():
-        for p in range(1, d.k + 1):
-            for zhat in product(range(-3, 4), repeat=2):
-                if not any(zhat):
-                    continue
-                ce = express_in_chart(d, zhat, p, singular=True)
-                assert ce.xi_plus >= 0
-                assert all(x >= 0 for x in ce.xi_shifted)
-                assert min((ce.xi_plus,) + ce.xi_shifted) == 0
-                assert phi(d, zhat)[p - 1] == ce.xi_plus
-
-    # shear cancellation for every p and i != j
-    for d in all_fixtures.values():
-        mats = is_admissible(d).matrices
-        for p in range(1, d.k + 1):
-            rows = mats[p - 1].v
-            for i in range(1, len(rows) + 1):
-                for j in range(1, len(rows) + 1):
-                    if i == j:
-                        continue
-                    prod = mat_mul(
-                        affine_monodromy(d, p, i),
-                        unimodular_inverse(affine_monodromy(d, p, j)),
-                    )
-                    assert prod[-1] == tuple(
-                        a - b for a, b in zip(rows[j - 1], rows[i - 1])
-                    ) + (1,)
-
 
 def test_criterion_10_generator_sets_generate(d_q5, d_q6_first, d_q6_second):
     for d in (d_q5, d_q6_first, d_q6_second):

@@ -11,11 +11,8 @@ from minksmooth.exactlin import (
     NotPrimitive,
     NotUnimodular,
     complete_to_basis,
-    det,
     hnf,
     identity,
-    mat_mul,
-    mat_vec,
     rank,
     rational_nullspace,
     rational_solve,
@@ -54,8 +51,8 @@ small_matrices = st.integers(1, 4).flatmap(
 def test_hnf_example():
     h, u = hnf(((2, 4), (1, 1)))
     assert h == ((1, 1), (0, 2))
-    assert mat_mul(u, ((2, 4), (1, 1))) == h
-    assert det(u) in (1, -1)
+    assert oracle.mat_mul(u, ((2, 4), (1, 1))) == h
+    assert oracle.det(u) in (1, -1)
 
 
 def test_hnf_identity_fixed_point():
@@ -74,8 +71,8 @@ def test_hnf_zero_row():
 def test_hnf_transform_invariants(rows):
     m = tuple(tuple(r) for r in rows)
     h, u = hnf(m)
-    assert mat_mul(u, m) == h
-    assert det(u) in (1, -1)
+    assert oracle.mat_mul(u, m) == h
+    assert oracle.det(u) in (1, -1)
     # echelon with positive pivots, entries above reduced into [0, pivot)
     last = -1
     for row in h:
@@ -182,15 +179,14 @@ def _check_sparse_case(m, b):
     The kernel's pivot is the previous one times the oracle's, so p == d
     exactly where the oracle's pivot is 1."""
     assert rank(m) == oracle.rank(m)
-    assert det(m) == oracle.det(m)
-    if det(m) in (1, -1):
+    if oracle.det(m) in (1, -1):
         assert unimodular_inverse(m) == oracle.inverse(m)
     else:
         with pytest.raises(NotUnimodular):
             unimodular_inverse(m)
     assert rational_nullspace(m) == oracle.nullspace(m)
     assert rational_solve(m, b) == oracle.solve(m, b)
-    rhs = mat_vec(m, b)
+    rhs = tuple(sum(x * y for x, y in zip(row, b)) for row in m)
     assert rational_solve(m, rhs) == oracle.solve(m, rhs)
     steps = []
     oracle.rref(m, steps=steps)
@@ -241,7 +237,7 @@ def test_complete_to_basis_random_primitive_rows():
             assert g != 1
             continue
         stacked = (v,) + e
-        assert det(stacked) in (1, -1)
+        assert oracle.det(stacked) in (1, -1)
         done += 1
 
 
@@ -266,8 +262,8 @@ def test_unimodular_inverse_roundtrip(n):
                 m[i][col] += c * m[j][col]
     m = tuple(tuple(r) for r in m)
     inv = unimodular_inverse(m)
-    assert mat_mul(m, inv) == identity(n)
-    assert mat_mul(inv, m) == identity(n)
+    assert oracle.mat_mul(m, inv) == identity(n)
+    assert oracle.mat_mul(inv, m) == identity(n)
 
 
 def test_rank_and_solvers():
@@ -295,12 +291,11 @@ def test_kernel_matches_rational_oracle(m, data):
     b = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(m), max_size=len(m)))
     assert rational_solve(m, b) == oracle.solve(m, b)
     x = data.draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
-    b = mat_vec(m, x)
+    b = tuple(sum(a * y for a, y in zip(row, x)) for row in m)
     assert rational_solve(m, b) == oracle.solve(m, b)
     k = min(len(m), ncols)
     sq = tuple(row[:k] for row in m[:k])
-    assert det(sq) == oracle.det(sq)
-    if det(sq) in (1, -1):
+    if oracle.det(sq) in (1, -1):
         assert unimodular_inverse(sq) == oracle.inverse(sq)
     else:
         with pytest.raises(NotUnimodular):
@@ -309,7 +304,6 @@ def test_kernel_matches_rational_oracle(m, data):
     # its rows or negating one keeps it so, with other pivots and signs
     lower = tuple(tuple(sq[i][j] if j < i else int(i == j) for j in range(k)) for i in range(k))
     upper = tuple(tuple(sq[i][j] if j > i else int(i == j) for j in range(k)) for i in range(k))
-    u = mat_mul(lower, upper)
+    u = oracle.mat_mul(lower, upper)
     for v in (u, u[::-1], (vec_neg(u[0]),) + u[1:]):
-        assert det(v) == oracle.det(v)
         assert unimodular_inverse(v) == oracle.inverse(v)

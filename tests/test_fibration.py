@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from minksmooth import cone as cone_module
 from minksmooth.cone import cone_over, cones_equal, dual
-from minksmooth.exactlin import det, mat_mul, transpose, unimodular_inverse
+from minksmooth.exactlin import support, transpose, unimodular_inverse
 from minksmooth.fibration import (
     AlreadyApplied,
     CutsRemaining,
-    NegativeArea,
     affine_monodromy,
     collapsing_cycles,
-    disk_time,
     final_cone,
     height_one_normalization,
     monodromy,
@@ -22,10 +20,11 @@ from minksmooth.fibration import (
     regions,
     transfer_cut,
 )
-from minksmooth.polytope import convex_hull, eta0, is_admissible, phi
+from minksmooth.polytope import convex_hull, is_admissible, phi
 
 from cone_oracle import final_cone_all_vertex_sums
 from conftest import lens
+from linalg_oracle import det, mat_mul
 from test_potential import _planar, _planar_summands
 
 
@@ -208,7 +207,7 @@ def test_final_boundary_is_support_of_target(all_fixtures):
             b = transfer_cut(b, p)
         for _ in range(500):
             c = (rng.randint(-7, 7), rng.randint(-7, 7))
-            assert b.boundary_height(c) == eta0(d.target, c) == sum(phi(d, c))
+            assert b.boundary_height(c) == support(d.target.vertices, c) == sum(phi(d, c))
 
 
 def test_duality_on_all_fixtures(all_fixtures):
@@ -293,11 +292,3 @@ def test_height_one_generic_lens_has_none():
     for p in (1, 2):
         b = transfer_cut(b, p)
     assert height_one_normalization(final_cone(b)) is None
-
-
-def test_disk_time():
-    assert disk_time((1, 1), 2) == Fraction(2, 3)
-    assert disk_time((2, 1), 6) == 1
-    assert disk_time((), Fraction(5, 2)) == Fraction(5, 2)
-    with pytest.raises(NegativeArea):
-        disk_time((1, 0), -1)

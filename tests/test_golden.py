@@ -1,5 +1,6 @@
 """Each fixture's ``analyze`` report against the committed golden copy in
-``tests/golden/``.
+``tests/golden/``, and the stdout of ``hilbert`` and ``potential
+--critical`` against ``tests/golden/cli/``, byte for byte.
 
 Every field must match exactly, value and JSON type, except the float
 witnesses of the critical-point decision, which come from LAPACK and are
@@ -8,6 +9,8 @@ another host does not count.  Regenerate a golden file only when a report
 is meant to change:
 
     PYTHONPATH=src python -m minksmooth.cli analyze fixtures/q5.json --out tests/golden/q5.json
+    PYTHONPATH=src python -m minksmooth.cli hilbert fixtures/q5.json > tests/golden/cli/q5.hilbert.txt
+    PYTHONPATH=src python -m minksmooth.cli potential fixtures/q5.json --critical > tests/golden/cli/q5.potential-critical.txt
 """
 
 import json
@@ -20,6 +23,8 @@ from minksmooth.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
+# golden file suffix -> the command line whose stdout it holds
+STDOUT_GOLDENS = {"hilbert": ["hilbert"], "potential-critical": ["potential", "--critical"]}
 FLOAT_WITNESSES = re.compile(r"\.potential\.critical\.(families\[\d+\]\.points|heuristic_points)$")
 TOLERANCE = 1e-9
 
@@ -43,6 +48,8 @@ def mismatches(got, want, path="", approx=False):
 def test_golden_files_match_fixtures():
     assert FIXTURES
     assert sorted(p.name for p in (ROOT / "tests" / "golden").glob("*.json")) == [p.name for p in FIXTURES]
+    stdout = sorted(f"{p.stem}.{suffix}.txt" for p in FIXTURES for suffix in STDOUT_GOLDENS)
+    assert sorted(p.name for p in (ROOT / "tests" / "golden" / "cli").iterdir()) == stdout
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
@@ -51,6 +58,16 @@ def test_analyze_report_matches_golden(tmp_path, fixture):
     assert main(["analyze", str(fixture), "--out", str(out)]) == 0
     want = json.loads((ROOT / "tests" / "golden" / fixture.name).read_text())
     assert mismatches(json.loads(out.read_text()), want) == []
+
+
+@pytest.mark.parametrize("suffix", sorted(STDOUT_GOLDENS))
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_stdout_matches_golden_bytes(capsys, fixture, suffix):
+    command, *options = STDOUT_GOLDENS[suffix]
+    assert main([command, str(fixture), *options]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (ROOT / "tests" / "golden" / "cli" / f"{fixture.stem}.{suffix}.txt").read_bytes()
 
 
 def test_comparison_tolerates_only_float_witnesses():

@@ -22,7 +22,6 @@ from minksmooth.potential import (
     build_potential,
     critical_exists,
     factor,
-    mutate,
     newton_polytope,
 )
 from minksmooth.numeric import _lstsq_stack, _norm_below, _TermTable, heuristic_points
@@ -31,6 +30,7 @@ from conftest import lens, segment, triangle
 import fibre_oracle
 import newton_oracle
 import ratpoly_oracle
+from potential_oracle import mutate
 
 
 def expand(*term_lists):
@@ -162,7 +162,7 @@ def test_newton_polytope_decomposition_independent(d_q6_first, d_q6_second):
 def test_newton_polytope_single_monomial_and_zero():
     assert newton_polytope(LaurentPoly.monomial((2, -1))).vertices == ((2, -1),)
     with pytest.raises(ZeroPolynomial):
-        newton_polytope(LaurentPoly.zero(2))
+        newton_polytope(LaurentPoly(2))
 
 
 def test_partial_examples(d_q5):
@@ -172,7 +172,7 @@ def test_partial_examples(d_q5):
     assert not LaurentPoly.one(3).derivative(0)
     # Euler operator on a monomial multiplies by the total degree
     mono = LaurentPoly.monomial((2, 3, -1), 5)
-    total = LaurentPoly.zero(3)
+    total = LaurentPoly(3)
     for i in range(3):
         shift = [0, 0, 0]
         shift[i] = 1

@@ -1,11 +1,13 @@
 """The README's claims, checked against the code it describes: its library
-example and every result commented in it, its exit-code table and its
-usage block."""
+example and every result commented in it, its module list, its exit-code
+table and its usage block."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
+import minksmooth
 from minksmooth import cli
 from minksmooth.cone import cone_over, dual
 
@@ -42,6 +44,19 @@ def test_library_example_does_what_its_comments_say():
     assert commented == {name: comment for name, (comment, _) in CLAIMS.items()}
     for name, (_, holds) in CLAIMS.items():
         assert holds(ns), name
+
+
+def test_module_list_has_one_line_per_module_and_its_names_resolve():
+    # the package root, __init__, holds no code and has no line
+    lines = re.findall(r"^\* `(\w+)`: (.*)$", _section("Library"), re.M)
+    package = Path(minksmooth.__file__).parent
+    assert sorted(m for m, _ in lines) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    for module, text in lines:
+        for name in re.findall(r"`([\w.]+)`", text):
+            obj = importlib.import_module(f"minksmooth.{module}")
+            for part in name.split("."):
+                assert hasattr(obj, part), f"{module}: {name}"
+                obj = getattr(obj, part)
 
 
 def test_exit_code_table_lists_the_cli_exit_codes():
