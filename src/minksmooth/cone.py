@@ -28,13 +28,16 @@ Hilbert bases need no double description.  A lifted cone (sigma dual,
 sigma-tilde dual) is read off the normal fan of a polytope Q whose facet
 normals are the heads of the cone's extreme rays; Q's vertices and each
 fan cone C_u (the normals tight at u, the edges of Q at u) follow from
-their incidences (:func:`fan_cones`).  The lift of every element of every
-C_u's basis is irreducible, so only the unit tags are tested for a split.
-A planar cone, each C_u of a planar input among them, takes the
-Hirzebruch-Jung continued fraction walk (:func:`_planar_hilbert_basis`),
-linear in its output; in any other dimension a cone scans the bounding
-box of the zonotope of its extreme rays (:func:`_box_hilbert_basis`).
-Either refuses an answer past its budget with :class:`BasisTooLarge`.
+their incidences, held as bitmasks (:func:`fan_cones`), and both lifted
+cones of one input share that fan.  Each element of each C_u's basis
+lifts linearly, and every lift is irreducible, so only the unit tags are
+tested for a split.  A planar cone, each C_u of a planar input among
+them, takes the Hirzebruch-Jung continued fraction walk
+(:func:`_planar_hilbert_basis`), linear in its output; in any other
+dimension a cone is triangulated and each simplicial cone's fundamental
+parallelepiped enumerated (:func:`_cone_basis`), so a unimodular
+triangulation costs no point at all.  Either refuses an answer past its
+budget with :class:`BasisTooLarge`.
 """
 
 from __future__ import annotations
@@ -48,15 +51,14 @@ from operator import mul
 from .exactlin import (
     IntMat,
     IntVec,
+    adjugate,
     as_mat,
     dot,
     hnf,
     identity,
-    is_zero_vec,
     primitive,
     rank,
     sign_normalized,
-    support,
     vec_add,
     vec_neg,
     vec_sub,
@@ -72,7 +74,9 @@ class NotFullDim(ValueError):
 
 
 class BasisTooLarge(ValueError):
-    """A planar Hilbert basis would exceed ``_MAX_BASIS`` elements, or a box scan ``_MAX_BOX`` points."""
+    """A planar Hilbert basis would exceed ``_MAX_BASIS`` elements, or the
+    fundamental parallelepipeds of a cone, or a box of lattice points,
+    ``_MAX_BOX`` points; refused before any is made."""
 
 
 _MAX_BASIS = 10**5
@@ -307,10 +311,91 @@ def hilbert_basis(c: PolyhedralCone) -> HilbertBasisResult:
 
 @lru_cache(maxsize=256)
 def _cone_basis(c: PolyhedralCone) -> IntMat:
-    """Hilbert basis of a pointed full-dimensional cone: the continued
-    fraction walk in the plane, the box scan in any other dimension.
-    Cached, so sigma dual and sigma-tilde dual share their fan cones' bases."""
-    return _planar_hilbert_basis(c) if c.ambient_dim == 2 else _box_hilbert_basis(c)
+    """Hilbert basis of a pointed full-dimensional cone C: the continued
+    fraction walk in the plane; in any other dimension, the bases of the
+    simplicial cones S of a pulling triangulation (:func:`_parallelepiped`)
+    less the elements reducible in C, since an element irreducible in C is
+    irreducible in the S holding it (Bruns-Koch, 2001).  The basis of S
+    lies in its rays and its fundamental parallelepiped, of |det S| lattice
+    points; their sum is checked against ``_MAX_BOX`` before any is made,
+    and when every |det S| is 1 the rays are the basis.  Cached, so sigma
+    dual and sigma-tilde dual share their fan cones' bases.
+    """
+    if c.ambient_dim == 2:
+        return _planar_hilbert_basis(c)
+    rays = c.generators
+    facets = [sum(1 << j for j, r in enumerate(rays) if not dot(a, r)) for a in c.inequalities]
+    simplices = [
+        [r for j, r in enumerate(rays) if s >> j & 1] for s in _pulling((1 << len(rays)) - 1, c.ambient_dim, facets)
+    ]
+    adjs = [adjugate(s) for s in simplices]
+    total = sum(abs(d) for d, _ in adjs)
+    if total > _MAX_BOX:
+        raise BasisTooLarge(f"fundamental parallelepipeds hold {total} lattice points, over {_MAX_BOX}")
+    if total == len(simplices):
+        return rays
+    points = set(rays)
+    for s, (d, adj) in zip(simplices, adjs):
+        if d not in (1, -1):
+            points.update(_parallelepiped(s, d, adj))
+    return _irreducible(c, points)
+
+
+def _pulling(face: int, dim: int, facets: list[int]) -> list[int]:
+    """The simplices of the pulling triangulation of a face of a pointed
+    cone, as bitmasks of its rays: the face's lowest ray joined to each
+    simplex of the facets that miss it, the facets of a facet F being the
+    largest of the sets ``F & G``, G another facet (De Loera-Rambau-Santos,
+    *Triangulations*, 4.3)."""
+    if face.bit_count() == dim:
+        return [face]
+    low = face & -face
+    out = []
+    for f in facets:
+        if not f & low:
+            meets = {f & g for g in facets if g != f}
+            ridges = [m for m in meets if not any(m & g == m != g for g in meets)]
+            out += [low | t for t in _pulling(f, dim - 1, ridges)]
+    return out
+
+
+def _parallelepiped(rays, det, adj) -> list[IntVec]:
+    """The Hilbert basis, rays left out, of the simplicial cone on the rows
+    ``rays``, with ``adj = det * rays^-1``.
+
+    The lattice point x has the parallelepiped point ``sum_i (c_i / D) r_i``
+    of its coset, D = |det|, with ``c = +-x adj mod D``; the c form a group,
+    so the sign does not matter, and the box of the Hermite form's diagonal
+    holds one x per coset.  The c_i are the facet values, scaled, so the
+    basis is the nonzero c that dominate no other, found in order of their
+    sum.  Each c is packed into one int, a field of ``width`` bits per c_i
+    under the sum: c dominates k iff no guard bit, the top bit of a field,
+    of ``(c | guard) - k`` is cleared by a borrow.
+    """
+    n, big = len(rays), abs(det)
+    h, _ = hnf(rays)
+    cols = [[0] for _ in range(n)]
+    for j, row in enumerate(adj):
+        ts = range(h[j][j])
+        cols = [[(x + t * y) % big for x in col for t in ts] for col, y in zip(cols, row)]
+    width = big.bit_length() + 1
+    packed = [sum(c) << n * width for c in zip(*cols)]
+    for i, col in enumerate(cols):
+        packed = [p | x << i * width for p, x in zip(packed, col)]
+    guard = sum(1 << (i + 1) * width - 1 for i in range(n))
+    kept = []
+    for p in sorted(packed)[1:]:
+        top = p | guard
+        for k in kept:
+            if (top - k) & guard == guard:
+                break
+        else:
+            kept.append(p)
+    low = (1 << width) - 1
+    return [
+        tuple(sum((p >> i * width & low) * r[j] for i, r in enumerate(rays)) // big for j in range(n))
+        for p in kept
+    ]
 
 
 def _det2(u, v) -> int:
@@ -358,31 +443,6 @@ def box_points(lo, hi):
     return product(*(range(a, b + 1) for a, b in zip(lo, hi)))
 
 
-def _box_hilbert_basis(c: PolyhedralCone) -> IntMat:
-    """Hilbert basis of a pointed full-dimensional cone by a box scan.
-
-    Gordan's lemma: every irreducible element lies in the zonotope
-    ``sum_j [0, 1] r_j`` of the primitive extreme rays, so the lattice
-    points of that zonotope generate the semigroup and discarding the
-    reducible ones leaves exactly the Hilbert basis.  The scan runs over the
-    zonotope's bounding box ``[sum_j min(r_j, 0), sum_j max(r_j, 0)]`` and
-    keeps the points of the order interval ``c intersect (sum_j r_j - c)``,
-    which contains the zonotope.  The cost grows with the volume of that
-    box, which :func:`box_points` bounds; it is the path in dimension other
-    than 2 and the test oracle for the planar walk and the lifted path.
-    """
-    rays = c.generators
-    total = tuple(sum(col) for col in zip(*rays))
-    lo = [sum(min(x, 0) for x in col) for col in zip(*rays)]
-    hi = [sum(max(x, 0) for x in col) for col in zip(*rays)]
-    candidates = {
-        pt
-        for pt in box_points(lo, hi)
-        if not is_zero_vec(pt) and c.contains(pt) and c.contains(vec_sub(total, pt))
-    }
-    return _irreducible(c, candidates | set(rays))
-
-
 def _irreducible(c: PolyhedralCone, candidates) -> IntMat:
     """The candidates that are not a candidate plus a nonzero point of ``c``.
 
@@ -424,11 +484,11 @@ def _slot_polytopes(c: PolyhedralCone) -> list[list[IntVec]] | None:
     return None
 
 
-def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, PolyhedralCone]:
+def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, tuple[PolyhedralCone, tuple[IntVec, ...]]]:
     """The normal cone ``C_u = {v : <v, w - u> >= 0 for all w in Q}`` of each
-    vertex u of ``Q = sum_i conv(slots[i])``, for the lifted cone ``c`` cut
-    out by the normals ``(p, e_i)``, p in ``slots[i]`` (see
-    :func:`_lifted_candidates`).
+    vertex u of ``Q = sum_i conv(slots[i])``, with the point of each slot
+    that sums to u, for the lifted cone ``c`` cut out by the normals
+    ``(p, e_i)``, p in ``slots[i]`` (see :func:`_lifted_candidates`).
 
     The nonzero heads of the extreme rays of ``c`` are the primitive inner
     facet normals of Q: the rays of its normal fan, which refines the fan of
@@ -437,31 +497,65 @@ def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, PolyhedralCone]:
     strictly as the face of P holding w in its relative interior shrinks:
     w is a vertex of P iff no other point's tight set strictly contains
     w's.  The vertices of Q come from summing the slots one at a time,
-    keeping the vertices after each step.  C_u is spanned by the rays tight
-    at u, and its facets are the primitive edges w - u of Q at u.  The
-    vertices tight on every ray tight at both u and w are those of the
-    smallest face holding both, so w is a neighbour of u iff no third
-    vertex is (Ziegler, *Lectures on Polytopes*, ch. 2).  Both halves come
-    sorted, as a double description returns them, so C_u compares equal to
-    one.
+    keeping the vertices after each step, each the sum of one vertex of
+    either summand.  A ray is tight at ``u + p`` iff it is tight at both, so
+    each tight set, a bitmask over the rays, is an AND.  The cones come
+    from :func:`_normal_fan`, sorted as a double description returns them.
     """
     n = c.ambient_dim - len(slots)
-    rays = [r[:n] for r in c.generators if not is_zero_vec(r[:n])]
-    verts = [(0,) * n]
+    rays = tuple(r[:n] for r in c.generators if any(r[:n]))
+    walk = {(0,) * n: ((), (1 << len(rays)) - 1)}
     for pts in slots:
-        sums = {vec_add(u, p) for u in verts for p in pts}
-        low = [min(dot(a, w) for w in sums) for a in rays]
-        tight = {w: frozenset(a for a, m in zip(rays, low) if dot(a, w) == m) for w in sums}
-        verts = sorted(w for w in sums if not any(tight[w] < t for t in tight.values()))
-    cones = {}
-    for u in verts:
-        edges = [
-            vec_sub(w, u)
-            for w in verts
-            if w != u and sum(tight[u] & tight[w] <= tight[x] for x in verts) == 2
-        ]
-        cones[u] = PolyhedralCone(n, tuple(sorted(tight[u])), tuple(sorted(map(primitive, edges))))
-    return cones
+        vals = [[dot(a, p) for a in rays] for p in pts]
+        low = [min(col) for col in zip(*vals)]
+        tight = [sum(1 << j for j, (x, m) in enumerate(zip(row, low)) if x == m) for row in vals]
+        sums = {
+            vec_add(u, p): (parts + (p,), mu & mp) for u, (parts, mu) in walk.items() for p, mp in zip(pts, tight)
+        }
+        # a vertex has at least n tight rays; a set inside another lies
+        # inside a largest one, which has more rays
+        top = []
+        for m in sorted({m for _, m in sums.values() if m.bit_count() >= n}, key=int.bit_count, reverse=True):
+            if all(m & t != m for t in top):
+                top.append(m)
+        top = set(top)
+        walk = {w: sums[w] for w in sorted(sums) if sums[w][1] in top}
+    cones = _normal_fan(rays, tuple(walk), tuple(m for _, m in walk.values()))
+    return {u: (cu, parts) for (u, (parts, _)), cu in zip(walk.items(), cones)}
+
+
+@lru_cache(maxsize=256)
+def _normal_fan(rays, verts, masks) -> tuple[PolyhedralCone, ...]:
+    """The normal cone of each vertex in ``verts`` of a polytope Q whose
+    normal fan has the rays ``rays``, from the bitmask of rays tight at
+    each vertex.  C_u is spanned by the rays tight at u, and its facets are
+    the primitive edges w - u of Q at u.  The vertices tight on every ray
+    tight at both u and w are those of the smallest face holding both, so
+    w is a neighbour of u iff no third vertex is (Ziegler, *Lectures on
+    Polytopes*, ch. 2), found as an AND of bitmasks over the vertices; an
+    edge's normal cone spans n - 1 dimensions, so u and w share at least
+    n - 1 rays.  Cached: sigma dual and sigma-tilde dual reach the same fan.
+    """
+    n = len(verts[0])
+    on = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(len(rays))]
+    edges = [[] for _ in verts]
+    for i, (u, mu) in enumerate(zip(verts, masks)):
+        for j in range(i + 1, len(verts)):
+            s = mu & masks[j]
+            if s.bit_count() < n - 1:
+                continue
+            common = (1 << len(verts)) - 1
+            while s:
+                common &= on[(s & -s).bit_length() - 1]
+                s &= s - 1
+            if common.bit_count() == 2:
+                w = verts[j]
+                edges[i].append(primitive(vec_sub(w, u)))
+                edges[j].append(primitive(vec_sub(u, w)))
+    return tuple(
+        PolyhedralCone(n, tuple(a for j, a in enumerate(rays) if m >> j & 1), tuple(sorted(e)))
+        for m, e in zip(masks, edges)
+    )
 
 
 def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
@@ -471,19 +565,20 @@ def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:
     That cone is ``{(v, s) : s_i >= psi_i(v)}`` with
     ``psi_i(v) = max over p in slots[i] of <-p, v>``, so every lattice point
     is ``(v, psi(v)) + sum_i (s_i - psi_i(v)) t_i`` for the unit tags t_i.
-    Each psi_i is linear on the normal cone C_u of every vertex u of
-    ``Q = sum_i conv(slots[i])``, so v splits along the Hilbert basis of
-    the C_u containing it (Altmann's tagged-summand construction).  The
-    C_u come from :func:`fan_cones`, with no double description, and go
-    straight to :func:`_cone_basis` (the continued fraction walk when
-    n = 2, the box scan otherwise): Q spans, so each C_u is pointed, and
-    it is full-dimensional at a vertex, so no rank check is needed.
-    Each slot is already a vertex set: a non-vertex gives no extreme normal.
+    Each psi_i is linear on the normal cone C_u of every vertex
+    ``u = sum_i p_i(u)`` of ``Q = sum_i conv(slots[i])``, where it is
+    ``<-p_i(u), .>``, so v splits along the Hilbert basis of the C_u
+    containing it and each element h lifts to ``(h, -<p_1(u), h>, ...)``
+    (Altmann's tagged-summand construction).  The C_u and the p_i(u) come
+    from :func:`fan_cones`, with no double description, and go straight
+    to :func:`_cone_basis`: Q spans, so each C_u is pointed, and it is
+    full-dimensional at a vertex, so no rank check is needed.  Each slot is
+    already a vertex set: a non-vertex gives no extreme normal.
     """
     k = len(slots)
     n = c.ambient_dim - k
     out = {(0,) * n + tag for tag in identity(k)}
-    for fan_cone in fan_cones(c, slots).values():
+    for fan_cone, parts in fan_cones(c, slots).values():
         for h in _cone_basis(fan_cone):
-            out.add(h + tuple(support(pts, h) for pts in slots))
+            out.add(h + tuple(-dot(p, h) for p in parts))
     return out

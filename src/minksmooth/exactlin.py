@@ -5,8 +5,8 @@ precision); rational answers come back as ``fractions.Fraction`` values,
 and there is no floating point anywhere.  Vectors are ``tuple[int, ...]``,
 matrices are tuples of row vectors.
 
-``rank``, ``rational_nullspace``, ``rational_solve`` and
-``unimodular_inverse`` all read their answers off one kernel,
+``rank``, ``rational_nullspace``, ``rational_solve`` and ``adjugate``
+(so ``unimodular_inverse``) all read their answers off one kernel,
 :func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
 integers (Bareiss's single-step division by the previous pivot, in the
 Gauss-Jordan form of Nakos, Turner and Williams), which returns ``d``
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -58,15 +59,15 @@ def as_mat(rows) -> IntMat:
 def dot(u, v) -> int:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v) -> IntVec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v) -> IntVec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(u) -> IntVec:
@@ -256,18 +257,26 @@ def complete_to_basis(v) -> IntMat:
     return x[mrows:]
 
 
+def adjugate(x) -> tuple[int, IntMat]:
+    """``(det x, adj x)`` for a square integer matrix, with ``adj x = det x * x^{-1}``;
+    the adjugate is ``()`` when ``det x`` is 0."""
+    n = len(x)
+    a, pivots, d, sign = _gauss_jordan([tuple(row) + e for row, e in zip(x, identity(n))], n)
+    if len(pivots) < n:
+        return 0, ()
+    # a == d * [I | x^{-1}] and det x == sign * d
+    return sign * d, tuple(tuple(sign * v for v in row[n:]) for row in a)
+
+
 def unimodular_inverse(x) -> IntMat:
     """Exact integer inverse of a matrix with determinant +-1."""
     x = as_mat(x)
-    n = len(x)
-    if any(len(r) != n for r in x):
+    if any(len(r) != len(x) for r in x):
         raise ValueError("unimodular inverse needs a square matrix")
-    a, pivots, d, sign = _gauss_jordan([row + e for row, e in zip(x, identity(n))], n)
-    dt = sign * d if len(pivots) == n else 0
+    dt, adj = adjugate(x)
     if dt not in (1, -1):
         raise NotUnimodular(f"determinant is {dt}, not +-1")
-    # a == d * [I | x^{-1}] and 1/d == d
-    return tuple(tuple(row[n:]) if d == 1 else tuple(-v for v in row[n:]) for row in a)
+    return adj if dt == 1 else tuple(tuple(-v for v in row) for row in adj)
 
 
 def rational_nullspace(m) -> list[RatVec]:

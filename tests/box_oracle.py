@@ -4,8 +4,10 @@
 and :func:`semigroup_contains` decides membership in a finitely generated
 semigroup by depth-first search.  The library decides generation exactly
 through the Hilbert basis; these brute-force routines check it from the
-outside.  :func:`order_interval_hilbert_basis` is the library's earlier box
-scan, over a larger box found by a double description pass.
+outside.  :func:`box_hilbert_basis` is the library's earlier Hilbert basis
+in dimension other than 2, a scan of the zonotope's bounding box, and
+:func:`order_interval_hilbert_basis` a scan over a larger box found by a
+double description pass.
 """
 
 from itertools import product
@@ -14,6 +16,7 @@ from minksmooth.cone import (
     NotPointed,
     PolyhedralCone,
     _irreducible,
+    box_points,
     cone_from_generators,
     halfspace_description,
     is_strongly_convex,
@@ -33,6 +36,31 @@ def lattice_points_in_box(c: PolyhedralCone, box: int) -> list[IntVec]:
         if c.contains(pt):
             out.append(pt)
     return out
+
+
+def box_hilbert_basis(c: PolyhedralCone) -> IntMat:
+    """Hilbert basis of a pointed full-dimensional cone by a box scan.
+
+    Gordan's lemma: every irreducible element lies in the zonotope
+    ``sum_j [0, 1] r_j`` of the primitive extreme rays, so the lattice
+    points of that zonotope generate the semigroup and discarding the
+    reducible ones leaves exactly the Hilbert basis.  The scan runs over the
+    zonotope's bounding box ``[sum_j min(r_j, 0), sum_j max(r_j, 0)]`` and
+    keeps the points of the order interval ``c intersect (sum_j r_j - c)``,
+    which contains the zonotope.  The cost grows with the volume of that
+    box, which :func:`minksmooth.cone.box_points` refuses past
+    ``_MAX_BOX`` points before making any.
+    """
+    rays = c.generators
+    total = tuple(sum(col) for col in zip(*rays))
+    lo = [sum(min(x, 0) for x in col) for col in zip(*rays)]
+    hi = [sum(max(x, 0) for x in col) for col in zip(*rays)]
+    candidates = {
+        pt
+        for pt in box_points(lo, hi)
+        if not is_zero_vec(pt) and c.contains(pt) and c.contains(vec_sub(total, pt))
+    }
+    return _irreducible(c, candidates | set(rays))
 
 
 def order_interval_box(c: PolyhedralCone) -> list[range]:

@@ -568,6 +568,20 @@ def test_cli_arithmetic_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.svg").exists()
 
 
+@pytest.mark.parametrize("argv", [["hilbert"], ["analyze", "--fast", "--out", "r.json"]], ids=["hilbert", "analyze"])
+def test_cli_refuses_a_huge_parallelepiped_in_one_line(tmp_path, monkeypatch, capsys, argv):
+    # the segments to e_1, e_2 and (1, 1, 10**300): the fan cones of Q are
+    # simplicial of |det| about 10**300, refused before any point is made
+    monkeypatch.chdir(tmp_path)
+    summands = [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [1, 1, 10**300])]
+    path = write_input(tmp_path, {"dimension": 3, "summands": summands})
+    capsys.readouterr()
+    assert main([argv[0], path, *argv[1:]]) == cli.EXIT_LIBRARY
+    err = capsys.readouterr().err
+    assert err.startswith("library error: BasisTooLarge: fundamental parallelepipeds hold ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_potential_critical_refuses_a_huge_degree(tmp_path, capsys):
     # the two segments meet in |det| = 10**300 points; the planar decision
     # refuses before listing any, in one line, and before printing anything

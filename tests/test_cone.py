@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd, prod
 from unittest import mock
@@ -22,18 +23,20 @@ from minksmooth.cone import (
     is_full_dimensional,
     is_strongly_convex,
     sigma_tilde,
-    _box_hilbert_basis,
     _canonical_vrep,
+    _cone_basis,
     _irreducible,
     _lifted_candidates,
     _planar_hilbert_basis,
+    _pulling,
     _slot_polytopes,
 )
-from minksmooth.exactlin import dot, snf_invariant_factors, vec_sub
+from minksmooth.exactlin import dot, identity, snf_invariant_factors, support, vec_sub
 from minksmooth.polytope import NotAdmissible, convex_hull, decomposition, lattice_points, require_spanning
 
 from box_oracle import (
     BoundTooSmall,
+    box_hilbert_basis,
     lattice_points_in_box,
     order_interval_box,
     order_interval_hilbert_basis,
@@ -47,6 +50,7 @@ from cone_oracle import (
     vertex_sum_rows,
 )
 from conftest import triangle
+from linalg_oracle import inverse
 
 Q5_SIGMA = {(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 1, 1), (1, 2, 1)}
 Q5_SIGMA_DUAL_GENS = {
@@ -435,7 +439,7 @@ def test_fan_cones_make_no_rank_call(monkeypatch, all_fixtures):
 
     monkeypatch.setattr(cone_module, "rank", refuse)
     for c, expected in cases:
-        assert fan_cones(c, _slot_polytopes(c)) == expected
+        assert {u: cu for u, (cu, _) in fan_cones(c, _slot_polytopes(c)).items()} == expected
 
 
 def test_cones_equal_permutation_and_difference():
@@ -476,7 +480,7 @@ def test_unstructured_cone_keeps_box_scan_answer():
     assert hilbert_basis(c).elements == ((1, 0), (1, 1), (1, 2))
     mixed = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
     assert _slot_polytopes(mixed) is None
-    assert hilbert_basis(mixed).elements == _box_hilbert_basis(mixed)
+    assert hilbert_basis(mixed).elements == box_hilbert_basis(mixed)
 
 
 def test_hilbert_bases_run_no_double_description(monkeypatch, d_q6_second):
@@ -511,7 +515,7 @@ def test_lifted_path_drops_reducible_tag(d_no_critical):
     assert _slot_polytopes(c) is not None
     hb = hilbert_basis(c).elements
     assert (0, 0, 1, 0) not in hb and {(0, -1, 1, 0), (0, 1, 0, 0)} <= set(hb)
-    assert hb == _box_hilbert_basis(c)
+    assert hb == box_hilbert_basis(c)
 
 
 def test_lifted_basis_sizes_match_box_scan():
@@ -525,7 +529,7 @@ def test_lifted_basis_sizes_match_box_scan():
         d = decomposition([convex_hull([(0,) * len(v), v]) for v in vecs])
         c = dual(sigma_tilde(d))
         assert len(hilbert_basis(c).elements) == size
-        assert hilbert_basis(c).elements == _box_hilbert_basis(c)
+        assert hilbert_basis(c).elements == box_hilbert_basis(c)
 
 
 def _zonotope_box_size(c):
@@ -562,7 +566,7 @@ def test_lifted_hilbert_basis_matches_box_scan(d):
     assume(all(_zonotope_box_size(c) <= 2_000 for c in cones))
     for c in cones:
         assert _slot_polytopes(c) is not None
-        assert hilbert_basis(c).elements == _box_hilbert_basis(c)
+        assert hilbert_basis(c).elements == box_hilbert_basis(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -576,10 +580,14 @@ def test_fan_cones_match_two_pass_oracle(d):
     assume(is_full_dimensional(cone_over(d.target)))
     verts = d.target.vertices
     for c in (dual(sigma_tilde(d)), dual(cone_over(d.target))):
-        cones = fan_cones(c, _slot_polytopes(c))
+        slots = _slot_polytopes(c)
+        cones = fan_cones(c, slots)
         assert tuple(cones) == verts
-        for u, cu in cones.items():
+        for u, (cu, parts) in cones.items():
             assert cu == cone_from_inequalities_two_pass([vec_sub(w, u) for w in verts if w != u], d.n)
+            # u is the sum of one point of each slot
+            assert [p in pts for p, pts in zip(parts, slots)] == [True] * len(slots)
+            assert tuple(map(sum, zip(*parts))) == u
 
 
 @st.composite
@@ -600,7 +608,7 @@ def test_box_scan_matches_order_interval_oracle(c):
     # the oracle's box holds the zonotope's; draws whose box is too large to
     # scan within a second are skipped for time alone
     assume(prod(map(len, order_interval_box(c))) <= 20_000)
-    assert _box_hilbert_basis(c) == order_interval_hilbert_basis(c)
+    assert box_hilbert_basis(c) == order_interval_hilbert_basis(c)
 
 
 @settings(max_examples=30, deadline=None)
@@ -681,7 +689,7 @@ def test_planar_walk_matches_box_scan(r1, r2):
     # det[r1; r2]
     assume(r1[0] * r2[1] != r1[1] * r2[0])
     c = cone_from_generators([r1, r2], 2)
-    want = _box_hilbert_basis(c)
+    want = box_hilbert_basis(c)
     for gens in ((r1, r2), (r2, r1)):
         assert _planar_hilbert_basis(PolyhedralCone(2, gens, c.inequalities)) == want
     assert hilbert_basis(c).elements == want
@@ -713,12 +721,122 @@ def test_planar_walk_refuses_a_huge_basis():
         hilbert_basis(dual(cone_over(huge.target)))
 
 
+@st.composite
+def spatial_cones(draw):
+    # 3 to 6 rays in dimension 3 or 4: simplicial or not, unimodular or not
+    dim = draw(st.sampled_from([3, 4]))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=3, max_size=6))
+    c = cone_from_generators(gens, dim)
+    assume(is_strongly_convex(c) and is_full_dimensional(c))
+    return c
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(spatial_cones())
+@example(cone_from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3))  # a square, det 2
+@example(cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 3)], 3))  # simplicial, det 3
+@example(cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3))  # unimodular, not simplicial
+@example(cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2), (1, -1, 0, 3)], 4))
+def test_parallelepiped_basis_matches_box_oracles(c):
+    # the triangulation's parallelepipeds against both box scans; draws
+    # whose boxes are too large to scan within a second are skipped for
+    # time alone
+    assume(_zonotope_box_size(c) <= 20_000 and prod(map(len, order_interval_box(c))) <= 20_000)
+    want = box_hilbert_basis(c)
+    assert _cone_basis.__wrapped__(c) == want
+    assert order_interval_hilbert_basis(c) == want
+
+
+# the cone over a 3-cube: its six facets are squares, so the pulling
+# triangulation splits facets as well as the cone
+CUBE_CONE = cone_from_generators([(x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], 4)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(spatial_cones())
+@example(CUBE_CONE)
+@example(cone_from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 2)], 3))
+def test_pulling_triangulation_tiles_the_cone(c):
+    # every simplex spans, every lattice point of the cone near the origin
+    # lies in one of them, and none lies inside two
+    rays = c.generators
+    facets = [sum(1 << j for j, r in enumerate(rays) if not dot(a, r)) for a in c.inequalities]
+    masks = _pulling((1 << len(rays)) - 1, c.ambient_dim, facets)
+    inverses = [inverse([r for j, r in enumerate(rays) if m >> j & 1]) for m in masks]
+    assert None not in inverses
+    for pt in itertools.product(range(-4, 5), repeat=c.ambient_dim):
+        if c.contains(pt):
+            coords = [[sum(x * row[i] for x, row in zip(pt, inv)) for i in range(len(pt))] for inv in inverses]
+            assert any(min(cs) >= 0 for cs in coords)
+            assert sum(min(cs) > 0 for cs in coords) <= 1
+
+
+def _lifted_by_box(c, verts):
+    """The lifted cone's basis as it was built before fan cones were
+    triangulated: a double description of each fan cone C_u, its box-scan
+    basis, each element h lifted by the support of every slot at h, and the
+    reducible candidates dropped."""
+    slots = _slot_polytopes(c)
+    n = c.ambient_dim - len(slots)
+    candidates = {(0,) * n + tag for tag in identity(len(slots))}
+    for u in verts:
+        cu = cone_from_inequalities_two_pass([vec_sub(w, u) for w in verts if w != u], n)
+        assume(_zonotope_box_size(cu) <= 20_000)
+        candidates.update(h + tuple(support(pts, h) for pts in slots) for h in box_hilbert_basis(cu))
+    return _irreducible(c, candidates)
+
+
+# segments and unimodular triangles in dimension 3, up to four of them
+spatial_decompositions = st.lists(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=2, unique=True)
+    .filter(lambda vs: all(f == 1 for f in snf_invariant_factors(tuple(vs))))
+    .map(lambda vs: convex_hull([(0, 0, 0)] + vs)),
+    min_size=1,
+    max_size=4,
+).map(decomposition)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(spatial_decompositions)
+@example(_segments((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+@example(_segments((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 1, 1)))
+@example(decomposition([convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), convex_hull([(0, 0, 0), (1, 2, 2)])]))
+def test_spatial_lifted_bases_match_box_scans_of_fan_cones(d):
+    # the linear lifts of the parallelepiped bases against the supports of
+    # the box-scan bases, on both lifted cones of one input
+    assume(is_full_dimensional(cone_over(d.target)))
+    for c in (dual(sigma_tilde(d)), dual(cone_over(d.target))):
+        assert hilbert_basis(c).elements == _lifted_by_box(c, d.target.vertices)
+
+
+def test_parallelepipeds_are_counted_before_any_point_is_made(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a parallelepiped point was made")
+
+    monkeypatch.setattr(cone_module, "_parallelepiped", refuse)
+    # det 1: the rays are the basis, with no point made, where the box
+    # oracle refuses a box of 10^300 points
+    unimodular = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 10**300, 1)], 3)
+    assert _cone_basis.__wrapped__(unimodular) == unimodular.generators
+    with pytest.raises(BasisTooLarge):
+        box_hilbert_basis(unimodular)
+    # det 10^300: the parallelepiped's 10^300 points are refused
+    deep = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 10**300)], 3)
+    with pytest.raises(BasisTooLarge, match=f"hold {10**300} lattice points"):
+        _cone_basis.__wrapped__(deep)
+    # two simplices of det 600 000 each: the sum is what is bounded
+    n = 300_000
+    split = cone_from_generators([(1, 0, n), (0, 1, n), (-1, 0, n), (0, -1, n)], 3)
+    with pytest.raises(BasisTooLarge, match="hold 1200000 lattice points"):
+        _cone_basis.__wrapped__(split)
+
+
 def test_box_scan_refuses_a_large_box_before_scanning(monkeypatch):
     # the volume is checked before any point is made: product() is never called
     monkeypatch.setattr(cone_module, "product", None)
     with pytest.raises(BasisTooLarge):
-        _box_hilbert_basis(cone_from_generators([(1, 0, 0), (0, 1, 0), (100, 101, 102)], 3))
+        box_hilbert_basis(cone_from_generators([(1, 0, 0), (0, 1, 0), (100, 101, 102)], 3))
     with pytest.raises(BasisTooLarge):
-        _box_hilbert_basis(cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 10**300, 1)], 3))
+        box_hilbert_basis(cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 10**300, 1)], 3))
     with pytest.raises(BasisTooLarge):
         lattice_points(convex_hull([(0, 0), (10**300, 0), (0, 1)]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from minksmooth.exactlin import (
     NotPrimitive,
     NotUnimodular,
+    adjugate,
     complete_to_basis,
     hnf,
     identity,
@@ -171,6 +172,13 @@ def _sparse_case(rng):
     return tuple(map(tuple, m)), tuple(rng.randint(-9, 9) for _ in range(n))
 
 
+def _check_adjugate(m):
+    dt, adj = adjugate(m)
+    assert dt == oracle.det(m)
+    inv = oracle.inverse(m)
+    assert adj == (() if inv is None else tuple(tuple(dt * x for x in row) for row in inv))
+
+
 def _check_sparse_case(m, b):
     """Compare every reader of the elimination with the rational oracle on
     ``m``.  Returns how many rows the elimination of ``m`` meets that are 0
@@ -179,6 +187,7 @@ def _check_sparse_case(m, b):
     The kernel's pivot is the previous one times the oracle's, so p == d
     exactly where the oracle's pivot is 1."""
     assert rank(m) == oracle.rank(m)
+    _check_adjugate(m)
     if oracle.det(m) in (1, -1):
         assert unimodular_inverse(m) == oracle.inverse(m)
     else:
@@ -295,6 +304,7 @@ def test_kernel_matches_rational_oracle(m, data):
     assert rational_solve(m, b) == oracle.solve(m, b)
     k = min(len(m), ncols)
     sq = tuple(row[:k] for row in m[:k])
+    _check_adjugate(sq)
     if oracle.det(sq) in (1, -1):
         assert unimodular_inverse(sq) == oracle.inverse(sq)
     else:

@@ -1,6 +1,11 @@
 """Each fixture's ``analyze`` report against the committed golden copy in
 ``tests/golden/``, and the stdout of ``hilbert`` and ``potential
---critical`` against ``tests/golden/cli/``, byte for byte.
+--critical`` against ``tests/golden/cli/``, byte for byte.  The inputs in
+``tests/golden/families/`` pin ``hilbert`` in dimensions 3 to 7 (cube(n),
+the segments to e_1, ..., e_n and to (1, ..., 1); the 3-d dilation a, the
+segments to (1, 0, a), (0, a, 1), (a, 1, 0) and (1, 1, 1); six segments in
+dimension 4), as box scans of the fan cones gave it, and the report of
+seg(16), sixteen planar segments.
 
 Every field must match exactly, value and JSON type, except the float
 witnesses of the critical-point decision, which come from LAPACK and are
@@ -11,6 +16,7 @@ is meant to change:
     PYTHONPATH=src python -m minksmooth.cli analyze fixtures/q5.json --out tests/golden/q5.json
     PYTHONPATH=src python -m minksmooth.cli hilbert fixtures/q5.json > tests/golden/cli/q5.hilbert.txt
     PYTHONPATH=src python -m minksmooth.cli potential fixtures/q5.json --critical > tests/golden/cli/q5.potential-critical.txt
+    PYTHONPATH=src python -m minksmooth.cli hilbert tests/golden/families/cube5.json > tests/golden/families/cube5.hilbert.txt
 """
 
 import json
@@ -25,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
 # golden file suffix -> the command line whose stdout it holds
 STDOUT_GOLDENS = {"hilbert": ["hilbert"], "potential-critical": ["potential", "--critical"]}
+FAMILIES = ROOT / "tests" / "golden" / "families"
+FAMILY_HILBERT = sorted(p.name.removesuffix(".hilbert.txt") for p in FAMILIES.glob("*.hilbert.txt"))
 FLOAT_WITNESSES = re.compile(r"\.potential\.critical\.(families\[\d+\]\.points|heuristic_points)$")
 TOLERANCE = 1e-9
 
@@ -68,6 +76,30 @@ def test_stdout_matches_golden_bytes(capsys, fixture, suffix):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (ROOT / "tests" / "golden" / "cli" / f"{fixture.stem}.{suffix}.txt").read_bytes()
+
+
+def test_family_goldens_are_present():
+    assert FAMILY_HILBERT == [
+        "cube3", "cube4", "cube5", "cube6", "cube7", "dilation3d-3", "dilation3d-5", "dilation3d-7", "six-segments-4d",
+    ]
+    assert (FAMILIES / "seg16.report.json").is_file()
+
+
+@pytest.mark.parametrize("name", FAMILY_HILBERT)
+def test_family_hilbert_stdout_matches_golden_bytes(capsys, name):
+    assert main(["hilbert", str(FAMILIES / f"{name}.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (FAMILIES / f"{name}.hilbert.txt").read_bytes()
+
+
+def test_seg16_report_matches_golden(tmp_path):
+    # the same comparison as the fixtures' reports: exact but for the
+    # float witnesses, which come from LAPACK
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(FAMILIES / "seg16.json"), "--out", str(out)]) == 0
+    want = json.loads((FAMILIES / "seg16.report.json").read_text())
+    assert mismatches(json.loads(out.read_text()), want) == []
 
 
 def test_comparison_tolerates_only_float_witnesses():
