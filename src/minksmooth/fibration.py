@@ -17,7 +17,6 @@ from .cone import PolyhedralCone, cone_over, dual
 from .exactlin import (
     IntMat,
     IntVec,
-    as_vec,
     identity,
     rational_solve,
     sign_normalized,
@@ -120,9 +119,9 @@ class BaseDiagram:
     ``applied`` is the set of summand indices whose cut has been transferred;
     the boundary height over a functional c is the sum of the applied
     summands' support terms, so nothing applied means height zero.  The
-    per-region shears are exposed as metadata so the cancellation
-    identities stay testable on the diagram itself; the stratum tags of
-    summand p are :func:`collapsing_cycles`.
+    shear of region j under the cut of summand p is
+    :func:`affine_monodromy`, and the stratum tags of summand p are
+    :func:`collapsing_cycles`.
     """
 
     decomposition: MinkowskiDecomposition
@@ -131,19 +130,6 @@ class BaseDiagram:
     @property
     def cut_direction(self) -> IntVec:
         return tuple([0] * self.decomposition.n + [1])
-
-    def boundary_height(self, c) -> int:
-        c = as_vec(c)
-        return sum(support(self.decomposition.summands[p - 1].vertices, c) for p in self.applied)
-
-    def region_map(self, p, j) -> IntMat:
-        """Shear applied to region j when transferring the cut of summand p;
-        region zero is left alone."""
-        if p not in self.applied:
-            raise ValueError(f"cut {p} has not been transferred")
-        if j == 0:
-            return identity(self.decomposition.n + 1)
-        return affine_monodromy(self.decomposition, p, j)
 
 
 def new_base_diagram(d: MinkowskiDecomposition) -> BaseDiagram:

@@ -4,12 +4,20 @@ A :class:`LatticePolytope` stores only its minimal vertex set, sorted
 lexicographically; that ordering is the canonical one used everywhere
 downstream (summand matrices, regions, monodromies), so golden values stay
 reproducible.
+
+The target Q = M_1 + ... + M_k of a decomposition is one
+:func:`minkowski_sum`.  In the plane it merges the summands' edges by angle
+(de Berg et al., *Computational Geometry*, ch. 13) and takes a single hull
+of the merged walk, which drops the collinear points where summands share
+an edge direction and sorts the vertices; in other dimensions it folds
+pairwise sums, one hull each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, cmp_to_key, reduce
+from itertools import accumulate
 
 from .cone import PolyhedralCone, box_points, cone_from_generators, cone_over
 from .exactlin import (
@@ -26,6 +34,7 @@ from .exactlin import (
     snf_invariant_factors,
     support,
     unimodular_inverse,
+    vec_add,
 )
 
 
@@ -71,11 +80,52 @@ def convex_hull(points) -> LatticePolytope:
     return LatticePolytope(dim, verts)
 
 
-def minkowski_sum(a: LatticePolytope, b: LatticePolytope) -> LatticePolytope:
-    if a.ambient_dim != b.ambient_dim:
+def minkowski_sum(*summands: LatticePolytope) -> LatticePolytope:
+    """M_1 + ... + M_k; a single summand is its own sum.
+
+    In the plane each summand's edges, counterclockwise from its lex-least
+    vertex, have angles rising in (-pi/2, 3pi/2], and so do Q's from its
+    lex-least vertex, which is the sum of theirs.  So Q's boundary is the
+    walk from that vertex along all edges sorted by angle, and one
+    :func:`convex_hull` of the walk (all edges but the last, which closes
+    it) gives Q's canonical vertex set: the hull drops the collinear points
+    where summands share an edge direction.  In other dimensions the sum
+    is a fold of pairwise sums, one hull of |A|*|B| points each.
+    """
+    if not summands:
+        raise ValueError("need at least one summand")
+    if len({s.ambient_dim for s in summands}) != 1:
         raise DimensionMismatch("summands live in different dimensions")
-    sums = [tuple(x + y for x, y in zip(u, v)) for u in a.vertices for v in b.vertices]
-    return convex_hull(sums)
+    if len(summands) == 1:
+        return summands[0]
+    if summands[0].ambient_dim != 2:
+        return reduce(lambda a, b: convex_hull([vec_add(u, v) for u in a.vertices for v in b.vertices]), summands)
+    edges = sorted((e for s in summands for e in _ccw_edges(s.vertices)), key=cmp_to_key(_angle_order))
+    start = tuple(map(sum, zip(*(s.vertices[0] for s in summands))))
+    return convex_hull(list(accumulate(edges[:-1], vec_add, initial=start)))
+
+
+def _ccw_edges(vertices) -> list[IntVec]:
+    """The edge vectors of a lattice polygon, segment or point given by its
+    sorted minimal vertex set, counterclockwise from its lex-least vertex:
+    out along the vertices below the line from the first vertex to the
+    last, in sorted order, and back along those above it, reversed."""
+    (x0, y0), (x1, y1) = vertices[0], vertices[-1]
+    side = [(x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) for x, y in vertices]
+    below = [v for v, s in zip(vertices, side) if s < 0]
+    above = [v for v, s in zip(vertices, side) if s > 0]
+    cycle = [vertices[0], *below, vertices[-1], *reversed(above), vertices[0]]
+    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(cycle, cycle[1:]) if a != b]
+
+
+def _angle_order(e, f) -> int:
+    """Compare edge directions by angle in (-pi/2, 3pi/2]: the half-plane
+    first (e > (0, 0) lexicographically, that is right or straight up,
+    before the rest), then the sign of the cross product."""
+    if (e > (0, 0)) != (f > (0, 0)):
+        return -1 if e > (0, 0) else 1
+    cross = e[0] * f[1] - e[1] * f[0]
+    return (cross < 0) - (cross > 0)
 
 
 def lattice_points(p: LatticePolytope) -> list[IntVec]:
@@ -113,15 +163,10 @@ class MinkowskiDecomposition:
 def decomposition(summands) -> MinkowskiDecomposition:
     """Build a decomposition whose target is the Minkowski sum of the summands."""
     summands = tuple(summands)
-    if not summands:
-        raise ValueError("need at least one summand")
-    dims = {s.ambient_dim for s in summands}
-    if len(dims) != 1:
-        raise DimensionMismatch("summands live in different dimensions")
     for i, s in enumerate(summands):
         if not s.origin_is_vertex:
             raise OriginNotVertex(f"summand {i + 1} does not have the origin as a vertex")
-    return MinkowskiDecomposition(summands, reduce(minkowski_sum, summands))
+    return MinkowskiDecomposition(summands, minkowski_sum(*summands))
 
 
 def phi(d: MinkowskiDecomposition, v) -> IntVec:

@@ -28,10 +28,6 @@ from .exactlin import (
 from .polytope import MinkowskiDecomposition, phi, require_admissible, summand_at
 
 
-class UnknownLabel(KeyError):
-    pass
-
-
 @dataclass(frozen=True, order=True)
 class CharLabel:
     kind: str  # "t", "x", "y", "w+", "w-", "extra"
@@ -75,12 +71,6 @@ class GeneratorSet:
     n: int
     k: int
     entries: tuple[tuple[CharLabel, IntVec], ...]
-
-    def vector(self, label) -> IntVec:
-        for lab, vec in self.entries:
-            if lab == label:
-                return vec
-        raise UnknownLabel(str(label))
 
     def vectors(self) -> list[IntVec]:
         return sorted({vec for _, vec in self.entries})

@@ -13,6 +13,18 @@ from minksmooth.polytope import phi, summand_at
 from linalg_oracle import mat_mul
 
 
+class UnknownLabel(KeyError):
+    pass
+
+
+def vector(g, label):
+    """The character vector that generator set ``g`` labels ``label``."""
+    for lab, vec in g.entries:
+        if lab == label:
+            return vec
+    raise UnknownLabel(str(label))
+
+
 def verify_matrix_relations(sm) -> bool:
     """The defining identities: [v; e] [a c] = Id, that is v*a = Id,
     v*c = 0, e*a = 0 and e*c = Id, and b = -(sum of the columns of a)."""

@@ -38,6 +38,7 @@ from minksmooth.smoothing import (
 )
 
 from box_oracle import lattice_points_in_box, semigroup_contains
+from chart_oracle import vector
 import test_cone
 import test_fibration
 import test_polytope
@@ -127,7 +128,7 @@ def test_criterion_02_q5_relations(d_q5):
     assert len(Q5_BINOMIALS) == 15
     for lhs, rhs in Q5_BINOMIALS:
         # a binomial holds when both sides sum to one character
-        sums = [tuple(map(sum, zip(*(Q5_LABELED.vector(_L[s]) for s in side)))) for side in (lhs, rhs)]
+        sums = [tuple(map(sum, zip(*(vector(Q5_LABELED, _L[s]) for s in side)))) for side in (lhs, rhs)]
         assert sums[0] == sums[1], (lhs, rhs)
     # the canonical pipeline reproduces the same character vectors
     g = generator_set(d_q5)

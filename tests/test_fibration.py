@@ -24,6 +24,7 @@ from minksmooth.polytope import convex_hull, is_admissible, phi
 
 from cone_oracle import final_cone_all_vertex_sums
 from conftest import lens
+from diagram_oracle import boundary_height, region_map
 from linalg_oracle import det, mat_mul
 from test_potential import _planar, _planar_summands
 
@@ -167,11 +168,11 @@ def test_monodromy_index_errors(d_q5):
 
 def test_transfer_cut_heights_q5(d_q5):
     b = new_base_diagram(d_q5)
-    assert b.boundary_height((-1, -1)) == 0
+    assert boundary_height(b, (-1, -1)) == 0
     b1 = transfer_cut(b, 1)
-    assert b1.boundary_height((-1, -1)) == 1
+    assert boundary_height(b1, (-1, -1)) == 1
     b2 = transfer_cut(b1, 2)
-    assert b2.boundary_height((-1, -1)) == 3
+    assert boundary_height(b2, (-1, -1)) == 3
     with pytest.raises(AlreadyApplied):
         transfer_cut(b2, 1)
 
@@ -180,17 +181,17 @@ def test_transfer_cut_q6_height(d_q6_first):
     b = new_base_diagram(d_q6_first)
     for p in (1, 2):
         b = transfer_cut(b, p)
-    assert b.boundary_height((-1, 0)) == 2
+    assert boundary_height(b, (-1, 0)) == 2
 
 
 def test_diagram_metadata(d_q5):
     b = transfer_cut(new_base_diagram(d_q5), 1)
     assert b.cut_direction == (0, 0, 1)
     assert {c.vector for c in collapsing_cycles(b.decomposition, 1)} == {(1, 0), (0, 1), (1, -1)}
-    assert b.region_map(1, 0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert b.region_map(1, 1) == affine_monodromy(d_q5, 1, 1)
+    assert region_map(b, 1, 0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert region_map(b, 1, 1) == affine_monodromy(d_q5, 1, 1)
     with pytest.raises(ValueError):
-        b.region_map(2, 1)
+        region_map(b, 2, 1)
 
 
 def test_final_cone_requires_all_cuts(d_q5):
@@ -207,7 +208,7 @@ def test_final_boundary_is_support_of_target(all_fixtures):
             b = transfer_cut(b, p)
         for _ in range(500):
             c = (rng.randint(-7, 7), rng.randint(-7, 7))
-            assert b.boundary_height(c) == support(d.target.vertices, c) == sum(phi(d, c))
+            assert boundary_height(b, c) == support(d.target.vertices, c) == sum(phi(d, c))
 
 
 def test_duality_on_all_fixtures(all_fixtures):

@@ -1,13 +1,17 @@
+import json
 import random
+import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minksmooth import fibration, potential, smoothing
+from minksmooth import cone as cone_module
+from minksmooth import fibration, polytope, potential, smoothing
 from minksmooth.cone import sigma_tilde
 from minksmooth.exactlin import NotPrimitive, dot, support
+from minksmooth.pipeline import parse_input
 from minksmooth.polytope import (
     DimensionMismatch,
     NotAdmissible,
@@ -64,6 +68,82 @@ def test_minkowski_commutative_associative():
     a, b, c = triangle(), segment((1, 1)), segment((2, 1))
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
     assert minkowski_sum(minkowski_sum(a, b), c) == minkowski_sum(a, minkowski_sum(b, c))
+
+
+def _all_vertex_sums(summands):
+    """The oracle: the hull of every sum of one vertex per summand."""
+    return convex_hull([tuple(map(sum, zip(*vs))) for vs in product(*(s.vertices for s in summands))])
+
+
+@st.composite
+def summand_lists(draw):
+    """k <= 4 summands in dimension 1, 2 or 3, coordinates in [-5, 5]: the
+    hulls of 1 to 7 points, so points, segments, triangles and polygons."""
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-5, 5)] * n)
+    return [convex_hull(draw(st.lists(point, min_size=1, max_size=7))) for _ in range(draw(st.integers(1, 4)))]
+
+
+_HUGE = 10**300
+
+
+@settings(max_examples=300, deadline=None)
+@given(summand_lists())
+# parallel edges: the unit square and the segments along its sides
+@example([convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]), segment((2, 0)), segment((0, 3))])
+# antiparallel edges: a triangle and its negative, and a segment on both
+@example([triangle(), convex_hull([(0, 0), (-1, 0), (0, -1)]), segment((1, -1))])
+# vertical edges up and down, at the lex-least vertex of every summand
+@example([segment((0, 1)), convex_hull([(0, 0), (0, -2), (1, -1)]), convex_hull([(3, 4)])])
+@example([convex_hull([(_HUGE, 1), (-_HUGE, _HUGE + 1), (0, 0)]), segment((_HUGE, _HUGE - 1)), segment((0, -_HUGE))])
+@example([convex_hull([(2,), (-3,)]), convex_hull([(4,)])])
+@example([triangle() for _ in range(4)])
+def test_minkowski_sum_matches_all_vertex_sums(summands):
+    assert minkowski_sum(*summands) == _all_vertex_sums(summands)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` wherever the package binds it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for m in [m for key, m in sys.modules.items() if key.startswith("minksmooth")]:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("vertices", [[(1, 0), (1, 2)], [(1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (3, 1)]])
+@pytest.mark.parametrize("shapes", ["segments", "with a triangle", "with a point"])
+def test_parsing_k_planar_summands_takes_k_plus_one_hulls(monkeypatch, vertices, shapes):
+    # a hull per summand, then one for the Minkowski sum, each with two
+    # double-description passes (three and six for two segments)
+    summands = [[[0, 0], list(v)] for v in vertices]
+    if shapes == "with a triangle":
+        summands.append([[0, 0], [1, 0], [0, 1]])
+    elif shapes == "with a point":
+        summands.append([[0, 0]])
+    k = len(summands)
+    hulls = _count_calls(monkeypatch, polytope, "convex_hull")
+    passes = _count_calls(monkeypatch, cone_module, "halfspace_description")
+    parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": s} for s in summands]}))
+    assert (len(hulls), len(passes)) == (k + 1, 2 * (k + 1))
+
+
+def test_origin_is_checked_before_the_sum_is_hulled(monkeypatch):
+    summands = [triangle(), convex_hull([(1, 0), (0, 1)]), segment((1, 1))]
+    hulls = _count_calls(monkeypatch, polytope, "convex_hull")
+    with pytest.raises(OriginNotVertex, match="summand 2"):
+        decomposition(summands)
+    assert hulls == []
+    text = json.dumps({"dimension": 2, "summands": [{"vertices": s.vertices} for s in summands]})
+    with pytest.raises(NotAdmissible, match="summand 2") as refused:
+        parse_input(text)
+    assert isinstance(refused.value.__cause__, OriginNotVertex)
+    assert len(hulls) == len(summands)
 
 
 def brute_lattice_points(p):
