@@ -277,13 +277,11 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     report["fibration"] = fibration_block
 
     po = pot.build_potential(d)
-    # Newt(W) is Q at height one (Ostrowski: Newt of a product is the sum),
-    # which holds iff every monomial lies in sigma at height one and every
-    # vertex (v, 1) of it is a monomial; only a failure pays for the hull,
-    # so the report shows the potential's real one
-    newton_ok = all(e[-1] == 1 and sigma.contains(e) for e in po.terms) and all(
-        g in po.terms for g in sigma.generators
-    )
+    # Newt(W) is Q at height one (Ostrowski: Newt of a product is the sum).
+    # The check reads W's own terms, so a wrong W fails it, but meets
+    # sigma's facets only at the ends of W's lines of terms; only a failure
+    # pays for the hull, so the report shows the potential's real one
+    newton_ok = _newton_is_target(po.terms, sigma)
     newton_vertices = sigma.generators if newton_ok else pot.newton_polytope(po).vertices
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
@@ -309,6 +307,25 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     report["checks"] = {k: bool(v) for k, v in checks.items()}
     report["check_failures"] = sorted(failures)
     return AnalysisReport(report, failures)
+
+
+def _newton_is_target(terms, sigma) -> bool:
+    """Whether the exponents ``terms`` span the polytope at height one of
+    the cone ``sigma``: every one at height one and in sigma, and every
+    generator (v, 1) among them.  sigma is convex, so the terms on one line
+    parallel to the first axis lie in it iff the line's two ends do; only
+    the ends meet sigma's facets, and a product of k planar summands pays
+    per line, not per term."""
+    ends = {}
+    for e in terms:
+        if e[-1] != 1:
+            return False
+        line = e[1:]
+        lo, hi = ends.get(line, (e[0], e[0]))
+        ends[line] = (min(lo, e[0]), max(hi, e[0]))
+    return all(sigma.contains((x, *line)) for line, xs in ends.items() for x in set(xs)) and all(
+        g in terms for g in sigma.generators
+    )
 
 
 def _critical_to_dict(crit) -> dict:

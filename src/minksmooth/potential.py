@@ -1,6 +1,13 @@
 """Laurent-polynomial superpotentials: construction, Newton polytope, and
 the critical-point decision.
 
+The potential W = z_{n+1} * prod_i (1 + sum z^v), one factor per summand,
+is multiplied on packed exponents: each exponent vector is one int in a
+mixed radix whose box holds every partial product, so the k factors cost
+dict operations on ints, and W is unpacked once (:func:`build_potential`).
+Its terms keep the insertion order of the term-by-term fold, which the
+numeric search sums them in.
+
 The critical-locus analysis hinges on one reduction: the potential is the
 last variable times a product of summand factors, so torus critical points
 exist exactly when two distinct factors vanish simultaneously on the torus.
@@ -22,17 +29,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from math import gcd, prod
+from operator import add, floordiv, mod, mul, sub
 
 from .exactlin import hnf
-from .polytope import (
-    LatticePolytope,
-    MinkowskiDecomposition,
-    OriginNotVertex,
-    convex_hull,
-    require_admissible,
-)
+from .polytope import LatticePolytope, MinkowskiDecomposition, convex_hull, require_admissible
 
 
 # the planar decision builds no dense polynomial of higher degree in any
@@ -131,13 +133,6 @@ class LaurentPoly:
             total += val
         return total
 
-    def lift(self, nvars):
-        """Pad exponent vectors with zeros up to ``nvars`` variables."""
-        pad = nvars - self.nvars
-        if pad < 0:
-            raise ValueError("cannot drop variables")
-        return LaurentPoly(nvars, {e + (0,) * pad: c for e, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -148,23 +143,44 @@ class LaurentPoly:
         return " + ".join(bits)
 
 
-def factor(mi: LatticePolytope) -> LaurentPoly:
-    """Constant term one plus one monomial per nonzero vertex."""
-    if not mi.origin_is_vertex:
-        raise OriginNotVertex("factor needs the origin as a vertex")
-    out = LaurentPoly.one(mi.ambient_dim)
-    for v in mi.nonzero_vertices():
-        out = out + LaurentPoly.monomial(v)
-    return out
-
-
 def build_potential(d: MinkowskiDecomposition) -> LaurentPoly:
-    """Last variable times the product of the summand factors."""
+    """Last variable times the product of the summand factors 1 + sum z^v,
+    one monomial per nonzero vertex.
+
+    The product runs on packed exponents (Kronecker substitution): the
+    vector e is the int sum_j (e_j - low_j) R_j, where low_j sums the
+    summands' least j-th coordinates, and the radix R_j multiplies the
+    spans of the coordinates before j, each the sum of the summands' ranges
+    plus one.  Every exponent of a partial product lies in that box, so
+    adding packed ints adds exponents with no carry, and the dicts of ints
+    are multiplied factor by factor and unpacked once.  The loops keep the
+    order of a term-by-term fold: the terms so far outside, each factor's
+    terms inside, 1 first and then the nonzero vertices in the summand's
+    order.  So W's terms keep the insertion order that
+    :class:`.numeric._TermTable` sums them in.
+    """
     require_admissible(d)
     n = d.n
-    out = LaurentPoly.monomial((0,) * n + (1,))
-    for s in d.summands:
-        out = out * factor(s).lift(n + 1)
+    least = [tuple(map(min, zip(*s.vertices))) for s in d.summands]
+    most = [tuple(map(max, zip(*s.vertices))) for s in d.summands]
+    lows = [sum(col) for col in zip(*least)]
+    spans = [sum(col) - low + 1 for col, low in zip(zip(*most), lows)]
+    radix = list(accumulate(spans, mul, initial=1))
+    terms = {0: 1}
+    for s, lo in zip(d.summands, least):
+        keys = [sum(map(mul, map(sub, v, lo), radix)) for v in ((0,) * n, *s.nonzero_vertices())]
+        product = {}
+        get = product.get
+        for k, coeff in terms.items():
+            for f in keys:
+                product[k + f] = get(k + f, 0) + coeff
+        terms = product
+    packed, digits = list(terms), []
+    for low, span in zip(lows, spans):
+        digits.append(list(map(add, map(mod, packed, repeat(span)), repeat(low))))
+        packed = list(map(floordiv, packed, repeat(span)))
+    out = LaurentPoly(n + 1)
+    out.terms = dict(zip(zip(*digits, repeat(1)), terms.values()))
     return out
 
 
@@ -259,6 +275,23 @@ def _require_degree(deg):
         raise DegreeTooLarge(f"the planar decision needs a polynomial of degree over {_MAX_DEGREE}")
 
 
+def _hermite_2x2(a, b, c, d):
+    """The row Hermite form of [[a, b], [c, d]] with ad - bc != 0, as
+    :func:`.exactlin.hnf` returns it, from one extended Euclid: the rows
+    span a lattice whose vectors with first entry 0 are the multiples of
+    (0, h22), so with x a + y c = h11 = gcd(a, c) > 0 the first row is
+    (h11, x b + y d) reduced modulo h22 = |ad - bc| / h11.  The form is
+    unique, so no other Bezout pair changes it."""
+    r0, r1, x0, x1, y0, y1 = a, c, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    if r0 < 0:
+        r0, x0, y0 = -r0, -x0, -y0
+    h22 = abs(a * d - b * c) // r0
+    return (r0, (x0 * b + y0 * d) % h22), (0, h22)
+
+
 def _torsion_angles(v, u, det):
     """Common zeros of 1 + z^v and 1 + z^u with det = det[v; u] != 0, as
     the integer numerators n in [0, D)^2 of their angles theta = n / D over
@@ -268,7 +301,7 @@ def _torsion_angles(v, u, det):
     adj(M)^T span det * M^-1 Z^2; their Hermite basis (h11, h12), (0, h22)
     has h11 * h22 = |det|, so the coset is the grid
     theta0 + 2 (i * h11, i * h12 + j * h22) / D, 0 <= i < h22, 0 <= j < h11."""
-    (h11, h12), (_, h22) = hnf([[u[1], -u[0]], [-v[1], v[0]]])[0]
+    (h11, h12), (_, h22) = _hermite_2x2(u[1], -u[0], -v[1], v[0])
     size, sign = 2 * abs(det), 1 if det > 0 else -1
     n1, n2 = sign * (u[1] - v[1]), sign * (v[0] - u[0])
     return [

@@ -26,7 +26,9 @@ import sympy
 
 from minksmooth.exactlin import CrossCheckError
 from minksmooth.polytope import require_admissible
-from minksmooth.potential import CriticalReport, factor
+from minksmooth.potential import CriticalReport
+
+from potential_oracle import factor
 
 # two numeric critical points are one when both coordinates are this close
 _POINT_TOL = 1e-8

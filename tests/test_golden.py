@@ -4,8 +4,8 @@
 ``tests/golden/families/`` pin ``hilbert`` in dimensions 3 to 7 (cube(n),
 the segments to e_1, ..., e_n and to (1, ..., 1); the 3-d dilation a, the
 segments to (1, 0, a), (0, a, 1), (a, 1, 0) and (1, 1, 1); six segments in
-dimension 4), as box scans of the fan cones gave it, and the report of
-seg(16), sixteen planar segments.
+dimension 4), as box scans of the fan cones gave it, and the report and
+the ``potential --critical`` stdout of seg(16), sixteen planar segments.
 
 Every field must match exactly, value and JSON type, except the float
 witnesses of the critical-point decision, which come from LAPACK and are
@@ -83,6 +83,7 @@ def test_family_goldens_are_present():
         "cube3", "cube4", "cube5", "cube6", "cube7", "dilation3d-3", "dilation3d-5", "dilation3d-7", "six-segments-4d",
     ]
     assert (FAMILIES / "seg16.report.json").is_file()
+    assert (FAMILIES / "seg16.potential-critical.txt").is_file()
 
 
 @pytest.mark.parametrize("name", FAMILY_HILBERT)
@@ -100,6 +101,15 @@ def test_seg16_report_matches_golden(tmp_path):
     assert main(["analyze", str(FAMILIES / "seg16.json"), "--out", str(out)]) == 0
     want = json.loads((FAMILIES / "seg16.report.json").read_text())
     assert mismatches(json.loads(out.read_text()), want) == []
+
+
+def test_seg16_potential_critical_stdout_matches_golden_bytes(capsys):
+    # W's 546 terms and the 120 segment pairs' families, as the term-by-term
+    # product and the Hermite forms of exactlin.hnf printed them
+    assert main(["potential", str(FAMILIES / "seg16.json"), "--critical"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (FAMILIES / "seg16.potential-critical.txt").read_bytes()
 
 
 def test_comparison_tolerates_only_float_witnesses():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -14,14 +15,15 @@ from sympy.polys.densearith import dup_exquo
 
 from minksmooth import numeric, potential
 from minksmooth import ratpoly as rp
-from minksmooth.exactlin import hnf
+from minksmooth.cone import cone_over
+from minksmooth.exactlin import hnf, rank
+from minksmooth.pipeline import _newton_is_target
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, require_admissible, summand_at
 from minksmooth.potential import (
     LaurentPoly,
     ZeroPolynomial,
     build_potential,
     critical_exists,
-    factor,
     newton_polytope,
 )
 from minksmooth.numeric import _lstsq_stack, _norm_below, _TermTable, heuristic_points
@@ -30,7 +32,7 @@ from conftest import lens, segment, triangle
 import fibre_oracle
 import newton_oracle
 import ratpoly_oracle
-from potential_oracle import mutate
+from potential_oracle import factor, fold, mutate, newton_is_target
 
 
 def expand(*term_lists):
@@ -145,6 +147,61 @@ def test_mutation_fold_on_random_decompositions():
         for s in d.summands:
             p = mutate(p, s)
         assert p == closed
+
+
+@st.composite
+def summands(draw, n, bound):
+    """A point, a segment or a triangle with the origin as a vertex: its
+    nonzero vertices are rows of a lower unitriangular matrix with entries
+    in [-bound, bound], columns permuted and signs flipped, so they extend
+    to a lattice basis."""
+    m = draw(st.integers(0, min(n, 2)))
+    # hypothesis favours small integers: half the draws are at least bound / 2
+    half = st.integers(bound // 2, bound)
+    entries = st.integers(-bound, bound) | half | half.map(operator.neg)
+    lower = [[int(i == j) or (draw(entries) if j < i else 0) for j in range(n)] for i in range(n)]
+    cols = draw(st.permutations(range(n)))
+    rows = [tuple(draw(st.sampled_from((1, -1))) * lower[r][c] for c in cols) for r in draw(st.permutations(range(n)))[:m]]
+    return convex_hull([(0,) * n, *rows])
+
+
+@st.composite
+def decompositions(draw, n, bound):
+    parts = draw(st.lists(summands(n, bound), min_size=1, max_size=4))
+    assume(len(parts) > 1 or len(parts[0].vertices) > 1)
+    return decomposition(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.sampled_from((3, 10**300))).flatmap(lambda nb: decompositions(*nb)))
+def test_packed_product_is_the_term_by_term_fold(d):
+    # the same terms, inserted in the same order, which numeric's term
+    # table sums in, at coordinates up to 10^300 too
+    got, want = build_potential(d), fold(d)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_newton_check_matches_the_term_by_term_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    d, other = data.draw(decompositions(n, 3)), data.draw(decompositions(n, 3))
+    assume(rank(d.target.vertices) == n and rank(other.target.vertices) == n)
+    po, sigma = build_potential(d), cone_over(d.target)
+    assert _newton_is_target(po.terms, sigma) is newton_is_target(po, sigma) is True
+    if other.target != d.target:
+        # Newt(W) is Q, so it is not another polytope
+        elsewhere = cone_over(other.target)
+        assert _newton_is_target(po.terms, elsewhere) is newton_is_target(po, elsewhere) is False
+    # a wrong potential: a term dropped, or one added at any height
+    terms = dict(po.terms)
+    if data.draw(st.booleans()):
+        del terms[data.draw(st.sampled_from(sorted(terms)))]
+    else:
+        terms[data.draw(st.tuples(*[st.integers(-9, 9)] * n, st.integers(0, 2)))] = 1
+    broken = LaurentPoly(n + 1, terms)
+    assert _newton_is_target(broken.terms, sigma) is newton_is_target(broken, sigma)
 
 
 def test_newton_polytope_is_target(all_fixtures):
@@ -419,6 +476,21 @@ def _fraction_torsion_angles(v, u, det):
         for i in range(h22)
         for j in range(h11)
     ]
+
+
+_hermite_entries = st.integers(-6, 6) | st.integers(-(10**300), 10**300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermite_entries, _hermite_entries, _hermite_entries, _hermite_entries)
+@example(0, 1, -3, 7)  # the first column's gcd is minus its second entry
+@example(-4, 9, 0, 5)  # and minus its first; det -20
+@example(6, 10**300, -4, -(10**300) + 1)  # det -2 * 10^300 + 6
+@example(10**300, 1, 10**300 + 1, 0)  # det -(10^300 + 1), consecutive first entries
+def test_two_by_two_hermite_form_is_hnf(a, b, c, d):
+    # the Hermite form is unique, so one extended Euclid gives hnf's bytes
+    assume(a * d - b * c != 0)
+    assert potential._hermite_2x2(a, b, c, d) == hnf([[a, b], [c, d]])[0]
 
 
 _coset_vectors = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
@@ -872,7 +944,6 @@ def test_planar_decision_reads_only_the_matrices(monkeypatch, all_fixtures):
     def refuse(*args, **kwargs):
         raise AssertionError("the planar decision built a Laurent polynomial")
 
-    monkeypatch.setattr(potential, "factor", refuse)
     monkeypatch.setattr(LaurentPoly, "__init__", refuse)
     got = [critical_exists(d) for d in cases]
     assert [(r.verdict, r.count, r.families) for r in got] == [(r.verdict, r.count, r.families) for r in want]
