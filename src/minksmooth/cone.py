@@ -53,6 +53,7 @@ from .exactlin import (
     IntVec,
     adjugate,
     as_mat,
+    det,
     dot,
     hnf,
     identity,
@@ -76,7 +77,9 @@ class NotFullDim(ValueError):
 class BasisTooLarge(ValueError):
     """A planar Hilbert basis would exceed ``_MAX_BASIS`` elements, or the
     fundamental parallelepipeds of a cone, or a box of lattice points,
-    ``_MAX_BOX`` points; refused before any is made."""
+    ``_MAX_BOX`` points, or a Minkowski sum in dimension n != 2
+    (``polytope.minkowski_sum``) ``_MAX_BOX`` candidate facet normals, up
+    to sign; refused before any is made."""
 
 
 _MAX_BASIS = 10**5
@@ -318,8 +321,10 @@ def _cone_basis(c: PolyhedralCone) -> IntMat:
     irreducible in the S holding it (Bruns-Koch, 2001).  The basis of S
     lies in its rays and its fundamental parallelepiped, of |det S| lattice
     points; their sum is checked against ``_MAX_BOX`` before any is made,
-    and when every |det S| is 1 the rays are the basis.  Cached, so sigma
-    dual and sigma-tilde dual share their fan cones' bases.
+    and when every |det S| is 1 the rays are the basis.  Each |det S| is
+    one elimination; the adjugate that locates the points is formed only
+    for an S with |det S| > 1.  Cached, so sigma dual and sigma-tilde dual
+    share their fan cones' bases.
     """
     if c.ambient_dim == 2:
         return _planar_hilbert_basis(c)
@@ -328,16 +333,16 @@ def _cone_basis(c: PolyhedralCone) -> IntMat:
     simplices = [
         [r for j, r in enumerate(rays) if s >> j & 1] for s in _pulling((1 << len(rays)) - 1, c.ambient_dim, facets)
     ]
-    adjs = [adjugate(s) for s in simplices]
-    total = sum(abs(d) for d, _ in adjs)
+    dets = [det(s) for s in simplices]
+    total = sum(map(abs, dets))
     if total > _MAX_BOX:
         raise BasisTooLarge(f"fundamental parallelepipeds hold {total} lattice points, over {_MAX_BOX}")
     if total == len(simplices):
         return rays
     points = set(rays)
-    for s, (d, adj) in zip(simplices, adjs):
+    for s, d in zip(simplices, dets):
         if d not in (1, -1):
-            points.update(_parallelepiped(s, d, adj))
+            points.update(_parallelepiped(s, *adjugate(s)))
     return _irreducible(c, points)
 
 
@@ -491,37 +496,79 @@ def fan_cones(c: PolyhedralCone, slots) -> dict[IntVec, tuple[PolyhedralCone, tu
     ``(p, e_i)``, p in ``slots[i]`` (see :func:`_lifted_candidates`).
 
     The nonzero heads of the extreme rays of ``c`` are the primitive inner
-    facet normals of Q: the rays of its normal fan, which refines the fan of
-    every partial sum P.  So each normal cone of P is spanned by the rays in
-    it, and the rays tight at a point w of P (those minimal there) grow
-    strictly as the face of P holding w in its relative interior shrinks:
-    w is a vertex of P iff no other point's tight set strictly contains
-    w's.  The vertices of Q come from summing the slots one at a time,
-    keeping the vertices after each step, each the sum of one vertex of
-    either summand.  A ray is tight at ``u + p`` iff it is tight at both, so
-    each tight set, a bitmask over the rays, is an AND.  The cones come
-    from :func:`_normal_fan`, sorted as a double description returns them.
+    facet normals of Q, so :func:`_vertex_walk` over them finds Q's
+    vertices with their tight rays, and the cones come from
+    :func:`_normal_fan`, sorted as a double description returns them.
     """
     n = c.ambient_dim - len(slots)
     rays = tuple(r[:n] for r in c.generators if any(r[:n]))
-    walk = {(0,) * n: ((), (1 << len(rays)) - 1)}
+    walk = _vertex_walk(rays, slots, n)
+    cones = _normal_fan(rays, tuple(walk), tuple(m for _, m in walk.values()))
+    return {u: (cu, parts) for (u, (parts, _)), cu in zip(walk.items(), cones)}
+
+
+def _vertex_walk(rays, slots, need) -> dict[IntVec, tuple[tuple[IntVec, ...], int]]:
+    """The vertices u of ``Q = sum_i conv(slots[i])``, sorted, each with the
+    point of each slot that sums to it and the bitmask of ``rays`` tight at
+    u (minimal there), for linear functionals ``rays`` among which are the
+    inner facet normals of Q in the span of its edges, of dimension
+    ``need``.
+
+    Q's normal fan in that span refines the fan of every partial sum P, so
+    each normal cone of P is spanned by the facet normals of Q it holds.
+    The rays tight at a point w of P are those in the normal cone of the
+    face F of P holding w in its relative interior.  For a proper face G of
+    F that cone is a proper face of G's, which a facet normal of Q outside
+    it helps span: the tight set grows strictly as the face shrinks, and
+    rays that are no facet normal of Q cannot undo that.  A vertex's
+    normal cone is full-dimensional, so it lies in no other cone of P's
+    fan and has at least ``need`` tight rays.  So w is a vertex of P iff no
+    other point's tight set strictly contains w's.  The vertices of Q come
+    from summing the slots one at a time, keeping the vertices after each
+    step, each the sum of one vertex of either summand.  A ray is tight at
+    ``u + p`` iff it is tight at both, so each tight set, a bitmask over
+    the rays, is an AND.
+    """
+    bits = [1 << j for j in range(len(rays))]
+    walk = {(0,) * len(slots[0][0]): ((), sum(bits))}
     for pts in slots:
-        vals = [[dot(a, p) for a in rays] for p in pts]
-        low = [min(col) for col in zip(*vals)]
-        tight = [sum(1 << j for j, (x, m) in enumerate(zip(row, low)) if x == m) for row in vals]
+        vals = [[sum(map(mul, a, p)) for a in rays] for p in pts]
+        low = list(map(min, zip(*vals)))
+        tight = [sum(b for b, x, m in zip(bits, row, low) if x == m) for row in vals]
         sums = {
             vec_add(u, p): (parts + (p,), mu & mp) for u, (parts, mu) in walk.items() for p, mp in zip(pts, tight)
         }
-        # a vertex has at least n tight rays; a set inside another lies
-        # inside a largest one, which has more rays
+        # a set inside another lies inside a largest one, which has more rays
         top = []
-        for m in sorted({m for _, m in sums.values() if m.bit_count() >= n}, key=int.bit_count, reverse=True):
-            if all(m & t != m for t in top):
+        for m in sorted({m for _, m in sums.values() if m.bit_count() >= need}, key=int.bit_count, reverse=True):
+            if m not in map(m.__and__, top):
                 top.append(m)
         top = set(top)
         walk = {w: sums[w] for w in sorted(sums) if sums[w][1] in top}
-    cones = _normal_fan(rays, tuple(walk), tuple(m for _, m in walk.values()))
-    return {u: (cu, parts) for (u, (parts, _)), cu in zip(walk.items(), cones)}
+    return walk
+
+
+def _neighbours(masks, need):
+    """The pairs ``i < j`` of vertices of a polytope that span an edge, from
+    the bitmask of facets (or normal fan rays) tight at each vertex.  The
+    vertices tight on every facet tight at both u and w are those of the
+    smallest face holding both, so w is a neighbour of u iff no third
+    vertex is (Ziegler, *Lectures on Polytopes*, ch. 2), found as an AND of
+    bitmasks over the vertices.  An edge lies on at least ``need`` facets,
+    its dimension's codimension, so a pair sharing fewer is skipped."""
+    on = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(max(masks).bit_length())]
+    everything = (1 << len(masks)) - 1
+    for i, mu in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            s = mu & masks[j]
+            if s.bit_count() < need:
+                continue
+            common = everything
+            while s:
+                common &= on[(s & -s).bit_length() - 1]
+                s &= s - 1
+            if common.bit_count() == 2:
+                yield i, j
 
 
 @lru_cache(maxsize=256)
@@ -529,33 +576,38 @@ def _normal_fan(rays, verts, masks) -> tuple[PolyhedralCone, ...]:
     """The normal cone of each vertex in ``verts`` of a polytope Q whose
     normal fan has the rays ``rays``, from the bitmask of rays tight at
     each vertex.  C_u is spanned by the rays tight at u, and its facets are
-    the primitive edges w - u of Q at u.  The vertices tight on every ray
-    tight at both u and w are those of the smallest face holding both, so
-    w is a neighbour of u iff no third vertex is (Ziegler, *Lectures on
-    Polytopes*, ch. 2), found as an AND of bitmasks over the vertices; an
+    the primitive edges w - u of Q at u, from :func:`_neighbours`; an
     edge's normal cone spans n - 1 dimensions, so u and w share at least
     n - 1 rays.  Cached: sigma dual and sigma-tilde dual reach the same fan.
     """
     n = len(verts[0])
-    on = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(len(rays))]
     edges = [[] for _ in verts]
-    for i, (u, mu) in enumerate(zip(verts, masks)):
-        for j in range(i + 1, len(verts)):
-            s = mu & masks[j]
-            if s.bit_count() < n - 1:
-                continue
-            common = (1 << len(verts)) - 1
-            while s:
-                common &= on[(s & -s).bit_length() - 1]
-                s &= s - 1
-            if common.bit_count() == 2:
-                w = verts[j]
-                edges[i].append(primitive(vec_sub(w, u)))
-                edges[j].append(primitive(vec_sub(u, w)))
+    for i, j in _neighbours(masks, n - 1):
+        u, w = verts[i], verts[j]
+        edges[i].append(primitive(vec_sub(w, u)))
+        edges[j].append(primitive(vec_sub(u, w)))
     return tuple(
         PolyhedralCone(n, tuple(a for j, a in enumerate(rays) if m >> j & 1), tuple(sorted(e)))
         for m, e in zip(masks, edges)
     )
+
+
+def edge_directions(q) -> set[IntVec]:
+    """The primitive edge directions of the polytope ``q``, sign-normalized.
+    In a simplex, and a minimal vertex set of at most three points is one,
+    every pair of vertices spans an edge, so no double description is
+    needed; otherwise the pairs are those :func:`_neighbours` finds from
+    the facets of :func:`cone_over`.  An edge of a d-polytope in Q^n lies
+    on d - 1 facets and on both halves of the n - d equations, so on at
+    least n - 1 of them."""
+    vs = q.vertices
+    if len(vs) <= 3 or rank([vec_sub(v, vs[0]) for v in vs[1:]]) == len(vs) - 1:
+        pairs = [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))]
+    else:
+        facets = cone_over(q).inequalities
+        masks = [sum(1 << j for j, a in enumerate(facets) if not dot(a, v + (1,))) for v in vs]
+        pairs = _neighbours(masks, q.ambient_dim - 1)
+    return {sign_normalized(primitive(vec_sub(vs[j], vs[i]))) for i, j in pairs}
 
 
 def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:

@@ -5,9 +5,9 @@ precision); rational answers come back as ``fractions.Fraction`` values,
 and there is no floating point anywhere.  Vectors are ``tuple[int, ...]``,
 matrices are tuples of row vectors.
 
-``rank``, ``rational_nullspace``, ``rational_solve`` and ``adjugate``
-(so ``unimodular_inverse``) all read their answers off one kernel,
-:func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
+``rank``, ``det``, ``kernel_vector``, ``rational_nullspace``,
+``rational_solve`` and ``adjugate`` (so ``unimodular_inverse``) all read
+their answers off one kernel, :func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
 integers (Bareiss's single-step division by the previous pivot, in the
 Gauss-Jordan form of Nakos, Turner and Williams), which returns ``d``
 times the reduced row echelon form with ``d`` a minor of the input.  A
@@ -255,6 +255,36 @@ def complete_to_basis(v) -> IntMat:
     if x[:mrows] != v:
         raise CrossCheckError("HNF completion failed to reproduce input rows")
     return x[mrows:]
+
+
+def det(x) -> int:
+    """Determinant of a square integer matrix: one elimination of ``x``
+    alone, over n columns where :func:`adjugate` takes 2n."""
+    _, pivots, d, sign = _gauss_jordan(x)
+    return sign * d if len(pivots) == len(x) else 0
+
+
+def kernel_vector(m, ncols) -> IntVec | None:
+    """The primitive integer vector spanning the kernel of an integer matrix
+    with ``ncols`` columns and rank ``ncols - 1``, up to sign; None when the
+    rank is lower.  Two rows in Q^3, the common case of a Minkowski sum off
+    the plane, give their cross product at a fifth of an elimination's
+    cost; otherwise it is read off ``d`` times the reduced row echelon
+    form: the free column gets ``d``, each pivot column minus its row's
+    free entry."""
+    if ncols == 3 and len(m) == 2:
+        (a, b, c), (x, y, z) = m
+        w = (b * z - c * y, c * x - a * z, a * y - b * x)
+        return primitive(w) if any(w) else None
+    a, pivots, d, _ = _gauss_jordan(m, ncols)
+    if len(pivots) != ncols - 1:
+        return None
+    (free,) = set(range(ncols)).difference(pivots)
+    w = [0] * ncols
+    w[free] = d
+    for row, c in zip(a, pivots):
+        w[c] = -row[free]
+    return primitive(w)
 
 
 def adjugate(x) -> tuple[int, IntMat]:

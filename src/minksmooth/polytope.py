@@ -9,17 +9,31 @@ The target Q = M_1 + ... + M_k of a decomposition is one
 :func:`minkowski_sum`.  In the plane it merges the summands' edges by angle
 (de Berg et al., *Computational Geometry*, ch. 13) and takes a single hull
 of the merged walk, which drops the collinear points where summands share
-an edge direction and sorts the vertices; in other dimensions it folds
-pairwise sums, one hull each.
+an edge direction and sorts the vertices.  In other dimensions it runs no
+double description: Q's facet normals are among the normals of the
+summands' edge directions taken r - 1 at a time, r the dimension of Q,
+and one bitmask walk over those normals sums the summands' vertices
+(Fukuda, *From the zonotope construction to the Minkowski addition of
+convex polytopes*, 2004), the walk :func:`cone.fan_cones` runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key, reduce
-from itertools import accumulate
+from functools import cached_property, cmp_to_key
+from itertools import accumulate, combinations
+from math import comb
 
-from .cone import PolyhedralCone, box_points, cone_from_generators, cone_over
+from .cone import (
+    _MAX_BOX,
+    BasisTooLarge,
+    PolyhedralCone,
+    _vertex_walk,
+    box_points,
+    cone_from_generators,
+    cone_over,
+    edge_directions,
+)
 from .exactlin import (
     IntMat,
     IntVec,
@@ -30,11 +44,15 @@ from .exactlin import (
     dot,
     identity,
     is_zero_vec,
+    kernel_vector,
     rank,
+    rational_nullspace,
+    scale_to_integer,
     snf_invariant_factors,
     support,
     unimodular_inverse,
     vec_add,
+    vec_neg,
 )
 
 
@@ -89,8 +107,9 @@ def minkowski_sum(*summands: LatticePolytope) -> LatticePolytope:
     walk from that vertex along all edges sorted by angle, and one
     :func:`convex_hull` of the walk (all edges but the last, which closes
     it) gives Q's canonical vertex set: the hull drops the collinear points
-    where summands share an edge direction.  In other dimensions the sum
-    is a fold of pairwise sums, one hull of |A|*|B| points each.
+    where summands share an edge direction.  In other dimensions the
+    vertices are the bitmask walk of ``cone._vertex_walk`` over the
+    candidates of :func:`_candidate_normals`, with no hull at all.
     """
     if not summands:
         raise ValueError("need at least one summand")
@@ -98,11 +117,46 @@ def minkowski_sum(*summands: LatticePolytope) -> LatticePolytope:
         raise DimensionMismatch("summands live in different dimensions")
     if len(summands) == 1:
         return summands[0]
-    if summands[0].ambient_dim != 2:
-        return reduce(lambda a, b: convex_hull([vec_add(u, v) for u in a.vertices for v in b.vertices]), summands)
+    n = summands[0].ambient_dim
+    if n != 2:
+        normals, r = _candidate_normals(summands)
+        return LatticePolytope(n, tuple(_vertex_walk(normals, [s.vertices for s in summands], r)))
     edges = sorted((e for s in summands for e in _ccw_edges(s.vertices)), key=cmp_to_key(_angle_order))
     start = tuple(map(sum, zip(*(s.vertices[0] for s in summands))))
     return convex_hull(list(accumulate(edges[:-1], vec_add, initial=start)))
+
+
+def _candidate_normals(summands) -> tuple[tuple[IntVec, ...], int]:
+    """Linear functionals among which are the inner facet normals of
+    Q = M_1 + ... + M_k in the span V of its edges, and r = dim V.
+
+    Each edge of Q is a sum of faces of the summands, all points but one
+    edge, so Q's edge directions are the summands' (their set D spans V).
+    A facet of Q is spanned by r - 1 independent edge directions, so its
+    normal in V is the normal in V of some (r - 1)-subset of D: the kernel
+    of the subset and of a basis of V's orthogonal complement.  Both signs
+    of each are taken; the walk needs only that the facet normals are
+    among them.  Past ``_MAX_BOX`` subsets the sum is refused before any
+    normal is computed (``BasisTooLarge``).
+    """
+    dirs = sorted(set().union(*map(edge_directions, summands)))
+    if not dirs:
+        return (), 0
+    n = len(dirs[0])
+    perp = tuple(scale_to_integer(v) for v in rational_nullspace(dirs))
+    r = n - len(perp)
+    count = comb(len(dirs), r - 1)
+    if count > _MAX_BOX:
+        raise BasisTooLarge(
+            f"Minkowski sum has {count} candidate facet normals up to sign ({len(dirs)} edge"
+            f" directions taken {r - 1} at a time), over {_MAX_BOX}"
+        )
+    normals = set()
+    for sub in combinations(dirs, r - 1):
+        a = kernel_vector(sub + perp, n)
+        if a is not None:
+            normals.update((a, vec_neg(a)))
+    return tuple(normals), r
 
 
 def _ccw_edges(vertices) -> list[IntVec]:

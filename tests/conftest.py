@@ -26,7 +26,7 @@ def triangle():
 
 
 def segment(v):
-    return convex_hull([(0, 0), v])
+    return convex_hull([(0,) * len(v), v])
 
 
 @pytest.fixture

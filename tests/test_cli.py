@@ -5,6 +5,7 @@ import html
 import importlib
 import inspect
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -580,6 +581,19 @@ def test_cli_refuses_a_huge_parallelepiped_in_one_line(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("library error: BasisTooLarge: fundamental parallelepipeds hold ") and err.count("\n") == 1
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["hilbert"], ["potential", "--critical"]], ids=["hilbert", "potential"])
+def test_cli_refuses_a_minkowski_sum_with_too_many_candidate_normals(tmp_path, capsys, argv):
+    # 73 segments in dimension 5 have C(73, 4) = 1 088 430 candidate facet
+    # normals, over 10**6; parsing refuses the sum before computing any
+    vs = [[1, *v] for v in itertools.product(range(3), repeat=4)][:73]
+    path = write_input(tmp_path, {"dimension": 5, "summands": [{"vertices": [[0] * 5, v]} for v in vs]})
+    capsys.readouterr()
+    assert main([argv[0], path, *argv[1:]]) == cli.EXIT_LIBRARY == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("library error: BasisTooLarge: Minkowski sum has 1088430 candidate facet normals up to sign")
 
 
 def test_cli_potential_critical_refuses_a_huge_degree(tmp_path, capsys):

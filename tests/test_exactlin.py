@@ -12,11 +12,14 @@ from minksmooth.exactlin import (
     NotUnimodular,
     adjugate,
     complete_to_basis,
+    det,
     hnf,
     identity,
+    kernel_vector,
     rank,
     rational_nullspace,
     rational_solve,
+    scale_to_integer,
     snf_invariant_factors,
     unimodular_inverse,
     vec_neg,
@@ -174,7 +177,7 @@ def _sparse_case(rng):
 
 def _check_adjugate(m):
     dt, adj = adjugate(m)
-    assert dt == oracle.det(m)
+    assert dt == det(m) == oracle.det(m)
     inv = oracle.inverse(m)
     assert adj == (() if inv is None else tuple(tuple(dt * x for x in row) for row in inv))
 
@@ -302,6 +305,9 @@ def test_kernel_matches_rational_oracle(m, data):
     x = data.draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
     b = tuple(sum(a * y for a, y in zip(row, x)) for row in m)
     assert rational_solve(m, b) == oracle.solve(m, b)
+    # a kernel of dimension 1 has a primitive integer generator, up to sign
+    kernel = [scale_to_integer(v) for v in oracle.nullspace(m)]
+    assert kernel_vector(m, ncols) in ([kernel[0], vec_neg(kernel[0])] if len(kernel) == 1 else [None])
     k = min(len(m), ncols)
     sq = tuple(row[:k] for row in m[:k])
     _check_adjugate(sq)

@@ -4,8 +4,10 @@
 ``tests/golden/families/`` pin ``hilbert`` in dimensions 3 to 7 (cube(n),
 the segments to e_1, ..., e_n and to (1, ..., 1); the 3-d dilation a, the
 segments to (1, 0, a), (0, a, 1), (a, 1, 0) and (1, 1, 1); six segments in
-dimension 4), as box scans of the fan cones gave it, and the report and
-the ``potential --critical`` stdout of seg(16), sixteen planar segments.
+dimension 4), as box scans of the fan cones gave it; ``hilbert`` of
+seg3(24), the first 24 primitive directions of the ROADMAP's 3-d list, as
+the fold of pairwise hulls summed it; and the report and the ``potential
+--critical`` stdout of seg(16), sixteen planar segments.
 
 Every field must match exactly, value and JSON type, except the float
 witnesses of the critical-point decision, which come from LAPACK and are
@@ -80,7 +82,8 @@ def test_stdout_matches_golden_bytes(capsys, fixture, suffix):
 
 def test_family_goldens_are_present():
     assert FAMILY_HILBERT == [
-        "cube3", "cube4", "cube5", "cube6", "cube7", "dilation3d-3", "dilation3d-5", "dilation3d-7", "six-segments-4d",
+        "cube3", "cube4", "cube5", "cube6", "cube7", "dilation3d-3", "dilation3d-5", "dilation3d-7", "seg3-24",
+        "six-segments-4d",
     ]
     assert (FAMILIES / "seg16.report.json").is_file()
     assert (FAMILIES / "seg16.potential-critical.txt").is_file()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from minksmooth import cone as cone_module
 from minksmooth import fibration, polytope, potential, smoothing
 from minksmooth.cone import sigma_tilde
-from minksmooth.exactlin import NotPrimitive, dot, support
+from minksmooth.exactlin import NotPrimitive, dot, identity, support
 from minksmooth.pipeline import parse_input
 from minksmooth.polytope import (
     DimensionMismatch,
@@ -78,13 +78,21 @@ def _all_vertex_sums(summands):
 @st.composite
 def summand_lists(draw):
     """k <= 4 summands in dimension 1, 2 or 3, coordinates in [-5, 5]: the
-    hulls of 1 to 7 points, so points, segments, triangles and polygons."""
-    n = draw(st.integers(1, 3))
-    point = st.tuples(*[st.integers(-5, 5)] * n)
-    return [convex_hull(draw(st.lists(point, min_size=1, max_size=7))) for _ in range(draw(st.integers(1, 4)))]
+    hulls of 1 to 7 points, so points, segments, triangles and polygons;
+    in dimension 4, k <= 3 hulls of 1 to 4 points in [-3, 3], which keeps
+    the oracle's hull of all vertex sums small."""
+    n = draw(st.integers(1, 4))
+    size, count, bound = (4, 3, 3) if n == 4 else (7, 4, 5)
+    point = st.tuples(*[st.integers(-bound, bound)] * n)
+    return [convex_hull(draw(st.lists(point, min_size=1, max_size=size))) for _ in range(draw(st.integers(1, count)))]
 
 
 _HUGE = 10**300
+
+
+def _cube(n):
+    """cube(n): the unit segments of Q^n and the segment to (1, ..., 1)."""
+    return [segment(e) for e in identity(n)] + [segment((1,) * n)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,6 +106,17 @@ _HUGE = 10**300
 @example([convex_hull([(_HUGE, 1), (-_HUGE, _HUGE + 1), (0, 0)]), segment((_HUGE, _HUGE - 1)), segment((0, -_HUGE))])
 @example([convex_hull([(2,), (-3,)]), convex_hull([(4,)])])
 @example([triangle() for _ in range(4)])
+# flat sums: two segments spanning a plane of Q^3, and a triangle and a
+# segment in a plane of Q^4 off the origin
+@example([segment((1, 2, 0)), segment((0, 1, 0)), convex_hull([(1, 1, 0)])])
+@example([convex_hull([(1, 0, 1, 0), (2, 1, 1, 0), (1, 1, 1, 0)]), convex_hull([(0, 0, 2, 2), (3, 2, 2, 2)])])
+# only points, in dimensions 3 and 4
+@example([convex_hull([(1, -2, 3)]), convex_hull([(4, 0, -1)]), convex_hull([(0, 0, 0)])])
+@example([convex_hull([(1, 2, 3, 4)]), convex_hull([(-1, -2, -3, -4)])])
+# the unit cube, a non-simplex summand, with a segment along a diagonal
+@example([convex_hull(list(product((0, 1), repeat=3))), segment((1, 1, 1))])
+@example(_cube(4))
+@example([convex_hull([(_HUGE,), (-_HUGE,)]), convex_hull([(0,), (_HUGE + 1,)]), convex_hull([(7,)])])
 def test_minkowski_sum_matches_all_vertex_sums(summands):
     assert minkowski_sum(*summands) == _all_vertex_sums(summands)
 
@@ -131,6 +150,29 @@ def test_parsing_k_planar_summands_takes_k_plus_one_hulls(monkeypatch, vertices,
     passes = _count_calls(monkeypatch, cone_module, "halfspace_description")
     parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": s} for s in summands]}))
     assert (len(hulls), len(passes)) == (k + 1, 2 * (k + 1))
+
+
+@pytest.mark.parametrize(
+    "n, shapes",
+    [(1, "segments"), (1, "with a point")] + [(n, s) for n in (3, 4) for s in ("segments", "with a triangle", "with a point")],
+)
+def test_parsing_k_summands_off_the_plane_takes_k_hulls(monkeypatch, n, shapes):
+    # a hull per summand, each with two double-description passes; the sum
+    # of summands that are simplices reads their edges off vertex pairs and
+    # walks the normals of those, with no hull and no pass
+    summands = [[[0] * n, list(v)] for v in [*identity(n), (-1,) * n]]
+    if shapes == "with a triangle":
+        summands.append([[0] * n, [1, 1] + [0] * (n - 2), [0, 1] + [1] * (n - 2)])
+    elif shapes == "with a point":
+        summands.append([[0] * n])
+    k = len(summands)
+    hulls = _count_calls(monkeypatch, polytope, "convex_hull")
+    passes = _count_calls(monkeypatch, cone_module, "halfspace_description")
+    d = parse_input(json.dumps({"dimension": n, "summands": [{"vertices": s} for s in summands]})).decomposition
+    assert (len(hulls), len(passes)) == (k, 2 * k)
+    target = minkowski_sum(*d.summands)
+    assert (len(hulls), len(passes)) == (k, 2 * k)
+    assert target == d.target == _all_vertex_sums(d.summands)
 
 
 def test_origin_is_checked_before_the_sum_is_hulled(monkeypatch):
