@@ -77,9 +77,7 @@ class NotFullDim(ValueError):
 class BasisTooLarge(ValueError):
     """A planar Hilbert basis would exceed ``_MAX_BASIS`` elements, or the
     fundamental parallelepipeds of a cone, or a box of lattice points,
-    ``_MAX_BOX`` points, or a Minkowski sum in dimension n != 2
-    (``polytope.minkowski_sum``) ``_MAX_BOX`` candidate facet normals, up
-    to sign; refused before any is made."""
+    ``_MAX_BOX`` points; refused before any is made."""
 
 
 _MAX_BASIS = 10**5
@@ -548,66 +546,38 @@ def _vertex_walk(rays, slots, need) -> dict[IntVec, tuple[tuple[IntVec, ...], in
     return walk
 
 
-def _neighbours(masks, need):
-    """The pairs ``i < j`` of vertices of a polytope that span an edge, from
-    the bitmask of facets (or normal fan rays) tight at each vertex.  The
-    vertices tight on every facet tight at both u and w are those of the
-    smallest face holding both, so w is a neighbour of u iff no third
-    vertex is (Ziegler, *Lectures on Polytopes*, ch. 2), found as an AND of
-    bitmasks over the vertices.  An edge lies on at least ``need`` facets,
-    its dimension's codimension, so a pair sharing fewer is skipped."""
-    on = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(max(masks).bit_length())]
-    everything = (1 << len(masks)) - 1
-    for i, mu in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            s = mu & masks[j]
-            if s.bit_count() < need:
-                continue
-            common = everything
-            while s:
-                common &= on[(s & -s).bit_length() - 1]
-                s &= s - 1
-            if common.bit_count() == 2:
-                yield i, j
-
-
 @lru_cache(maxsize=256)
 def _normal_fan(rays, verts, masks) -> tuple[PolyhedralCone, ...]:
     """The normal cone of each vertex in ``verts`` of a polytope Q whose
     normal fan has the rays ``rays``, from the bitmask of rays tight at
     each vertex.  C_u is spanned by the rays tight at u, and its facets are
-    the primitive edges w - u of Q at u, from :func:`_neighbours`; an
+    the primitive edges w - u of Q at u.  The vertices tight on every ray
+    tight at both u and w are those of the smallest face holding both, so
+    w is a neighbour of u iff no third vertex is (Ziegler, *Lectures on
+    Polytopes*, ch. 2), found as an AND of bitmasks over the vertices; an
     edge's normal cone spans n - 1 dimensions, so u and w share at least
     n - 1 rays.  Cached: sigma dual and sigma-tilde dual reach the same fan.
     """
     n = len(verts[0])
+    on = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(len(rays))]
     edges = [[] for _ in verts]
-    for i, j in _neighbours(masks, n - 1):
-        u, w = verts[i], verts[j]
-        edges[i].append(primitive(vec_sub(w, u)))
-        edges[j].append(primitive(vec_sub(u, w)))
+    for i, (u, mu) in enumerate(zip(verts, masks)):
+        for j in range(i + 1, len(verts)):
+            s = mu & masks[j]
+            if s.bit_count() < n - 1:
+                continue
+            common = (1 << len(verts)) - 1
+            while s:
+                common &= on[(s & -s).bit_length() - 1]
+                s &= s - 1
+            if common.bit_count() == 2:
+                w = verts[j]
+                edges[i].append(primitive(vec_sub(w, u)))
+                edges[j].append(primitive(vec_sub(u, w)))
     return tuple(
         PolyhedralCone(n, tuple(a for j, a in enumerate(rays) if m >> j & 1), tuple(sorted(e)))
         for m, e in zip(masks, edges)
     )
-
-
-def edge_directions(q) -> set[IntVec]:
-    """The primitive edge directions of the polytope ``q``, sign-normalized.
-    In a simplex, and a minimal vertex set of at most three points is one,
-    every pair of vertices spans an edge, so no double description is
-    needed; otherwise the pairs are those :func:`_neighbours` finds from
-    the facets of :func:`cone_over`.  An edge of a d-polytope in Q^n lies
-    on d - 1 facets and on both halves of the n - d equations, so on at
-    least n - 1 of them."""
-    vs = q.vertices
-    if len(vs) <= 3 or rank([vec_sub(v, vs[0]) for v in vs[1:]]) == len(vs) - 1:
-        pairs = [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))]
-    else:
-        facets = cone_over(q).inequalities
-        masks = [sum(1 << j for j, a in enumerate(facets) if not dot(a, v + (1,))) for v in vs]
-        pairs = _neighbours(masks, q.ambient_dim - 1)
-    return {sign_normalized(primitive(vec_sub(vs[j], vs[i]))) for i, j in pairs}
 
 
 def _lifted_candidates(c: PolyhedralCone, slots) -> set[IntVec]:

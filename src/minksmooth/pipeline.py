@@ -24,7 +24,6 @@ from . import cone as cone_mod
 from .polytope import (
     MinkowskiDecomposition,
     NotAdmissible,
-    OriginNotVertex,
     convex_hull,
     decomposition,
     phi,
@@ -100,7 +99,7 @@ def parse_input(text: str) -> AnalysisRequest:
     target = None if target is None else convex_hull(target)
     try:
         d = decomposition(summands)
-    except OriginNotVertex as exc:
+    except ValueError as exc:
         raise NotAdmissible(str(exc)) from exc
     if target is not None and d.target != target:
         raise TargetMismatch(

@@ -9,12 +9,14 @@ The target Q = M_1 + ... + M_k of a decomposition is one
 :func:`minkowski_sum`.  In the plane it merges the summands' edges by angle
 (de Berg et al., *Computational Geometry*, ch. 13) and takes a single hull
 of the merged walk, which drops the collinear points where summands share
-an edge direction and sorts the vertices.  In other dimensions it runs no
-double description: Q's facet normals are among the normals of the
-summands' edge directions taken r - 1 at a time, r the dimension of Q,
-and one bitmask walk over those normals sums the summands' vertices
+an edge direction and sorts the vertices.  In other dimensions Q's facet
+normals are among the normals of the summands' vertex-pair directions
+taken r - 1 at a time, r the dimension of Q, and one bitmask walk over
+those normals sums the summands' vertices with no double description
 (Fukuda, *From the zonotope construction to the Minkowski addition of
-convex polytopes*, 2004), the walk :func:`cone.fan_cones` runs.
+convex polytopes*, 2004), the walk :func:`cone.fan_cones` runs; where
+those subsets outnumber what pairwise hulls would cost, as for a simplex
+of high dimension, the sum folds pairwise hulls first.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from functools import cached_property, cmp_to_key
 from itertools import accumulate, combinations
 from math import comb
 
-from .cone import (
-    _MAX_BOX,
-    BasisTooLarge,
-    PolyhedralCone,
-    _vertex_walk,
-    box_points,
-    cone_from_generators,
-    cone_over,
-    edge_directions,
-)
+from .cone import PolyhedralCone, _vertex_walk, box_points, cone_from_generators, cone_over
 from .exactlin import (
     IntMat,
     IntVec,
@@ -45,14 +38,17 @@ from .exactlin import (
     identity,
     is_zero_vec,
     kernel_vector,
+    primitive,
     rank,
     rational_nullspace,
     scale_to_integer,
+    sign_normalized,
     snf_invariant_factors,
     support,
     unimodular_inverse,
     vec_add,
     vec_neg,
+    vec_sub,
 )
 
 
@@ -107,9 +103,8 @@ def minkowski_sum(*summands: LatticePolytope) -> LatticePolytope:
     walk from that vertex along all edges sorted by angle, and one
     :func:`convex_hull` of the walk (all edges but the last, which closes
     it) gives Q's canonical vertex set: the hull drops the collinear points
-    where summands share an edge direction.  In other dimensions the
-    vertices are the bitmask walk of ``cone._vertex_walk`` over the
-    candidates of :func:`_candidate_normals`, with no hull at all.
+    where summands share an edge direction.  Other dimensions take
+    :func:`_sum_off_the_plane`.
     """
     if not summands:
         raise ValueError("need at least one summand")
@@ -117,46 +112,72 @@ def minkowski_sum(*summands: LatticePolytope) -> LatticePolytope:
         raise DimensionMismatch("summands live in different dimensions")
     if len(summands) == 1:
         return summands[0]
-    n = summands[0].ambient_dim
-    if n != 2:
-        normals, r = _candidate_normals(summands)
-        return LatticePolytope(n, tuple(_vertex_walk(normals, [s.vertices for s in summands], r)))
+    if summands[0].ambient_dim != 2:
+        return _sum_off_the_plane(summands)
     edges = sorted((e for s in summands for e in _ccw_edges(s.vertices)), key=cmp_to_key(_angle_order))
     start = tuple(map(sum, zip(*(s.vertices[0] for s in summands))))
     return convex_hull(list(accumulate(edges[:-1], vec_add, initial=start)))
 
 
-def _candidate_normals(summands) -> tuple[tuple[IntVec, ...], int]:
-    """Linear functionals among which are the inner facet normals of
-    Q = M_1 + ... + M_k in the span V of its edges, and r = dim V.
+def _sum_off_the_plane(summands) -> LatticePolytope:
+    """M_1 + ... + M_k in dimension n != 2, k >= 2: pairwise hulls while the
+    walk would cost more, then one bitmask walk over the rest.
 
-    Each edge of Q is a sum of faces of the summands, all points but one
-    edge, so Q's edge directions are the summands' (their set D spans V).
-    A facet of Q is spanned by r - 1 independent edge directions, so its
-    normal in V is the normal in V of some (r - 1)-subset of D: the kernel
-    of the subset and of a basis of V's orthogonal complement.  Both signs
-    of each are taken; the walk needs only that the facet normals are
-    among them.  Past ``_MAX_BOX`` subsets the sum is refused before any
-    normal is computed (``BasisTooLarge``).
+    The walk (``cone._vertex_walk``) runs no double description.  It takes
+    one kernel of n - 1 rows, some (n - 1)^2 steps of a microsecond, for
+    each (r - 1)-subset that :func:`_candidate_normals` takes of the
+    vertex-pair directions, at most S = C(sum_i C(|M_i|, 2), r - 1) of
+    them, then about a step for each point of each slot and each subset.  A pairwise hull of a
+    partial sum P and M_j, one double description of |P| * |M_j| points,
+    takes some 25n steps of setup and, per point, at least a step for each
+    of its rays, which number about |P| or more; P only grows.  So while
+    S * ((n - 1)^2 + |P| + sum of the |M_j| left) exceeds 25n per hull left
+    plus |P|^2 * (sum of the |M_j| left), the next summand is folded into P
+    by a hull, and the walk then sums P with the rest.  Its candidates are
+    those of all the summands, so they hold Q's facet normals.  A simplex
+    of high dimension has many directions and few vertices, so its sums
+    keep the hulls; many segments, as in cube(n), take the walk at once.
     """
-    dirs = sorted(set().union(*map(edge_directions, summands)))
+    n, k = summands[0].ambient_dim, len(summands)
+    r = rank([vec_sub(v, s.vertices[0]) for s in summands for v in s.vertices[1:]])
+    subsets = comb(sum(comb(len(s.vertices), 2) for s in summands), max(r - 1, 0))
+    p, i = summands[0], 1
+    while i < k:
+        rest = sum(len(s.vertices) for s in summands[i:])
+        if subsets * ((n - 1) ** 2 + len(p.vertices) + rest) <= 25 * n * (k - i) + len(p.vertices) ** 2 * rest:
+            break
+        p = convex_hull([vec_add(u, v) for u in p.vertices for v in summands[i].vertices])
+        i += 1
+    if i == k:
+        return p
+    slots = [p.vertices, *(s.vertices for s in summands[i:])]
+    return LatticePolytope(p.ambient_dim, tuple(_vertex_walk(_candidate_normals(summands, r), slots, r)))
+
+
+def _candidate_normals(summands, r) -> tuple[IntVec, ...]:
+    """Linear functionals among which are the inner facet normals of
+    Q = M_1 + ... + M_k in the span V of its edges, r = dim V.
+
+    Each edge of Q is a sum of faces of the summands, each a point or an
+    edge parallel to it, so Q's edge directions are among the summands'
+    vertex-pair directions D (every pair of a simplex spans an edge, so
+    for simplices they are exactly the edge directions), and D spans V.  A facet of Q is spanned by r - 1
+    independent edge directions, so its normal in V is the normal in V of
+    some (r - 1)-subset of D: the kernel of the subset and of a basis of
+    V's orthogonal complement.  Both signs of each are taken; the walk
+    needs only that the facet normals are among them.
+    """
+    dirs = sorted({sign_normalized(primitive(vec_sub(v, u))) for s in summands for u, v in combinations(s.vertices, 2)})
     if not dirs:
-        return (), 0
+        return ()
     n = len(dirs[0])
     perp = tuple(scale_to_integer(v) for v in rational_nullspace(dirs))
-    r = n - len(perp)
-    count = comb(len(dirs), r - 1)
-    if count > _MAX_BOX:
-        raise BasisTooLarge(
-            f"Minkowski sum has {count} candidate facet normals up to sign ({len(dirs)} edge"
-            f" directions taken {r - 1} at a time), over {_MAX_BOX}"
-        )
     normals = set()
     for sub in combinations(dirs, r - 1):
         a = kernel_vector(sub + perp, n)
         if a is not None:
             normals.update((a, vec_neg(a)))
-    return tuple(normals), r
+    return tuple(normals)
 
 
 def _ccw_edges(vertices) -> list[IntVec]:

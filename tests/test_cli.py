@@ -5,7 +5,6 @@ import html
 import importlib
 import inspect
 import io
-import itertools
 import json
 import os
 import pkgutil
@@ -584,16 +583,19 @@ def test_cli_refuses_a_huge_parallelepiped_in_one_line(tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("argv", [["hilbert"], ["potential", "--critical"]], ids=["hilbert", "potential"])
-def test_cli_refuses_a_minkowski_sum_with_too_many_candidate_normals(tmp_path, capsys, argv):
-    # 73 segments in dimension 5 have C(73, 4) = 1 088 430 candidate facet
-    # normals, over 10**6; parsing refuses the sum before computing any
-    vs = [[1, *v] for v in itertools.product(range(3), repeat=4)][:73]
-    path = write_input(tmp_path, {"dimension": 5, "summands": [{"vertices": [[0] * 5, v]} for v in vs]})
+def test_cli_refuses_a_summand_with_many_edges_as_inadmissible(tmp_path, capsys, argv):
+    # 60 points on the moment curve span a neighbourly 3-polytope: all
+    # C(60, 2) vertex pairs are edges, so the walk would test C(1771, 2)
+    # candidate normal subsets; the sum with a segment is one hull instead,
+    # and the admissibility gate refuses the summand, exit 3
+    moment = [[t, t * t, t**3] for t in range(60)]
+    summands = [{"vertices": moment}, {"vertices": [[0, 0, 0], [1, 0, 0]]}]
+    path = write_input(tmp_path, {"dimension": 3, "summands": summands})
     capsys.readouterr()
-    assert main([argv[0], path, *argv[1:]]) == cli.EXIT_LIBRARY == 5
+    assert main([argv[0], path, *argv[1:]]) == cli.EXIT_INADMISSIBLE == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("library error: BasisTooLarge: Minkowski sum has 1088430 candidate facet normals up to sign")
+    assert err.startswith("inadmissible input: summand 1: nonzero vertices are not linearly independent")
 
 
 def test_cli_potential_critical_refuses_a_huge_degree(tmp_path, capsys):

@@ -154,11 +154,12 @@ def test_parsing_k_planar_summands_takes_k_plus_one_hulls(monkeypatch, vertices,
 
 @pytest.mark.parametrize(
     "n, shapes",
-    [(1, "segments"), (1, "with a point")] + [(n, s) for n in (3, 4) for s in ("segments", "with a triangle", "with a point")],
+    [(1, "segments"), (1, "with a point"), (3, "segments"), (3, "with a triangle"), (3, "with a point")]
+    + [(4, "segments"), (4, "with a point")],
 )
 def test_parsing_k_summands_off_the_plane_takes_k_hulls(monkeypatch, n, shapes):
     # a hull per summand, each with two double-description passes; the sum
-    # of summands that are simplices reads their edges off vertex pairs and
+    # of these few small simplices reads their edges off vertex pairs and
     # walks the normals of those, with no hull and no pass
     summands = [[[0] * n, list(v)] for v in [*identity(n), (-1,) * n]]
     if shapes == "with a triangle":
@@ -173,6 +174,40 @@ def test_parsing_k_summands_off_the_plane_takes_k_hulls(monkeypatch, n, shapes):
     target = minkowski_sum(*d.summands)
     assert (len(hulls), len(passes)) == (k, 2 * k)
     assert target == d.target == _all_vertex_sums(d.summands)
+
+
+def _simplex_and_diagonal(n):
+    """The unimodular simplex conv(0, e_1, ..., e_n) and the segment to (1, ..., 1)."""
+    return [convex_hull([(0,) * n, *identity(n)]), segment((1,) * n)]
+
+
+@pytest.mark.parametrize(
+    "summands, hulls, walks",
+    [
+        # few directions: C(5, 3) = 10 and C(4, 2) = 6 candidate subsets
+        (_cube(4), 0, 1),
+        ([segment(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))], 0, 1),
+        # C(29, 6) = 475 020 and C(37, 7) = 10 295 472 candidate subsets
+        # against one hull of 2(n + 1) points
+        (_simplex_and_diagonal(7), 1, 0),
+        (_simplex_and_diagonal(8), 1, 0),
+    ],
+    ids=["cube4", "diagonal-segments3", "simplex7+diagonal", "simplex8+diagonal"],
+)
+def test_sum_off_the_plane_takes_hulls_or_the_walk_by_their_cost(monkeypatch, summands, hulls, walks):
+    counted = _count_calls(monkeypatch, polytope, "convex_hull"), _count_calls(monkeypatch, polytope, "_vertex_walk")
+    target = minkowski_sum(*summands)
+    assert tuple(map(len, counted)) == (hulls, walks)
+    assert target == _all_vertex_sums(summands)
+
+
+def test_parsing_a_simplex_of_q8_with_a_segment(monkeypatch):
+    # admissible and one small hull: parsed without the walk's candidates
+    summands = _simplex_and_diagonal(8)
+    walks = _count_calls(monkeypatch, polytope, "_vertex_walk")
+    d = parse_input(json.dumps({"dimension": 8, "summands": [{"vertices": s.vertices} for s in summands]})).decomposition
+    assert walks == [] and d.target == _all_vertex_sums(summands) and len(d.target.vertices) == 17
+    assert polytope.require_admissible(d)
 
 
 def test_origin_is_checked_before_the_sum_is_hulled(monkeypatch):
