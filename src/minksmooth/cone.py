@@ -42,11 +42,11 @@ budget with :class:`BasisTooLarge`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
 from .exactlin import (
     IntMat,
@@ -168,8 +168,7 @@ def halfspace_description(ineqs, dim) -> tuple[list[IntVec], list[IntVec]]:
     return lin, sorted(r for r, _ in rays)
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(NamedTuple):
     """A rational polyhedral cone in canonical dual form.
 
     ``generators`` are the primitive extreme rays (plus a +-pair for each
@@ -270,8 +269,7 @@ def cones_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class HilbertBasisResult:
+class HilbertBasisResult(NamedTuple):
     elements: IntMat
 
 
@@ -536,10 +534,22 @@ def _vertex_walk(rays, slots, need) -> dict[IntVec, tuple[tuple[IntVec, ...], in
         sums = {
             vec_add(u, p): (parts + (p,), mu & mp) for u, (parts, mu) in walk.items() for p, mp in zip(pts, tight)
         }
-        # a set inside another lies inside a largest one, which has more rays
-        top = []
+        # a set inside another lies inside a largest one, which has more
+        # rays; holds[j] has bit i when the i-th kept set has ray j, so m
+        # lies inside a kept set iff the AND of holds over m's rays is not 0
+        top, holds = [], [0] * len(rays)
         for m in sorted({m for _, m in sums.values() if m.bit_count() >= need}, key=int.bit_count, reverse=True):
-            if m not in map(m.__and__, top):
+            inside, rest = (1 << len(top)) - 1, m
+            while rest and inside:
+                low = rest & -rest
+                inside &= holds[low.bit_length() - 1]
+                rest ^= low
+            if not inside:
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    holds[low.bit_length() - 1] |= 1 << len(top)
+                    rest ^= low
                 top.append(m)
         top = set(top)
         walk = {w: sums[w] for w in sorted(sums) if sums[w][1] in top}

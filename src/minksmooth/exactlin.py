@@ -1,12 +1,14 @@
-"""Exact integer and rational linear algebra kernels.
+"""Exact integer linear algebra kernels.
 
 Everything operates on immutable tuples of Python ints (arbitrary
-precision); rational answers come back as ``fractions.Fraction`` values,
-and there is no floating point anywhere.  Vectors are ``tuple[int, ...]``,
-matrices are tuples of row vectors.
+precision); every answer is an integer, no ``Fraction`` is made, and there
+is no floating point anywhere.  Vectors are ``tuple[int, ...]``, matrices
+are tuples of row vectors.  A rational kernel comes back as primitive
+integer vectors, and a linear system is solved only where its answer is
+an integer vector.
 
-``rank``, ``det``, ``kernel_vector``, ``rational_nullspace``,
-``rational_solve`` and ``adjugate`` (so ``unimodular_inverse``) all read
+``rank``, ``det``, ``kernel_vector``, ``integer_nullspace``,
+``integer_solve`` and ``adjugate`` (so ``unimodular_inverse``) all read
 their answers off one kernel, :func:`_gauss_jordan`: fraction-free Gauss-Jordan elimination over the
 integers (Bareiss's single-step division by the previous pivot, in the
 Gauss-Jordan form of Nakos, Turner and Williams), which returns ``d``
@@ -27,13 +29,11 @@ transform.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-RatVec = tuple[Fraction, ...]
 
 
 class NotPrimitive(ValueError):
@@ -309,8 +309,11 @@ def unimodular_inverse(x) -> IntMat:
     return adj if dt == 1 else tuple(tuple(-v for v in row) for row in adj)
 
 
-def rational_nullspace(m) -> list[RatVec]:
-    """Basis of the rational kernel {x : m x = 0} of an integer matrix."""
+def integer_nullspace(m) -> list[IntVec]:
+    """Basis of the rational kernel {x : m x = 0} of an integer matrix, one
+    primitive integer vector per free column, positive there: the free
+    column gets ``d`` and each pivot column minus its row's free entry, off
+    ``d`` times the reduced row echelon form."""
     if not m:
         return []
     a, pivots, d, _ = _gauss_jordan(m)
@@ -319,18 +322,17 @@ def rational_nullspace(m) -> list[RatVec]:
     for fc in range(ncols):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -Fraction(a[i][fc], d)
-        basis.append(tuple(vec))
+        w = [0] * ncols
+        w[fc] = d
+        for row, pc in zip(a, pivots):
+            w[pc] = -row[fc]
+        basis.append(primitive(w if d > 0 else vec_neg(w)))
     return basis
 
 
-def rational_solve(m, b) -> RatVec | None:
-    """One exact solution of m x = b, or None when inconsistent.
-
-    Free variables are set to zero, making the answer deterministic.
+def integer_solve(m, b) -> IntVec | None:
+    """The solution of m x = b whose free variables are zero, when it is an
+    integer vector; None when it is not, or when m x = b is inconsistent.
     ``b`` needs one entry per row of ``m``.
     """
     if len(b) != len(m):
@@ -341,15 +343,10 @@ def rational_solve(m, b) -> RatVec | None:
     a, pivots, d, _ = _gauss_jordan([tuple(row) + (bb,) for row, bb in zip(m, b)], ncols)
     if any(row[ncols] != 0 for row in a[len(pivots):]):
         return None
-    sol = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        sol[pc] = Fraction(a[i][ncols], d)
+    sol = [0] * ncols
+    for row, pc in zip(a, pivots):
+        q, r = divmod(row[ncols], d)
+        if r:
+            return None
+        sol[pc] = q
     return tuple(sol)
-
-
-def scale_to_integer(v) -> IntVec:
-    """Clear denominators of a rational vector and strip the content."""
-    den = lcm(*(Fraction(x).denominator for x in v))
-    ints = tuple(int(Fraction(x) * den) for x in v)
-    g = gcd(*ints)
-    return ints if g == 0 else tuple(a // g for a in ints)

@@ -10,15 +10,15 @@ the support function (the per-summand maxima add up to the target's).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .cone import PolyhedralCone, cone_over, dual
 from .exactlin import (
     IntMat,
     IntVec,
     identity,
-    rational_solve,
+    integer_solve,
     sign_normalized,
     support,
     transpose,
@@ -37,8 +37,7 @@ class CutsRemaining(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CollapsingCycle:
+class CollapsingCycle(NamedTuple):
     """A 1-cycle of the torus fibre that dies on a codimension-2 stratum,
     tagged by the two chart coordinates that vanish there."""
 
@@ -54,8 +53,7 @@ def collapsing_cycles(d: MinkowskiDecomposition, p: int) -> tuple[CollapsingCycl
     return tuple(cycles)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Open region cut out by strict inequalities <a, lambda> > 0."""
 
     j: int
@@ -112,8 +110,7 @@ CUT_DIRECTION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BaseDiagram:
+class BaseDiagram(NamedTuple):
     """Combinatorial state of the convex base diagram.
 
     ``applied`` is the set of summand indices whose cut has been transferred;
@@ -146,7 +143,7 @@ def transfer_cut(b: BaseDiagram, p: int) -> BaseDiagram:
     summand_at(b.decomposition, p)  # p in range, decomposition admissible
     if p in b.applied:
         raise AlreadyApplied(f"cut {p} was already transferred")
-    return replace(b, applied=b.applied | {p})
+    return b._replace(applied=b.applied | {p})
 
 
 def final_cone(b: BaseDiagram) -> PolyhedralCone:
@@ -184,10 +181,9 @@ def height_one_normalization(c: PolyhedralCone):
     rays = c.generators
     rows = [r[:-1] for r in rays]
     rhs = [1 - r[-1] for r in rays]
-    sol = rational_solve(rows, rhs)
-    if sol is None or any(x.denominator != 1 for x in sol):
+    w = integer_solve(rows, rhs)
+    if w is None:
         return None
-    w = tuple(int(x) for x in sol)
     mat = _shear_last_row(w, dim - 1)
     heads = LatticePolytope(dim - 1, tuple(sorted(r[:-1] for r in rays)))
     return mat, heads

@@ -16,9 +16,9 @@ an exit status.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import sub
+from typing import NamedTuple
 
 from . import cone as cone_mod
 from .polytope import (
@@ -40,8 +40,7 @@ class TargetMismatch(ValueError):
     pass
 
 
-@dataclass
-class AnalysisRequest:
+class AnalysisRequest(NamedTuple):
     name: str
     decomposition: MinkowskiDecomposition
 
@@ -112,8 +111,7 @@ def _mat(m):
     return [list(r) for r in m]
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     data: dict
     failures: list[str]
 

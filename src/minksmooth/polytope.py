@@ -21,10 +21,10 @@ of high dimension, the sum folds pairwise hulls first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import accumulate, combinations
 from math import comb
+from typing import NamedTuple
 
 from .cone import PolyhedralCone, _vertex_walk, box_points, cone_from_generators, cone_over
 from .exactlin import (
@@ -36,12 +36,11 @@ from .exactlin import (
     complete_to_basis,
     dot,
     identity,
+    integer_nullspace,
     is_zero_vec,
     kernel_vector,
     primitive,
     rank,
-    rational_nullspace,
-    scale_to_integer,
     sign_normalized,
     snf_invariant_factors,
     support,
@@ -64,14 +63,18 @@ class NotAdmissible(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class _LatticePolytopeFields(NamedTuple):
     ambient_dim: int
     vertices: IntMat  # minimal vertex set, lexicographically sorted
 
-    def __post_init__(self):
-        if any(len(v) != self.ambient_dim for v in self.vertices):
+
+class LatticePolytope(_LatticePolytopeFields):
+    __slots__ = ()
+
+    def __new__(cls, ambient_dim, vertices):
+        if any(len(v) != ambient_dim for v in vertices):
             raise DimensionMismatch("vertex dimension mismatch")
+        return super().__new__(cls, ambient_dim, vertices)
 
     @property
     def origin_is_vertex(self) -> bool:
@@ -171,7 +174,7 @@ def _candidate_normals(summands, r) -> tuple[IntVec, ...]:
     if not dirs:
         return ()
     n = len(dirs[0])
-    perp = tuple(scale_to_integer(v) for v in rational_nullspace(dirs))
+    perp = tuple(integer_nullspace(dirs))
     normals = set()
     for sub in combinations(dirs, r - 1):
         a = kernel_vector(sub + perp, n)
@@ -216,10 +219,14 @@ def lattice_points(p: LatticePolytope) -> list[IntVec]:
     return out
 
 
-@dataclass(frozen=True)
-class MinkowskiDecomposition:
+class _MinkowskiDecompositionFields(NamedTuple):
     summands: tuple[LatticePolytope, ...]
     target: LatticePolytope
+
+
+class MinkowskiDecomposition(_MinkowskiDecompositionFields):
+    """Summands and their sum.  No ``__slots__``: the admissibility memo
+    lives in the instance's dict, outside ``==`` and ``hash``."""
 
     @property
     def n(self) -> int:
@@ -252,8 +259,7 @@ def phi(d: MinkowskiDecomposition, v) -> IntVec:
     return tuple(support(s.vertices, v) for s in d.summands)
 
 
-@dataclass(frozen=True)
-class SummandMatrices:
+class SummandMatrices(NamedTuple):
     """The matrix package attached to one summand.
 
     ``v`` has the nonzero vertices as rows (m x n), ``e`` completes them to a
@@ -305,8 +311,7 @@ def summand_matrices(mi: LatticePolytope) -> SummandMatrices:
     return SummandMatrices(v, e, a, c, b)
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(NamedTuple):
     ok: bool
     matrices: tuple[SummandMatrices, ...] | None
     violations: tuple[str, ...]

@@ -27,11 +27,11 @@ Newton search of :mod:`.numeric` for witnesses when first read.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, combinations, repeat
 from math import gcd, prod
 from operator import add, floordiv, mod, mul, sub
+from typing import NamedTuple
 
 from .exactlin import hnf
 from .polytope import LatticePolytope, MinkowskiDecomposition, convex_hull, require_admissible
@@ -194,8 +194,14 @@ def newton_polytope(p: LaurentPoly) -> LatticePolytope:
 # critical points
 
 
-@dataclass
-class CriticalFamily:
+class _CriticalFamilyFields(NamedTuple):
+    z1_minpoly: tuple[int, ...]
+    z2_minpoly: tuple[int, ...]
+    pair: tuple[int, int]
+    on_unit_circle: bool
+
+
+class CriticalFamily(_CriticalFamilyFields):
     """One algebraic family of isolated torus solutions in the first two
     variables; the last variable is free along each.
 
@@ -221,26 +227,34 @@ class CriticalFamily:
     elimination fibre, read once off the dense lists of :mod:`.ratpoly` (each
     rational as a ``Fraction``, a zero coefficient as ``[Fraction(0)]``); on
     a segment pair its closed form in integers (:func:`_binomial_fibre`), so
-    no segment pair is ever eliminated.
+    no segment pair is ever eliminated.  ``fibre`` is an attribute outside
+    the tuple, so ``==``, ``hash`` and ``repr`` ignore it.
     """
 
-    z1_minpoly: tuple[int, ...]
-    z2_minpoly: tuple[int, ...]
-    pair: tuple[int, int]
-    on_unit_circle: bool
-    fibre: Callable[[], tuple] = field(compare=False, repr=False)
+    def __new__(cls, z1_minpoly, z2_minpoly, pair, on_unit_circle, fibre: Callable[[], tuple]):
+        self = super().__new__(cls, z1_minpoly, z2_minpoly, pair, on_unit_circle)
+        self.fibre = fibre
+        return self
 
 
-@dataclass
-class CriticalReport:
-    """The decision, with the numeric points of its families (``witnesses``)
-    or of the verdict "heuristic" computed when first read."""
-
+class _CriticalReportFields(NamedTuple):
     verdict: str  # "none" | "finite" | "positive_dimensional" | "heuristic"
-    count: int | None = None
-    families: list[CriticalFamily] = field(default_factory=list)
-    note: str = ""
-    search: Callable[[], list] = field(default=list, compare=False, repr=False)  # run by heuristic_points
+    count: int | None
+    families: list[CriticalFamily]
+    note: str
+
+
+class CriticalReport(_CriticalReportFields):
+    """The decision, with the numeric points of its families (``witnesses``)
+    or of the verdict "heuristic" computed when first read.  ``search``,
+    run by :attr:`heuristic_points`, is an attribute outside the tuple, so
+    ``==`` and ``repr`` ignore it, and the two memos live in the instance's
+    dict."""
+
+    def __new__(cls, verdict, count=None, families=(), note="", search: Callable[[], list] = list):
+        self = super().__new__(cls, verdict, count, list(families), note)
+        self.search = search
+        return self
 
     @cached_property
     def heuristic_points(self) -> list[tuple[complex, ...]]:

@@ -12,7 +12,7 @@ ad-hoc hand numbering of the same vector set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cone import PolyhedralCone, dual, hilbert_basis, sigma_tilde
 from .exactlin import (
@@ -20,16 +20,14 @@ from .exactlin import (
     IntVec,
     as_vec,
     identity,
-    rational_nullspace,
-    scale_to_integer,
+    integer_nullspace,
     vec_add,
     vec_neg,
 )
 from .polytope import MinkowskiDecomposition, phi, require_admissible, summand_at
 
 
-@dataclass(frozen=True, order=True)
-class CharLabel:
+class CharLabel(NamedTuple):
     kind: str  # "t", "x", "y", "w+", "w-", "extra"
     i: int = 0
     j: int = 0
@@ -66,8 +64,7 @@ def Extra(idx):
     return CharLabel("extra", idx)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     n: int
     k: int
     entries: tuple[tuple[CharLabel, IntVec], ...]
@@ -144,8 +141,7 @@ def relation_w(d: MinkowskiDecomposition, p: int, j: int) -> IntVec:
     return eta
 
 
-@dataclass(frozen=True)
-class FibreModel:
+class FibreModel(NamedTuple):
     """Local model of the fibre attached to summand p: the vanishing product
     over the listed coordinates inside C^{m_p+1} x (C*)^{n-m_p}.  The general
     fibre away from the critical values is an n-torus."""
@@ -177,10 +173,8 @@ def check_homogeneity(g: GeneratorSet) -> tuple[IntVec, int] | None:
     if not vecs:
         return None
     rows = [v + (-1,) for v in vecs]
-    basis = rational_nullspace(rows)
-    for vec in basis:
-        if vec[-1] != 0:
-            ints = scale_to_integer(vec)
+    for ints in integer_nullspace(rows):
+        if ints[-1] != 0:
             if ints[-1] < 0:
                 ints = vec_neg(ints)
             return ints[:-1], ints[-1]

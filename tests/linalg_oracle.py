@@ -2,14 +2,17 @@
 
 :func:`rref` is textbook Gauss-Jordan elimination over ``Fraction``: each
 pivot row is divided by its pivot and the pivot column cleared above and
-below.  The library reads ``rank``, ``rational_nullspace``,
-``rational_solve`` and ``unimodular_inverse`` off a fraction-free integer
+below.  The library reads ``rank``, ``integer_nullspace``,
+``integer_solve`` and ``unimodular_inverse`` off a fraction-free integer
 elimination instead; the functions here answer the same questions the
-slow, obvious way so tests can compare the two.  :func:`mat_mul`, the
+slow, obvious way so tests can compare the two, the rational answers
+scaled by :func:`integer_kernel` and :func:`integer_solution` to the
+library's integer ones.  :func:`mat_mul`, the
 integer matrix product, checks the library's inverses and transforms.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rref(m, ncols=None, steps=None):
@@ -83,6 +86,24 @@ def solve(m, b):
     for i, pc in enumerate(pivots):
         sol[pc] = a[i][ncols]
     return tuple(sol)
+
+
+def integer_kernel(m):
+    """:func:`nullspace` with each vector scaled to a primitive integer
+    vector, positive in its free column."""
+    out = []
+    for vec in nullspace(m):
+        ints = [int(x * lcm(*(x.denominator for x in vec))) for x in vec]
+        out.append(tuple(x // gcd(*ints) for x in ints))
+    return out
+
+
+def integer_solution(m, b):
+    """:func:`solve` when its answer is an integer vector, else None."""
+    sol = solve(m, b)
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
 
 
 def inverse(m):

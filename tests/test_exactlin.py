@@ -15,11 +15,10 @@ from minksmooth.exactlin import (
     det,
     hnf,
     identity,
+    integer_nullspace,
+    integer_solve,
     kernel_vector,
     rank,
-    rational_nullspace,
-    rational_solve,
-    scale_to_integer,
     snf_invariant_factors,
     unimodular_inverse,
     vec_neg,
@@ -196,10 +195,10 @@ def _check_sparse_case(m, b):
     else:
         with pytest.raises(NotUnimodular):
             unimodular_inverse(m)
-    assert rational_nullspace(m) == oracle.nullspace(m)
-    assert rational_solve(m, b) == oracle.solve(m, b)
+    assert integer_nullspace(m) == oracle.integer_kernel(m)
+    assert integer_solve(m, b) == oracle.integer_solution(m, b)
     rhs = tuple(sum(x * y for x, y in zip(row, b)) for row in m)
-    assert rational_solve(m, rhs) == oracle.solve(m, rhs)
+    assert integer_solve(m, rhs) == oracle.integer_solution(m, rhs)
     steps = []
     oracle.rref(m, steps=steps)
     return sum(z for p, z in steps if p == 1), sum(z for p, z in steps if p != 1)
@@ -281,17 +280,19 @@ def test_unimodular_inverse_roundtrip(n):
 def test_rank_and_solvers():
     assert rank(((1, 2), (2, 4))) == 1
     assert rank(()) == 0
-    ns = rational_nullspace(((1, 1, 0), (0, 1, 1)))
-    assert len(ns) == 1
-    x = rational_solve(((1, 0), (0, 2)), (3, 4))
-    assert x == (3, 2)
-    assert rational_solve(((1, 0), (1, 0)), (1, 2)) is None
+    assert integer_nullspace(((1, 1, 0), (0, 1, 1))) == [(1, -1, 1)]
+    # the kernel of (2, 3) is spanned by (-3/2, 1), which scales to (-3, 2)
+    assert integer_nullspace(((2, 3),)) == [(-3, 2)]
+    assert integer_solve(((1, 0), (0, 2)), (3, 4)) == (3, 2)
+    # consistent, but the solution (3, 3/2) is not an integer vector
+    assert integer_solve(((1, 0), (0, 2)), (3, 3)) is None
+    assert integer_solve(((1, 0), (1, 0)), (1, 2)) is None
 
 
 @pytest.mark.parametrize("m,b", [(((1, 0), (0, 1)), (1,)), (((1, 0),), (1, 2)), ((), (1,))])
 def test_rational_solve_rejects_mismatched_rhs(m, b):
     with pytest.raises(ValueError):
-        rational_solve(m, b)
+        integer_solve(m, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,14 +300,14 @@ def test_rational_solve_rejects_mismatched_rhs(m, b):
 def test_kernel_matches_rational_oracle(m, data):
     ncols = len(m[0])
     assert rank(m) == oracle.rank(m)
-    assert rational_nullspace(m) == oracle.nullspace(m)
+    kernel = oracle.integer_kernel(m)
+    assert integer_nullspace(m) == kernel
     b = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(m), max_size=len(m)))
-    assert rational_solve(m, b) == oracle.solve(m, b)
+    assert integer_solve(m, b) == oracle.integer_solution(m, b)
     x = data.draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
     b = tuple(sum(a * y for a, y in zip(row, x)) for row in m)
-    assert rational_solve(m, b) == oracle.solve(m, b)
+    assert integer_solve(m, b) == oracle.integer_solution(m, b)
     # a kernel of dimension 1 has a primitive integer generator, up to sign
-    kernel = [scale_to_integer(v) for v in oracle.nullspace(m)]
     assert kernel_vector(m, ncols) in ([kernel[0], vec_neg(kernel[0])] if len(kernel) == 1 else [None])
     k = min(len(m), ncols)
     sq = tuple(row[:k] for row in m[:k])
