@@ -1,52 +1,89 @@
-"""Exact elimination primitives for the planar critical-point decision.
+"""Exact elimination for the planar critical-point decision.
 
-Polynomials are sympy's dense coefficient lists, leading first, over its
-``ZZ`` and ``QQ`` domains: a univariate polynomial is one list, and a
-bivariate one a list, in the main variable, of lists in the other.  The
-main variable, called y here, is the one eliminated; the other, x, is kept.
-Each primitive is the sympy dense-layer routine that ``sympy.Poly`` wraps,
-called on the lists directly, so the results are the same integers and
-rationals with no ``Poly`` built.  Resultants and gcds take integer lists:
-over ZZ the subresultant sequence divides exactly in Z[x], and over QQ the
-same sequence ran 3.7 times slower on the lens(97,30) decision.  Gcds over a
-number field K = Q[x]/(f) are read off that sequence, not recomputed.
-Pairs with a triangle are decided here (:func:`_chart_pair`); no other
-module imports sympy.
+Polynomials are the dense integer lists of :mod:`.zpoly`, leading
+coefficient first: a univariate polynomial is one list, and a bivariate one
+a list, in the main variable, of lists in the other.  The main variable,
+called y here, is the one eliminated; the other, x, is kept.  Resultants
+and gcds stay in Z[x]: the subresultant sequence divides exactly there, and
+gcds over a number field K = Q[x]/(f) are read off that sequence, not
+recomputed, with the inverses and remainders in K taken by integer
+pseudo-division and given as ``Fraction``s.  Pairs with a triangle are
+decided here (:func:`_chart_pair`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-from sympy.polys.densearith import dup_exquo, dup_mul, dup_rem
-from sympy.polys.densebasic import dmp_from_dict, dmp_terms_gcd, dup_convert, dup_from_dict
-from sympy.polys.densetools import dmp_clear_denoms
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dmp_gcd, dmp_resultant, dup_gcd, dup_invert
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_part
-
+from . import zpoly as zp
 from .exactlin import CrossCheckError, dot
-from .potential import CriticalFamily, _require_degree
+from .potential import CriticalFamily, _cyclotomic_product, _require_degree
 
 # the divisors of x^3 - 1 other than 1, lowest degree first
 _CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
+# Phi_m for m <= 12, leading first: factors are tried against them, one
+# division each, before any modular work
+_CYCLOTOMIC = [list(reversed(_cyclotomic_product((m,)))) for m in range(1, 13)]
 
 
 def bresultant_y(f: list, g: list) -> tuple[list, list[list]]:
     """Resultant with respect to the main variable of two integer bivariate
     lists, as an integer list in the other, and its subresultant PRS, which
     starts with the input of higher degree in y and is empty when an input is
-    zero.  The resultant is up to sign: sympy 1.14 drops the factor
-    (-1)^(deg f * deg g) when deg f < deg g.
-    """
-    return dmp_resultant(f, g, 1, ZZ, includePRS=True)
+    zero.  The resultant is up to sign: the factor (-1)^(deg f * deg g) is
+    dropped when deg f < deg g."""
+    if not f or not g:
+        return [], []
+    prs, s = zp.subresultants(f, g)
+    return ([] if len(prs[-1]) > 1 else s[-1]), prs
+
+
+def _primitive_y(f: list) -> tuple[list, list]:
+    """The gcd in Z[x] of a bivariate list's coefficients, and the list
+    over it."""
+    c = []
+    for u in f:
+        c = zp.gcd(c, u)
+    return c, (f if c == [1] else [zp.exquo(u, c) for u in f])
 
 
 def bgcd(f: list, g: list) -> list:
-    """Gcd in Z[y, x]; no library caller, the tests' shared-curve oracle."""
-    return dmp_gcd(f, g, 1, ZZ)
+    """Gcd in Z[y, x] by the primitive PRS in y, with a positive leading
+    coefficient; no library caller, the tests' shared-curve oracle."""
+    if not f or not g:
+        h = f or g
+    else:
+        (cf, f), (cg, g) = _primitive_y(f), _primitive_y(g)
+        if len(f) < len(g):
+            f, g = g, f
+        while len(g) > 1:
+            f, g = g, _primitive_y(zp.bprem(f, g))[1]
+        c = zp.gcd(cf, cg)
+        h = [zp.mul(c, u) for u in ([[1]] if g else _primitive_y(f)[1])]
+    return [zp.neg(u) for u in h] if h and h[0][0] < 0 else h
+
+
+def _inverse_multiple(a: list, modulus: list) -> list:
+    """An integer list s with s a equal to a nonzero integer modulo the
+    irreducible ``modulus``, of which ``a`` is no multiple: the extended
+    primitive remainder sequence, each row (r, s) with s a = r modulo the
+    modulus divided by its content."""
+    r0, r1, s0, s1 = modulus, a, [], [1]
+    while len(r1) > 1:
+        e = len(r0) - len(r1) + 1
+        q, r = zp.pdivmod(r0, r1)
+        s = zp.sub([r1[0] ** e * c for c in s0], zp.mul(q, s1))
+        c = gcd(*r, *s)
+        r0, r1, s0, s1 = r1, [u // c for u in r], s1, [u // c for u in s]
+    if not r1:
+        raise ArithmeticError("the modulus is not irreducible")
+    return s1
+
+
+def _reduce(u: list, modulus: list) -> tuple[list, int]:
+    """u modulo ``modulus`` over Q as (integer list, denominator)."""
+    return zp.pdivmod(u, modulus)[1], modulus[0] ** max(len(u) - len(modulus) + 1, 0)
 
 
 def kgcd_y(modulus: list, prs: list[list]) -> list[list]:
@@ -54,7 +91,8 @@ def kgcd_y(modulus: list, prs: list[list]) -> list[list]:
     irreducible, of the pair with subresultant PRS ``prs``: by the
     specialization property, the image of the lowest entry whose leading
     coefficient does not vanish in K.  Coefficients in y, leading first, each
-    a list over QQ reduced modulo ``modulus``; ``[]`` when no entry qualifies.
+    a list of ``Fraction``s reduced modulo ``modulus``; ``[]`` when no entry
+    qualifies.
 
     Exact when the first entry keeps its leading coefficient in K.  For two
     admissible planar factors that fails only above x = -1, when the first
@@ -62,19 +100,34 @@ def kgcd_y(modulus: list, prs: list[list]) -> list[list]:
     is then a monomial in y, so the true gcd has no torus root, and ``[]``
     gives the same empty fibre.
     """
-    m = dup_convert(modulus, ZZ, QQ)
     for p in reversed(prs):
-        coeffs = [dup_rem(dup_convert(c, ZZ, QQ), m, QQ) for c in p]
-        if coeffs[0]:
-            inv = dup_invert(coeffs[0], m, QQ)
-            return [dup_rem(dup_mul(inv, c, QQ), m, QQ) for c in coeffs]
+        top = zp.pdivmod(p[0], modulus)[1]
+        if top:
+            s = _inverse_multiple(top, modulus)
+            rows = [_reduce(zp.mul(s, u), modulus) for u in p]
+            # s times the leading coefficient is a rational constant k
+            (k,), den = rows[0]
+            return [[Fraction(c * den, d * k) for c in r] for r, d in rows]
     return []
 
 
 def factor_rational(f: list) -> list[tuple[list, int]]:
     """Irreducible factors over Q of a univariate integer list, with their
-    multiplicities: primitive integer lists in sympy's order."""
-    return dup_factor_list(f, ZZ)[1]
+    multiplicities: primitive integer lists with positive leading
+    coefficients, by degree and then coefficients.  The square-free parts
+    are Yun's; each loses its factors x and Phi_m, m <= 12, by division,
+    and Zassenhaus splits the rest."""
+    k = len(f) - len(zp._trim(f[::-1]))  # the power of x
+    out = [([1, 0], k)] if k and f else []
+    for g, mult in zp.sqf_list(f[: len(f) - k]):
+        for phi in _CYCLOTOMIC:
+            q = zp.quotient(g, phi) if len(phi) <= len(g) else None
+            if q is not None:
+                out.append((phi, mult))
+                g = q
+        if len(g) > 1:
+            out += [(u, mult) for u in zp.factor_squarefree(g)]
+    return sorted(out, key=lambda um: (len(um[0]), um[0]))
 
 
 def _clear_to_bpoly(sm) -> list:
@@ -83,35 +136,38 @@ def _clear_to_bpoly(sm) -> list:
     it is the one the resultant eliminates."""
     exps = [(0, 0), *sm.v]
     min1, min2 = (min(e[s] for e in exps) for s in (0, 1))
-    terms = {(e2 - min2, e1 - min1): 1 for e1, e2 in exps}
-    _require_degree(max(max(e) for e in terms))
-    return dmp_from_dict(terms, 1, ZZ)
+    deg1, deg2 = (max(e[s] for e in exps) - low for s, low in ((0, min1), (1, min2)))
+    _require_degree(max(deg1, deg2))
+    rows = [[0] * (deg1 + 1) for _ in range(deg2 + 1)]
+    for e1, e2 in exps:
+        rows[deg2 - e2 + min2][deg1 - e1 + min1] = 1
+    return [zp._trim(u) for u in rows]
 
 
 def _strip_x(u: list) -> list:
     """Drop the monomial factor x^k of an integer list; torus roots are
     unaffected."""
-    return dmp_terms_gcd(u, 0, ZZ)[1]
+    return zp._trim(u[::-1])[::-1]
 
 
 def _int_coeffs(u: list) -> tuple[int, ...]:
     """Coefficients of a primitive integer list, lowest degree first."""
-    return tuple(int(c) for c in reversed(u))
+    return tuple(reversed(u))
 
 
 def _common_fibres(bi, bj):
     """Common torus zeros of a pair of cleared integer bivariate lists, as
     fibres (f, h): f is an irreducible integer factor of the resultant that
     eliminates the main variable y, and h, in K[y] with K = Q[x]/(f), is the
-    pair's gcd above the roots of f, one list over QQ per power of y.  The
-    chart has ruled out a shared curve.
+    pair's gcd above the roots of f, one list of ``Fraction``s per power of
+    y.  The chart has ruled out a shared curve.
     """
     res, prs = bresultant_y(bi, bj)
     res = _strip_x(res)
     if len(res) <= 1:
         return []
     fibres = []
-    for f, _mult in factor_rational(dup_sqf_part(res, ZZ)):
+    for f, _mult in factor_rational(zp.sqf_part(res)):
         # one side may vanish identically above these roots; the gcd read
         # off the PRS is then the survivor, whose zeros are the common zeros
         h = kgcd_y(f, prs)
@@ -126,11 +182,15 @@ def _partner_minpoly(f, h) -> list:
     """Squarefree annihilator of the second coordinate over the family:
     eliminate x between f(x) and the lifted h(x, y) by a resultant in x (a
     power of h when h does not involve x)."""
-    top = len(h) - 1
-    terms = {(len(u) - 1 - ex, top - k): c for k, u in enumerate(h) for ex, c in enumerate(u) if c}
-    lifted = dmp_clear_denoms(dmp_from_dict(terms, 1, QQ), 1, QQ, ZZ, convert=True)[1]
+    den = lcm(*(c.denominator for u in h for c in u))
+    top = max(map(len, h)) - 1
+    # main variable x, leading first; each coefficient a list in y
+    lifted = [
+        zp._trim([u[len(u) - 1 - ex].numerator * (den // u[len(u) - 1 - ex].denominator) if ex < len(u) else 0 for u in h])
+        for ex in range(top, -1, -1)
+    ]
     res = bresultant_y(lifted, [[c] if c else [] for c in f])[0]
-    return dup_sqf_part(_strip_x(res), ZZ)
+    return zp.sqf_part(_strip_x(res))
 
 
 def _chart_points(sm_i, sm_j) -> list:
@@ -149,8 +209,8 @@ def _chart_points(sm_i, sm_j) -> list:
         top = p - p0 if sm_i.m == 2 else 0  # w1^p = (-1)^p (1 + t)^p; clear (1 + t)^-p0
         for r in range(top + 1):
             coeffs[q - q0 + r] = coeffs.get(q - q0 + r, 0) + (-1 if p % 2 else 1) * comb(top, r)
-    g = dup_sqf_part(dup_from_dict(coeffs, ZZ), ZZ)
-    return dup_exquo(g, dup_gcd(g, [1, 1, 0] if sm_i.m == 2 else [1, 0], ZZ), ZZ)
+    g = zp.sqf_part(zp._trim([coeffs.get(k, 0) for k in range(max(coeffs), -1, -1)]))
+    return zp.exquo(g, zp.gcd(g, [1, 1, 0] if sm_i.m == 2 else [1, 0]))
 
 
 def _chart_pair(mats, i, j, chart, bpoly):
@@ -166,12 +226,12 @@ def _chart_pair(mats, i, j, chart, bpoly):
         raise CrossCheckError("the chart and the elimination disagree on the solution count")
     for l in range(j):
         if l != i and mats[l].m and len(g) > 1:
-            g = dup_exquo(g, dup_gcd(g, chart(i, l), ZZ), ZZ)
+            g = zp.exquo(g, zp.gcd(g, chart(i, l)))
     families = []
     for f, h in fibres:
         z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
         # a zero coefficient of h is the list [0], as in the segment fibres
-        exact = [[Fraction(int(c.numerator), int(c.denominator)) for c in u] or [Fraction(0)] for u in h]
+        exact = [u or [Fraction(0)] for u in h]
         fibre = (list(z1[::-1]), exact)
         families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=fibre: fh))
     return len(g) - 1, families

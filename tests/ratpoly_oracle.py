@@ -1,18 +1,19 @@
 """The planar critical-point decision on hand-written ``Fraction`` polynomials.
 
-This is the elimination layer the library used before it moved onto
-``sympy.Poly``, kept whole as an independent reference: univariate and
-bivariate arithmetic over Q, resultants by fraction-free Bareiss
-elimination on the Sylvester matrix, gcds by the primitive
-pseudo-remainder sequence, arithmetic in Q[x]/(f), and the pairwise
-driver :func:`critical_exists` on top of them.  Univariate polynomials are
-tuples of Fractions indexed by degree, trimmed; bivariate ones live in
-Q[x][y] as a tuple of univariate coefficients, the i-th that of y^i.
-Only factorization goes through sympy.  Tests compare the library's
-primitives and its ``CriticalReport`` with these, field by field and the
-witnesses bit for bit; the unit-circle flag here tests the numeric roots of
-both minimal polynomials, where the library decides it exactly from the
-pair's summand shapes.
+An elimination layer written apart from the library's integer kernel
+(:mod:`minksmooth.zpoly`), kept whole as an independent reference:
+univariate and bivariate arithmetic over Q, resultants by fraction-free
+Bareiss elimination on the Sylvester matrix, gcds by the primitive
+pseudo-remainder sequence, arithmetic in Q[x]/(f), and the pairwise driver
+:func:`critical_exists` on top of them.  Univariate polynomials are tuples
+of Fractions indexed by degree, trimmed; bivariate ones live in Q[x][y] as
+a tuple of univariate coefficients, the i-th that of y^i.  Only
+factorization goes through sympy, which the library no longer imports, so
+it is also an oracle for the kernel's Zassenhaus factoring.  Tests compare
+the library's primitives and its ``CriticalReport`` with these, field by
+field and the witnesses bit for bit; the unit-circle flag here tests the
+numeric roots of both minimal polynomials, where the library decides it
+exactly from the pair's summand shapes.
 """
 
 from __future__ import annotations

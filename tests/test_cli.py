@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import html
-import inspect
 import io
 import json
 import os
@@ -647,17 +646,22 @@ def test_witness_budget_admits_the_largest_tested_family():
     assert sum(map(len, report.witnesses)) == 1200
 
 
-def test_segment_witnesses_build_no_sympy_polynomial(monkeypatch):
+def test_segment_witnesses_build_no_sympy_polynomial():
     # a segment pair's fibre is integer coefficient lists: dilation a=24
-    # yields its 10 families and 1200 witnesses with every sympy routine of
-    # the elimination refused
-    for module in (potential, ratpoly, numeric):
-        for name, obj in list(vars(module).items()):
-            if inspect.isfunction(obj) and obj.__module__.startswith("sympy."):
-                monkeypatch.setattr(module, name, _raise(AssertionError(f"a segment fibre called sympy's {name}")))
-    report = _segments_report((1, 24), (24, 1), (1, -24))
-    assert len(report.families) == len(report.witnesses) == 10
-    assert sum(map(len, report.witnesses)) == 1200
+    # yields its 10 families and 1200 witnesses in a fresh interpreter that
+    # never loads sympy, which no module of the package imports
+    code = (
+        "import json, sys\n"
+        "from minksmooth.pipeline import parse_input\n"
+        "from minksmooth.potential import critical_exists\n"
+        "vs = [(1, 24), (24, 1), (1, -24)]\n"
+        "d = parse_input(json.dumps({'dimension': 2, 'summands': [{'vertices': [[0, 0], list(v)]} for v in vs]}))\n"
+        "report = critical_exists(d.decomposition)\n"
+        "print(len(report.families), sum(map(len, report.witnesses)), 'sympy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["10", "1200", "False"]
 
 
 def test_witness_budget_bounds_the_whole_report(monkeypatch):
@@ -1101,11 +1105,10 @@ def test_report_prints_the_newton_witnesses():
 
 
 def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
-    # sympy is imported by ratpoly alone, for a planar decision, and numpy
-    # by numeric alone, when a report's points are computed; the package
-    # root re-exports nothing.  So the exact modules, the potential, the
-    # command line and commands that take neither step load neither, and
-    # each step loads only its own library, in a fresh interpreter
+    # no module imports sympy, and numpy is imported by numeric alone, when
+    # a report's points are computed; the package root re-exports nothing.
+    # So in a fresh interpreter no command loads sympy, and only the
+    # commands that compute points load numpy
     segments = lambda n, *vs: {"dimension": n, "summands": [{"vertices": [[0] * n, list(v)]} for v in vs]}
     spatial = write_input(tmp_path, SPATIAL_SEGMENTS_K4)
     # two segments span a plane of Q^3: refused before the decision
@@ -1141,9 +1144,9 @@ def test_exact_core_imports_without_sympy_or_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [
         "[0, 2, 2, 0, 0, 3, 0] []",
-        "[0] ['sympy']",
-        "[5] ['sympy']",
-        "[0] ['numpy', 'sympy']",
+        "[0] []",
+        "[5] []",
+        "[0] ['numpy']",
     ]
 
 
@@ -1173,8 +1176,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert proc.stdout.splitlines() == [
         "[] []",
         "[0, 0, 0] ['minksmooth.potential']",
-        "[0] ['minksmooth.fibration', 'minksmooth.smoothing', 'minksmooth.potential', 'sympy']",
-        "[0] ['minksmooth.fibration', 'minksmooth.smoothing', 'minksmooth.potential', 'sympy']",
+        "[0] ['minksmooth.fibration', 'minksmooth.smoothing', 'minksmooth.potential']",
+        "[0] ['minksmooth.fibration', 'minksmooth.smoothing', 'minksmooth.potential']",
     ]
 
 
@@ -1184,13 +1187,13 @@ def test_svg_title_escape_is_html_escape_without_quotes(text):
     assert _escape(text) == html.escape(text, quote=False)
 
 
-def test_triangle_pairs_load_neither_sympy_combinatorics_nor_tensor():
-    # the planar elimination runs on sympy's dense coefficient lists; a
-    # sympy expression, as building a Poly from another's generators makes,
-    # would load both packages on the first pair with a triangle
+def test_planar_decisions_load_no_sympy():
+    # the planar elimination runs on the package's own integer kernel: the
+    # worked examples with a triangle pair (Q5, the cubic cone) and with
+    # segments only (lens(2,1)) decide and report without sympy
     runs = [
         [command, str(FIXTURES / name), flag]
-        for name in ("q5.json", "cubic.json")
+        for name in ("q5.json", "cubic.json", "lens_2_1.json")
         for command, flag in (("potential", "--critical"), ("analyze", "--fast"))
     ]
     code = (
@@ -1198,12 +1201,11 @@ def test_triangle_pairs_load_neither_sympy_combinatorics_nor_tensor():
         "import minksmooth.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [minksmooth.cli.main(argv) for argv in {runs!r}]\n"
-        "print(codes, sorted(m for m in ('sympy.combinatorics', 'sympy.tensor.tensor') if m in sys.modules),"
-        " 'sympy.polys' in sys.modules)\n"
+        "print(codes, 'sympy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] [] True"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 # a name is plain, or holds characters the SVG title cannot (controls, lone

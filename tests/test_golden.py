@@ -87,6 +87,8 @@ def test_family_goldens_are_present():
     ]
     assert (FAMILIES / "seg16.report.json").is_file()
     assert (FAMILIES / "seg16.potential-critical.txt").is_file()
+    assert (FAMILIES / "tt12.json").is_file()
+    assert (FAMILIES / "tt12.potential-critical.txt").is_file()
 
 
 @pytest.mark.parametrize("name", FAMILY_HILBERT)
@@ -113,6 +115,16 @@ def test_seg16_potential_critical_stdout_matches_golden_bytes(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (FAMILIES / "seg16.potential-critical.txt").read_bytes()
+
+
+def test_tt12_potential_critical_stdout_matches_golden_bytes(capsys):
+    # three triangles whose large pair's resultant has degree 143 and factors
+    # of degree 2, 13 and 128: the Hensel lifting and the recombination of
+    # the factorization, and a partner polynomial of degree 128
+    assert main(["potential", str(FAMILIES / "tt12.json"), "--critical"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (FAMILIES / "tt12.potential-critical.txt").read_bytes()
 
 
 def test_comparison_tolerates_only_float_witnesses():

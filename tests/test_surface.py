@@ -82,3 +82,17 @@ def test_a_local_variable_is_not_a_caller():
     assert _names(local) == ({"det", "area"}, set())
     assert _names(local + "\nareas = [det for det in (1, 2)]\n")[1] == set()
     assert _names(local + "\nclass C:\n    def f(self):\n        return [det(v) for v in ()]\n")[1] == {"det"}
+
+
+def test_no_module_imports_sympy():
+    # the planar elimination runs on zpoly's integer kernel; sympy is a
+    # test oracle only, so no import of it, at the top or in a function
+    for module, source in SOURCES.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "sympy"], module
