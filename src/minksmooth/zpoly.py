@@ -25,11 +25,9 @@ read back from its bytes.
 
 from __future__ import annotations
 
-from array import array
 from itertools import combinations
 from math import gcd as igcd
 from math import isqrt
-from sys import byteorder
 
 # good primes whose degree patterns the sieve intersects, at most
 _SIEVE_PRIMES = 5
@@ -328,45 +326,14 @@ def _gf(f: list, p: int) -> list:
     return _trim([c % p for c in f])
 
 
-# machine words by size in bytes, for packing small slots at C speed
-_WORDS = {array(code).itemsize: code for code in "BHIQ"}
-
-
-def _ubytes(bound: int) -> int:
-    """Bytes per packed slot that holds values in [0, bound]: a machine
-    word when one is wide enough."""
-    nb = bound.bit_length() // 8 + 1
-    return next((k for k in sorted(_WORDS) if k >= nb), nb)
-
-
-def _upack(f: list, nb: int) -> int:
-    """f(256^nb) for coefficients in [0, 256^nb)."""
-    if nb in _WORDS:
-        return int.from_bytes(array(_WORDS[nb], f[::-1]).tobytes(), byteorder)
-    return int.from_bytes(b"".join([c.to_bytes(nb, "big") for c in f]), "big")
-
-
-def _uunpack(v: int, n: int, nb: int) -> list:
-    """The ``n`` coefficients in [0, 256^nb) of the polynomial whose value
-    at 256^nb is ``v``."""
-    if nb in _WORDS:
-        return memoryview(v.to_bytes(n * nb, byteorder)).cast(_WORDS[nb]).tolist()[::-1]
-    data = v.to_bytes(n * nb, "big")
-    return [int.from_bytes(data[i : i + nb], "big") for i in range(0, n * nb, nb)]
-
-
 def _gf_mul(a: list, b: list, p: int) -> list:
-    """The product mod p, with no trimming: it also multiplies power series
-    written lowest term first."""
-    if not a or not b:
-        return []
-    if len(a) * len(b) < _SCHOOLBOOK:
-        return [c % p for c in mul(a, b)]
-    nb = _ubytes((p - 1) ** 2 * min(len(a), len(b)))
-    return [c % p for c in _uunpack(_upack(a, nb) * _upack(b, nb), len(a) + len(b) - 1, nb)]
+    """The product mod p, with no trimming."""
+    return [c % p for c in mul(a, b)]
 
 
 def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """(q, r) with a = q b + r mod p and deg r < deg b; p may be composite
+    when lc(b) is a unit mod p."""
     n = len(b)
     if len(a) < n:
         return [], a
@@ -405,82 +372,34 @@ def _gf_gcdex(f: list, g: list, p: int) -> tuple[list, list]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-class _Modulus:
-    """Z/p[x]/(f) for a monic f: a remainder is one truncated product with
-    the power series inverse of f written backwards, then one product with
-    f (Barrett)."""
+def _gf_rem(a: list, f: list, p: int) -> list:
+    return _gf_divmod(a, f, p)[1]
 
-    __slots__ = ("f", "p", "n", "inv")
 
-    def __init__(self, f: list, p: int):
-        self.f, self.p, self.n = f, p, len(f) - 1
-        # Newton iteration inv <- inv (2 - f inv), doubling the precision;
-        # lists lowest term first, so f's list is the reversed polynomial
-        inv, prec = [1], 1
-        while prec < self.n - 1:
-            prec = min(2 * prec, self.n - 1)
-            e = [-c % p for c in _gf_mul(f[:prec], inv, p)[:prec]]
-            e[0] = (e[0] + 2) % p
-            inv = _gf_mul(inv, e, p)[:prec]
-        self.inv = inv
-
-    def rem(self, a: list) -> list:
-        """a mod f, for a of degree under 2 deg f - 1."""
-        m = len(a) - self.n
-        if m <= 0:
-            return a
-        q = _gf_mul(a[:m], self.inv[:m], self.p)[:m]
-        qf = _gf_mul(q, self.f, self.p)
-        return _gf([x - y for x, y in zip(a[m:], qf[m:])], self.p)
-
-    def mul(self, a: list, b: list) -> list:
-        return self.rem(_gf_mul(a, b, self.p))
-
-    def pow(self, a: list, e: int) -> list:
-        out = [1]
-        for bit in bin(e)[2:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
+def _gf_pow(a: list, e: int, f: list, p: int) -> list:
+    """a^e mod f and p."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _gf_rem(_gf_mul(out, out, p), f, p)
+        if bit == "1":
+            out = _gf_rem(_gf_mul(out, a, p), f, p)
+    return out
 
 
 def _ddf(f: list, p: int) -> list[tuple[int, list]]:
     """Distinct-degree factorization of a square-free monic f mod p: pairs
-    (d, g) with g the product of f's monic irreducible factors of degree d.
-
-    h_i = x^(p^i) mod f comes from h_(i-1) by the Frobenius map, one
-    multiply-add of packed rows x^(p j) mod f per coefficient.  The factors
-    of degree i divide h_i - x; one gcd per block of about sqrt(deg f)
-    degrees finds the blocks that hold any, and only those are split degree
-    by degree."""
-    n = len(f) - 1
-    size = max(8, isqrt(n))
-    ring = _Modulus(f, p)
-    xp = ring.pow([1, 0], p)
-    rows = [[1]]
-    for _ in range(1, n):
-        rows.append(ring.mul(rows[-1], xp))
-    nb = _ubytes((p - 1) ** 2 * n)
-    packed = [_upack([0] * (n - len(r)) + r, nb) for r in rows]
+    (d, g) with g the product of f's monic irreducible factors of degree d,
+    which is gcd(x^(p^d) - x, g) for g the part of f with no factor of lower
+    degree (von zur Gathen-Gerhard, Algorithm 14.3)."""
     out, g, h, i = [], f, [1, 0], 0
     while 2 * (i + 1) <= len(g) - 1:
-        block, acc = [], [1]
-        while len(block) < size and 2 * (i + 1) <= len(g) - 1:
-            i += 1
-            top = len(h) - 1
-            h = _gf(_uunpack(sum(c * packed[top - k] for k, c in enumerate(h) if c), n, nb), p)
-            hx = _gf(sub(h, [1, 0]), p)
-            block.append((i, hx))
-            acc = ring.mul(acc, hx)
-        d = _gf_gcd(g, acc, p)
-        for j, hx in block:
-            if len(d) <= 1:
-                break
-            e = _gf_gcd(hx, d, p)
-            if len(e) > 1:
-                out.append((j, e))
-                d, g = _gf_divmod(d, e, p)[0], _gf_divmod(g, e, p)[0]
+        i += 1
+        h = _gf_pow(h, p, g, p)
+        e = _gf_gcd(g, _gf(sub(h, [1, 0]), p), p)
+        if len(e) > 1:
+            out.append((i, e))
+            g = _gf_divmod(g, e, p)[0]
+            h = _gf_rem(h, g, p)
     if len(g) > 1:
         out.append((len(g) - 1, g))
     return out
@@ -492,14 +411,13 @@ def _edf(g: list, d: int, p: int, seed: int) -> list:
     linear congruential sequence splits g with probability about 1/2."""
     if len(g) - 1 == d:
         return [g]
-    ring = _Modulus(g, p)
     e = (p**d - 1) // 2
     while True:
         a = []
         for _ in range(len(g) - 1):
             seed = (seed * 6364136223846793005 + 1442695040888963407) % 2**64
             a.append((seed >> 33) % p)
-        u = _gf_gcd(g, _gf(sub(ring.pow(_trim(a), e), [1]), p), p)
+        u = _gf_gcd(g, _gf(sub(_gf_pow(_trim(a), e, g, p), [1]), p), p)
         if 1 < len(u) < len(g):
             return _edf(u, d, p, seed) + _edf(_gf_divmod(g, u, p)[0], d, p, seed)
 
@@ -514,29 +432,15 @@ def _symmetric(f: list, m: int) -> list:
     return _trim([c - m if c > half else c for c in (a % m for a in f)])
 
 
-def _monic_divmod(a: list, h: list, m: int) -> tuple[list, list]:
-    """(q, r) with a = q h + r mod m, h monic."""
-    n = len(h)
-    if len(a) < n:
-        return [], a
-    r, q, tail = list(a), [], h[1:]
-    for i in range(len(a) - n + 1):
-        c = r[i] % m
-        q.append(c)
-        if c:
-            r[i + 1 : i + n] = [x - c * y for x, y in zip(r[i + 1 : i + n], tail)]
-    return q, r[len(a) - n + 1 :]
-
-
 def _hensel_step(M, f, g, h, s, t):
     """From f = g h and s g + t h = 1 mod m, h monic, the same mod M, for
     m | M | m^2 (von zur Gathen-Gerhard, Algorithm 15.10)."""
     e = _symmetric(sub(f, mul(g, h)), M)
-    q, r = _monic_divmod(mul(s, e), h, M)
+    q, r = _gf_divmod(mul(s, e), h, M)
     g = _symmetric(add(g, add(mul(t, e), mul(q, g))), M)
     h = _symmetric(add(h, r), M)
     b = _symmetric(sub(add(mul(s, g), mul(t, h)), [1]), M)
-    c, d = _monic_divmod(mul(s, b), h, M)
+    c, d = _gf_divmod(mul(s, b), h, M)
     s = _symmetric(sub(s, d), M)
     t = _symmetric(sub(t, add(mul(t, b), mul(c, g))), M)
     return g, h, s, t
