@@ -360,6 +360,34 @@ def _pulling(face: int, dim: int, facets: list[int]) -> list[int]:
     return out
 
 
+def _minimal(cols) -> list[IntVec]:
+    """Of the nonnegative vectors whose entries the columns ``cols`` list,
+    the nonzero ones that dominate no other nonzero one, in order of their
+    sum, which exceeds the sum of any vector they dominate.  Each is packed
+    into one int, a field of ``width`` bits per entry under the sum: c
+    dominates k iff no guard bit, the top bit of a field, of
+    ``(c | guard) - k`` is cleared by a borrow.
+    """
+    n = len(cols)
+    width = max(map(max, cols)).bit_length() + 1
+    packed = [sum(c) << n * width for c in zip(*cols)]
+    for i, col in enumerate(cols):
+        packed = [p | x << i * width for p, x in zip(packed, col)]
+    guard = sum(1 << (i + 1) * width - 1 for i in range(n))
+    kept = []
+    for p in sorted(packed):
+        if not p:
+            continue
+        top = p | guard
+        for k in kept:
+            if (top - k) & guard == guard:
+                break
+        else:
+            kept.append(p)
+    low = (1 << width) - 1
+    return [tuple(p >> i * width & low for i in range(n)) for p in kept]
+
+
 def _parallelepiped(rays, det, adj) -> list[IntVec]:
     """The Hilbert basis, rays left out, of the simplicial cone on the rows
     ``rays``, with ``adj = det * rays^-1``.
@@ -368,10 +396,7 @@ def _parallelepiped(rays, det, adj) -> list[IntVec]:
     of its coset, D = |det|, with ``c = +-x adj mod D``; the c form a group,
     so the sign does not matter, and the box of the Hermite form's diagonal
     holds one x per coset.  The c_i are the facet values, scaled, so the
-    basis is the nonzero c that dominate no other, found in order of their
-    sum.  Each c is packed into one int, a field of ``width`` bits per c_i
-    under the sum: c dominates k iff no guard bit, the top bit of a field,
-    of ``(c | guard) - k`` is cleared by a borrow.
+    basis is the nonzero c that dominate no other (:func:`_minimal`).
     """
     n, big = len(rays), abs(det)
     h, _ = hnf(rays)
@@ -379,24 +404,7 @@ def _parallelepiped(rays, det, adj) -> list[IntVec]:
     for j, row in enumerate(adj):
         ts = range(h[j][j])
         cols = [[(x + t * y) % big for x in col for t in ts] for col, y in zip(cols, row)]
-    width = big.bit_length() + 1
-    packed = [sum(c) << n * width for c in zip(*cols)]
-    for i, col in enumerate(cols):
-        packed = [p | x << i * width for p, x in zip(packed, col)]
-    guard = sum(1 << (i + 1) * width - 1 for i in range(n))
-    kept = []
-    for p in sorted(packed)[1:]:
-        top = p | guard
-        for k in kept:
-            if (top - k) & guard == guard:
-                break
-        else:
-            kept.append(p)
-    low = (1 << width) - 1
-    return [
-        tuple(sum((p >> i * width & low) * r[j] for i, r in enumerate(rays)) // big for j in range(n))
-        for p in kept
-    ]
+    return [tuple(sum(ci * r[j] for ci, r in zip(c, rays)) // big for j in range(n)) for c in _minimal(cols)]
 
 
 def _det2(u, v) -> int:
@@ -449,21 +457,15 @@ def _irreducible(c: PolyhedralCone, candidates) -> IntMat:
 
     Exact for any finite set of nonzero lattice points of ``c`` that
     generates its semigroup: every reducible element then dominates some
-    generator.
+    generator.  h - g lies in ``c`` iff the facet values of g are
+    componentwise below those of h; they are nonnegative on ``c`` and tell
+    points apart, as the facets span, so the basis is the points of the
+    minimal value vectors (:func:`_minimal`), found in O(N |basis|).
     """
-    # reducibility via precomputed facet values: h - g lies in the cone iff
-    # the value vector of g is componentwise below that of h; their sum (the
-    # positive functional) strictly increases, so only earlier entries in
-    # functional order can witness a split; a reducible witness dominates an
-    # earlier basis element in turn, so the basis kept so far suffices and
-    # the pass costs O(N |basis|)
-    vals = {p: tuple(dot(a, p) for a in c.inequalities) for p in candidates}
-    basis = []
-    for h in sorted(vals, key=lambda p: (sum(vals[p]), p)):
-        vh = vals[h]
-        if not any(all(x <= y for x, y in zip(vals[g], vh)) for g in basis):
-            basis.append(h)
-    return tuple(sorted(basis))
+    points = list(candidates)
+    vals = [tuple(dot(a, p) for p in points) for a in c.inequalities]
+    point = dict(zip(zip(*vals), points))
+    return tuple(sorted(point[v] for v in _minimal(vals)))
 
 
 def _slot_polytopes(c: PolyhedralCone) -> list[list[IntVec]] | None:

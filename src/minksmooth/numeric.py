@@ -1,6 +1,7 @@
 """Floating-point points of the critical-point analysis: the witnesses of
-an exact report's families, and the damped Newton search behind the
-verdict "heuristic".  The package's only numpy code; :mod:`.potential`
+an exact report's families, rooted on their fibres' integer lists with each
+coefficient rounded once, and the damped Newton search behind the verdict
+"heuristic".  The package's only numpy code; :mod:`.potential`
 imports it when a report's witnesses or search are first read.
 """
 
@@ -22,13 +23,14 @@ _SEARCH_TOL = 1e-10
 _SEARCH_SEED = 7
 
 
-def _numeric_points(f, h):
-    """Numeric witnesses of a fibre in coefficient lists: the roots of f
-    paired with the roots of h above each.  Each exact coefficient is
-    rounded once, by ``float`` or ``complex`` of an int or a ``Fraction``."""
+def _numeric_points(f, h, den):
+    """Numeric witnesses of a fibre (f, h, den) in integer lists: the roots
+    of f paired with the roots of h / den above each.  Each coefficient is
+    rounded once, as ``float(c)`` or ``complex(c / den)``, which rounds
+    correctly, as ``float`` of the ``Fraction`` would."""
     pts = []
     z1_roots = np.roots([float(c) for c in f])
-    hcoeffs = [[complex(c) for c in u] for u in h]
+    hcoeffs = [[complex(c / den) for c in u] for u in h]
     for alpha in z1_roots:  # h's coefficients at alpha by Horner's rule
         arr = [reduce(lambda val, c: val * alpha + c, u, 0j) for u in hcoeffs]
         pts += [(complex(alpha), complex(beta)) for beta in np.roots(arr)]

@@ -18,10 +18,12 @@ and the orders of its points name the families, with cyclotomic polynomials
 and binomial gcds.  A pair with a triangle is one integer polynomial in a
 summand's chart, zero on a shared curve and otherwise counting the points,
 and one resultant names its families (:mod:`.ratpoly`); a point's factor 1
-meets nothing.  In any dimension, fewer than two factors other than 1 give
-no critical point, as no admissible factor has a singular torus zero.
-Other dimensions get the verdict "heuristic", whose report runs the damped
-Newton search of :mod:`.numeric` for witnesses when first read.
+meets nothing.  Every polynomial there is an integer list of :mod:`.zpoly`
+but a family's two printed ones, lowest degree first.  In any dimension,
+fewer than two factors other than 1 give no critical point, as no
+admissible factor has a singular torus zero.  Other dimensions get the
+verdict "heuristic", whose report runs the damped Newton search of
+:mod:`.numeric` for witnesses when first read.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cache, cached_property
 from itertools import accumulate, combinations, repeat
-from math import gcd, prod
+from math import gcd
 from operator import add, floordiv, mod, mul, sub
 from typing import NamedTuple
 
+from . import zpoly as zp
 from .exactlin import hnf
 from .polytope import LatticePolytope, MinkowskiDecomposition, convex_hull, require_admissible
 
@@ -220,15 +223,15 @@ class CriticalFamily(_CriticalFamilyFields):
     |w1| = |w2| = 1 forces {w1, w2} = {w, conj(w)}, w a primitive cube root
     of unity, so every coordinate is a cube root of unity: on a pair with a
     triangle the flag holds iff both polynomials divide x^3 - 1.
-    ``fibre()`` returns the fibre (f, h) that the witnesses are rooted on,
-    as exact coefficient lists, leading first: f the integer coefficients of
-    z1's polynomial, and h its gcd in y, one list of int or ``Fraction``
-    coefficients in z1 per power of y.  On a pair with a triangle it is the
-    elimination fibre, read once off the dense lists of :mod:`.ratpoly` (each
-    rational as a ``Fraction``, a zero coefficient as ``[Fraction(0)]``); on
-    a segment pair its closed form in integers (:func:`_binomial_fibre`), so
-    no segment pair is ever eliminated.  ``fibre`` is an attribute outside
-    the tuple, so ``==``, ``hash`` and ``repr`` ignore it.
+    ``fibre()`` returns the fibre (f, h, den) that the witnesses are rooted
+    on, as the integer lists of :mod:`.zpoly`, leading first: f the
+    coefficients of z1's polynomial, and den * h its gcd in y, one list of
+    coefficients in z1 per power of y, a zero coefficient as ``[0]``, over
+    one positive integer den.  On a pair with a triangle it is the
+    elimination fibre of :mod:`.ratpoly`; on a segment pair its closed form
+    (:func:`_binomial_fibre`), with den = 1, so no segment pair is ever
+    eliminated.  ``fibre`` is an attribute outside the tuple, so ``==``,
+    ``hash`` and ``repr`` ignore it.
     """
 
     def __new__(cls, z1_minpoly, z2_minpoly, pair, on_unit_circle, fibre: Callable[[], tuple]):
@@ -270,12 +273,12 @@ class CriticalReport(_CriticalReportFields):
         if not self.families:
             return []
         fibres = [fam.fibre() for fam in self.families]
-        work = sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h in fibres)
+        work = sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h, _ in fibres)
         if work > _MAX_EIGEN_WORK:
             raise DegreeTooLarge(f"the witnesses need eigenproblems of {work} operations, over {_MAX_EIGEN_WORK}")
         from . import numeric
 
-        return [sorted(numeric._numeric_points(f, h), key=_point_key) for f, h in fibres]
+        return [sorted(numeric._numeric_points(*fibre), key=_point_key) for fibre in fibres]
 
 
 def _point_key(p):  # report order: the coordinates rounded to 9 digits
@@ -339,55 +342,44 @@ def _prime_factors(m):
     return primes + [m] if m > 1 else primes
 
 
+def _cyclotomic(m) -> list:
+    """Phi_m, leading first, by exact divisions: Phi_(n p)(x) is
+    Phi_n(x^p) / Phi_n(x) for a prime p not dividing n, and
+    Phi_m(x) = Phi_r(x^(m / r)) for r the product of the primes of m."""
+    phi, r = [1, -1], 1
+    for p in _prime_factors(m):
+        phi, r = zp.exquo(_spread(phi, p), phi), r * p
+    return _spread(phi, m // r)
+
+
+def _spread(f, k) -> list:
+    """f(x^k)."""
+    return [c for a in f[:-1] for c in (a, *[0] * (k - 1))] + f[-1:]
+
+
 def _cyclotomic_product(orders) -> tuple[int, ...]:
     """The product of the cyclotomic polynomials Phi_m over the distinct
-    orders m, lowest degree first.  Phi_m is the product over d | m of
-    (x^d - 1)^mu(m/d), so the product is one of factors 1 - x^d and their
-    inverses, expanded as a power series up to its degree, and negated when
-    Phi_1 = x - 1 is a factor."""
-    exps, degree = {}, 0
+    orders m, lowest degree first, as a family's polynomial is printed."""
+    out = [1]
     for m in orders:
-        primes = _prime_factors(m)
-        degree += m // prod(primes) * prod(p - 1 for p in primes)
-        for k in range(len(primes) + 1):
-            for sub in combinations(primes, k):
-                d = m // prod(sub)
-                exps[d] = exps.get(d, 0) + (-1) ** k
-    coeffs = [1] + [0] * degree
-    for d, e in exps.items():
-        for _ in range(abs(e)):
-            if e > 0:  # times 1 - x^d
-                for k in range(degree, d - 1, -1):
-                    coeffs[k] -= coeffs[k - d]
-            else:  # over 1 - x^d
-                for k in range(d, degree + 1):
-                    coeffs[k] += coeffs[k - d]
-    return tuple(-c for c in coeffs) if 1 in orders else tuple(coeffs)
+        out = zp.mul(out, _cyclotomic(m))
+    return tuple(out[::-1])
 
 
 def _binomial_fibre(v, u, m, z1):
     """The fibre of the segments v = (a, b), u = (c, d) above f = Phi_m,
-    whose coefficients ``z1`` are lowest first, as coefficient lists (see
-    :attr:`CriticalFamily.fibre`) equal to those of the fibre
-    :func:`.ratpoly._common_fibres` finds.  Above a root x their factors read
-    y^b = -x^-a and y^d = -x^-c, so the monic gcd in K[y] is y^g - r:
-    g = s b + t d = gcd(b, d) > 0 and r = (-1)^(s + t) x^e with
-    e = -(s a + t c) mod m, as x^m = 1.  r is reduced modulo the monic Phi_m
-    by integer long division.  A segment with b = 0 vanishes identically
-    above f = x + 1, and h is the other one's binomial."""
+    whose coefficients ``z1`` are lowest first, in the shape of
+    :meth:`CriticalFamily.fibre` with the denominator 1 and equal to the
+    fibre :func:`.ratpoly._common_fibres` finds.  Above a root x their
+    factors read y^b = -x^-a and y^d = -x^-c, so the monic gcd in K[y] is
+    y^g - r: g = s b + t d = gcd(b, d) > 0 and r = (-1)^(s + t) x^e with
+    e = -(s a + t c) mod m, as x^m = 1, reduced modulo the monic Phi_m by
+    pseudo-division.  A segment with b = 0 vanishes identically above
+    f = x + 1, and h is the other one's binomial."""
     ((g,), _), ((s, t), _) = hnf([[v[1]], [u[1]]])
-    rem = [0] * max(len(z1) - 1, m)
-    rem[-(s * v[0] + t * u[0]) % m] = 1 if (s + t) % 2 else -1  # -r
-    top = len(z1) - 1
-    lower = [(k, c) for k, c in enumerate(z1[:-1]) if c]
-    for k in range(len(rem) - 1, top - 1, -1):  # subtract rem[k] x^(k - top) Phi_m
-        if rem[k]:
-            for j, c in lower:
-                rem[k - top + j] -= rem[k] * c
-    del rem[top:]
-    while len(rem) > 1 and not rem[-1]:
-        rem.pop()
-    return list(z1[::-1]), [[1]] + [[0]] * (g - 1) + [rem[::-1]]
+    f = list(z1[::-1])
+    rem = zp.pdivmod([1 if (s + t) % 2 else -1] + [0] * (-(s * v[0] + t * u[0]) % m), f)[1]  # -r
+    return f, [[1]] + [[0]] * (g - 1) + [rem], 1
 
 
 def _segment_pair(mats, i, j, cyclotomic):

@@ -7,24 +7,23 @@ called y here, is the one eliminated; the other, x, is kept.  Resultants
 and gcds stay in Z[x]: the subresultant sequence divides exactly there, and
 gcds over a number field K = Q[x]/(f) are read off that sequence, not
 recomputed, with the inverses and remainders in K taken by integer
-pseudo-division and given as ``Fraction``s.  Pairs with a triangle are
-decided here (:func:`_chart_pair`).
+pseudo-division, so a gcd comes back as integer lists over one common
+denominator.  Pairs with a triangle are decided here (:func:`_chart_pair`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import zpoly as zp
 from .exactlin import CrossCheckError, dot
-from .potential import CriticalFamily, _cyclotomic_product, _require_degree
+from .potential import CriticalFamily, _cyclotomic, _require_degree
 
 # the divisors of x^3 - 1 other than 1, lowest degree first
 _CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
 # Phi_m for m <= 12, leading first: factors are tried against them, one
 # division each, before any modular work
-_CYCLOTOMIC = [list(reversed(_cyclotomic_product((m,)))) for m in range(1, 13)]
+_CYCLOTOMIC = [_cyclotomic(m) for m in range(1, 13)]
 
 
 def bresultant_y(f: list, g: list) -> tuple[list, list[list]]:
@@ -86,29 +85,34 @@ def _reduce(u: list, modulus: list) -> tuple[list, int]:
     return zp.pdivmod(u, modulus)[1], modulus[0] ** max(len(u) - len(modulus) + 1, 0)
 
 
-def kgcd_y(modulus: list, prs: list[list]) -> list[list]:
+def kgcd_y(modulus: list, prs: list[list]) -> tuple[list[list], int]:
     """Monic gcd in K[y], K = Q[x]/(modulus) with the integer ``modulus``
-    irreducible, of the pair with subresultant PRS ``prs``: by the
-    specialization property, the image of the lowest entry whose leading
-    coefficient does not vanish in K.  Coefficients in y, leading first, each
-    a list of ``Fraction``s reduced modulo ``modulus``; ``[]`` when no entry
-    qualifies.
+    irreducible and lc(modulus) > 0, of the pair with subresultant PRS
+    ``prs``: by the specialization property, the image of the lowest entry
+    whose leading coefficient does not vanish in K.  It is (rows, den):
+    the coefficients in y, leading first, are the integer lists ``rows``,
+    reduced modulo ``modulus``, over the one positive integer ``den``, with
+    no factor common to all of them; ``([], 1)`` when no entry qualifies.
 
     Exact when the first entry keeps its leading coefficient in K.  For two
     admissible planar factors that fails only above x = -1, when the first
     is a triangle whose top edge in y is parallel to the x axis: its image
-    is then a monomial in y, so the true gcd has no torus root, and ``[]``
-    gives the same empty fibre.
+    is then a monomial in y, so the true gcd has no torus root, and no rows
+    give the same empty fibre.
     """
     for p in reversed(prs):
         top = zp.pdivmod(p[0], modulus)[1]
         if top:
             s = _inverse_multiple(top, modulus)
             rows = [_reduce(zp.mul(s, u), modulus) for u in p]
-            # s times the leading coefficient is a rational constant k
-            (k,), den = rows[0]
-            return [[Fraction(c * den, d * k) for c in r] for r, d in rows]
-    return []
+            # s times the leading coefficient is k / d0; each row's d is a
+            # power of lc(modulus) > 0, so the largest is their lcm
+            (k,), d0 = rows[0]
+            big = max(d for _, d in rows)
+            rows = [[c * d0 * (big // d) for c in r] for r, d in rows]
+            g = gcd(big * k, *(c for r in rows for c in r)) * (1 if k > 0 else -1)
+            return [[c // g for c in r] for r in rows], big * k // g
+    return [], 1
 
 
 def factor_rational(f: list) -> list[tuple[list, int]]:
@@ -150,45 +154,37 @@ def _strip_x(u: list) -> list:
     return zp._trim(u[::-1])[::-1]
 
 
-def _int_coeffs(u: list) -> tuple[int, ...]:
-    """Coefficients of a primitive integer list, lowest degree first."""
-    return tuple(reversed(u))
-
-
 def _common_fibres(bi, bj):
     """Common torus zeros of a pair of cleared integer bivariate lists, as
-    fibres (f, h): f is an irreducible integer factor of the resultant that
-    eliminates the main variable y, and h, in K[y] with K = Q[x]/(f), is the
-    pair's gcd above the roots of f, one list of ``Fraction``s per power of
-    y.  The chart has ruled out a shared curve.
+    fibres (f, h, den): f is an irreducible integer factor other than x of
+    the resultant that eliminates the main variable y, and h / den, in K[y]
+    with K = Q[x]/(f), is the pair's gcd above the roots of f, one integer
+    list per power of y (:func:`kgcd_y`), a zero one as ``[0]`` as in the
+    segment fibres.  The chart has ruled out a shared curve.
     """
     res, prs = bresultant_y(bi, bj)
-    res = _strip_x(res)
-    if len(res) <= 1:
-        return []
     fibres = []
-    for f, _mult in factor_rational(zp.sqf_part(res)):
+    for f, _mult in factor_rational(res):
+        if f == [1, 0]:  # x = 0 is off the torus
+            continue
         # one side may vanish identically above these roots; the gcd read
         # off the PRS is then the survivor, whose zeros are the common zeros
-        h = kgcd_y(f, prs)
+        h, den = kgcd_y(f, prs)
         while h and not h[-1]:  # partner roots at zero are off the torus
             h = h[:-1]
         if len(h) >= 2:
-            fibres.append((f, h))
+            fibres.append((f, [u or [0] for u in h], den))
     return fibres
 
 
 def _partner_minpoly(f, h) -> list:
     """Squarefree annihilator of the second coordinate over the family:
-    eliminate x between f(x) and the lifted h(x, y) by a resultant in x (a
-    power of h when h does not involve x)."""
-    den = lcm(*(c.denominator for u in h for c in u))
+    eliminate x between f(x) and the lifted h(x, y), h in integers over any
+    denominator, by a resultant in x (a power of h when h does not involve
+    x)."""
     top = max(map(len, h)) - 1
     # main variable x, leading first; each coefficient a list in y
-    lifted = [
-        zp._trim([u[len(u) - 1 - ex].numerator * (den // u[len(u) - 1 - ex].denominator) if ex < len(u) else 0 for u in h])
-        for ex in range(top, -1, -1)
-    ]
+    lifted = [zp._trim([u[len(u) - 1 - ex] if ex < len(u) else 0 for u in h]) for ex in range(top, -1, -1)]
     res = bresultant_y(lifted, [[c] if c else [] for c in f])[0]
     return zp.sqf_part(_strip_x(res))
 
@@ -222,16 +218,13 @@ def _chart_pair(mats, i, j, chart, bpoly):
     if not g:
         return None
     fibres = _common_fibres(bpoly(i), bpoly(j))
-    if len(g) - 1 != sum((len(f) - 1) * (len(h) - 1) for f, h in fibres):
+    if len(g) - 1 != sum((len(f) - 1) * (len(h) - 1) for f, h, _ in fibres):
         raise CrossCheckError("the chart and the elimination disagree on the solution count")
     for l in range(j):
         if l != i and mats[l].m and len(g) > 1:
             g = zp.exquo(g, zp.gcd(g, chart(i, l)))
     families = []
-    for f, h in fibres:
-        z1, z2 = _int_coeffs(f), _int_coeffs(_partner_minpoly(f, h))
-        # a zero coefficient of h is the list [0], as in the segment fibres
-        exact = [u or [Fraction(0)] for u in h]
-        fibre = (list(z1[::-1]), exact)
-        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=fibre: fh))
+    for f, h, den in fibres:
+        z1, z2 = tuple(f[::-1]), tuple(_partner_minpoly(f, h)[::-1])
+        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=(f, h, den): fh))
     return len(g) - 1, families

@@ -181,30 +181,16 @@ def derivative(f: list) -> list:
     return [c * (n - i) for i, c in enumerate(f[:-1])]
 
 
-def _balanced(h: int, nb: int) -> list:
-    """The polynomial whose value at 256^nb is h >= 0, with coefficients
-    of absolute value at most 256^nb / 2."""
-    n = h.bit_length() // (8 * nb) + 2
-    data = h.to_bytes(n * nb, "big")
-    digits = [int.from_bytes(data[i : i + nb], "big") for i in range(0, n * nb, nb)]
-    base = 1 << (8 * nb)
-    carry = 0
-    for i in range(n - 1, -1, -1):
-        d = digits[i] + carry
-        carry = d > base >> 1
-        digits[i] = d - base if carry else d
-    return _trim(digits)
-
-
 def _heugcd(f: list, g: list) -> list | None:
     """GCDHEU on primitive f, g of positive degree: the primitive part of
-    the interpolated integer gcd of f(xi) and g(xi) is the gcd when it
-    divides both, for xi over twice the smaller norm plus 2.  xi = 256^k
-    over twice the larger norm, so that both pack into its slots; None when
-    four points fail."""
+    the integer gcd of f(xi) and g(xi), its slots read signed by
+    :func:`_unpack`, is the gcd when it divides both, for xi over twice the
+    smaller norm plus 2.  xi = 256^k over twice the larger norm, so that
+    both pack into its slots; None when four points fail."""
     nb = _nbytes(max(max(map(abs, f)), max(map(abs, g))) + 1)
     for _ in range(4):
-        h = primitive(_balanced(igcd(_pack(f, nb), _pack(g, nb)), nb))
+        v = igcd(_pack(f, nb), _pack(g, nb))
+        h = primitive(_trim(_unpack(v, v.bit_length() // (8 * nb) + 2, nb)))
         if quotient(f, h) is not None and quotient(g, h) is not None:
             return h
         nb = 2 * nb + 1

@@ -4,9 +4,11 @@ ones.
 :func:`binomial_fibre` builds the fibre (f, h) of two segments above the
 cyclotomic polynomial Phi_m with sympy ``Poly``s, reducing r = +-x^e modulo
 Phi_m by ``Poly.rem`` over Q.  ``potential._binomial_fibre`` returns the
-same fibre as coefficient lists, with the remainder taken by integer long
-division; :func:`coefficient_lists` turns a sympy fibre into those lists,
-so tests compare the two with ``==``.
+same fibre as integer lists over the denominator 1, (f, h, 1), with the
+remainder taken by pseudo-division by the monic Phi_m;
+:func:`coefficient_lists` turns a sympy fibre into lists of ``Fraction``s,
+so tests compare the two with ``==``.  A fibre (f, h, den) of a pair with
+a triangle is compared once h / den is in ``Fraction``s too.
 """
 
 from fractions import Fraction

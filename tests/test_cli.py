@@ -623,7 +623,7 @@ def test_cli_analyze_refuses_witnesses_too_large_to_compute(tmp_path, monkeypatc
 
 def _eigen_work(families):
     """The witness budget's count: deg f^3 + deg f * deg h^3 over the families."""
-    return sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h in (fam.fibre() for fam in families))
+    return sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h, _ in (fam.fibre() for fam in families))
 
 
 def _segments_report(*vs):

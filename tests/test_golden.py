@@ -83,7 +83,7 @@ def test_stdout_matches_golden_bytes(capsys, fixture, suffix):
 def test_family_goldens_are_present():
     assert FAMILY_HILBERT == [
         "cube3", "cube4", "cube5", "cube6", "cube7", "dilation3d-3", "dilation3d-5", "dilation3d-7", "seg3-24",
-        "six-segments-4d",
+        "simplex6-segment", "six-segments-4d",
     ]
     assert (FAMILIES / "seg16.report.json").is_file()
     assert (FAMILIES / "seg16.potential-critical.txt").is_file()

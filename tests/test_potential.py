@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from minksmooth import numeric, potential
 from minksmooth import ratpoly as rp
 from minksmooth.cone import cone_over
 from minksmooth.exactlin import hnf, rank
-from minksmooth.pipeline import _newton_is_target
+from minksmooth.pipeline import _newton_is_target, parse_input
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, require_admissible, summand_at
 from minksmooth.potential import (
     LaurentPoly,
@@ -394,11 +395,43 @@ def test_unit_circle_flag_ignores_the_witnesses(monkeypatch, summands, flags):
     # the flag follows from the summand shapes and the minimal polynomials;
     # witnesses off the circle by a relative 1e-9 change none of them
     original = numeric._numeric_points
-    drifted = lambda f, h: [tuple(z * (1 + 1e-9) for z in p) for p in original(f, h)]
+    drifted = lambda f, h, den: [tuple(z * (1 + 1e-9) for z in p) for p in original(f, h, den)]
     monkeypatch.setattr(numeric, "_numeric_points", drifted)
     report = critical_exists(_planar(summands))
     assert [fam.on_unit_circle for fam in report.families] == flags
     assert all(abs(abs(z) - 1) > 1e-10 for points in report.witnesses for p in points for z in p)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_triangle_fibres_round_as_their_fractions():
+    # a triangle pair's fibre is integer rows over one denominator, each
+    # coefficient rounded once as complex(c / den): bit for bit the float of
+    # the reduced Fraction, coefficient by coefficient and in the witnesses.
+    # The fixtures', tt(6)'s and tt12's fibres all have den = 1; the last two
+    # pairs have den = 7 and 17
+    paths = [_ROOT / "fixtures" / f"{name}.json" for name in ("q5", "q6_triangles", "trapezoid")]
+    paths.append(_ROOT / "tests" / "golden" / "families" / "tt12.json")
+    inputs = [parse_input(p.read_text()).decomposition for p in paths]
+    tt6 = [[(1, 0), (0, 1)], [(1, 6), (0, 1)], [(6, 1), (1, 0)]]
+    inputs += [_planar(s) for s in (tt6, [[(2, -1), (3, -2)], [(3, -4)]], [[(0, 1), (1, 4)], [(-2, -3), (-1, -1)]])]
+    bits = lambda zs: [(z.real.hex(), z.imag.hex()) for z in zs]
+    counts, dens = [], set()
+    for d in inputs:
+        mats = require_admissible(d)
+        families = critical_exists(d).families
+        fibres = [fam.fibre() for fam in families if 2 in (mats[fam.pair[0] - 1].m, mats[fam.pair[1] - 1].m)]
+        for f, h, den in fibres:
+            coeffs = [c for u in h for c in u]
+            assert bits(complex(c / den) for c in coeffs) == bits(complex(Fraction(c, den)) for c in coeffs)
+            fractions = [[Fraction(c, den) for c in u] for u in h]
+            assert bits(z for p in numeric._numeric_points(f, h, den) for z in p) == bits(
+                z for p in numeric._numeric_points(f, fractions, 1) for z in p
+            )
+            dens.add(den)
+        counts.append(sum(len(u) for _, h, _ in fibres for u in h))
+    assert counts == [3, 3, 0, 163, 49, 7, 6] and dens == {1, 7, 17}
 
 
 def test_critical_count_counts_a_shared_point_once():
@@ -449,8 +482,10 @@ def test_cyclotomic_product_matches_sympy(orders):
     t = symbols("t")
     want = Poly(1, t)
     for m in orders:
+        assert potential._cyclotomic(m) == cyclotomic_poly(m, t, polys=True).rep.to_list()
         want *= cyclotomic_poly(m, t, polys=True)
-    assert potential._cyclotomic_product(orders) == rp._int_coeffs(want.rep.to_list())
+    # lowest degree first, as a family prints it
+    assert potential._cyclotomic_product(orders) == tuple(want.rep.to_list()[::-1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -529,7 +564,8 @@ def _decided_by_elimination(d):
     polynomial is a shared curve, the gcds with earlier charts count each
     point at its first pair, the elimination names the families and the
     roots of their polynomials decide the unit-circle flag.  Each family
-    carries its elimination fibre (f, h) as exact coefficient lists."""
+    carries its elimination fibre (f, h, den) as sympy's exact coefficient
+    lists of f and h / den."""
     mats = require_admissible(d)
     bpolys = [rp._clear_to_bpoly(sm) for sm in mats]
     chart = lambda i, l: rp._chart_points(mats[i], mats[l])
@@ -542,11 +578,16 @@ def _decided_by_elimination(d):
             if l != i and len(g) > 1:
                 g = dup_exquo(g, dup_gcd(g, chart(i, l), ZZ), ZZ)
         count += len(g) - 1
-        for f, h in rp._common_fibres(bpolys[i], bpolys[j]):
-            z1, z2 = rp._int_coeffs(f), rp._int_coeffs(rp._partner_minpoly(f, h))
-            fibre = fibre_oracle.coefficient_lists(Poly(f, _X), [Poly(u, _X, domain=QQ) for u in h])
+        for f, h, den in rp._common_fibres(bpolys[i], bpolys[j]):
+            z1, z2 = tuple(f[::-1]), tuple(rp._partner_minpoly(f, h)[::-1])
+            fibre = fibre_oracle.coefficient_lists(Poly(f, _X), [Poly(u, _X, domain=QQ).quo_ground(den) for u in h])
             families.append((z1, z2, (i + 1, j + 1), _on_unit_circle(z1) and _on_unit_circle(z2), fibre))
     return ("finite" if count else "none"), count, "", families
+
+
+def _fibre_values(f, h, den):
+    """A fibre (f, h, den) as the coefficient lists of f and h / den."""
+    return f, [[Fraction(c, den) for c in u] for u in h]
 
 
 _X = symbols("x")
@@ -568,11 +609,14 @@ def test_segment_pairs_match_the_elimination(summands):
     # the torsion cosets of segment pairs against the chart and the
     # elimination run on every pair: verdict, count, note, and each family's
     # polynomials, pair, place in the list and flag, and its fibre: a
-    # segment pair's closed form must be the elimination's f and h, every
-    # coefficient equal
+    # segment pair's closed form must be the elimination's f and h / den,
+    # every coefficient equal, with den = 1
     d = _planar(summands)
     got = critical_exists(d)
-    families = [(f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, f.fibre()) for f in got.families]
+    mats = require_admissible(d)
+    segments = [f for f in got.families if mats[f.pair[0] - 1].m == mats[f.pair[1] - 1].m == 1]
+    assert all(f.fibre()[2] == 1 for f in segments)
+    families = [(f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, _fibre_values(*f.fibre())) for f in got.families]
     assert (got.verdict, got.count, got.note, families) == _decided_by_elimination(d)
 
 
@@ -584,12 +628,12 @@ def test_segment_pairs_match_the_elimination(summands):
 @example((3, 2), (5, 4), 12)  # g = 2, and e = 9 >= deg Phi_12 = 4
 @example((1, 24), (1, -24), 1154)  # dilation a=24's largest order: g = 24, e = 1153 >= deg = 576
 def test_integer_fibre_matches_the_sympy_fibre(v, u, m):
-    # integer long division modulo the monic Phi_m against Poly.rem over Q:
-    # the same f and h, every coefficient equal
+    # pseudo-division by the monic Phi_m against Poly.rem over Q: the same f
+    # and h, every coefficient equal, over the denominator 1
     assume(v[1] or u[1])
     z1 = tuple(int(c) for c in reversed(cyclotomic_poly(m, polys=True).all_coeffs()))
     got = potential._binomial_fibre(v, u, m, z1)
-    assert got == fibre_oracle.coefficient_lists(*fibre_oracle.binomial_fibre(v, u, m, z1))
+    assert got == (*fibre_oracle.coefficient_lists(*fibre_oracle.binomial_fibre(v, u, m, z1)), 1)
     assert all(type(c) is int for coeffs in got[1] for c in coeffs)
 
 
