@@ -30,7 +30,7 @@ import contextlib
 import os
 import sys
 
-from .cone import dual, hilbert_basis, sigma_tilde
+from .cone import dual, hilbert_basis
 from .exactlin import CrossCheckError
 from .pipeline import (
     AnalysisRequest,
@@ -39,7 +39,7 @@ from .pipeline import (
     parse_input,
     run_pipeline,
 )
-from .polytope import NotAdmissible, spanning_sigma
+from .polytope import NotAdmissible, sigma_tilde, spanning_sigma
 from .svg import UnsupportedDimension, emit_svg, require_drawable
 
 EXIT_OK = 0

@@ -5,8 +5,9 @@ that turns a list of inequality normals into the extreme rays (plus a
 lineality basis) of the cone they cut out, all in exact integer arithmetic.
 The facet normals of ``Cone(G)`` are the extreme rays of ``{y : <g, y> >= 0
 for g in G}``.  The cone over Q knows its extreme rays, so one pass gives
-it; sigma-tilde needs none (:func:`sigma_tilde`).  Duality is then a swap of
-the two halves (Fukuda-Prodon, *Double description method revisited*, 1996).
+it; sigma-tilde, read off sigma, needs none (``polytope.sigma_tilde``).
+Duality is then a swap of the two halves (Fukuda-Prodon, *Double
+description method revisited*, 1996).
 
 Each ray carries its zero set, the indices of the inequalities tight on it.
 Inserting an inequality keeps the rays on its nonnegative side and combines
@@ -55,6 +56,7 @@ from .exactlin import (
     as_mat,
     det,
     dot,
+    gcdex,
     hnf,
     identity,
     primitive,
@@ -198,7 +200,7 @@ def _canonical_vrep(lin, rays) -> IntMat:
 
 def cone_from_generators(gens, dim) -> PolyhedralCone:
     """Two passes: the facets, then the extreme rays among ``gens``.  The
-    oracle of :func:`cone_over` and :func:`sigma_tilde`."""
+    oracle of :func:`cone_over` and ``polytope.sigma_tilde``."""
     gens = as_mat(gens)
     if any(len(g) != dim for g in gens):
         raise ValueError("generator dimension mismatch")
@@ -219,29 +221,6 @@ def cone_over(q) -> PolyhedralCone:
     """
     dim, gens = q.ambient_dim + 1, tuple(v + (1,) for v in q.vertices)
     return PolyhedralCone(dim, gens, _canonical_vrep(*halfspace_description(gens, dim)))
-
-
-@lru_cache(maxsize=256)
-def sigma_tilde(d) -> PolyhedralCone:
-    """Cone on the tagged vertices ``(v, e_i)`` of the summands (their
-    lattice points: an admissible summand is a unimodular simplex), read
-    off sigma with no double description.  Each is a vertex of the Cayley
-    polytope (the Cayley trick of Huber-Rambau-Santos), so an extreme ray.
-    The dual ``{(v, s) : s_i >= phi_i(v)}`` has a ray ``(a, phi(a))`` over
-    each facet ``(a, h_Q(a))`` of sigma (the phi_i are sublinear), and
-    ``(0, e_i)`` unless the other summands lie in a hyperplane
-    ``<u, .> = 0``, which splits it as ``(u, s) + (-u, e_i - s)``
-    (Altmann, 1997).
-    """
-    from .polytope import phi, spanning_sigma
-
-    n, tags, sigma = d.n, identity(d.k), spanning_sigma(d)
-    gens = sorted(v + tag for s, tag in zip(d.summands, tags) for v in s.vertices)
-    facets = {a[:n] + phi(d, a[:n]) for a in sigma.inequalities}
-    for i, tag in enumerate(tags):
-        if rank([v for j, s in enumerate(d.summands) if j != i for v in s.vertices]) == n:
-            facets.add((0,) * n + tag)
-    return PolyhedralCone(n + d.k, tuple(gens), tuple(sorted(facets)))
 
 
 def dual(c: PolyhedralCone) -> PolyhedralCone:
@@ -426,7 +405,7 @@ def _planar_hilbert_basis(c: PolyhedralCone) -> IntMat:
     r1, r2 = c.generators
     if _det2(r1, r2) < 0:
         r1, r2 = r2, r1
-    _, ((s, t), _) = hnf([[r1[0]], [r1[1]]])
+    _, s, t = gcdex(r1[0], r1[1])
     u = (-t, s)  # det[r1; u] = s r1[0] + t r1[1] = 1, as r1 is primitive
     prev, dprev = r1, _det2(r1, r2)
     q = _det2(u, r2) // dprev

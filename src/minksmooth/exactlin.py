@@ -104,6 +104,15 @@ def support(points, c) -> int:
     return max(-dot(c, v) for v in points)
 
 
+def gcdex(a, b) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``x a + y b = g = gcd(a, b) >= 0``, by extended Euclid."""
+    r0, r1, x0, x1, y0, y1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    return (r0, x0, y0) if r0 >= 0 else (-r0, -x0, -y0)
+
+
 def transpose(m) -> IntMat:
     return tuple(zip(*m)) if m else ()
 

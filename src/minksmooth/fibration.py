@@ -59,9 +59,6 @@ class Region(NamedTuple):
     j: int
     normals: IntMat
 
-    def contains(self, lam) -> bool:
-        return all(sum(a * x for a, x in zip(n, lam)) > 0 for n in self.normals)
-
 
 def regions(d: MinkowskiDecomposition, p: int) -> tuple[Region, ...]:
     """Wall complement for summand p: region 0 sees all vertex functionals

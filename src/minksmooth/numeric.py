@@ -1,8 +1,8 @@
 """Floating-point points of the critical-point analysis: the witnesses of
 an exact report's families, rooted on their fibres' integer lists with each
-coefficient rounded once, and the damped Newton search behind the verdict
-"heuristic".  The package's only numpy code; :mod:`.potential`
-imports it when a report's witnesses or search are first read.
+coefficient rounded once, and the damped Newton search on W behind the
+verdict "heuristic".  The package's only numpy code, importing none of the
+package: ``potential.witnesses`` and ``pipeline`` import it on demand.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from functools import reduce
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-
-from .polytope import MinkowskiDecomposition
-from .potential import build_potential
 
 # the n != 2 search: seeded starts, Newton steps per start, and the gradient
 # size below which a start has converged
@@ -156,9 +153,10 @@ def _abs_sign(vals, bound):
     return sign
 
 
-def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
-    """Torus critical points found by damped Newton on the full gradient with
-    the last variable pinned to 1, sorted by the first coordinate.
+def heuristic_points(w) -> list[tuple[complex, ...]]:
+    """Torus critical points of the potential ``w``, a
+    ``potential.LaurentPoly``, found by damped Newton on the full gradient
+    with the last variable pinned to 1, sorted by the first coordinate.
     Non-authoritative by construction: witnesses of the verdict "heuristic".
 
     All starts step in lockstep, each step a handful of array operations over
@@ -176,9 +174,8 @@ def heuristic_points(d: MinkowskiDecomposition) -> list[tuple[complex, ...]]:
     prints them to 12 digits.  A start whose final point or gradient is not
     finite is no witness.
     """
-    pot = build_potential(d)
-    n1 = pot.nvars
-    grads = [pot.derivative(i) for i in range(n1)]
+    n1 = w.nvars
+    grads = [w.derivative(i) for i in range(n1)]
     table = _TermTable(grads + [g.derivative(b) for g in grads for b in range(n1 - 1)], n1 - 1)
     rng = np.random.default_rng(_SEARCH_SEED)
     zs = np.array([np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(_SEARCH_STARTS)])

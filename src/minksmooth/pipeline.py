@@ -29,6 +29,7 @@ from .polytope import (
     phi,
     require_admissible,
     require_rank,
+    sigma_tilde,
 )
 
 
@@ -195,7 +196,7 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
 
     sigma = cone_mod.cone_over(d.target)
     sigma_dual = cone_mod.dual(sigma)
-    st = cone_mod.sigma_tilde(d)
+    st = sigma_tilde(d)
     st_dual = cone_mod.dual(st)
     hb = cone_mod.hilbert_basis(st_dual)
     hb_sigma_dual = cone_mod.hilbert_basis(sigma_dual)
@@ -281,10 +282,16 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     # pays for the hull, so the report shows the potential's real one
     newton_ok = _newton_is_target(po.terms, sigma)
     newton_vertices = sigma.generators if newton_ok else pot.newton_polytope(po).vertices
+    crit = pot.critical_exists(d)
+    points = []
+    if crit.verdict == "heuristic":
+        from . import numeric  # numpy, loaded only for the search
+
+        points = numeric.heuristic_points(po)
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
         "newton_polytope_vertices": _mat(newton_vertices),
-        "critical": _critical_to_dict(pot.critical_exists(d)),
+        "critical": _critical_to_dict(crit, pot.witnesses(crit), points),
     }
 
     checks = {
@@ -326,7 +333,7 @@ def _newton_is_target(terms, sigma) -> bool:
     )
 
 
-def _critical_to_dict(crit) -> dict:
+def _critical_to_dict(crit, witnesses, heuristic_points) -> dict:
     out = {"verdict": crit.verdict, "count": crit.count, "note": crit.note}
     out["families"] = [
         {
@@ -336,9 +343,9 @@ def _critical_to_dict(crit) -> dict:
             "points": [[_c(z) for z in p] for p in points],
             "all_roots_on_unit_circle": f.on_unit_circle,
         }
-        for f, points in zip(crit.families, crit.witnesses)
+        for f, points in zip(crit.families, witnesses)
     ]
-    out["heuristic_points"] = [[_c(z) for z in p] for p in crit.heuristic_points]
+    out["heuristic_points"] = [[_c(z) for z in p] for p in heuristic_points]
     return out
 
 

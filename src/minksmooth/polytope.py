@@ -21,7 +21,7 @@ of high dimension, the sum folds pairwise hulls first.
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate, combinations
 from math import comb
 from typing import NamedTuple
@@ -372,6 +372,27 @@ def spanning_sigma(d: MinkowskiDecomposition) -> PolyhedralCone:
     """sigma of a decomposition that :func:`require_spanning` admits."""
     require_spanning(d)
     return cone_over(d.target)
+
+
+@lru_cache(maxsize=256)
+def sigma_tilde(d: MinkowskiDecomposition) -> PolyhedralCone:
+    """Cone on the tagged vertices ``(v, e_i)`` of the summands (their
+    lattice points: an admissible summand is a unimodular simplex), read
+    off sigma with no double description.  Each is a vertex of the Cayley
+    polytope (the Cayley trick of Huber-Rambau-Santos), so an extreme ray.
+    The dual ``{(v, s) : s_i >= phi_i(v)}`` has a ray ``(a, phi(a))`` over
+    each facet ``(a, h_Q(a))`` of sigma (the phi_i are sublinear), and
+    ``(0, e_i)`` unless the other summands lie in a hyperplane
+    ``<u, .> = 0``, which splits it as ``(u, s) + (-u, e_i - s)``
+    (Altmann, 1997).
+    """
+    n, tags, sigma = d.n, identity(d.k), spanning_sigma(d)
+    gens = sorted(v + tag for s, tag in zip(d.summands, tags) for v in s.vertices)
+    facets = {a[:n] + phi(d, a[:n]) for a in sigma.inequalities}
+    for i, tag in enumerate(tags):
+        if rank([v for j, s in enumerate(d.summands) if j != i for v in s.vertices]) == n:
+            facets.add((0,) * n + tag)
+    return PolyhedralCone(n + d.k, tuple(gens), tuple(sorted(facets)))
 
 
 def summand_at(d: MinkowskiDecomposition, p: int) -> SummandMatrices:

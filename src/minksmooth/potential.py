@@ -22,27 +22,27 @@ meets nothing.  Every polynomial there is an integer list of :mod:`.zpoly`
 but a family's two printed ones, lowest degree first.  In any dimension,
 fewer than two factors other than 1 give no critical point, as no
 admissible factor has a singular torus zero.  Other dimensions get the
-verdict "heuristic", whose report runs the damped Newton search of
-:mod:`.numeric` for witnesses when first read.
+verdict "heuristic".  The report is a plain record; its families' points
+are :func:`witnesses`, and the search on W is :mod:`.numeric`'s.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, combinations, repeat
 from math import gcd
 from operator import add, floordiv, mod, mul, sub
 from typing import NamedTuple
 
+from . import ratpoly as rp
 from . import zpoly as zp
-from .exactlin import hnf
+from .exactlin import CrossCheckError, gcdex
 from .polytope import LatticePolytope, MinkowskiDecomposition, convex_hull, require_admissible
+from .ratpoly import DegreeTooLarge
 
-
-# the planar decision builds no dense polynomial of higher degree in any
-# variable, and lists no more common zeros of two segments
-_MAX_DEGREE = 10**5
+# the divisors of x^3 - 1 other than 1, lowest degree first
+_CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
 # a report's witnesses solve, per family, companion eigenproblems of sizes
 # deg f and, above each root of f, deg h: deg f^3 + deg f * deg h^3 summed
 # over the families.  On a 2-core host the roots of a binomial take 1.7 s
@@ -52,12 +52,6 @@ _MAX_EIGEN_WORK = 10**9
 
 class ZeroPolynomial(ValueError):
     pass
-
-
-class DegreeTooLarge(ValueError):
-    """A polynomial or a point list of the planar decision would exceed
-    ``_MAX_DEGREE``, or a report's witnesses would take eigenproblems of
-    more than ``_MAX_EIGEN_WORK`` operations in all."""
 
 
 class LaurentPoly:
@@ -84,9 +78,6 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -96,12 +87,7 @@ class LaurentPoly:
             out[exp] = out.get(exp, 0) + c
         return LaurentPoly(self.nvars, out)
 
-    def __sub__(self, other):
-        return self + other * -1
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -240,56 +226,36 @@ class CriticalFamily(_CriticalFamilyFields):
         return self
 
 
-class _CriticalReportFields(NamedTuple):
+class CriticalReport(NamedTuple):
+    """The decision, a plain record.  Its numeric points are computed where
+    they are printed: the families' by :func:`witnesses`, and those of the
+    verdict "heuristic" by :func:`.numeric.heuristic_points` on W."""
+
     verdict: str  # "none" | "finite" | "positive_dimensional" | "heuristic"
-    count: int | None
-    families: list[CriticalFamily]
-    note: str
+    count: int | None = None
+    families: tuple[CriticalFamily, ...] = ()
+    note: str = ""
 
 
-class CriticalReport(_CriticalReportFields):
-    """The decision, with the numeric points of its families (``witnesses``)
-    or of the verdict "heuristic" computed when first read.  ``search``,
-    run by :attr:`heuristic_points`, is an attribute outside the tuple, so
-    ``==`` and ``repr`` ignore it, and the two memos live in the instance's
-    dict."""
+def witnesses(report: CriticalReport) -> list[list[tuple[complex, complex]]]:
+    """Each family's points, rooted on its fibre's coefficient lists by
+    :mod:`.numeric` and sorted by :func:`_point_key`.  Refused before numpy
+    is loaded when the report's eigenproblems, deg f^3 + deg f * deg h^3
+    with the degrees read off the list lengths, exceed ``_MAX_EIGEN_WORK``;
+    with no family nothing is loaded."""
+    if not report.families:
+        return []
+    fibres = [fam.fibre() for fam in report.families]
+    work = sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h, _ in fibres)
+    if work > _MAX_EIGEN_WORK:
+        raise DegreeTooLarge(f"the witnesses need eigenproblems of {work} operations, over {_MAX_EIGEN_WORK}")
+    from . import numeric
 
-    def __new__(cls, verdict, count=None, families=(), note="", search: Callable[[], list] = list):
-        self = super().__new__(cls, verdict, count, list(families), note)
-        self.search = search
-        return self
-
-    @cached_property
-    def heuristic_points(self) -> list[tuple[complex, ...]]:
-        """Witnesses of the verdict "heuristic", searched for when first read."""
-        return self.search()
-
-    @cached_property
-    def witnesses(self) -> list[list[tuple[complex, complex]]]:
-        """Each family's points, rooted on its fibre's coefficient lists by
-        :mod:`.numeric`, refused before it is loaded when the report's
-        eigenproblems, deg f^3 + deg f * deg h^3 with the degrees read off
-        the list lengths, exceed ``_MAX_EIGEN_WORK``; with no family it is not loaded."""
-        if not self.families:
-            return []
-        fibres = [fam.fibre() for fam in self.families]
-        work = sum((len(f) - 1) ** 3 + (len(f) - 1) * (len(h) - 1) ** 3 for f, h, _ in fibres)
-        if work > _MAX_EIGEN_WORK:
-            raise DegreeTooLarge(f"the witnesses need eigenproblems of {work} operations, over {_MAX_EIGEN_WORK}")
-        from . import numeric
-
-        return [sorted(numeric._numeric_points(*fibre), key=_point_key) for fibre in fibres]
+    return [sorted(numeric._numeric_points(*fibre), key=_point_key) for fibre in fibres]
 
 
 def _point_key(p):  # report order: the coordinates rounded to 9 digits
     return tuple((round(z.real, 9), round(z.imag, 9)) for z in p)
-
-
-def _require_degree(deg):
-    """Refuse a dense polynomial of degree, or a list of points, over
-    ``_MAX_DEGREE`` before it is built."""
-    if deg > _MAX_DEGREE:
-        raise DegreeTooLarge(f"the planar decision needs a polynomial of degree over {_MAX_DEGREE}")
 
 
 def _hermite_2x2(a, b, c, d):
@@ -299,14 +265,9 @@ def _hermite_2x2(a, b, c, d):
     (0, h22), so with x a + y c = h11 = gcd(a, c) > 0 the first row is
     (h11, x b + y d) reduced modulo h22 = |ad - bc| / h11.  The form is
     unique, so no other Bezout pair changes it."""
-    r0, r1, x0, x1, y0, y1 = a, c, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
-    if r0 < 0:
-        r0, x0, y0 = -r0, -x0, -y0
-    h22 = abs(a * d - b * c) // r0
-    return (r0, (x0 * b + y0 * d) % h22), (0, h22)
+    h11, x, y = gcdex(a, c)
+    h22 = abs(a * d - b * c) // h11
+    return (h11, (x * b + y * d) % h22), (0, h22)
 
 
 def _torsion_angles(v, u, det):
@@ -328,41 +289,12 @@ def _torsion_angles(v, u, det):
     ]
 
 
-def _prime_factors(m):
-    """The distinct primes dividing m >= 1, increasing, by trial division;
-    the orders of the planar decision are at most 2 * ``_MAX_DEGREE``, so no
-    trial divisor passes 447."""
-    primes, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    return primes + [m] if m > 1 else primes
-
-
-def _cyclotomic(m) -> list:
-    """Phi_m, leading first, by exact divisions: Phi_(n p)(x) is
-    Phi_n(x^p) / Phi_n(x) for a prime p not dividing n, and
-    Phi_m(x) = Phi_r(x^(m / r)) for r the product of the primes of m."""
-    phi, r = [1, -1], 1
-    for p in _prime_factors(m):
-        phi, r = zp.exquo(_spread(phi, p), phi), r * p
-    return _spread(phi, m // r)
-
-
-def _spread(f, k) -> list:
-    """f(x^k)."""
-    return [c for a in f[:-1] for c in (a, *[0] * (k - 1))] + f[-1:]
-
-
 def _cyclotomic_product(orders) -> tuple[int, ...]:
     """The product of the cyclotomic polynomials Phi_m over the distinct
     orders m, lowest degree first, as a family's polynomial is printed."""
     out = [1]
     for m in orders:
-        out = zp.mul(out, _cyclotomic(m))
+        out = zp.mul(out, zp.cyclotomic(m))
     return tuple(out[::-1])
 
 
@@ -375,8 +307,9 @@ def _binomial_fibre(v, u, m, z1):
     y^g - r: g = s b + t d = gcd(b, d) > 0 and r = (-1)^(s + t) x^e with
     e = -(s a + t c) mod m, as x^m = 1, reduced modulo the monic Phi_m by
     pseudo-division.  A segment with b = 0 vanishes identically above
-    f = x + 1, and h is the other one's binomial."""
-    ((g,), _), ((s, t), _) = hnf([[v[1]], [u[1]]])
+    f = x + 1, and h is the other one's binomial.  Any Bezout pair gives
+    the same remainder: the monic gcd is unique."""
+    g, s, t = gcdex(v[1], u[1])
     f = list(z1[::-1])
     rem = zp.pdivmod([1 if (s + t) % 2 else -1] + [0] * (-(s * v[0] + t * u[0]) % m), f)[1]  # -r
     return f, [[1]] + [[0]] * (g - 1) + [rem], 1
@@ -392,7 +325,7 @@ def _segment_pair(mats, i, j, cyclotomic):
     det = v[0] * u[1] - v[1] * u[0]
     if det == 0:
         return None
-    _require_degree(abs(det))
+    rp._require_degree(abs(det))
     size = 2 * abs(det)
     points = _torsion_angles(v, u, det)
     # a triangle's factor vanishes on the unit torus only where its two
@@ -413,6 +346,27 @@ def _segment_pair(mats, i, j, cyclotomic):
     return count, families
 
 
+def _chart_pair(mats, i, j, chart, bpoly):
+    """A pair with a triangle, decided in summand i's chart: ``None`` on a
+    shared curve, else the number of roots of its chart polynomial on no
+    factor l < j other than i and no point, and one family per fibre of its
+    elimination (:func:`.ratpoly._common_fibres`)."""
+    g = chart(i, j)
+    if not g:
+        return None
+    fibres = rp._common_fibres(bpoly(i), bpoly(j))
+    if len(g) - 1 != sum((len(f) - 1) * (len(h) - 1) for f, h, _ in fibres):
+        raise CrossCheckError("the chart and the elimination disagree on the solution count")
+    for l in range(j):
+        if l != i and mats[l].m and len(g) > 1:
+            g = zp.exquo(g, zp.gcd(g, chart(i, l)))
+    families = []
+    for f, h, den in fibres:
+        z1, z2 = tuple(f[::-1]), tuple(rp._partner_minpoly(f, h)[::-1])
+        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=(f, h, den): fh))
+    return len(g) - 1, families
+
+
 def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     """Decide torus critical points of the potential.
 
@@ -421,28 +375,19 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
     A pair of segments is decided by torsion arithmetic alone
     (:func:`_segment_pair`); any other pair by its polynomial in a summand's
     chart, which decides a shared curve and counts the points, and one
-    elimination, which names the families (:func:`.ratpoly._chart_pair`).
+    elimination, which names the families (:func:`_chart_pair`).
     Each pair's families are sorted here, in :class:`CriticalFamily`'s
     order, so no factoring routine decides it.  No unit-circle flag needs a
     witness.  Fewer than two factors other than 1: "none", in any dimension.
-    Anything else: the verdict "heuristic", whose report runs
-    :func:`.numeric.heuristic_points` only when its witnesses are read.
+    Anything else: the verdict "heuristic", with no points; ``analyze``
+    prints those of :func:`.numeric.heuristic_points` on W beside it.
     """
     mats = require_admissible(d)
     factors = [i for i, sm in enumerate(mats) if sm.m]
     if len(factors) < 2:
         return CriticalReport(verdict="none", count=0)
     if d.n != 2:
-
-        def search():
-            from . import numeric
-
-            return numeric.heuristic_points(d)
-
-        note = "dimension is not 2: numeric multi-start search, not a proof"
-        return CriticalReport(verdict="heuristic", note=note, search=search)
-    from . import ratpoly as rp
-
+        return CriticalReport(verdict="heuristic", note="dimension is not 2: numeric multi-start search, not a proof")
     bpoly = cache(lambda i: rp._clear_to_bpoly(mats[i]))
     chart = cache(lambda i, l: rp._chart_points(mats[i], mats[l]))
     cyclotomic = cache(_cyclotomic_product)
@@ -451,7 +396,7 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
         if mats[i].m == mats[j].m == 1:
             found = _segment_pair(mats, i, j, cyclotomic)
         else:
-            found = rp._chart_pair(mats, i, j, chart, bpoly)
+            found = _chart_pair(mats, i, j, chart, bpoly)
         if found is None:
             return CriticalReport(
                 verdict="positive_dimensional",
@@ -462,4 +407,4 @@ def critical_exists(d: MinkowskiDecomposition) -> CriticalReport:
         families += sorted(found[1], key=lambda fam: (len(fam.z1_minpoly), fam.z1_minpoly[::-1]))
     if count == 0:
         return CriticalReport(verdict="none", count=0)
-    return CriticalReport(verdict="finite", count=count, families=families)
+    return CriticalReport(verdict="finite", count=count, families=tuple(families))

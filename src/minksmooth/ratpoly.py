@@ -8,7 +8,8 @@ and gcds stay in Z[x]: the subresultant sequence divides exactly there, and
 gcds over a number field K = Q[x]/(f) are read off that sequence, not
 recomputed, with the inverses and remainders in K taken by integer
 pseudo-division, so a gcd comes back as integer lists over one common
-denominator.  Pairs with a triangle are decided here (:func:`_chart_pair`).
+denominator.  A pair with a triangle is decided on its chart polynomial
+(:func:`_chart_points`) and its fibres (:func:`_common_fibres`).
 """
 
 from __future__ import annotations
@@ -16,14 +17,27 @@ from __future__ import annotations
 from math import comb, gcd
 
 from . import zpoly as zp
-from .exactlin import CrossCheckError, dot
-from .potential import CriticalFamily, _cyclotomic, _require_degree
+from .exactlin import dot
 
-# the divisors of x^3 - 1 other than 1, lowest degree first
-_CUBE_ROOT_POLYS = {(-1, 1), (1, 1, 1), (-1, 0, 0, 1)}
+# the planar decision builds no dense polynomial of higher degree in any
+# variable, and lists no more common zeros of two segments
+_MAX_DEGREE = 10**5
 # Phi_m for m <= 12, leading first: factors are tried against them, one
 # division each, before any modular work
-_CYCLOTOMIC = [_cyclotomic(m) for m in range(1, 13)]
+_CYCLOTOMIC = [zp.cyclotomic(m) for m in range(1, 13)]
+
+
+class DegreeTooLarge(ValueError):
+    """A polynomial or a point list of the planar decision would exceed
+    ``_MAX_DEGREE``, or a report's witnesses would take eigenproblems of
+    more than ``potential._MAX_EIGEN_WORK`` operations in all."""
+
+
+def _require_degree(deg):
+    """Refuse a dense polynomial of degree, or a list of points, over
+    ``_MAX_DEGREE`` before it is built."""
+    if deg > _MAX_DEGREE:
+        raise DegreeTooLarge(f"the planar decision needs a polynomial of degree over {_MAX_DEGREE}")
 
 
 def bresultant_y(f: list, g: list) -> tuple[list, list[list]]:
@@ -207,24 +221,3 @@ def _chart_points(sm_i, sm_j) -> list:
             coeffs[q - q0 + r] = coeffs.get(q - q0 + r, 0) + (-1 if p % 2 else 1) * comb(top, r)
     g = zp.sqf_part(zp._trim([coeffs.get(k, 0) for k in range(max(coeffs), -1, -1)]))
     return zp.exquo(g, zp.gcd(g, [1, 1, 0] if sm_i.m == 2 else [1, 0]))
-
-
-def _chart_pair(mats, i, j, chart, bpoly):
-    """A pair with a triangle, decided in summand i's chart: ``None`` on a
-    shared curve, else the number of roots of its chart polynomial on no
-    factor l < j other than i and no point, and one family per fibre of its
-    elimination."""
-    g = chart(i, j)
-    if not g:
-        return None
-    fibres = _common_fibres(bpoly(i), bpoly(j))
-    if len(g) - 1 != sum((len(f) - 1) * (len(h) - 1) for f, h, _ in fibres):
-        raise CrossCheckError("the chart and the elimination disagree on the solution count")
-    for l in range(j):
-        if l != i and mats[l].m and len(g) > 1:
-            g = zp.exquo(g, zp.gcd(g, chart(i, l)))
-    families = []
-    for f, h, den in fibres:
-        z1, z2 = tuple(f[::-1]), tuple(_partner_minpoly(f, h)[::-1])
-        families.append(CriticalFamily(z1, z2, (i + 1, j + 1), {z1, z2} <= _CUBE_ROOT_POLYS, lambda fh=(f, h, den): fh))
-    return len(g) - 1, families

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cone import PolyhedralCone, dual, hilbert_basis, sigma_tilde
+from .cone import PolyhedralCone, dual, hilbert_basis
 from .exactlin import (
     CrossCheckError,
     IntVec,
@@ -24,7 +24,7 @@ from .exactlin import (
     vec_add,
     vec_neg,
 )
-from .polytope import MinkowskiDecomposition, phi, require_admissible, summand_at
+from .polytope import MinkowskiDecomposition, phi, require_admissible, sigma_tilde, summand_at
 
 
 class CharLabel(NamedTuple):

@@ -12,6 +12,8 @@ read back from its bytes.
   byte copies.  A candidate is the gcd when it divides both inputs; the
   primitive remainder sequence is the fallback.  :func:`sqf_list` is Yun's
   square-free decomposition.
+* :func:`cyclotomic`: Phi_m from Phi_p, p the least odd prime of m, by
+  exact divisions and a sign flip for even m.
 * :func:`subresultants`: Brown's subresultant PRS over Z[x][y], whose last
   entry gives the resultant.
 * :func:`factor_squarefree`: Zassenhaus, after von zur Gathen and Gerhard,
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd as igcd
-from math import isqrt
+from math import isqrt, prod
 
 # good primes whose degree patterns the sieve intersects, at most
 _SIEVE_PRIMES = 5
@@ -253,6 +255,46 @@ def sqf_list(f: list) -> list[tuple[list, int]]:
             out.append((a, i))
         b, c, i = exquo(b, a), exquo(d, a), i + 1
     return out
+
+
+def _prime_factors(m):
+    """The distinct primes dividing m >= 1, increasing, by trial division;
+    the orders of the planar decision are at most 2 * 10^5, so no trial
+    divisor passes 447."""
+    primes, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return primes + [m] if m > 1 else primes
+
+
+def _spread(f: list, k: int) -> list:
+    """f(x^k)."""
+    out = [0] * (k * (len(f) - 1) + 1)
+    out[::k] = f
+    return out
+
+
+def cyclotomic(m: int) -> list:
+    """Phi_m, leading first.  Phi_p = x^(p-1) + ... + 1 for the least odd
+    prime p of m, then Phi_(n q)(x) = Phi_n(x^q) / Phi_n(x), an exact
+    division, for each further odd prime q, which does not divide n; for
+    even m, Phi_(2 n)(x) = Phi_n(-x), n odd, as deg Phi_n is even for n > 1
+    and Phi_2 = x + 1; last, Phi_m(x) = Phi_r(x^(m / r)) for r the product
+    of the primes of m."""
+    primes = _prime_factors(m)
+    if not primes:
+        return [1, -1]
+    odd = [p for p in primes if p > 2]
+    phi = [1] * odd[0] if odd else [1, 1]
+    for q in odd[1:]:
+        phi = exquo(_spread(phi, q), phi)
+    if odd and primes[0] == 2:
+        phi = [-c if i % 2 else c for i, c in enumerate(phi)]
+    return _spread(phi, m // prod(primes))
 
 
 # ---------------------------------------------------------------------------

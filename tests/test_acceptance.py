@@ -3,6 +3,7 @@ the stated 1e-9 bound on numeric witness gradients."""
 
 import random
 
+from minksmooth import potential
 from minksmooth.cone import (
     cone_from_generators,
     cone_over,
@@ -11,7 +12,6 @@ from minksmooth.cone import (
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
-    sigma_tilde,
 )
 from minksmooth.exactlin import vec_sub
 from minksmooth.fibration import (
@@ -22,6 +22,7 @@ from minksmooth.fibration import (
     new_base_diagram,
     transfer_cut,
 )
+from minksmooth.polytope import sigma_tilde
 from minksmooth.potential import build_potential, critical_exists, newton_polytope
 from minksmooth.smoothing import (
     Extra,
@@ -199,14 +200,14 @@ def test_criterion_07_critical_points(all_fixtures):
     assert verdicts["q6_first"].verdict == "finite" and verdicts["q6_first"].count == 2
     fam = verdicts["q6_first"].families[0]
     assert fam.z1_minpoly == (1, 1, 1) and fam.z2_minpoly == (1, 1, 1)
-    for z1, z2 in verdicts["q6_first"].witnesses[0]:  # the two primitive cube roots, with z1 = z2
+    for z1, z2 in potential.witnesses(verdicts["q6_first"])[0]:  # the two primitive cube roots, with z1 = z2
         assert abs(z1 - z2) < 1e-9
         assert abs(z1 ** 3 - 1) < 1e-9 and abs(z1 - 1) > 1e-9
 
     assert verdicts["q6_second"].verdict == "finite" and verdicts["q6_second"].count == 3
     pts = {
         (round(p[0].real), round(p[1].real))
-        for points in verdicts["q6_second"].witnesses
+        for points in potential.witnesses(verdicts["q6_second"])
         for p in points
     }
     assert pts == {(-1, -1), (-1, 1), (1, -1)}
@@ -223,7 +224,7 @@ def test_criterion_07_critical_points(all_fixtures):
         if rep.verdict != "finite":
             continue
         po = build_potential(all_fixtures[name])
-        for points in rep.witnesses:
+        for points in potential.witnesses(rep):
             for z1, z2 in points:
                 worst = max(abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3))
                 assert worst < 1e-9, (name, z1, z2, worst)

@@ -642,8 +642,8 @@ def test_witness_budget_admits_the_largest_tested_family():
     # 2.77 * 10^8 operations in all; it stays within the budget
     report = _segments_report((1, 24), (24, 1), (1, -24))
     assert _eigen_work(report.families) == 277_015_964
-    assert len(report.families) == len(report.witnesses) == 10
-    assert sum(map(len, report.witnesses)) == 1200
+    assert len(report.families) == len(potential.witnesses(report)) == 10
+    assert sum(map(len, potential.witnesses(report))) == 1200
 
 
 def test_segment_witnesses_build_no_sympy_polynomial():
@@ -653,11 +653,11 @@ def test_segment_witnesses_build_no_sympy_polynomial():
     code = (
         "import json, sys\n"
         "from minksmooth.pipeline import parse_input\n"
-        "from minksmooth.potential import critical_exists\n"
+        "from minksmooth.potential import critical_exists, witnesses\n"
         "vs = [(1, 24), (24, 1), (1, -24)]\n"
         "d = parse_input(json.dumps({'dimension': 2, 'summands': [{'vertices': [[0, 0], list(v)]} for v in vs]}))\n"
         "report = critical_exists(d.decomposition)\n"
-        "print(len(report.families), sum(map(len, report.witnesses)), 'sympy' in sys.modules)\n"
+        "print(len(report.families), sum(map(len, witnesses(report))), 'sympy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -673,11 +673,11 @@ def test_witness_budget_bounds_the_whole_report(monkeypatch):
     report = _segments_report((1, 0), (0, 1), (1, 1))
     work = _eigen_work(report.families)
     monkeypatch.setattr(potential, "_MAX_EIGEN_WORK", work)
-    assert sum(map(len, report.witnesses)) == 3
+    assert sum(map(len, potential.witnesses(report))) == 3
     monkeypatch.setattr(potential, "_MAX_EIGEN_WORK", work - 1)
     monkeypatch.setattr(np, "roots", _raise(AssertionError("roots taken past the witness budget")))
     with pytest.raises(potential.DegreeTooLarge):
-        _segments_report((1, 0), (0, 1), (1, 1)).witnesses
+        potential.witnesses(_segments_report((1, 0), (0, 1), (1, 1)))
 
 
 def test_cli_analyze_refuses_a_report_whose_witnesses_are_too_large(tmp_path, monkeypatch, capsys):
@@ -702,23 +702,32 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
     assert main(["potential", path]) == 0
 
 
-def test_analyze_searches_only_through_the_report(tmp_path, monkeypatch):
-    # the n != 2 search runs once, when the report's witnesses are read;
-    # no planar report reads them, so no planar analyze searches
-    calls = []
-    search = numeric.heuristic_points
+def test_analyze_searches_on_the_potential_it_built(tmp_path, monkeypatch):
+    # an n != 2 analyze builds W once and hands that W to the search, which
+    # runs once; no planar analyze searches, and potential --critical never
+    # does
+    built, searched = [], []
+    build, search = potential.build_potential, numeric.heuristic_points
 
-    def counted(d):
-        calls.append(d)
-        return search(d)
+    def counted_build(d):
+        built.append(build(d))
+        return built[-1]
 
-    monkeypatch.setattr(numeric, "heuristic_points", counted)
+    def counted_search(w):
+        searched.append(w)
+        return search(w)
+
+    _swap_every_binding(monkeypatch, build, counted_build)
+    _swap_every_binding(monkeypatch, search, counted_search)
     payload = {"dimension": 3, "summands": [{"vertices": [[0, 0, 0], v]} for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}
-    assert main(["analyze", write_input(tmp_path, payload), "--fast", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 1
+    path = write_input(tmp_path, payload)
+    assert main(["analyze", path, "--fast", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == len(searched) == 1 and searched[0] is built[0]
+    assert main(["potential", path, "--critical"]) == 0
+    assert len(built) == 2 and len(searched) == 1
     for fixture in sorted(FIXTURES.glob("*.json")):
         assert main(["analyze", str(fixture), "--fast", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 1
+    assert len(searched) == 1
 
 
 def test_cli_cross_check_failure_exit(tmp_path, monkeypatch, capsys):
@@ -781,8 +790,8 @@ def test_pipeline_derives_sigma_once_and_takes_no_hull(monkeypatch, fixture):
     d = req.decomposition
     assert calls == [d.n + 1]
     # with sigma cached, sigma-tilde is read off it with no pass at all
-    cone.sigma_tilde.cache_clear()
-    cone.sigma_tilde(d)
+    polytope.sigma_tilde.cache_clear()
+    polytope.sigma_tilde(d)
     assert calls == [d.n + 1]
 
 
@@ -982,7 +991,7 @@ def test_fewer_than_two_factors_have_no_critical_point_in_any_dimension(tmp_path
     monkeypatch.setattr(numeric, "heuristic_points", refuse)
     path = write_input(tmp_path, {"dimension": len(summands[0][0]), "summands": [{"vertices": s} for s in summands]})
     crit = potential.critical_exists(parse_input(Path(path).read_text()).decomposition)
-    assert (crit.verdict, crit.count, crit.families, crit.note, crit.heuristic_points) == ("none", 0, [], "", [])
+    assert tuple(crit) == ("none", 0, (), "")
     assert main(["potential", path, "--critical"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["verdict: none (count 0)"]
 

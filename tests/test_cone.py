@@ -22,7 +22,6 @@ from minksmooth.cone import (
     hilbert_basis,
     is_full_dimensional,
     is_strongly_convex,
-    sigma_tilde,
     _canonical_vrep,
     _cone_basis,
     _irreducible,
@@ -32,7 +31,7 @@ from minksmooth.cone import (
     _slot_polytopes,
 )
 from minksmooth.exactlin import dot, identity, snf_invariant_factors, support, vec_sub
-from minksmooth.polytope import NotAdmissible, convex_hull, decomposition, lattice_points, require_spanning
+from minksmooth.polytope import NotAdmissible, convex_hull, decomposition, lattice_points, require_spanning, sigma_tilde
 
 from box_oracle import (
     BoundTooSmall,

@@ -57,6 +57,11 @@ def test_regions_q5(d_q5):
     assert fan2[1].normals == ((-1, -1),)
 
 
+def _region_contains(r, lam) -> bool:
+    """Whether ``lam`` is in the open region ``r``: <a, lam> > 0 on each of its normals."""
+    return all(sum(a * x for a, x in zip(n, lam)) > 0 for n in r.normals)
+
+
 def test_regions_partition(all_fixtures):
     rng = random.Random(555)
     for d in all_fixtures.values():
@@ -73,7 +78,7 @@ def test_regions_partition(all_fixtures):
                 continue
             samples += 1
             for p, fan in enumerate(fans, start=1):
-                count = sum(1 for r in fan if r.contains(lam))
+                count = sum(1 for r in fan if _region_contains(r, lam))
                 assert count == 1, f"lambda {lam} lies in {count} regions of summand {p}"
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from minksmooth import cone as cone_module
 from minksmooth import fibration, polytope, potential, smoothing
-from minksmooth.cone import sigma_tilde
 from minksmooth.exactlin import NotPrimitive, dot, identity, support
 from minksmooth.pipeline import parse_input
 from minksmooth.polytope import (
+    sigma_tilde,
     DimensionMismatch,
     NotAdmissible,
     OriginNotVertex,

@@ -16,6 +16,7 @@ from sympy.polys.densearith import dup_exquo
 
 from minksmooth import numeric, potential
 from minksmooth import ratpoly as rp
+from minksmooth import zpoly as zp
 from minksmooth.cone import cone_over
 from minksmooth.exactlin import hnf, rank
 from minksmooth.pipeline import _newton_is_target, parse_input
@@ -235,7 +236,7 @@ def test_partial_examples(d_q5):
         shift = [0, 0, 0]
         shift[i] = 1
         total = total + LaurentPoly.monomial(tuple(shift)) * mono.derivative(i)
-    assert total == mono * 4
+    assert total == LaurentPoly.monomial((2, 3, -1), 20)
 
 
 def test_critical_q5(d_q5):
@@ -261,7 +262,7 @@ def test_critical_q6_second(d_q6_second):
     assert rep.verdict == "finite" and rep.count == 3
     pts = {
         (round(p[0].real), round(p[1].real))
-        for points in rep.witnesses
+        for points in potential.witnesses(rep)
         for p in points
     }
     assert pts == {(-1, -1), (-1, 1), (1, -1)}
@@ -274,7 +275,7 @@ def test_critical_lens(d_lens21):
     assert fam.z1_minpoly == (1, 1)
     assert fam.z2_minpoly == (-1, 0, 1)
     assert fam.on_unit_circle
-    z2s = sorted(round(p[1].real) for p in rep.witnesses[0])
+    z2s = sorted(round(p[1].real) for p in potential.witnesses(rep)[0])
     assert z2s == [-1, 1]
 
 
@@ -312,7 +313,7 @@ def test_witness_gradients_vanish(all_fixtures):
         if rep.verdict != "finite":
             continue
         po = build_potential(d)
-        for points in rep.witnesses:
+        for points in potential.witnesses(rep):
             for z1, z2 in points:
                 grad = max(
                     abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3)
@@ -370,7 +371,7 @@ def _assert_matches_fraction_oracle(d):
     got, want = critical_exists(d), ratpoly_oracle.critical_exists(d)
     assert (got.verdict, got.count, got.note) == (want.verdict, want.count, want.note)
     fields = lambda f, points: (f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, points)
-    assert [fields(f, points) for f, points in zip(got.families, got.witnesses)] == [
+    assert [fields(f, points) for f, points in zip(got.families, potential.witnesses(got))] == [
         fields(f, sorted(f.points, key=potential._point_key)) for f in want.families
     ]
 
@@ -399,7 +400,7 @@ def test_unit_circle_flag_ignores_the_witnesses(monkeypatch, summands, flags):
     monkeypatch.setattr(numeric, "_numeric_points", drifted)
     report = critical_exists(_planar(summands))
     assert [fam.on_unit_circle for fam in report.families] == flags
-    assert all(abs(abs(z) - 1) > 1e-10 for points in report.witnesses for p in points for z in p)
+    assert all(abs(abs(z) - 1) > 1e-10 for points in potential.witnesses(report) for p in points for z in p)
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -438,7 +439,7 @@ def test_critical_count_counts_a_shared_point_once():
     # the pair counts add up to 4; (-1, -1) is on every factor
     report = critical_exists(_planar(_PLANAR_CASES["triple-point"]))
     assert (report.verdict, report.count) == ("finite", 2)
-    assert sum(map(len, report.witnesses)) == 4
+    assert sum(map(len, potential.witnesses(report))) == 4
 
 
 def test_segment_pair_over_the_bound_is_refused(monkeypatch):
@@ -478,26 +479,28 @@ def test_critical_matches_fraction_oracle_on_random_summands(summands):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(1, 120), min_size=1, max_size=4))
+@example({97, 2 * 97, 3 * 5 * 7})  # Phi_p starts the recursion at once on a prime order
+@example({1, 2, 4, 1154})  # dilation a=24's largest order, 2 * 577
 def test_cyclotomic_product_matches_sympy(orders):
     t = symbols("t")
     want = Poly(1, t)
     for m in orders:
-        assert potential._cyclotomic(m) == cyclotomic_poly(m, t, polys=True).rep.to_list()
+        assert zp.cyclotomic(m) == cyclotomic_poly(m, t, polys=True).rep.to_list()
         want *= cyclotomic_poly(m, t, polys=True)
     # lowest degree first, as a family prints it
     assert potential._cyclotomic_product(orders) == tuple(want.rep.to_list()[::-1])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2 * potential._MAX_DEGREE))
+@given(st.integers(1, 2 * rp._MAX_DEGREE))
 @example(1)
-@example(2 * potential._MAX_DEGREE)  # 2^6 * 5^5
+@example(2 * rp._MAX_DEGREE)  # 2^6 * 5^5
 @example(199_999)  # prime
 @example(2 * 99_991)  # 2 times the largest prime under 10^5
 @example(443**2)  # the square of the largest prime under 447
 @example(443 * 449)  # two primes, the second past the trial divisors
 def test_trial_division_matches_sympy_primefactors(m):
-    assert potential._prime_factors(m) == primefactors(m)
+    assert zp._prime_factors(m) == primefactors(m)
 
 
 def _fraction_torsion_angles(v, u, det):
@@ -642,7 +645,7 @@ def test_heuristic_for_other_dimensions():
         [convex_hull([(0,), (1,)]), convex_hull([(0,), (1,)])]
     )
     assert critical_exists(d).verdict == "heuristic"
-    assert any(abs(p[0] + 1) < 1e-6 for p in heuristic_points(d))
+    assert any(abs(p[0] + 1) < 1e-6 for p in heuristic_points(build_potential(d)))
 
 
 @pytest.mark.parametrize("extra", [(), ((-1, -1, -1),)])
@@ -650,9 +653,9 @@ def test_heuristic_survives_diverging_starts(extra, recwarn):
     # some Newton starts overflow to inf/nan on these inputs; they are
     # abandoned instead of reaching the least-squares solver
     d = decomposition([convex_hull([(0, 0, 0), v]) for v in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)) + extra])
-    points = heuristic_points(d)
-    assert critical_exists(d).verdict == "heuristic" and points
     po = build_potential(d)
+    points = heuristic_points(po)
+    assert critical_exists(d).verdict == "heuristic" and points
     for p in points:
         assert max(abs(po.derivative(i).evaluate(list(p) + [1.0])) for i in range(4)) < 1e-8
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -694,7 +697,7 @@ _NEWTON_CASES["triangle+2-segments"] = [[(1, 0, 0), (0, 1, 0)], (0, 0, 1), (1, 1
 @pytest.mark.parametrize("vs", list(_NEWTON_CASES.values()), ids=list(_NEWTON_CASES))
 def test_lockstep_newton_matches_scalar_oracle(vs):
     d = _at_origin(*vs)
-    assert heuristic_points(d) == newton_oracle.heuristic_points(d)
+    assert heuristic_points(build_potential(d)) == newton_oracle.heuristic_points(d)
 
 
 def _table_polys(nvars):
@@ -864,28 +867,29 @@ def _counted(monkeypatch, *names, module=rp, calls=None):
 )
 def test_only_reported_families_are_annotated(monkeypatch, d):
     # segment pairs are decided on their torsion cosets, with no chart and
-    # no elimination; reading the witnesses runs the numeric roots once per
-    # family, on its closed-form fibre, and still no elimination
+    # no elimination; the witnesses run the numeric roots once per family,
+    # on its closed-form fibre, and still no elimination
     calls = _counted(monkeypatch, "_numeric_points", module=numeric)
     names = ("_chart_points", "_clear_to_bpoly", "_common_fibres", "_partner_minpoly")
     _counted(monkeypatch, *names, "bresultant_y", "bgcd", "kgcd_y", "factor_rational", calls=calls)
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
     assert calls == dict.fromkeys(calls, 0)
-    assert rep.witnesses is rep.witnesses
+    potential.witnesses(rep)
     assert calls == {**dict.fromkeys(calls, 0), "_numeric_points": len(rep.families)}
 
 
 def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
     # a pair with a triangle runs one partner polynomial per family and no
-    # witnesses; the witnesses are computed once, when first read
+    # witnesses; the witnesses are computed only when asked for, once per
+    # family
     calls = _counted(monkeypatch, "_partner_minpoly")
     _counted(monkeypatch, "_numeric_points", module=numeric, calls=calls)
     rep = critical_exists(d_q5)
     assert rep.verdict == "finite" and rep.families
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
-    assert rep.witnesses is rep.witnesses
-    assert calls["_numeric_points"] == len(rep.families)
+    potential.witnesses(rep)
+    assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": len(rep.families)}
 
 
 @pytest.mark.parametrize(
@@ -899,7 +903,7 @@ def test_family_order_is_independent_of_the_factoring(monkeypatch, vs):
     monkeypatch.setattr(rp, "factor_rational", lambda f: original(f)[::-1])
     got = critical_exists(_planar(vs))
     assert got.families == want.families
-    assert got.witnesses == want.witnesses
+    assert potential.witnesses(got) == potential.witnesses(want)
 
 
 def test_every_partner_polynomial_is_a_resultant(monkeypatch):

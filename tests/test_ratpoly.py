@@ -9,6 +9,7 @@ each branch of the factorization.
 
 import math
 import random
+from unittest import mock
 from fractions import Fraction
 
 import sympy
@@ -275,6 +276,26 @@ def test_gcd_and_square_free_parts_match_sympy(fs, gs):
     assert sorted(zp.sqf_list(f)) == sorted((list(map(int, p)), m) for p, m in dup_sqf_list(f, ZZ)[1])
     q = zp.quotient(f, g)
     assert q is None if dup_rem(f, g, ZZ) else q == dmp_exquo(f, g, 0, ZZ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_products, _products)
+@example([[10**300 + 1, 3]], [[10**300 + 1, 3], [1, 1]])
+@example([[1]], [[5, 0]])
+@example([[1, 1], [1, -1]], [[3, 0, 0, 1]])
+@example(*[[[1] + [0] * 59 + [-1]]] * 2)  # x^60 - 1 with itself
+def test_gcd_fallback_matches_sympy(fs, gs):
+    # GCDHEU succeeds on every input the decision and the tests meet, so
+    # the primitive remainder sequence behind it runs only when forced
+    f, g = _multiply(fs), _multiply(gs + fs[:1])
+    with (
+        mock.patch.object(zp, "_heugcd", return_value=None),
+        mock.patch.object(zp, "_prs_gcd", wraps=zp._prs_gcd) as prs,
+    ):
+        assert zp.gcd(f, g) == dup_gcd(f, g, ZZ)
+        assert prs.called == (len(f) > 1 and len(g) > 1)
+        assert sorted(zp.sqf_list(f)) == sorted((list(map(int, p)), m) for p, m in dup_sqf_list(f, ZZ)[1])
+        assert sorted(rp.factor_rational(f)) == sympy_factors(f)
 
 
 @settings(max_examples=100, deadline=None)

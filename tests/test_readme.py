@@ -21,6 +21,7 @@ CLAIMS = {
         "finite, count 2, one family",
         lambda ns: (ns["report"].verdict, ns["report"].count, len(ns["report"].families)) == ("finite", 2, 1),
     ),
+    "points": ("the family's two points", lambda ns: [len(points) for points in ns["points"]] == [2]),
 }
 
 
@@ -47,7 +48,7 @@ def test_library_example_does_what_its_comments_say():
 
 
 def test_module_list_has_one_line_per_module_and_its_names_resolve():
-    # the package root, __init__, holds no code and has no line
+    # the package root, __init__, has no line: it only binds cone.sigma_tilde
     lines = re.findall(r"^\* `(\w+)`: (.*)$", _section("Library"), re.M)
     package = Path(minksmooth.__file__).parent
     assert sorted(m for m, _ in lines) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")

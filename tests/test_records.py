@@ -3,9 +3,9 @@ path loads neither ``dataclasses`` (with ``inspect``) nor ``fractions``.
 
 A record that needs more than its fields keeps them in a subclass of its
 NamedTuple base: :class:`LatticePolytope` checks its vertices there, and
-the memo of :class:`MinkowskiDecomposition`, the fibre of
-:class:`CriticalFamily` and the search of :class:`CriticalReport` live in
-the instance's dict, outside ``==`` and ``hash``.
+the memo of :class:`MinkowskiDecomposition` and the fibre of
+:class:`CriticalFamily` live in the instance's dict, outside ``==`` and
+``hash``.  :class:`CriticalReport` is a plain NamedTuple.
 """
 
 import importlib
@@ -72,13 +72,13 @@ def test_critical_family_equality_ignores_its_fibre():
     assert one != CriticalFamily((1, 1), (-1, 0, 1), (1, 3), True, one.fibre)
 
 
-def test_critical_report_equality_ignores_its_search():
-    searched = CriticalReport("heuristic", note="n", search=lambda: [(1j, 1j)])
-    assert searched == CriticalReport("heuristic", note="n")
-    assert searched.heuristic_points == [(1j, 1j)] and CriticalReport("none", 0).heuristic_points == []
-    assert tuple(CriticalReport("none", 0)) == ("none", 0, [], "")
-    # the default family list is a fresh list per report
-    assert CriticalReport("none").families is not CriticalReport("none").families
+def test_critical_report_is_a_plain_record():
+    # no attribute outside its fields: no instance dict, no memo, no search
+    assert CriticalReport.__bases__ == (tuple,)
+    assert CriticalReport._fields == ("verdict", "count", "families", "note")
+    report = CriticalReport("heuristic", note="n")
+    assert tuple(report) == ("heuristic", None, (), "n") and not hasattr(report, "__dict__")
+    assert [name for name in vars(CriticalReport) if not name.startswith("_")] == list(CriticalReport._fields)
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,9 @@ from itertools import product
 
 import pytest
 
-from minksmooth.cone import dual, sigma_tilde
+from minksmooth.cone import dual
 from minksmooth.exactlin import vec_add
-from minksmooth.polytope import convex_hull, decomposition, phi
+from minksmooth.polytope import convex_hull, decomposition, phi, sigma_tilde
 from minksmooth.smoothing import (
     Extra,
     GeneratorSet,
@@ -294,6 +294,5 @@ def test_point_summand_contributes_only_deformation_slot():
     with pytest.raises(ValueError):
         fibre_model(d, 1)
     assert relation_xy(d, 2)[1] == 1
-    from minksmooth.cone import dual, sigma_tilde
 
     assert verify_generates(g, dual(sigma_tilde(d)), 2)

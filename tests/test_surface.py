@@ -98,3 +98,61 @@ def test_no_module_imports_sympy():
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] in ("sympy", "fractions")], module
+
+
+def _package_imports():
+    """Each import of one package module by another, at the top or inside a
+    function: (importer, imported, inside a function)."""
+    edges = []
+    for module, source in SOURCES.items():
+        tree = ast.parse(source)
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        nested = {id(n) for f in functions for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("minksmooth"):
+                parts = node.module.split(".")
+                targets = [parts[1]] if len(parts) > 1 else [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [a.name.split(".")[1] for a in node.names if a.name.startswith("minksmooth.")]
+            else:
+                continue
+            edges += [(module, target, id(node) in nested) for target in targets]
+    return edges
+
+
+def test_package_imports_run_one_way():
+    # every module imports only modules below it, at the top or inside a
+    # function, so the graph of imports has no cycle
+    below = {module: set() for module in SOURCES}
+    for module, target, _ in _package_imports():
+        assert target in SOURCES, (module, target)
+        below[module].add(target)
+    order = []
+    while below:
+        ready = sorted(m for m, targets in below.items() if targets <= set(order))
+        assert ready, f"import cycle among {sorted(below)}"
+        order += ready
+        for m in ready:
+            del below[m]
+
+
+def test_numeric_imports_no_module_of_the_package():
+    # the search takes W, the witnesses take integer lists: numeric needs
+    # numpy and nothing of the package
+    assert [edge for edge in _package_imports() if edge[0] == "numeric"] == []
+
+
+def test_imports_inside_functions_are_only_the_deferred_ones():
+    # cli loads potential only for its command, pipeline the modules only
+    # analyze runs, and numpy's module loads only where points are computed
+    deferred = {(module, target) for module, target, inside in _package_imports() if inside}
+    assert deferred == {
+        ("cli", "potential"),
+        ("pipeline", "fibration"),
+        ("pipeline", "potential"),
+        ("pipeline", "smoothing"),
+        ("pipeline", "numeric"),
+        ("potential", "numeric"),
+    }
