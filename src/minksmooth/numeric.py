@@ -1,8 +1,10 @@
 """Floating-point points of the critical-point analysis: the witnesses of
 an exact report's families, rooted on their fibres' integer lists with each
 coefficient rounded once, and the damped Newton search on W behind the
-verdict "heuristic".  The package's only numpy code, importing none of the
-package: ``potential.witnesses`` and ``pipeline`` import it on demand.
+verdict "heuristic", whose starts come from a fixed PCG64 stream computed
+here (:func:`_pcg64_doubles`), so numpy's random module is never loaded.
+The package's only numpy code, importing none of the package:
+``potential.witnesses`` and ``pipeline`` import it on demand.
 """
 
 from __future__ import annotations
@@ -12,12 +14,64 @@ from functools import reduce
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-# the n != 2 search: seeded starts, Newton steps per start, and the gradient
-# size below which a start has converged
+# the n != 2 search: starts, Newton steps per start, the gradient size below
+# which a start has converged, and the seed of the starts' PCG64 stream
 _SEARCH_STARTS = 40
 _SEARCH_ITERS = 80
 _SEARCH_TOL = 1e-10
 _SEARCH_SEED = 7
+
+
+def _pcg64_doubles(seed, count):
+    """The first ``count`` doubles that numpy's ``Generator(PCG64(seed))``
+    draws with ``random()``, for a seed below 2**32, bit for bit and without
+    numpy's random module.
+
+    ``SeedSequence(seed).generate_state(4, np.uint64)`` mixes the seed into a
+    pool of four 32-bit words and hashes the pool out to eight, two to a
+    64-bit word.  PCG64 (O'Neill 2014: XSL-RR output of a 128-bit LCG) takes
+    the first two words as its state and the last two as its increment, as
+    numpy's ``pcg64_set_seed`` does, and a double is ``(x >> 11) * 2**-53``.
+    """
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & m32
+        value = value * hash_a & m32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ r >> 16
+
+    # the seed is one 32-bit word of entropy; the hash runs on over zeros
+    # to fill the pool, and every word is then mixed into every other
+    pool = [hashmix(seed), hashmix(0), hashmix(0), hashmix(0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_b, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & m32
+        value = value * hash_b & m32
+        words.append(value ^ value >> 16)
+    s_hi, s_lo, i_hi, i_lo = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    # pcg64_set_seed: an odd increment; from state 0, one step, the seed
+    # state added, one more step
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & m128
+    state = ((inc + (s_hi << 64 | s_lo)) * mult + inc) & m128
+    out = []
+    for _ in range(count):
+        state = (state * mult + inc) & m128
+        x, rot = (state >> 64 ^ state) & m64, state >> 122
+        out.append((((x >> rot | x << (64 - rot)) & m64) >> 11) * 2.0**-53)
+    return out
 
 
 def _numeric_points(f, h, den):
@@ -38,33 +92,38 @@ class _TermTable:
     """Laurent polynomials compiled for evaluation at many points at once,
     bit for bit ``LaurentPoly.evaluate`` on every finite value.
 
-    The table is term-major and ragged.  The polynomials are ranked by
-    decreasing term count, ties in list order, so the terms at place ``t``
-    of their dictionary order are those of the first ``counts[t]`` ranked
-    polynomials; the table holds place 0 of every polynomial, then place 1,
-    and so on, with no padding.  Variables past the first ``nfree`` are
-    pinned to ``1 + 0j`` and skipped, which is exact.  A term is its
-    coefficient times the powers of its free variables in variable order.
-    Each variable's distinct nonzero exponents are powered once by
-    ``np.power``, which matches scalar ``**``, into slots 1, 2, ...; slot 0
-    holds ``1 + 0j``, which a term without the variable gathers.  Where
-    ``evaluate`` skips a variable or multiplies the coefficient's zero
-    imaginary part, the table's products differ at most in the sign of a
-    zero, and a zero's sign never reaches a nonzero value or a sum started
-    from ``+0.0``.  Complex products are split into real ones so no fused
-    multiply-add can enter.  Each polynomial's terms are added to its
-    running sum one place at a time, in order, never by numpy's pairwise
-    reduction.  An overflow may read ``nan`` where ``evaluate`` reads
-    ``inf``: both are non-finite.
+    The table is term-major and ragged.  Polynomials with the same terms in
+    the same dictionary order, such as the two mixed partials of W or the
+    zero polynomial, are tabulated once and share one column of sums.  The
+    distinct ones are ranked by decreasing term count, ties in first
+    appearance, so the terms at place ``t`` of their dictionary order are
+    those of the first ``counts[t]`` ranked polynomials; the table holds
+    place 0 of every polynomial, then place 1, and so on, with no padding.
+    Variables past the first ``nfree`` are pinned to ``1 + 0j`` and skipped,
+    which is exact.  A term is its coefficient times the powers of its free
+    variables in variable order.  Each variable's distinct nonzero exponents
+    are powered once by ``np.power``, which matches scalar ``**``, into
+    slots 1, 2, ...; slot 0 holds ``1 + 0j``, which a term without the
+    variable gathers.  Where ``evaluate`` skips a variable or multiplies the
+    coefficient's zero imaginary part, the table's products differ at most
+    in the sign of a zero, and a zero's sign never reaches a nonzero value
+    or a sum started from ``+0.0``.  Complex products are split into real
+    ones so no fused multiply-add can enter.  Each polynomial's terms are
+    added to its running sum one place at a time, in order, never by numpy's
+    pairwise reduction.  An overflow may read ``nan`` where ``evaluate``
+    reads ``inf``: both are non-finite.
     """
 
     __slots__ = ("columns", "counts", "coeffs", "factors")
 
     def __init__(self, polys, nfree):
-        ranked = sorted(range(len(polys)), key=lambda a: -len(polys[a].terms))
-        terms = [list(polys[a].terms.items()) for a in ranked]
+        distinct = {}
+        index = [distinct.setdefault(tuple(p.terms.items()), len(distinct)) for p in polys]
+        seqs = list(distinct)
+        ranked = sorted(range(len(seqs)), key=lambda a: -len(seqs[a]))
+        terms = [seqs[a] for a in ranked]
         # the sum of polynomial a is row columns[a] of the ranked sums
-        self.columns = np.argsort(ranked)
+        self.columns = np.argsort(ranked)[index]
         self.counts = [sum(len(ts) > t for ts in terms) for t in range(len(terms[0]) if terms else 0)]
         table = [ts[t] for t, count in enumerate(self.counts) for ts in terms[:count]]
         self.coeffs = np.array([c for _, c in table], dtype=float).reshape(-1, 1)
@@ -159,6 +218,12 @@ def heuristic_points(w) -> list[tuple[complex, ...]]:
     with the last variable pinned to 1, sorted by the first coordinate.
     Non-authoritative by construction: witnesses of the verdict "heuristic".
 
+    Start ``s`` is ``np.exp(2j * np.pi * row)`` for the ``s``-th run of
+    ``n1 - 1`` doubles of the PCG64 stream with seed 7
+    (:func:`_pcg64_doubles`), the doubles numpy's PCG64 generator with
+    seed 7 draws, so the points depend neither on numpy's random module nor
+    on its ``Generator`` methods keeping their stream.
+
     All starts step in lockstep, each step a handful of array operations over
     the live starts: the gradient and the Hessian are one term-major
     :class:`_TermTable`, the least-squares steps one stacked ``gelsd`` call
@@ -177,8 +242,8 @@ def heuristic_points(w) -> list[tuple[complex, ...]]:
     n1 = w.nvars
     grads = [w.derivative(i) for i in range(n1)]
     table = _TermTable(grads + [g.derivative(b) for g in grads for b in range(n1 - 1)], n1 - 1)
-    rng = np.random.default_rng(_SEARCH_SEED)
-    zs = np.array([np.exp(2j * np.pi * rng.random(n1 - 1)) for _ in range(_SEARCH_STARTS)])
+    rows = np.array(_pcg64_doubles(_SEARCH_SEED, _SEARCH_STARTS * (n1 - 1))).reshape(_SEARCH_STARTS, n1 - 1)
+    zs = np.array([np.exp(2j * np.pi * row) for row in rows])
     live = np.arange(_SEARCH_STARTS)
     # a diverging start overflows to inf/nan; it is abandoned, not reported
     with np.errstate(all="ignore"):

@@ -1190,6 +1190,24 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     ]
 
 
+def test_heuristic_search_loads_no_numpy_random(tmp_path):
+    # the n != 2 search draws its starts from the package's own PCG64
+    # stream: analyze on the three 3-d unit segments loads numpy for the
+    # search, but neither numpy.random nor the secrets module it pulls in
+    unit = str(FIXTURES.parent / "tests" / "golden" / "families" / "unit-segments-3.json")
+    code = (
+        "import contextlib, io, sys\n"
+        "import minksmooth.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = minksmooth.cli.main(['analyze', {unit!r}, '--fast', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, [m for m in ('numpy', 'numpy.random', 'secrets') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["0 ['numpy']"]
+    assert json.loads((tmp_path / "r.json").read_text())["potential"]["critical"]["verdict"] == "heuristic"
+
+
 @given(st.text())
 def test_svg_title_escape_is_html_escape_without_quotes(text):
     # the standard library's escape is the oracle; the package does not load it

@@ -7,7 +7,9 @@ segments to (1, 0, a), (0, a, 1), (a, 1, 0) and (1, 1, 1); six segments in
 dimension 4), as box scans of the fan cones gave it; ``hilbert`` of
 seg3(24), the first 24 primitive directions of the ROADMAP's 3-d list, as
 the fold of pairwise hulls summed it; and the report and the ``potential
---critical`` stdout of seg(16), sixteen planar segments.
+--critical`` stdout of seg(16), sixteen planar segments; and the ``analyze
+--fast`` report of unit-segments-3, the segments to e_1, e_2, e_3, whose
+numeric search on W gives the only floats of an n != 2 report.
 
 Every field must match exactly, value and JSON type, except the float
 witnesses of the critical-point decision, which come from LAPACK and are
@@ -19,6 +21,7 @@ is meant to change:
     PYTHONPATH=src python -m minksmooth.cli hilbert fixtures/q5.json > tests/golden/cli/q5.hilbert.txt
     PYTHONPATH=src python -m minksmooth.cli potential fixtures/q5.json --critical > tests/golden/cli/q5.potential-critical.txt
     PYTHONPATH=src python -m minksmooth.cli hilbert tests/golden/families/cube5.json > tests/golden/families/cube5.hilbert.txt
+    PYTHONPATH=src python -m minksmooth.cli analyze tests/golden/families/unit-segments-3.json --fast --out tests/golden/families/unit-segments-3.report.json
 """
 
 import json
@@ -87,6 +90,8 @@ def test_family_goldens_are_present():
     ]
     assert (FAMILIES / "seg16.report.json").is_file()
     assert (FAMILIES / "seg16.potential-critical.txt").is_file()
+    assert (FAMILIES / "unit-segments-3.json").is_file()
+    assert (FAMILIES / "unit-segments-3.report.json").is_file()
     assert (FAMILIES / "tt12.json").is_file()
     assert (FAMILIES / "tt12.potential-critical.txt").is_file()
 
@@ -105,6 +110,16 @@ def test_seg16_report_matches_golden(tmp_path):
     out = tmp_path / "report.json"
     assert main(["analyze", str(FAMILIES / "seg16.json"), "--out", str(out)]) == 0
     want = json.loads((FAMILIES / "seg16.report.json").read_text())
+    assert mismatches(json.loads(out.read_text()), want) == []
+
+
+def test_unit_segments_3_report_matches_golden(tmp_path):
+    # an n != 2 report: the verdict "heuristic" and the points of the
+    # seeded Newton search on W, compared as the other reports' witnesses
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(FAMILIES / "unit-segments-3.json"), "--fast", "--out", str(out)]) == 0
+    want = json.loads((FAMILIES / "unit-segments-3.report.json").read_text())
+    assert want["potential"]["critical"]["verdict"] == "heuristic"
     assert mismatches(json.loads(out.read_text()), want) == []
 
 

@@ -700,6 +700,17 @@ def test_lockstep_newton_matches_scalar_oracle(vs):
     assert heuristic_points(build_potential(d)) == newton_oracle.heuristic_points(d)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1])
+def test_search_stream_matches_numpy_default_rng(seed):
+    # the search's starts are numpy's default_rng stream, drawn without
+    # numpy.random: SeedSequence mixing, PCG64 and Generator.random, bit for
+    # bit for every n up to 9 (40 starts of n doubles each)
+    for n in range(1, 10):
+        want = np.random.default_rng(seed).random(40 * n)
+        got = np.array(numeric._pcg64_doubles(seed, 40 * n))
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def _table_polys(nvars):
     term = st.tuples(st.tuples(*[st.integers(-4, 4)] * nvars), st.integers(-10**6, 10**6))
     constant = st.tuples(st.just((0,) * nvars), st.integers(-9, 9))
@@ -750,6 +761,25 @@ _TEN_TERMS = {(k,): (-1) ** k * 10 ** (3 * (k % 4)) + k for k in range(-4, 6)}
         2,
         [{(1, 0): -3, (0, 2): 1, (-1, -1): 2}, {(2, 1): 5, (0, 0): 1}],
         [[-2 + 0j, 0 - 1.5j], [complex(-0.0, 2), complex(3, -0.0)], [complex(1, -0.0), -1j]],
+    )
+)
+@example(  # repeated and zero polynomials; the same terms in another order,
+    # whose sum at (1, 1) rounds otherwise; the same exponents with other
+    # coefficients
+    _table_case(
+        2,
+        2,
+        [
+            {(1, 0): 2, (0, -1): 3},
+            {},
+            {(1, 0): 10**16, (0, 0): 1, (2, 0): -(10**16)},
+            {(1, 0): 2, (0, -1): 3},
+            {(1, 0): 10**16, (2, 0): -(10**16), (0, 0): 1},
+            {},
+            {(1, 0): 2, (0, -1): -3},
+            {(1, 0): 2, (0, -1): 3},
+        ],
+        [[1 + 0j, 1 + 0j], [0.5 + 1j, -2 + 0.3j]],
     )
 )
 def test_term_table_matches_evaluate_bit_for_bit(case):
