@@ -14,16 +14,17 @@ normals are among the normals of the summands' vertex-pair directions
 taken r - 1 at a time, r the dimension of Q, and one bitmask walk over
 those normals sums the summands' vertices with no double description
 (Fukuda, *From the zonotope construction to the Minkowski addition of
-convex polytopes*, 2004), the walk :func:`cone.fan_cones` runs; where
-those subsets outnumber what pairwise hulls would cost, as for a simplex
-of high dimension, the sum folds pairwise hulls first.
+convex polytopes*, 2004), the walk :func:`cone.fan_cones` runs.  Where
+those subsets outnumber the vertex sums a fold of pairwise hulls can
+form, the product of the distinct summands' vertex counts, as for a
+simplex of high dimension, the sum folds pairwise hulls instead.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .cone import PolyhedralCone, _vertex_walk, box_points, cone_from_generators, cone_over
@@ -123,38 +124,27 @@ def minkowski_sum(*summands: LatticePolytope) -> LatticePolytope:
 
 
 def _sum_off_the_plane(summands) -> LatticePolytope:
-    """M_1 + ... + M_k in dimension n != 2, k >= 2: pairwise hulls while the
-    walk would cost more, then one bitmask walk over the rest.
+    """M_1 + ... + M_k in dimension n != 2, k >= 2: one bitmask walk over
+    the summands, or pairwise hulls folded left to right, by one count.
 
-    The walk (``cone._vertex_walk``) runs no double description.  It takes
-    one kernel of n - 1 rows, some (n - 1)^2 steps of a microsecond, for
-    each (r - 1)-subset that :func:`_candidate_normals` takes of the
-    vertex-pair directions, at most S = C(sum_i C(|M_i|, 2), r - 1) of
-    them, then about a step for each point of each slot and each subset.  A pairwise hull of a
-    partial sum P and M_j, one double description of |P| * |M_j| points,
-    takes some 25n steps of setup and, per point, at least a step for each
-    of its rays, which number about |P| or more; P only grows.  So while
-    S * ((n - 1)^2 + |P| + sum of the |M_j| left) exceeds 25n per hull left
-    plus |P|^2 * (sum of the |M_j| left), the next summand is folded into P
-    by a hull, and the walk then sums P with the rest.  Its candidates are
-    those of all the summands, so they hold Q's facet normals.  A simplex
-    of high dimension has many directions and few vertices, so its sums
-    keep the hulls; many segments, as in cube(n), take the walk at once.
+    The walk (``cone._vertex_walk``) runs no double description; its cost
+    is set by the (r - 1)-subsets that :func:`_candidate_normals` takes of
+    the vertex-pair directions, at most S = C(sum_i C(|M_i|, 2), r - 1) of
+    them, r the dimension of Q.  The fold's is set by the vertices of its
+    partial sums, each the sum of one vertex per summand, so at most
+    D = prod |M| over the distinct summands: k copies of M sum to kM, whose
+    vertices are k times M's, so a copy adds none.  The sum walks when
+    S <= D and folds otherwise.  Many segments, as in cube(n), walk; a
+    simplex of high dimension has many directions and few vertices, and
+    copies of one summand add directions but no vertices, so their sums
+    fold.
     """
-    n, k = summands[0].ambient_dim, len(summands)
     r = rank([vec_sub(v, s.vertices[0]) for s in summands for v in s.vertices[1:]])
     subsets = comb(sum(comb(len(s.vertices), 2) for s in summands), max(r - 1, 0))
-    p, i = summands[0], 1
-    while i < k:
-        rest = sum(len(s.vertices) for s in summands[i:])
-        if subsets * ((n - 1) ** 2 + len(p.vertices) + rest) <= 25 * n * (k - i) + len(p.vertices) ** 2 * rest:
-            break
-        p = convex_hull([vec_add(u, v) for u in p.vertices for v in summands[i].vertices])
-        i += 1
-    if i == k:
-        return p
-    slots = [p.vertices, *(s.vertices for s in summands[i:])]
-    return LatticePolytope(p.ambient_dim, tuple(_vertex_walk(_candidate_normals(summands, r), slots, r)))
+    if subsets <= prod(len(s.vertices) for s in set(summands)):
+        slots = [s.vertices for s in summands]
+        return LatticePolytope(summands[0].ambient_dim, tuple(_vertex_walk(_candidate_normals(summands, r), slots, r)))
+    return reduce(lambda p, s: convex_hull([vec_add(u, v) for u in p.vertices for v in s.vertices]), summands)
 
 
 def _candidate_normals(summands, r) -> tuple[IntVec, ...]:

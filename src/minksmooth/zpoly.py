@@ -110,8 +110,10 @@ def power(f: list, e: int) -> list:
     return out
 
 
-def _long_quotient(f: list, g: list) -> list | None:
-    """f / g by long division, or None when g does not divide f."""
+def _long_divmod(f: list, g: list) -> tuple[list, list] | None:
+    """(q, r) with f = q g + r and deg r < deg g, for len(f) >= len(g), by
+    long division over Z, or None when lc(g) fails to divide a leading
+    coefficient on the way."""
     lc, n, top = g[0], len(g), len(f) - len(g) + 1
     r, q, tail = list(f), [], g[1:]
     for i in range(top):
@@ -121,7 +123,7 @@ def _long_quotient(f: list, g: list) -> list | None:
         q.append(c)
         if c:
             r[i + 1 : i + n] = [a - c * b for a, b in zip(r[i + 1 : i + n], tail)]
-    return None if any(r[top:]) else q
+    return q, _trim(r[top:])
 
 
 def quotient(f: list, g: list) -> list | None:
@@ -143,7 +145,8 @@ def quotient(f: list, g: list) -> list | None:
             q = None
         if q and q[0] and mul(q, g) == f:
             return q
-    return _long_quotient(f, g)
+    qr = _long_divmod(f, g)
+    return qr[0] if qr and not qr[1] else None
 
 
 def exquo(f: list, g: list) -> list:
@@ -160,14 +163,8 @@ def pdivmod(f: list, g: list) -> tuple[list, list]:
     e = len(f) - len(g) + 1
     if e <= 0:
         return [], f
-    lc, n, tail = g[0], len(g), g[1:]
-    r, q = [lc**e * c for c in f], []
-    for i in range(e):
-        c = r[i] // lc  # exact: r[i] still carries lc^(e - i)
-        q.append(c)
-        if c:
-            r[i + 1 : i + n] = [a - c * b for a, b in zip(r[i + 1 : i + n], tail)]
-    return q, _trim(r[e:])
+    # never None: the i-th leading coefficient still carries lc(g)^(e - i)
+    return _long_divmod([g[0] ** e * c for c in f], g)
 
 
 def primitive(f: list) -> list:
@@ -400,17 +397,13 @@ def _gf_gcdex(f: list, g: list, p: int) -> tuple[list, list]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _gf_rem(a: list, f: list, p: int) -> list:
-    return _gf_divmod(a, f, p)[1]
-
-
 def _gf_pow(a: list, e: int, f: list, p: int) -> list:
     """a^e mod f and p."""
     out = [1]
     for bit in bin(e)[2:]:
-        out = _gf_rem(_gf_mul(out, out, p), f, p)
+        out = _gf_divmod(_gf_mul(out, out, p), f, p)[1]
         if bit == "1":
-            out = _gf_rem(_gf_mul(out, a, p), f, p)
+            out = _gf_divmod(_gf_mul(out, a, p), f, p)[1]
     return out
 
 
@@ -427,7 +420,7 @@ def _ddf(f: list, p: int) -> list[tuple[int, list]]:
         if len(e) > 1:
             out.append((i, e))
             g = _gf_divmod(g, e, p)[0]
-            h = _gf_rem(h, g, p)
+            h = _gf_divmod(h, g, p)[1]
     if len(g) > 1:
         out.append((len(g) - 1, g))
     return out

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -95,6 +96,32 @@ def _cube(n):
     return [segment(e) for e in identity(n)] + [segment((1,) * n)]
 
 
+def _simplex_and_diagonal(n):
+    """The unimodular simplex conv(0, e_1, ..., e_n) and the segment to (1, ..., 1)."""
+    return [convex_hull([(0,) * n, *identity(n)]), segment((1,) * n)]
+
+
+def _moment_triangles(n, k):
+    """moment-triangles(n, k): conv(0, a_i, b_i) for i = 1, ..., k, with
+    a_i = (1, i, ..., i^(n-1)) and b_i = (0, 1, 2i, ..., (n - 1) i^(n-2));
+    unimodular, as their first 2 x 2 minor is 1."""
+    return [
+        convex_hull([(0,) * n, tuple(i**j for j in range(n)), tuple(j * i ** (j - 1) if j else 0 for j in range(n))])
+        for i in range(1, k + 1)
+    ]
+
+
+def _hull_fold(summands):
+    """The oracle for sums too large for all vertex sums: pairwise hulls."""
+    return reduce(
+        lambda p, s: convex_hull([tuple(map(sum, zip(u, v))) for u in p.vertices for v in s.vertices]), summands
+    )
+
+
+_TRIANGLE_AND_SEGMENT3 = [convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), segment((0, 0, 1))]
+_SIMPLEX6 = _simplex_and_diagonal(6)[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(summand_lists())
 # parallel edges: the unit square and the segments along its sides
@@ -117,6 +144,9 @@ def _cube(n):
 @example([convex_hull(list(product((0, 1), repeat=3))), segment((1, 1, 1))])
 @example(_cube(4))
 @example([convex_hull([(_HUGE,), (-_HUGE,)]), convex_hull([(0,), (_HUGE + 1,)]), convex_hull([(7,)])])
+# the count's boundary: S = D = 6 walks, S = 21 > D = 8 folds
+@example(_TRIANGLE_AND_SEGMENT3)
+@example(_simplex_and_diagonal(3))
 def test_minkowski_sum_matches_all_vertex_sums(summands):
     assert minkowski_sum(*summands) == _all_vertex_sums(summands)
 
@@ -155,7 +185,7 @@ def test_parsing_k_planar_summands_takes_k_plus_one_hulls(monkeypatch, vertices,
 @pytest.mark.parametrize(
     "n, shapes",
     [(1, "segments"), (1, "with a point"), (3, "segments"), (3, "with a triangle"), (3, "with a point")]
-    + [(4, "segments"), (4, "with a point")],
+    + [(4, "segments"), (4, "with a triangle"), (4, "with a point")],
 )
 def test_parsing_k_summands_off_the_plane_takes_k_hulls(monkeypatch, n, shapes):
     # a hull per summand, each with two double-description passes; the sum
@@ -176,29 +206,35 @@ def test_parsing_k_summands_off_the_plane_takes_k_hulls(monkeypatch, n, shapes):
     assert target == d.target == _all_vertex_sums(d.summands)
 
 
-def _simplex_and_diagonal(n):
-    """The unimodular simplex conv(0, e_1, ..., e_n) and the segment to (1, ..., 1)."""
-    return [convex_hull([(0,) * n, *identity(n)]), segment((1,) * n)]
-
-
 @pytest.mark.parametrize(
-    "summands, hulls, walks",
+    "summands, hulls, walks, oracle",
     [
-        # few directions: C(5, 3) = 10 and C(4, 2) = 6 candidate subsets
-        (_cube(4), 0, 1),
-        ([segment(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))], 0, 1),
-        # C(29, 6) = 475 020 and C(37, 7) = 10 295 472 candidate subsets
-        # against one hull of 2(n + 1) points
-        (_simplex_and_diagonal(7), 1, 0),
-        (_simplex_and_diagonal(8), 1, 0),
+        # S candidate subsets of the walk against D vertex sums of the fold:
+        # S = C(5, 3) = 10 <= D = 32 and S = C(4, 2) = 6 <= D = 16
+        (_cube(4), 0, 1, _all_vertex_sums),
+        ([segment(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))], 0, 1, _all_vertex_sums),
+        # S = C(29, 6) = 475 020 > D = 16 and S = C(37, 7) = 10 295 472 > D = 18
+        (_simplex_and_diagonal(7), 1, 0, _all_vertex_sums),
+        (_simplex_and_diagonal(8), 1, 0, _all_vertex_sums),
+        # S = C(24, 3) = 2024 <= D = 3^8 = 6561, too many sums for the oracle
+        (_moment_triangles(4, 8), 0, 1, _hull_fold),
+        # S = C(252, 5) > D = 7: copies add directions but no vertices, and
+        # 12 copies of M sum to 12M
+        ([_SIMPLEX6] * 12, 11, 0, lambda _: convex_hull([tuple(12 * x for x in v) for v in _SIMPLEX6.vertices])),
+        # the boundary: S = D = 6 walks, S = C(7, 2) = 21 > D = 8 folds
+        (_TRIANGLE_AND_SEGMENT3, 0, 1, _all_vertex_sums),
+        (_simplex_and_diagonal(3), 1, 0, _all_vertex_sums),
     ],
-    ids=["cube4", "diagonal-segments3", "simplex7+diagonal", "simplex8+diagonal"],
+    ids=["cube4", "diagonal-segments3", "simplex7+diagonal", "simplex8+diagonal"]
+    + ["moment-triangles4-8", "simplex6-12-copies", "triangle+segment3", "simplex3+diagonal"],
 )
-def test_sum_off_the_plane_takes_hulls_or_the_walk_by_their_cost(monkeypatch, summands, hulls, walks):
+def test_sum_off_the_plane_walks_when_its_subsets_are_at_most_the_vertex_sums(
+    monkeypatch, summands, hulls, walks, oracle
+):
     counted = _count_calls(monkeypatch, polytope, "convex_hull"), _count_calls(monkeypatch, polytope, "_vertex_walk")
     target = minkowski_sum(*summands)
     assert tuple(map(len, counted)) == (hulls, walks)
-    assert target == _all_vertex_sums(summands)
+    assert target == oracle(summands)
 
 
 def test_parsing_a_simplex_of_q8_with_a_segment(monkeypatch):
