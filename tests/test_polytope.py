@@ -228,7 +228,7 @@ def test_parsing_k_summands_off_the_plane_takes_k_hulls(monkeypatch, n, shapes):
     ids=["cube4", "diagonal-segments3", "simplex7+diagonal", "simplex8+diagonal"]
     + ["moment-triangles4-8", "simplex6-12-copies", "triangle+segment3", "simplex3+diagonal"],
 )
-def test_sum_off_the_plane_walks_when_its_subsets_are_at_most_the_vertex_sums(
+def test_sum_off_the_plane_walks_iff_subsets_at_most_sums(
     monkeypatch, summands, hulls, walks, oracle
 ):
     counted = _count_calls(monkeypatch, polytope, "convex_hull"), _count_calls(monkeypatch, polytope, "_vertex_walk")
