@@ -117,7 +117,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    from .potential import build_potential, critical_exists
+    from .potential import build_potential
+    from .ratpoly import critical_exists
 
     req = _load_request(args.file)
     po = build_potential(req.decomposition)

@@ -278,22 +278,16 @@ def kernel_vector(m, ncols) -> IntVec | None:
     with ``ncols`` columns and rank ``ncols - 1``, up to sign; None when the
     rank is lower.  Two rows in Q^3, the common case of a Minkowski sum off
     the plane, give their cross product at a fifth of an elimination's
-    cost; otherwise it is read off ``d`` times the reduced row echelon
-    form: the free column gets ``d``, each pivot column minus its row's
-    free entry."""
+    cost; otherwise it is :func:`integer_nullspace`'s one vector.  With no
+    rows the kernel is the whole space, one-dimensional iff ``ncols`` is 1."""
     if ncols == 3 and len(m) == 2:
         (a, b, c), (x, y, z) = m
         w = (b * z - c * y, c * x - a * z, a * y - b * x)
         return primitive(w) if any(w) else None
-    a, pivots, d, _ = _gauss_jordan(m, ncols)
-    if len(pivots) != ncols - 1:
-        return None
-    (free,) = set(range(ncols)).difference(pivots)
-    w = [0] * ncols
-    w[free] = d
-    for row, c in zip(a, pivots):
-        w[c] = -row[free]
-    return primitive(w)
+    if not m:
+        return (1,) if ncols == 1 else None
+    kernel = integer_nullspace(m)
+    return kernel[0] if len(kernel) == 1 else None
 
 
 def adjugate(x) -> tuple[int, IntMat]:

@@ -4,7 +4,7 @@ coefficient rounded once, and the damped Newton search on W behind the
 verdict "heuristic", whose starts come from a fixed PCG64 stream computed
 here (:func:`_pcg64_doubles`), so numpy's random module is never loaded.
 The package's only numpy code, importing none of the package:
-``potential.witnesses`` and ``pipeline`` import it on demand.
+``ratpoly.witnesses`` and ``pipeline`` import it on demand.
 """
 
 from __future__ import annotations

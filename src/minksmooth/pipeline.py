@@ -176,7 +176,7 @@ _SCALARS = {
 
 def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     """The full report; ``fast`` skips the semigroup-generation check."""
-    from . import fibration as fib, potential as pot, smoothing as smo  # loaded only when run, off the import of cli
+    from . import fibration as fib, potential as pot, ratpoly as rp, smoothing as smo  # not loaded by importing cli
 
     d = req.decomposition
     failures: list[str] = []
@@ -282,7 +282,7 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     # pays for the hull, so the report shows the potential's real one
     newton_ok = _newton_is_target(po.terms, sigma)
     newton_vertices = sigma.generators if newton_ok else pot.newton_polytope(po).vertices
-    crit = pot.critical_exists(d)
+    crit = rp.critical_exists(d)
     points = []
     if crit.verdict == "heuristic":
         from . import numeric  # numpy, loaded only for the search
@@ -291,7 +291,7 @@ def run_pipeline(req: AnalysisRequest, fast: bool = False) -> AnalysisReport:
     report["potential"] = {
         "terms": [[list(e), c] for e, c in po.sorted_terms()],
         "newton_polytope_vertices": _mat(newton_vertices),
-        "critical": _critical_to_dict(crit, pot.witnesses(crit), points),
+        "critical": _critical_to_dict(crit, rp.witnesses(crit), points),
     }
 
     checks = {

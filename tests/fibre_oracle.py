@@ -3,7 +3,7 @@ ones.
 
 :func:`binomial_fibre` builds the fibre (f, h) of two segments above the
 cyclotomic polynomial Phi_m with sympy ``Poly``s, reducing r = +-x^e modulo
-Phi_m by ``Poly.rem`` over Q.  ``potential._binomial_fibre`` returns the
+Phi_m by ``Poly.rem`` over Q.  ``ratpoly._binomial_fibre`` returns the
 same fibre as integer lists over the denominator 1, (f, h, 1), with the
 remainder taken by pseudo-division by the monic Phi_m;
 :func:`coefficient_lists` turns a sympy fibre into lists of ``Fraction``s,

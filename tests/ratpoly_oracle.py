@@ -27,7 +27,7 @@ import sympy
 
 from minksmooth.exactlin import CrossCheckError
 from minksmooth.polytope import require_admissible
-from minksmooth.potential import CriticalReport
+from minksmooth.ratpoly import CriticalReport
 
 from potential_oracle import factor
 
@@ -39,7 +39,7 @@ _CIRCLE_TOL = 1e-12
 
 @dataclass
 class OracleFamily:
-    """The fields of ``potential.CriticalFamily``, with the witnesses and the
+    """The fields of ``ratpoly.CriticalFamily``, with the witnesses and the
     unit-circle flag computed here."""
 
     z1_minpoly: tuple[int, ...]
@@ -565,7 +565,7 @@ def _distinct_point_count(point_lists):
 
 
 def critical_exists(d) -> CriticalReport:
-    """``potential.critical_exists`` for planar decompositions, on this
+    """``ratpoly.critical_exists`` for planar decompositions, on this
     module's arithmetic.  The count is independent of the library's: both
     elimination orders' numeric points, merged within ``_POINT_TOL``."""
     require_admissible(d)

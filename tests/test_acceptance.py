@@ -3,7 +3,7 @@ the stated 1e-9 bound on numeric witness gradients."""
 
 import random
 
-from minksmooth import potential
+from minksmooth import ratpoly
 from minksmooth.cone import (
     cone_from_generators,
     cone_over,
@@ -23,7 +23,8 @@ from minksmooth.fibration import (
     transfer_cut,
 )
 from minksmooth.polytope import sigma_tilde
-from minksmooth.potential import build_potential, critical_exists, newton_polytope
+from minksmooth.potential import build_potential, newton_polytope
+from minksmooth.ratpoly import critical_exists
 from minksmooth.smoothing import (
     Extra,
     GeneratorSet,
@@ -200,14 +201,14 @@ def test_criterion_07_critical_points(all_fixtures):
     assert verdicts["q6_first"].verdict == "finite" and verdicts["q6_first"].count == 2
     fam = verdicts["q6_first"].families[0]
     assert fam.z1_minpoly == (1, 1, 1) and fam.z2_minpoly == (1, 1, 1)
-    for z1, z2 in potential.witnesses(verdicts["q6_first"])[0]:  # the two primitive cube roots, with z1 = z2
+    for z1, z2 in ratpoly.witnesses(verdicts["q6_first"])[0]:  # the two primitive cube roots, with z1 = z2
         assert abs(z1 - z2) < 1e-9
         assert abs(z1 ** 3 - 1) < 1e-9 and abs(z1 - 1) > 1e-9
 
     assert verdicts["q6_second"].verdict == "finite" and verdicts["q6_second"].count == 3
     pts = {
         (round(p[0].real), round(p[1].real))
-        for points in potential.witnesses(verdicts["q6_second"])
+        for points in ratpoly.witnesses(verdicts["q6_second"])
         for p in points
     }
     assert pts == {(-1, -1), (-1, 1), (1, -1)}
@@ -224,7 +225,7 @@ def test_criterion_07_critical_points(all_fixtures):
         if rep.verdict != "finite":
             continue
         po = build_potential(all_fixtures[name])
-        for points in potential.witnesses(rep):
+        for points in ratpoly.witnesses(rep):
             for z1, z2 in points:
                 worst = max(abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3))
                 assert worst < 1e-9, (name, z1, z2, worst)

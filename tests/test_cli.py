@@ -526,7 +526,7 @@ def test_cli_library_errors_exit_5_in_one_line(tmp_path, monkeypatch, capsys, ow
     "owner, target, argv",
     [
         (cli, "run_pipeline", ["analyze", "--fast", "--out", "r.json"]),
-        (potential, "critical_exists", ["potential", "--critical"]),
+        (ratpoly, "critical_exists", ["potential", "--critical"]),
     ],
     ids=["analyze", "potential"],
 )
@@ -628,7 +628,7 @@ def _eigen_work(families):
 
 def _segments_report(*vs):
     d = parse_input(json.dumps({"dimension": 2, "summands": [{"vertices": [[0, 0], list(v)]} for v in vs]}))
-    return potential.critical_exists(d.decomposition)
+    return ratpoly.critical_exists(d.decomposition)
 
 
 # six segments whose 32 families each stay under the budget, 4.93 * 10^9
@@ -642,8 +642,8 @@ def test_witness_budget_admits_the_largest_tested_family():
     # 2.77 * 10^8 operations in all; it stays within the budget
     report = _segments_report((1, 24), (24, 1), (1, -24))
     assert _eigen_work(report.families) == 277_015_964
-    assert len(report.families) == len(potential.witnesses(report)) == 10
-    assert sum(map(len, potential.witnesses(report))) == 1200
+    assert len(report.families) == len(ratpoly.witnesses(report)) == 10
+    assert sum(map(len, ratpoly.witnesses(report))) == 1200
 
 
 def test_segment_witnesses_build_no_sympy_polynomial():
@@ -653,7 +653,7 @@ def test_segment_witnesses_build_no_sympy_polynomial():
     code = (
         "import json, sys\n"
         "from minksmooth.pipeline import parse_input\n"
-        "from minksmooth.potential import critical_exists, witnesses\n"
+        "from minksmooth.ratpoly import critical_exists, witnesses\n"
         "vs = [(1, 24), (24, 1), (1, -24)]\n"
         "d = parse_input(json.dumps({'dimension': 2, 'summands': [{'vertices': [[0, 0], list(v)]} for v in vs]}))\n"
         "report = critical_exists(d.decomposition)\n"
@@ -669,15 +669,15 @@ def test_witness_budget_bounds_the_whole_report(monkeypatch):
     # report is admitted, one operation below it is refused before any root
     six = _segments_report(*SIX_SEGMENTS)
     assert len(six.families) == 32 and _eigen_work(six.families) == 4_925_494_000
-    assert all(_eigen_work([fam]) < potential._MAX_EIGEN_WORK for fam in six.families)
+    assert all(_eigen_work([fam]) < ratpoly._MAX_EIGEN_WORK for fam in six.families)
     report = _segments_report((1, 0), (0, 1), (1, 1))
     work = _eigen_work(report.families)
-    monkeypatch.setattr(potential, "_MAX_EIGEN_WORK", work)
-    assert sum(map(len, potential.witnesses(report))) == 3
-    monkeypatch.setattr(potential, "_MAX_EIGEN_WORK", work - 1)
+    monkeypatch.setattr(ratpoly, "_MAX_EIGEN_WORK", work)
+    assert sum(map(len, ratpoly.witnesses(report))) == 3
+    monkeypatch.setattr(ratpoly, "_MAX_EIGEN_WORK", work - 1)
     monkeypatch.setattr(np, "roots", _raise(AssertionError("roots taken past the witness budget")))
-    with pytest.raises(potential.DegreeTooLarge):
-        potential.witnesses(_segments_report((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(ratpoly.DegreeTooLarge):
+        ratpoly.witnesses(_segments_report((1, 0), (0, 1), (1, 1)))
 
 
 def test_cli_analyze_refuses_a_report_whose_witnesses_are_too_large(tmp_path, monkeypatch, capsys):
@@ -990,7 +990,7 @@ def test_fewer_than_two_factors_have_no_critical_point_in_any_dimension(tmp_path
 
     monkeypatch.setattr(numeric, "heuristic_points", refuse)
     path = write_input(tmp_path, {"dimension": len(summands[0][0]), "summands": [{"vertices": s} for s in summands]})
-    crit = potential.critical_exists(parse_input(Path(path).read_text()).decomposition)
+    crit = ratpoly.critical_exists(parse_input(Path(path).read_text()).decomposition)
     assert tuple(crit) == ("none", 0, (), "")
     assert main(["potential", path, "--critical"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["verdict: none (count 0)"]
@@ -1016,7 +1016,7 @@ def test_cli_diagram_draws_without_the_pipeline(tmp_path, monkeypatch, fixture):
         raise AssertionError("diagram ran more than it draws")
 
     monkeypatch.setattr(cli, "run_pipeline", refuse)
-    monkeypatch.setattr(potential, "critical_exists", refuse)
+    monkeypatch.setattr(ratpoly, "critical_exists", refuse)
     assert main(["diagram", str(path), "--svg", str(drawn)]) == 0
     assert drawn.read_text(encoding="utf-8") == analyzed.read_text(encoding="utf-8") == want
 

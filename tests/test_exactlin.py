@@ -309,6 +309,8 @@ def test_kernel_matches_rational_oracle(m, data):
     assert integer_solve(m, b) == oracle.integer_solution(m, b)
     # a kernel of dimension 1 has a primitive integer generator, up to sign
     assert kernel_vector(m, ncols) in ([kernel[0], vec_neg(kernel[0])] if len(kernel) == 1 else [None])
+    # no rows: the kernel is the whole space, one-dimensional on one column
+    assert kernel_vector((), 1) == (1,) and kernel_vector((), 2) is None
     k = min(len(m), ncols)
     sq = tuple(row[:k] for row in m[:k])
     _check_adjugate(sq)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minksmooth import cone as cone_module
-from minksmooth import fibration, polytope, potential, smoothing
+from minksmooth import fibration, polytope, potential, ratpoly, smoothing
 from minksmooth.exactlin import NotPrimitive, dot, identity, support
 from minksmooth.pipeline import parse_input
 from minksmooth.polytope import (
@@ -424,7 +424,7 @@ ADMISSIBILITY_GATES = {
     "generator_set": smoothing.generator_set,
     "new_base_diagram": fibration.new_base_diagram,
     "build_potential": potential.build_potential,
-    "critical_exists": potential.critical_exists,
+    "critical_exists": ratpoly.critical_exists,
     **{name: (lambda d, f=f: f(d, 1)) for name, f in PER_SUMMAND.items()},
 }
 

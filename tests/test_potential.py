@@ -14,20 +14,15 @@ from sympy import QQ, ZZ, Poly, cyclotomic_poly, primefactors, symbols
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.densearith import dup_exquo
 
-from minksmooth import numeric, potential
+from minksmooth import numeric
 from minksmooth import ratpoly as rp
 from minksmooth import zpoly as zp
 from minksmooth.cone import cone_over
 from minksmooth.exactlin import hnf, rank
 from minksmooth.pipeline import _newton_is_target, parse_input
 from minksmooth.polytope import OriginNotVertex, convex_hull, decomposition, require_admissible, summand_at
-from minksmooth.potential import (
-    LaurentPoly,
-    ZeroPolynomial,
-    build_potential,
-    critical_exists,
-    newton_polytope,
-)
+from minksmooth.potential import LaurentPoly, ZeroPolynomial, build_potential, newton_polytope
+from minksmooth.ratpoly import critical_exists
 from minksmooth.numeric import _lstsq_stack, _norm_below, _TermTable, heuristic_points
 
 from conftest import lens, segment, triangle
@@ -262,7 +257,7 @@ def test_critical_q6_second(d_q6_second):
     assert rep.verdict == "finite" and rep.count == 3
     pts = {
         (round(p[0].real), round(p[1].real))
-        for points in potential.witnesses(rep)
+        for points in rp.witnesses(rep)
         for p in points
     }
     assert pts == {(-1, -1), (-1, 1), (1, -1)}
@@ -275,7 +270,7 @@ def test_critical_lens(d_lens21):
     assert fam.z1_minpoly == (1, 1)
     assert fam.z2_minpoly == (-1, 0, 1)
     assert fam.on_unit_circle
-    z2s = sorted(round(p[1].real) for p in potential.witnesses(rep)[0])
+    z2s = sorted(round(p[1].real) for p in rp.witnesses(rep)[0])
     assert z2s == [-1, 1]
 
 
@@ -313,7 +308,7 @@ def test_witness_gradients_vanish(all_fixtures):
         if rep.verdict != "finite":
             continue
         po = build_potential(d)
-        for points in potential.witnesses(rep):
+        for points in rp.witnesses(rep):
             for z1, z2 in points:
                 grad = max(
                     abs(po.derivative(i).evaluate([z1, z2, 1.0])) for i in range(3)
@@ -371,8 +366,8 @@ def _assert_matches_fraction_oracle(d):
     got, want = critical_exists(d), ratpoly_oracle.critical_exists(d)
     assert (got.verdict, got.count, got.note) == (want.verdict, want.count, want.note)
     fields = lambda f, points: (f.z1_minpoly, f.z2_minpoly, f.pair, f.on_unit_circle, points)
-    assert [fields(f, points) for f, points in zip(got.families, potential.witnesses(got))] == [
-        fields(f, sorted(f.points, key=potential._point_key)) for f in want.families
+    assert [fields(f, points) for f, points in zip(got.families, rp.witnesses(got))] == [
+        fields(f, sorted(f.points, key=rp._point_key)) for f in want.families
     ]
 
 
@@ -400,7 +395,7 @@ def test_unit_circle_flag_ignores_the_witnesses(monkeypatch, summands, flags):
     monkeypatch.setattr(numeric, "_numeric_points", drifted)
     report = critical_exists(_planar(summands))
     assert [fam.on_unit_circle for fam in report.families] == flags
-    assert all(abs(abs(z) - 1) > 1e-10 for points in potential.witnesses(report) for p in points for z in p)
+    assert all(abs(abs(z) - 1) > 1e-10 for points in rp.witnesses(report) for p in points for z in p)
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -439,7 +434,7 @@ def test_critical_count_counts_a_shared_point_once():
     # the pair counts add up to 4; (-1, -1) is on every factor
     report = critical_exists(_planar(_PLANAR_CASES["triple-point"]))
     assert (report.verdict, report.count) == ("finite", 2)
-    assert sum(map(len, potential.witnesses(report))) == 4
+    assert sum(map(len, rp.witnesses(report))) == 4
 
 
 def test_segment_pair_over_the_bound_is_refused(monkeypatch):
@@ -448,8 +443,8 @@ def test_segment_pair_over_the_bound_is_refused(monkeypatch):
     def refuse(*args):
         raise AssertionError("the torsion coset was enumerated")
 
-    monkeypatch.setattr(potential, "_torsion_angles", refuse)
-    with pytest.raises(potential.DegreeTooLarge):
+    monkeypatch.setattr(rp, "_torsion_angles", refuse)
+    with pytest.raises(rp.DegreeTooLarge):
         critical_exists(_planar([[(1, 400)], [(400, 1)]]))
 
 
@@ -457,7 +452,7 @@ def test_chart_degree_over_the_bound_is_refused():
     # the segment's factor has degree 10**5, within the bound, but in the
     # triangle's chart the pair's polynomial has degree 10**5 + 1: the chart
     # refuses it before the elimination
-    with pytest.raises(potential.DegreeTooLarge) as excinfo:
+    with pytest.raises(rp.DegreeTooLarge) as excinfo:
         critical_exists(_planar([[(1, 0), (0, 1)], [(1, 10**5)]]))
     assert any(entry.name == "_chart_points" for entry in excinfo.traceback)
 
@@ -488,7 +483,7 @@ def test_cyclotomic_product_matches_sympy(orders):
         assert zp.cyclotomic(m) == cyclotomic_poly(m, t, polys=True).rep.to_list()
         want *= cyclotomic_poly(m, t, polys=True)
     # lowest degree first, as a family prints it
-    assert potential._cyclotomic_product(orders) == tuple(want.rep.to_list()[::-1])
+    assert rp._cyclotomic_product(orders) == tuple(want.rep.to_list()[::-1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,7 +523,7 @@ _hermite_entries = st.integers(-6, 6) | st.integers(-(10**300), 10**300)
 def test_two_by_two_hermite_form_is_hnf(a, b, c, d):
     # the Hermite form is unique, so one extended Euclid gives hnf's bytes
     assume(a * d - b * c != 0)
-    assert potential._hermite_2x2(a, b, c, d) == hnf([[a, b], [c, d]])[0]
+    assert rp._hermite_2x2(a, b, c, d) == hnf([[a, b], [c, d]])[0]
 
 
 _coset_vectors = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
@@ -543,17 +538,17 @@ def test_integer_torsion_coset_matches_fraction_oracle(v, u, earlier):
     assume(det != 0 and abs(det) <= 200)
     want = _fraction_torsion_angles(v, u, det)
     size = 2 * abs(det)
-    assert [(Fraction(n1, size), Fraction(n2, size)) for n1, n2 in potential._torsion_angles(v, u, det)] == want
+    assert [(Fraction(n1, size), Fraction(n2, size)) for n1, n2 in rp._torsion_angles(v, u, det)] == want
     # the pair after the earlier segments: the points none of them is 1/2
     # on, and one family per order of theta_1 with the orders of its theta_2
     count = sum(all((w[0] * t1 + w[1] * t2) % 1 != Fraction(1, 2) for w in earlier) for t1, t2 in want)
     partners = {}
     for t1, t2 in want:
         partners.setdefault(t1.denominator, set()).add(t2.denominator)
-    cyclotomic = potential._cyclotomic_product
+    cyclotomic = rp._cyclotomic_product
     families = {(cyclotomic({m1}), cyclotomic(m2s)) for m1, m2s in partners.items()}
     mats = [SimpleNamespace(v=(w,), m=1) for w in [v, *earlier, u]]
-    got = potential._segment_pair(mats, 0, len(mats) - 1, potential._cyclotomic_product)
+    got = rp._segment_pair(mats, 0, len(mats) - 1, rp._cyclotomic_product)
     # one family per order of theta_1; critical_exists orders them
     assert (got[0], len(got[1]), {(f.z1_minpoly, f.z2_minpoly) for f in got[1]}) == (count, len(families), families)
 
@@ -635,7 +630,7 @@ def test_integer_fibre_matches_the_sympy_fibre(v, u, m):
     # and h, every coefficient equal, over the denominator 1
     assume(v[1] or u[1])
     z1 = tuple(int(c) for c in reversed(cyclotomic_poly(m, polys=True).all_coeffs()))
-    got = potential._binomial_fibre(v, u, m, z1)
+    got = rp._binomial_fibre(v, u, m, z1)
     assert got == (*fibre_oracle.coefficient_lists(*fibre_oracle.binomial_fibre(v, u, m, z1)), 1)
     assert all(type(c) is int for coeffs in got[1] for c in coeffs)
 
@@ -905,7 +900,7 @@ def test_only_reported_families_are_annotated(monkeypatch, d):
     rep = critical_exists(d)
     assert rep.verdict == "finite" and rep.families
     assert calls == dict.fromkeys(calls, 0)
-    potential.witnesses(rep)
+    rp.witnesses(rep)
     assert calls == {**dict.fromkeys(calls, 0), "_numeric_points": len(rep.families)}
 
 
@@ -918,7 +913,7 @@ def test_triangle_pairs_name_each_family_by_elimination(monkeypatch, d_q5):
     rep = critical_exists(d_q5)
     assert rep.verdict == "finite" and rep.families
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": 0}
-    potential.witnesses(rep)
+    rp.witnesses(rep)
     assert calls == {"_partner_minpoly": len(rep.families), "_numeric_points": len(rep.families)}
 
 
@@ -933,7 +928,7 @@ def test_family_order_is_independent_of_the_factoring(monkeypatch, vs):
     monkeypatch.setattr(rp, "factor_rational", lambda f: original(f)[::-1])
     got = critical_exists(_planar(vs))
     assert got.families == want.families
-    assert potential.witnesses(got) == potential.witnesses(want)
+    assert rp.witnesses(got) == rp.witnesses(want)
 
 
 def test_every_partner_polynomial_is_a_resultant(monkeypatch):

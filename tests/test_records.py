@@ -21,7 +21,7 @@ import pytest
 
 import minksmooth
 from minksmooth.polytope import DimensionMismatch, LatticePolytope, decomposition
-from minksmooth.potential import CriticalFamily, CriticalReport
+from minksmooth.ratpoly import CriticalFamily, CriticalReport
 
 ROOT = Path(__file__).resolve().parent.parent
 SLOW_STDLIB = ("dataclasses", "inspect", "fractions")

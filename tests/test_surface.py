@@ -10,9 +10,12 @@ that only a test needs lives in ``tests/``, as an oracle.
 """
 
 import ast
+import importlib
 import re
 import symtable
 from pathlib import Path
+
+from minksmooth import potential, ratpoly
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = {p.stem: p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "minksmooth").glob("*.py"))}
@@ -69,10 +72,31 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
     assert unused_names() == sorted(TRACED_ONLY)
 
 
-def test_traced_only_names_are_still_traced():
+def _traced():
+    """The (module, attribute) rows of the benchmark tracer's ``TARGETS``."""
     tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     (table,) = [n.value for n in tracing.body if isinstance(n, ast.Assign) and n.targets[0].id == "TARGETS"]
-    assert TRACED_ONLY <= {(row.elts[0].value, row.elts[1].value) for row in table.elts}
+    return [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+
+
+def test_traced_only_names_are_still_traced():
+    assert TRACED_ONLY <= set(_traced())
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps each row by name, a function of the module (an
+    # lru_cache wrapper is one) or a method in its class's own dict; the
+    # decision lives in ratpoly and is bound in potential under the name
+    # the tracer wraps
+    for module, attr in _traced():
+        holder = importlib.import_module(f"minksmooth.{module}")
+        if "." in attr:
+            cls, meth = attr.split(".")
+            fn = vars(getattr(holder, cls)).get(meth)
+        else:
+            fn = getattr(holder, attr, None)
+        assert callable(fn) and not isinstance(fn, type), (module, attr)
+    assert potential.critical_exists is ratpoly.critical_exists
 
 
 def test_a_local_variable_is_not_a_caller():
@@ -145,14 +169,45 @@ def test_numeric_imports_no_module_of_the_package():
 
 
 def test_imports_inside_functions_are_only_the_deferred_ones():
-    # cli loads potential only for its command, pipeline the modules only
-    # analyze runs, and numpy's module loads only where points are computed
+    # cli loads potential and the decision only for its command, pipeline
+    # the modules only analyze runs, and numpy's module loads only where
+    # points are computed
     deferred = {(module, target) for module, target, inside in _package_imports() if inside}
     assert deferred == {
         ("cli", "potential"),
+        ("cli", "ratpoly"),
         ("pipeline", "fibration"),
         ("pipeline", "potential"),
+        ("pipeline", "ratpoly"),
         ("pipeline", "smoothing"),
         ("pipeline", "numeric"),
-        ("potential", "numeric"),
+        ("ratpoly", "numeric"),
     }
+
+
+def _ratpoly_reads(source):
+    """The names a module reads of ratpoly: imported from it, or read as an
+    attribute of a name it binds ratpoly to."""
+    tree = ast.parse(source)
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = ("minksmooth." if node.level else "") + (node.module or "")
+        if module in ("minksmooth.", "minksmooth"):
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "ratpoly"}
+        elif module == "minksmooth.ratpoly":
+            names |= {alias.name for alias in node.names}
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in aliases}
+    return names | reads
+
+
+def test_one_module_decides_the_critical_points():
+    # the decision's charts, fibres and degree budget are ratpoly's own:
+    # no other module reads a private name of it, and potential, which
+    # keeps W and its Newton polytope, binds only the decision's entry
+    reads = {module: _ratpoly_reads(source) for module, source in SOURCES.items() if module != "ratpoly"}
+    private = {module: sorted(n for n in names if n.startswith("_")) for module, names in reads.items()}
+    assert {module: names for module, names in private.items() if names} == {}
+    assert reads["potential"] == {"critical_exists"}
+    assert {target for module, target, _ in _package_imports() if module == "potential"} == {"polytope", "ratpoly"}
